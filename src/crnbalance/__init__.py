@@ -8,13 +8,13 @@ from .network import (
     DuplicateSpeciesError, NegativeCoefficientError, Reaction, ReactionNetwork,
     SelfLoopReactionError, StructuralInvariants, UnusedComplexError,
     UnusedSpeciesError, build_network, is_conservative, linkage_classes,
-    rational_rank, stoichiometric_basis, structural_invariants,
+    stoichiometric_basis, structural_invariants,
 )
 from .kinetics import (
     HillKinetics, InvalidKineticsError, Kinetics, KineticsClassification,
     NonPositiveStateError, NotApplicableError, PolyPLKinetics,
     PowerLawKinetics, RationalFactor, RationalKinetics, classify,
-    complex_formation_rate, evaluate, hill, hill_as_rational,
+    evaluate, hill, hill_as_rational,
     mass_action_from, normalize_poly_pl, poly_pl, power_law,
     rates_balancing_all_ones, species_formation_rate,
 )

@@ -18,7 +18,8 @@ from . import report as rpt
 from .decomposition import check_decomposition, linkage_class_parts, search_decompositions
 from .equilibria import (KineticSystem, SolveConfig, acb_verdict, analyze_acb,
                          poly_pl_equilibrated_check, sample_coset_counts,
-                         sample_positive_states, star_msc_acb_evidence)
+                         sample_positive_states, solve_equilibria,
+                         star_msc_acb_evidence)
 from .fileformat import ParseError, parse_crn
 from .kinetic_matrices import NotRDKError, build_t_matrices, kinetic_order_subspace
 from .kinetics import (HillKinetics, PolyPLKinetics, PowerLawKinetics,
@@ -257,18 +258,12 @@ def _cmd_starmsc(args, out):
     return 0
 
 
-def _solve_both(system, cfg):
-    from .equilibria import solve_equilibria
-    e = solve_equilibria(system, "positive", config=cfg)
-    z = solve_equilibria(system, "complex_balanced", config=cfg)
-    return e, z
-
-
 def _cmd_equilibria(args, out):
     net, kin = _load(args.file)
     cfg = _config(args)
     system = KineticSystem(net, kin)
-    e, z = _solve_both(system, cfg)
+    e = solve_equilibria(system, "positive", config=cfg)
+    z = solve_equilibria(system, "complex_balanced", config=cfg)
     report = rpt.base_report("equilibria", cfg)
     report["equilibria"] = {
         "positive": [rpt.point_json(p) for p in e.points],

@@ -4,7 +4,9 @@ A decomposition partitions the reactions; each part induces a subnetwork on
 the complexes and species it touches. Independence (stoichiometric subspaces
 sum directly), incidence independence (incidence images sum directly) and
 bi-independence (both) are decided with exact ranks, so the deficiency
-inequalities they certify are exact integer claims.
+inequalities they certify are exact integer claims. Each holds exactly when
+every part is a union of separator classes (components of a column matroid),
+so `search_decompositions` partitions classes instead of reactions.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rational
 from .kinetics import (InvalidKineticsError, Kinetics, PolyPLKinetics,
                        PowerLawKinetics)
 from .network import (CrnError, ReactionNetwork, build_network,
@@ -181,92 +184,39 @@ def linkage_class_parts(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
     return structural_invariants(net).linkage_partition
 
 
-class _RankTracker:
-    """Incremental exact rank of a growing set of rational column vectors."""
-
-    def __init__(self):
-        self.echelon: list[list] = []
-
-    def copy(self) -> "_RankTracker":
-        out = _RankTracker()
-        out.echelon = [row[:] for row in self.echelon]
-        return out
-
-    def add(self, vec) -> None:
-        v = list(vec)
-        for row in self.echelon:
-            lead = next((i for i, x in enumerate(row) if x != 0), None)
-            if lead is not None and v[lead] != 0:
-                f = v[lead] / row[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        if any(x != 0 for x in v):
-            self.echelon.append(v)
-
-    @property
-    def rank(self) -> int:
-        return len(self.echelon)
+def _separator_classes(net: ReactionNetwork, predicate: str) -> list[list[int]]:
+    """Components of the column matroid of N, of Ia, or of their join, ordered
+    by smallest reaction. Row i of the rref holds pivot i and every column
+    whose fundamental circuit contains it, so merging row supports joins them."""
+    classes = [{q} for q in range(net.num_reactions)]
+    for mat in {"independent": [net.n], "incidence_independent": [net.ia],
+                "bi_independent": [net.n, net.ia]}[predicate]:
+        red, pivots = rational.rref([list(row) for row in mat])
+        for support in ({q for q, v in enumerate(row) if v != 0} for row in red[:len(pivots)]):
+            joined = [c for c in classes if c & support]
+            classes = [c for c in classes if not c & support] + [set().union(*joined)]
+    return sorted(sorted(c) for c in classes)
 
 
 def search_decompositions(net: ReactionNetwork, predicate: str,
                           max_parts: int | None = None) -> list[Decomposition]:
-    """All partitions of the reaction set satisfying the predicate.
+    """All partitions of the reaction set satisfying the predicate: one of
+    'independent', 'incidence_independent' or 'bi_independent'.
 
-    predicate: 'independent', 'incidence_independent' or 'bi_independent'.
-    Enumerates restricted-growth strings in lexicographic order, pruning any
-    prefix whose running per-part rank sums already exceed the whole
-    network's rank (rank sums only grow as reactions are added, so such a
-    prefix cannot finish at equality). Deterministic output order.
+    Lists the set partitions of the separator classes, at most `max_parts`
+    blocks each, extending every prefix in order. Classes are ordered by
+    smallest reaction, so the output keeps the lexicographic order of the
+    reactions' restricted-growth strings. The guard counts reactions.
     """
     if predicate not in ("independent", "incidence_independent", "bi_independent"):
         raise ValueError(f"unknown predicate {predicate!r}")
     r = net.num_reactions
     if r > _SEARCH_GUARD:
         raise TooLargeError(f"{r} reactions exceed the desk-scale guard of {_SEARCH_GUARD}")
-    if max_parts is None:
-        max_parts = r
-
-    inv = structural_invariants(net)
-    n_cols = [ [row[qi] for row in net.n] for qi in range(r) ]
-    ia_cols = [ [row[qi] for row in net.ia] for qi in range(r) ]
-    need_s = predicate in ("independent", "bi_independent")
-    need_i = predicate in ("incidence_independent", "bi_independent")
-
-    results: list[Decomposition] = []
-
-    def recurse(q: int, blocks: list[list[int]],
-                s_tr: list[_RankTracker], i_tr: list[_RankTracker]) -> None:
-        if need_s and sum(t.rank for t in s_tr) > inv.s:
-            return
-        if need_i and sum(t.rank for t in i_tr) > inv.n - inv.l:
-            return
-        if q == r:
-            ok = True
-            if need_s:
-                ok = ok and sum(t.rank for t in s_tr) == inv.s
-            if need_i:
-                ok = ok and sum(t.rank for t in i_tr) == inv.n - inv.l
-            if ok:
-                results.append(decompose(net, [tuple(b) for b in blocks]))
-            return
-        limit = min(len(blocks) + 1, max_parts)
-        for b in range(limit):
-            if b == len(blocks):
-                blocks.append([q])
-                s_new = s_tr + [_RankTracker()]
-                i_new = i_tr + [_RankTracker()]
-            else:
-                blocks[b].append(q)
-                s_new = [t.copy() if idx == b else t for idx, t in enumerate(s_tr)]
-                i_new = [t.copy() if idx == b else t for idx, t in enumerate(i_tr)]
-            if need_s:
-                s_new[b].add(n_cols[q])
-            if need_i:
-                i_new[b].add(ia_cols[q])
-            recurse(q + 1, blocks, s_new, i_new)
-            if b == len(blocks) - 1 and blocks[b] == [q]:
-                blocks.pop()
-            else:
-                blocks[b].pop()
-
-    recurse(0, [], [], [])
-    return results
+    max_parts = r if max_parts is None else max_parts
+    partitions: list[list[list[int]]] = [[]]
+    for cls in _separator_classes(net, predicate):
+        # the class joins block b; b == len(blocks) opens a new block
+        partitions = [blocks[:b] + [(blocks + [[]])[b] + cls] + blocks[b + 1:]
+                      for blocks in partitions for b in range(min(len(blocks) + 1, max_parts))]
+    return [decompose(net, blocks) for blocks in partitions]

@@ -72,7 +72,7 @@ class KineticSystem:
         return float(np.max(np.abs(self.network.ia_array() @ evaluate(self.kinetics, x))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumPoint:
     x: np.ndarray
     sfrf_residual: float
@@ -80,7 +80,7 @@ class EquilibriumPoint:
     kind: str  # "positive" | "complex_balanced"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetConstraint:
     x0: np.ndarray               # positive anchor of the coset
     basis: np.ndarray            # rows spanning the subspace W
@@ -352,7 +352,7 @@ def sample_coset_counts(system: KineticSystem, w_basis, x_ref,
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LPSetSpec:
     """A flux subspace (as basis rows) with a positive reference state."""
 
@@ -700,8 +700,8 @@ def acb_verdict(analysis: AcbAnalysis, config: SolveConfig | None = None) -> Acb
         fired.append(RULE_SWEEP)
         statuses.append("ACB_numeric")
 
-    assert not ("ACB_certified" in statuses and "NotACB_certified" in statuses), \
-        "contradictory certified verdicts: inconsistent evidence bundle"
+    if "ACB_certified" in statuses and "NotACB_certified" in statuses:
+        raise CrnError("contradictory certified verdicts: inconsistent evidence bundle")
 
     status = statuses[0] if statuses else "Inconclusive"
     return AcbVerdict(status=status, justification=tuple(fired), witness=witness)

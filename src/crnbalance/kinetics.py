@@ -447,11 +447,6 @@ def species_formation_rate(net: ReactionNetwork, kin: Kinetics, x) -> np.ndarray
     return net.n_array() @ evaluate(kin, x)
 
 
-def complex_formation_rate(net: ReactionNetwork, kin: Kinetics, x) -> np.ndarray:
-    """CFRF g(x) = Ia K(x), computed directly from the incidence matrix."""
-    return net.ia_array() @ evaluate(kin, x)
-
-
 @dataclass(frozen=True)
 class KineticsClassification:
     """Structure flags; None marks a flag that does not apply to the family."""

@@ -207,11 +207,6 @@ def build_network(species, complexes, reactions) -> ReactionNetwork:
     return ReactionNetwork(species, tuple(built), tuple(rxns), y, ia, n_mat)
 
 
-def rational_rank(mat) -> int:
-    """Exact rank of a rational matrix (deterministic, no tolerances)."""
-    return rational.rank(mat)
-
-
 def _undirected_components(n_nodes: int, edges: list[tuple[int, int]]) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(n_nodes)]
     for a, b in edges:

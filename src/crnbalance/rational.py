@@ -219,5 +219,6 @@ def positive_kernel_vector(mat) -> Vector | None:
     if u is None:
         return None
     z = [v + 1 for v in u]
-    assert all(sum(r * x for r, x in zip(row, z)) == 0 for row in m)
+    if any(sum(r * x for r, x in zip(row, z)) != 0 for row in m):
+        raise ArithmeticError("phase-1 solution is not a kernel vector")
     return z

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import crnbalance as cb
+from conftest import random_network, random_weakly_reversible_network
 
 
 def test_subnetwork_re1_parts(re1_net):
@@ -59,18 +60,26 @@ def _brute_partitions(items, max_parts):
 
 
 def _brute_search(net, predicate, max_parts):
+    """Qualifying partitions, parts ordered by smallest reaction, sorted by
+    their restricted-growth string (part index of each reaction)."""
     inv = cb.structural_invariants(net)
+    ranks = {}  # part -> (s, n - l) of the subnetwork it induces
     found = []
     for parts in _brute_partitions(list(range(net.num_reactions)), max_parts):
-        deco = cb.decompose(net, parts)
-        s_sum = sum(p.s for p in deco.summaries)
-        i_sum = sum(p.n - p.l for p in deco.summaries)
+        parts = tuple(sorted(tuple(sorted(p)) for p in parts))
+        for p in parts:
+            if p not in ranks:
+                sub = cb.structural_invariants(cb.subnetwork(net, p))
+                ranks[p] = (sub.s, sub.n - sub.l)
+        s_sum = sum(ranks[p][0] for p in parts)
+        i_sum = sum(ranks[p][1] for p in parts)
         ok = {"independent": s_sum == inv.s,
               "incidence_independent": i_sum == inv.n - inv.l,
               "bi_independent": s_sum == inv.s and i_sum == inv.n - inv.l}[predicate]
         if ok:
-            found.append(frozenset(frozenset(p) for p in parts))
-    return set(found)
+            found.append(parts)
+    return sorted(found, key=lambda parts: [
+        next(i for i, p in enumerate(parts) if q in p) for q in range(net.num_reactions)])
 
 
 def test_search_re1_contains_linkage_partition(re1_net):
@@ -87,11 +96,16 @@ def test_search_single_reaction():
 
 @pytest.mark.parametrize("predicate", ["independent", "incidence_independent",
                                        "bi_independent"])
-def test_search_matches_brute_force(counterexample, predicate):
-    net, _ = counterexample
-    found = cb.search_decompositions(net, predicate, max_parts=2)
-    as_sets = {frozenset(frozenset(p) for p in d.parts) for d in found}
-    assert as_sets == _brute_search(net, predicate, 2)
+def test_search_matches_brute_force(re1_net, counterexample, mm_polypl, predicate):
+    nets = [re1_net, counterexample[0], mm_polypl[0]]
+    nets += [random_network(np.random.default_rng(100 + i)) for i in range(15)]
+    nets += [random_weakly_reversible_network(np.random.default_rng(200 + i))
+             for i in range(15)]
+    for net in nets:
+        for max_parts in (None, 2, 3):
+            found = cb.search_decompositions(net, predicate, max_parts=max_parts)
+            oracle = _brute_search(net, predicate, max_parts or net.num_reactions)
+            assert [d.parts for d in found] == oracle, (net.reactions, max_parts)
 
 
 def test_search_is_deterministic(counterexample):

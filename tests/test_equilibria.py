@@ -1,5 +1,11 @@
 """Equilibria search, LP/coset checks, kinetic-image spans, ACB verdicts."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -378,3 +384,53 @@ def test_constrained_solver_respects_coset(ce_system, counterexample):
     for p in res.points:
         # x - x0 must lie in span(S): its complement component vanishes
         assert np.max(np.abs(perp @ (p.x - x0))) < 1e-7
+
+
+def _contradictory_analysis():
+    """Evidence certifying both ACB (mass action) and not ACB (KSE, delta 1)."""
+    net = cb.build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1), (1, 0)])
+    return cb.AcbAnalysis(
+        system=cb.KineticSystem(net, cb.power_law([[1, 0], [0, 1]], [1, 1])),
+        structural=dataclasses.replace(cb.structural_invariants(net), delta=1),
+        classification=cb.KineticsClassification(mass_action=True),
+        complex_balanced=True, cb_citations=(), e_points=[], z_points=[],
+        kse=cb.KseReport(r_minus_s=1, sampled_span_dim=1, kse=True, por=False,
+                         incidence_kernel_dim=1, span_exceeds_incidence_kernel=False))
+
+
+def test_contradictory_verdict_raises():
+    with pytest.raises(cb.CrnError, match="contradictory certified verdicts"):
+        cb.acb_verdict(_contradictory_analysis())
+
+
+def test_contradictory_verdict_raises_under_optimize():
+    here = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cb.__file__).parents[1]), str(here)]))
+    code = ("import sys, crnbalance as cb\n"
+            "from test_equilibria import _contradictory_analysis\n"
+            "try:\n"
+            "    cb.acb_verdict(_contradictory_analysis())\n"
+            "except cb.CrnError as exc:\n"
+            "    print(sys.flags.optimize, exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=here,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 contradictory certified verdicts")
+
+
+def test_result_types_compare_without_raising():
+    p = cb.EquilibriumPoint(np.ones(2), 0.0, 1.0, "positive")
+    q = cb.EquilibriumPoint(np.ones(2), 0.0, 1.0, "positive")
+    values = [p, q,
+              cb.CosetConstraint(np.ones(2), np.eye(2)),
+              cb.CosetConstraint(np.ones(2), np.eye(2)),
+              cb.LPSetSpec(np.eye(2), np.ones(2)),
+              cb.LPSetSpec(np.eye(2), np.ones(2)),
+              cb.AcbVerdict("NotACB_numeric", (), p),
+              cb.AcbVerdict("NotACB_numeric", (), q)]
+    for a in values:
+        hash(a)
+        for b in values:  # array holders compare by identity, like KineticSystem
+            assert (a == b) == (a is b)
+    assert values[6] == cb.AcbVerdict("NotACB_numeric", (), p)

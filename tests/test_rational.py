@@ -99,6 +99,13 @@ def test_positive_kernel_examples():
     assert rational.positive_kernel_vector([[1]]) is None
 
 
+def test_positive_kernel_rejects_a_bad_certificate(monkeypatch):
+    # a phase-1 answer that is not a kernel vector must not be returned
+    monkeypatch.setattr(rational, "_phase1_feasible", lambda a, b: [Fraction(0)] * 3)
+    with pytest.raises(ArithmeticError):
+        rational.positive_kernel_vector([[-1, -1, 1], [1, 1, -1]])
+
+
 @given(small_matrices)
 @settings(max_examples=120, deadline=None)
 def test_positive_kernel_matches_float_lp(mat):
