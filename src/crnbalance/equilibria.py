@@ -412,10 +412,10 @@ def check_lp_property(system: KineticSystem, which: str, spec: LPSetSpec,
 
     perp = linalg.complement_basis_rows(spec.flux_basis, ref.size)
     rng = np.random.default_rng(cfg.rng_seed + 2)
+    # A flux space filling R^m leaves no direction to sample.
+    n_sampled = n_samples if perp.shape[0] else 0
     max_res = 0.0
-    for _ in range(n_samples):
-        if perp.shape[0] == 0:
-            break
+    for _ in range(n_sampled):
         mu = perp.T @ rng.uniform(-1.0, 1.0, size=perp.shape[0])
         x = ref * np.exp(mu)
         res = system.sfrf_residual(x) if which == "E" else system.cfrf_residual(x)
@@ -426,7 +426,7 @@ def check_lp_property(system: KineticSystem, which: str, spec: LPSetSpec,
         which=which, holds=found_ok and member_ok,
         found_direction_ok=found_ok, membership_direction_ok=member_ok,
         max_projection=max_proj, max_residual=max_res,
-        n_found=len(points), n_sampled=n_samples,
+        n_found=len(points), n_sampled=n_sampled,
     )
 
 
@@ -811,12 +811,8 @@ def star_msc_acb_evidence(star, source_net: ReactionNetwork,
     src_inv = structural_invariants(source_net)
     if not src_inv.weakly_reversible or src_inv.delta != 0:
         return None
-    src_system = KineticSystem(source_net, normalize_poly_pl(source_kin))
-    src_cb = solve_equilibria(src_system, "complex_balanced", config=cfg).points
-    if not src_cb:
-        return None
     balance = poly_pl_equilibrated_check(source_net, source_kin, cfg)
-    if balance.pl_complex_balanced is not True:
+    if balance.n_full_z == 0 or balance.pl_complex_balanced is not True:
         return None
     evidence = linkage_decomposition_evidence(
         KineticSystem(star.network, star.kinetics), cfg,
@@ -828,12 +824,12 @@ def star_msc_acb_evidence(star, source_net: ReactionNetwork,
 
 def default_flux_spec(system: KineticSystem,
                       reference: np.ndarray,
-                      t_matrices: TMatrices | None) -> LPSetSpec:
+                      t_matrices: TMatrices | None,
+                      cls: KineticsClassification) -> LPSetSpec:
     """Flux space for LP checks: the kinetic order subspace for
     reactant-determined power-law kinetics, the stoichiometric subspace
-    otherwise."""
+    otherwise. `cls` is the classification of the system's kinetics."""
     net = system.network
-    cls = classify(system.kinetics, net)
     if (isinstance(system.kinetics, PowerLawKinetics) and cls.pl_rdk
             and not cls.mass_action and t_matrices is not None
             and t_matrices.exact_s_tilde_basis is not None):
@@ -876,7 +872,7 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
         if flux_spec_basis is not None:
             spec_z = LPSetSpec(np.atleast_2d(np.asarray(flux_spec_basis, dtype=float)), ref)
         else:
-            spec_z = default_flux_spec(system, ref, t_matrices)
+            spec_z = default_flux_spec(system, ref, t_matrices, cls)
         try:
             clp = check_lp_property(system, "Z", spec_z, config=cfg, points=z_res.points)
         except ReferenceNotEquilibriumError:

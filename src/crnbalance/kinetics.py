@@ -7,6 +7,13 @@ factors), and a generalized rational form (monomial numerator over a product
 of positive polynomial factors) that Hill kinetics convert into and that also
 covers rational rate laws whose denominators mix several species.
 
+Every family is evaluated through one rate table, built once per object:
+K_q(x) = sum_j (k_q a_qj) x^{F_qj} / prod_f sum_t c_ft x^{E_ft}, with one
+term over no factor per power-law reaction, h_q terms over no factor per
+poly-PL reaction and one term over its factors per rational reaction; Hill
+kinetics are tabled through `hill_as_rational`. All arrays of a kinetics
+object are read-only, so its table cannot go stale.
+
 Kinetic orders are kept as float arrays for evaluation, with an optional
 exact rational copy alongside; identity-of-rows classifications and all rank
 work use the exact copy whenever it exists and a 1e-12 tolerance otherwise.
@@ -78,6 +85,64 @@ def _coerce_rates(values) -> np.ndarray:
     return k
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def _starts(sizes) -> np.ndarray:
+    """First index of each group of consecutive rows, for `np.ufunc.reduceat`."""
+    return np.cumsum([0, *sizes], dtype=np.intp)[:-1]
+
+
+def _monomials(coeffs: np.ndarray, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return coeffs * np.prod(np.power(x[None, :], orders), axis=1)
+
+
+class _RateTable:
+    """K_q(x) = sum_j w_qj x^{F_qj} / prod_f sum_t c_ft x^{E_ft}, row-wise.
+
+    Terms are grouped by reaction and factor terms by factor, each group
+    marked by its first row for `np.ufunc.reduceat`; `factor_rows` lists the
+    reactions that have factors and `row_firsts` the first factor of each.
+    """
+
+    def __init__(self, weights: np.ndarray, orders: np.ndarray, sizes,
+                 denominators: tuple[tuple[RationalFactor, ...], ...] = ()):
+        factors = [f for fs in denominators for f in fs]
+        self.weights, self.orders, self.starts = weights, orders, _starts(sizes)
+        self.negative_species = np.any(orders < 0, axis=0)
+        self.factor_coeffs = np.concatenate([np.zeros(0)] + [f.coeffs for f in factors])
+        self.factor_orders = np.vstack([np.zeros((0, orders.shape[1]))]
+                                       + [f.orders for f in factors])
+        self.factor_starts = _starts([f.coeffs.shape[0] for f in factors])
+        self.factor_rows = np.flatnonzero([len(fs) for fs in denominators])
+        self.row_firsts = _starts([len(fs) for fs in denominators if fs])
+
+    def rates(self, x: np.ndarray, jacobian: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """K(x), and dK/du (u = log x) when `jacobian` is set."""
+        monos = _monomials(self.weights, self.orders, x)
+        k = np.add.reduceat(monos, self.starts)
+        jac = (np.add.reduceat(monos[:, None] * self.orders, self.starts, axis=0)
+               if jacobian else None)
+        if self.factor_rows.size:
+            fmonos = _monomials(self.factor_coeffs, self.factor_orders, x)
+            values = np.add.reduceat(fmonos, self.factor_starts)
+            if np.any(values <= 0):
+                raise NonPositiveStateError("denominator factor vanished")
+            rows = self.factor_rows
+            den = np.multiply.reduceat(values, self.row_firsts)
+            k[rows] /= den
+            if jacobian:
+                grads = np.add.reduceat(fmonos[:, None] * self.factor_orders,
+                                        self.factor_starts, axis=0) / values[:, None]
+                jac[rows] = (jac[rows] / den[:, None]
+                             - k[rows, None] * np.add.reduceat(grads, self.row_firsts, axis=0))
+        return k, jac
+
+
 @dataclass(eq=False)
 class PowerLawKinetics:
     orders: np.ndarray                    # (r, m) kinetic order rows
@@ -85,14 +150,13 @@ class PowerLawKinetics:
     exact_orders: ExactMatrix | None = None
 
     def __post_init__(self):
-        self.orders = np.asarray(self.orders, dtype=float)
-        self.rates = np.asarray(self.rates, dtype=float)
+        self.orders = _frozen(self.orders)
+        self.rates = _frozen(self.rates)
         if self.orders.shape[0] != self.rates.shape[0]:
             raise InvalidKineticsError("one order row per reaction required")
         if np.any(self.rates <= 0):
             raise InvalidKineticsError("rate constants must be strictly positive")
-        self.orders.flags.writeable = False
-        self.rates.flags.writeable = False
+        self._table = _RateTable(self.rates, self.orders, [1] * self.num_reactions)
 
     @property
     def num_reactions(self) -> int:
@@ -126,7 +190,9 @@ class PolyPLKinetics:
     exact_term_orders: tuple[ExactMatrix, ...] | None = None
 
     def __post_init__(self):
-        self.rates = np.asarray(self.rates, dtype=float)
+        self.term_coeffs = tuple(_frozen(a) for a in self.term_coeffs)
+        self.term_orders = tuple(_frozen(f) for f in self.term_orders)
+        self.rates = _frozen(self.rates)
         if len(self.term_coeffs) != self.rates.shape[0]:
             raise InvalidKineticsError("one term list per reaction required")
         for a, f in zip(self.term_coeffs, self.term_orders):
@@ -136,6 +202,9 @@ class PolyPLKinetics:
                 raise InvalidKineticsError("poly-PL coefficients must be positive")
             if f.shape[0] != a.shape[0]:
                 raise InvalidKineticsError("coefficient/order count mismatch")
+        self._table = _RateTable(
+            np.concatenate([k * a for k, a in zip(self.rates, self.term_coeffs)]),
+            np.vstack(self.term_orders), [a.shape[0] for a in self.term_coeffs])
 
     @property
     def num_reactions(self) -> int:
@@ -241,9 +310,9 @@ class HillKinetics:
     rates: np.ndarray
 
     def __post_init__(self):
-        self.orders = np.asarray(self.orders, dtype=float)
-        self.dissoc = np.asarray(self.dissoc, dtype=float)
-        self.rates = np.asarray(self.rates, dtype=float)
+        self.orders = _frozen(self.orders)
+        self.dissoc = _frozen(self.dissoc)
+        self.rates = _frozen(self.rates)
         if self.orders.shape != self.dissoc.shape:
             raise InvalidKineticsError("order and dissociation shapes differ")
         if np.any(self.dissoc < 0):
@@ -251,6 +320,7 @@ class HillKinetics:
         if np.any((self.orders != 0) != (self.dissoc != 0)):
             raise InvalidKineticsError(
                 "dissociation support must match kinetic order support row by row")
+        self._table = hill_as_rational(self)._table
 
     @property
     def num_reactions(self) -> int:
@@ -276,22 +346,14 @@ class RationalFactor:
     orders: np.ndarray   # (t, m)
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        self.orders = np.asarray(self.orders, dtype=float)
+        self.coeffs = _frozen(self.coeffs)
+        self.orders = _frozen(self.orders)
         if np.any(self.coeffs <= 0):
             raise InvalidKineticsError("factor coefficients must be positive")
 
     def key(self) -> tuple:
         terms = sorted((tuple(row), c) for row, c in zip(self.orders, self.coeffs))
         return tuple(terms)
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self.coeffs @ np.prod(np.power(x[None, :], self.orders), axis=1))
-
-    def log_gradient_numerator(self, x: np.ndarray) -> np.ndarray:
-        """d/du of the factor value (u = log x), as a vector."""
-        monos = self.coeffs * np.prod(np.power(x[None, :], self.orders), axis=1)
-        return monos @ self.orders
 
 
 @dataclass(eq=False)
@@ -303,14 +365,16 @@ class RationalKinetics:
     denominators: tuple[tuple[RationalFactor, ...], ...]  # per reaction
 
     def __post_init__(self):
-        self.numer_orders = np.asarray(self.numer_orders, dtype=float)
-        self.rates = np.asarray(self.rates, dtype=float)
+        self.numer_orders = _frozen(self.numer_orders)
+        self.rates = _frozen(self.rates)
         if len(self.denominators) != self.rates.shape[0]:
             raise InvalidKineticsError("one denominator list per reaction required")
         for factors in self.denominators:
             keys = [f.key() for f in factors]
             if len(keys) != len(set(keys)):
                 raise InvalidKineticsError("repeated factor within one reaction")
+        self._table = _RateTable(self.rates, self.numer_orders,
+                                 [1] * self.num_reactions, self.denominators)
 
     @property
     def num_reactions(self) -> int:
@@ -349,63 +413,22 @@ def hill_as_rational(kin: HillKinetics) -> RationalKinetics:
                 factors.append(RationalFactor(np.array([1.0, d]),
                                               np.vstack([np.zeros(m), row_pos])))
         dens.append(tuple(factors))
-    return RationalKinetics(numer, kin.rates.copy(), tuple(dens))
+    return RationalKinetics(numer, kin.rates, tuple(dens))
 
 
 Kinetics = PowerLawKinetics | PolyPLKinetics | HillKinetics | RationalKinetics
 
 
-def _stacked_orders(kin: Kinetics) -> np.ndarray:
-    if isinstance(kin, PowerLawKinetics):
-        return kin.orders
-    if isinstance(kin, PolyPLKinetics):
-        return np.vstack(kin.term_orders)
-    if isinstance(kin, HillKinetics):
-        return kin.orders
-    return kin.numer_orders
-
-
-def _check_state(kin: Kinetics, x: np.ndarray) -> None:
-    if np.any(x < 0):
-        raise NonPositiveStateError("state has a negative entry")
-    if isinstance(kin, (PowerLawKinetics, PolyPLKinetics)):
-        zero = np.where(x == 0)[0]
-        if zero.size:
-            orders = _stacked_orders(kin)
-            bad = [i for i in zero if np.any(orders[:, i] < 0)]
-            if bad:
-                raise NonPositiveStateError(
-                    f"state entry {bad[0]} is zero but a kinetic order on it is negative")
-    if isinstance(kin, RationalKinetics):
-        zero = np.where(x == 0)[0]
-        if zero.size and np.any(kin.numer_orders[:, zero] < 0):
-            raise NonPositiveStateError("zero state entry under a negative exponent")
-
-
 def evaluate(kin: Kinetics, x) -> np.ndarray:
     """Reaction rate vector K(x); strictly positive states always accepted."""
     x = np.asarray(x, dtype=float)
-    _check_state(kin, x)
-    if isinstance(kin, PowerLawKinetics):
-        return kin.rates * np.prod(np.power(x[None, :], kin.orders), axis=1)
-    if isinstance(kin, PolyPLKinetics):
-        out = np.empty(kin.num_reactions)
-        for q in range(kin.num_reactions):
-            monos = np.prod(np.power(x[None, :], kin.term_orders[q]), axis=1)
-            out[q] = kin.rates[q] * float(kin.term_coeffs[q] @ monos)
-        return out
-    if isinstance(kin, HillKinetics):
-        return evaluate(hill_as_rational(kin), x)
-    out = np.empty(kin.num_reactions)
-    for q in range(kin.num_reactions):
-        val = kin.rates[q] * float(np.prod(np.power(x, kin.numer_orders[q])))
-        for factor in kin.denominators[q]:
-            den = factor.value(x)
-            if den <= 0:
-                raise NonPositiveStateError("denominator factor vanished")
-            val /= den
-        out[q] = val
-    return out
+    if np.any(x < 0):
+        raise NonPositiveStateError("state has a negative entry")
+    bad = np.flatnonzero(kin._table.negative_species & (x == 0))
+    if bad.size:
+        raise NonPositiveStateError(
+            f"state entry {bad[0]} is zero but a kinetic order on it is negative")
+    return kin._table.rates(x, jacobian=False)[0]
 
 
 def log_jacobian(kin: Kinetics, x) -> tuple[np.ndarray, np.ndarray]:
@@ -413,33 +436,7 @@ def log_jacobian(kin: Kinetics, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise NonPositiveStateError("log-coordinate Jacobian needs x > 0")
-    if isinstance(kin, PowerLawKinetics):
-        k = evaluate(kin, x)
-        return k, k[:, None] * kin.orders
-    if isinstance(kin, PolyPLKinetics):
-        r, m = kin.num_reactions, kin.num_species
-        k = np.empty(r)
-        jac = np.empty((r, m))
-        for q in range(r):
-            monos = kin.rates[q] * kin.term_coeffs[q] * np.prod(
-                np.power(x[None, :], kin.term_orders[q]), axis=1)
-            k[q] = monos.sum()
-            jac[q] = monos @ kin.term_orders[q]
-        return k, jac
-    if isinstance(kin, HillKinetics):
-        k = evaluate(kin, x)
-        xf = np.power(x[None, :], kin.orders)
-        with np.errstate(invalid="ignore"):
-            grad = np.where(kin.orders != 0,
-                            kin.orders * kin.dissoc / (kin.dissoc + xf), 0.0)
-        return k, k[:, None] * grad
-    k = evaluate(kin, x)
-    r, m = kin.num_reactions, kin.num_species
-    grad = np.tile(kin.numer_orders, (1, 1)).astype(float).copy()
-    for q in range(r):
-        for factor in kin.denominators[q]:
-            grad[q] -= factor.log_gradient_numerator(x) / factor.value(x)
-    return k, k[:, None] * grad
+    return kin._table.rates(x, jacobian=True)
 
 
 def species_formation_rate(net: ReactionNetwork, kin: Kinetics, x) -> np.ndarray:
@@ -541,7 +538,7 @@ def classify(kin: Kinetics, net: ReactionNetwork, t=None) -> KineticsClassificat
             mass_action=_is_mass_action(kin, net),
         )
     if isinstance(kin, PolyPLKinetics):
-        stacked = _stacked_orders(kin)
+        stacked = np.vstack(kin.term_orders)
         return KineticsClassification(
             pl_nik=bool(np.all(stacked >= 0)),
             por=bool(np.all(np.any(stacked < 0, axis=0))),

@@ -142,7 +142,7 @@ def test_check_lp_property_mass_action(ma_system):
     spec = cb.LPSetSpec(np.array(basis_rows, dtype=float), z.points[0].x,
                         tuple(tuple(r) for r in basis_rows))
     clp = cb.check_lp_property(ma_system, "Z", spec, config=cfg)
-    assert clp.holds
+    assert clp.holds and clp.n_sampled == 8
     e = cb.solve_equilibria(ma_system, "positive", config=cfg)
     spec_e = cb.LPSetSpec(spec.flux_basis, e.points[0].x, spec.exact_basis)
     plp = cb.check_lp_property(ma_system, "E", spec_e, config=cfg)
@@ -167,7 +167,10 @@ def test_check_lp_property_counterexample_kinetic_flux(ce_system, counterexample
     basis = t.exact_s_tilde_basis
     spec = cb.LPSetSpec(np.array(basis, dtype=float), z.points[0].x,
                         tuple(tuple(r) for r in basis))
-    assert cb.check_lp_property(ce_system, "Z", spec, config=cfg).holds
+    rep = cb.check_lp_property(ce_system, "Z", spec, config=cfg)
+    assert rep.holds
+    # S-tilde fills R^3, so no membership direction is left to sample
+    assert rep.n_sampled == 0 and rep.max_residual == 0.0
 
 
 def test_reference_not_equilibrium_raises(ma_system):

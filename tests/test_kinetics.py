@@ -185,7 +185,7 @@ def test_log_jacobian_matches_finite_differences(family, mm_rational):
         kin = cb.poly_pl(
             [[(0.5, tuple(rng.uniform(-1, 2, 2))), (1.2, tuple(rng.uniform(-1, 2, 2)))],
              [(0.8, tuple(rng.uniform(-1, 2, 2)))]],
-            [1.0, 2.0])
+            [1.3, 0.7])
         m = 2
     elif family == "hill":
         kin = cb.hill([[1, -2], [0, 1]], [[0.5, 2.0], [0, 1.5]], [1.0, 0.7])
@@ -196,7 +196,7 @@ def test_log_jacobian_matches_finite_differences(family, mm_rational):
     u = rng.uniform(-0.5, 0.5, m)
     x = np.exp(u)
     k, jac = cb.kinetics.log_jacobian(kin, x)
-    assert np.allclose(k, cb.evaluate(kin, x), rtol=1e-12)
+    assert np.array_equal(k, cb.evaluate(kin, x))
     eps = 1e-6
     for i in range(m):
         up = u.copy()
@@ -205,6 +205,47 @@ def test_log_jacobian_matches_finite_differences(family, mm_rational):
         dn[i] -= eps
         fd = (cb.evaluate(kin, np.exp(up)) - cb.evaluate(kin, np.exp(dn))) / (2 * eps)
         assert np.allclose(jac[:, i], fd, rtol=1e-5, atol=1e-8)
+
+
+def test_power_law_rates_and_jacobian_are_the_plain_formula(counterexample):
+    """One term over no factor computes exactly k x^F and K F, also where
+    K underflows to 0 at |u| = 44."""
+    rng = np.random.default_rng(0)
+    ladder = cb.power_law(rng.integers(0, 3, size=(40, 15)), rng.uniform(0.5, 2.0, 40))
+    for kin in (counterexample[1], ladder):
+        m = kin.num_species
+        states = [np.full(m, -44.0), np.full(m, 44.0), rng.choice([-44.0, 44.0], m),
+                  rng.uniform(-3, 3, m)]
+        for u in states:
+            x = np.exp(u)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = kin.rates * np.prod(x ** kin.orders, axis=1)
+                k, jac = cb.kinetics.log_jacobian(kin, x)
+                assert np.array_equal(k, want, equal_nan=True)
+                assert np.array_equal(jac, want[:, None] * kin.orders, equal_nan=True)
+                assert np.array_equal(cb.evaluate(kin, x), want, equal_nan=True)
+    k, jac = cb.kinetics.log_jacobian(ladder, np.exp(np.full(15, -44.0)))
+    assert np.any(k == 0) and np.all(np.isfinite(jac))
+
+
+def test_kinetics_arrays_are_read_only(mm_rational):
+    orders = np.array([[1.0, -2.0], [0.0, 1.0]])
+    power = cb.PowerLawKinetics(orders, np.array([1.0, 2.0]))
+    poly = cb.poly_pl([[(0.5, (1, 0)), (2, (0, 1))], [(1, (1, 1))]], [1, 3])
+    hill = cb.hill([[1, -2], [0, 1]], [[0.5, 2.0], [0, 1.5]], [1.0, 0.7])
+    rational = mm_rational[1]
+    factor = rational.denominators[2][0]
+    arrays = [power.orders, power.rates, *poly.term_coeffs, *poly.term_orders,
+              poly.rates, hill.orders, hill.dissoc, hill.rates,
+              rational.numer_orders, rational.rates, factor.coeffs, factor.orders]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[...] = 7.0
+    # the kinetics holds its own copy: the caller's array stays writable
+    x = np.array([1.3, 0.6])
+    before = cb.evaluate(power, x)
+    orders[0, 0] = 5.0
+    assert np.array_equal(cb.evaluate(power, x), before)
 
 
 def test_rates_balancing_all_ones(re1_net):
