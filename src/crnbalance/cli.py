@@ -427,3 +427,7 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

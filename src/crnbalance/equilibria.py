@@ -450,7 +450,9 @@ class KseReport:
 
 def kse_check(net: ReactionNetwork, kin: Kinetics,
               found_equilibria: list[EquilibriumPoint],
-              config: SolveConfig | None = None) -> KseReport:
+              config: SolveConfig | None = None, *,
+              inv: StructuralInvariants | None = None,
+              cls: KineticsClassification | None = None) -> KseReport:
     """Sampled dimension of the span of kinetic images over positive equilibria.
 
     Columns are K(x) at the found equilibria plus re-solves from log-space
@@ -458,13 +460,14 @@ def kse_check(net: ReactionNetwork, kin: Kinetics,
     certified lower bound for dim span K(E+). The kinetics is kernel
     spanning when that dimension reaches r - s = dim ker N; exceeding
     dim ker Ia = r - n + l already rules absolute complex balancing out on
-    positive-deficiency networks.
+    positive-deficiency networks. `inv` and `cls` are the structural
+    invariants of `net` and the classification of `kin`, if already known.
     """
     cfg = config or SolveConfig()
     if not found_equilibria:
         raise NoEquilibriaError("no equilibria to sample the kinetic image on")
-    inv = structural_invariants(net)
-    system = KineticSystem(net, kin)
+    if inv is None:
+        inv = structural_invariants(net)
     a = net.n_array()
     resjac = _log_chart([(a, kin)], cfg)
     rng = np.random.default_rng(cfg.rng_seed + 3)
@@ -477,7 +480,8 @@ def kse_check(net: ReactionNetwork, kin: Kinetics,
     logs = _dedup_logs(logs, cfg.dedup_tol)
     columns = np.array([evaluate(kin, np.exp(u)) for u in logs]).T
     dim = linalg.numeric_rank(columns)
-    cls = classify(kin, net)
+    if cls is None:
+        cls = classify(kin, net)
     por = bool(cls.por) if cls.por is not None else False
     kernel_dim = inv.r - inv.n + inv.l
     return KseReport(
@@ -758,6 +762,12 @@ def linkage_decomposition_evidence(system: KineticSystem,
     rules (no recursion). Intersection certification defaults to the
     independence status: for a bi-independent decomposition the equilibria
     sets of the whole are exactly the intersections of the parts'.
+
+    The exact flags are settled first. When they rule the decomposition
+    rule out (neither bi-independent nor incidence independent with
+    certified intersections), no part is solved: `parts_acb` is empty and
+    `note` gives the reason. A part that is neither of zero deficiency nor
+    mass action is "Inconclusive" without a solve.
     """
     cfg = config or SolveConfig()
     net = system.network
@@ -765,34 +775,39 @@ def linkage_decomposition_evidence(system: KineticSystem,
     if len(parts) < 2:
         return None
     verdict = check_decomposition(net, parts)
-    deco = decompose(net, parts)
-    part_statuses = []
-    for part, summary in zip(parts, deco.summaries):
-        try:
-            n_part, ia_part, kin_part = _part_system(system, part)
-        except CrnError:
-            part_statuses.append("Inconclusive")
-            continue
-        part_sys = KineticSystem(net, system.kinetics)  # residuals overridden below
-        points, _ = _multistart([(ia_part, kin_part)], part_sys, cfg, None)
-        cb = any(float(np.max(np.abs(ia_part @ evaluate(kin_part, p.x)))) <= cfg.tol
-                 for p in points)
-        if not cb:
-            part_statuses.append("Inconclusive")
-            continue
-        if summary.delta == 0 or _part_is_mass_action(system, part, kin_part):
-            part_statuses.append("ACB_certified")
-        else:
-            part_statuses.append("Inconclusive")
     certified = (verdict.bi_independent if intersection_certified is None
                  else intersection_certified)
+    note = note or "linkage-class decomposition"
+    part_statuses = []
+    if not (verdict.bi_independent
+            or (verdict.incidence_independent and certified)):
+        reason = ("not incidence independent" if not verdict.incidence_independent
+                  else "not bi-independent and intersections not certified")
+        note = f"{note}; per-part certificates skipped: {reason}"
+    else:
+        deco = decompose(net, parts)
+        for part, summary in zip(parts, deco.summaries):
+            try:
+                _, ia_part, kin_part = _part_system(system, part)
+            except CrnError:
+                part_statuses.append("Inconclusive")
+                continue
+            if not (summary.delta == 0
+                    or _part_is_mass_action(system, part, kin_part)):
+                part_statuses.append("Inconclusive")
+                continue
+            part_sys = KineticSystem(net, system.kinetics)  # residuals overridden below
+            points, _ = _multistart([(ia_part, kin_part)], part_sys, cfg, None)
+            cb = any(float(np.max(np.abs(ia_part @ evaluate(kin_part, p.x)))) <= cfg.tol
+                     for p in points)
+            part_statuses.append("ACB_certified" if cb else "Inconclusive")
     return DecompositionEvidence(
         independent=verdict.independent,
         incidence_independent=verdict.incidence_independent,
         bi_independent=verdict.bi_independent,
         parts_acb=tuple(part_statuses),
         intersection_certified=certified,
-        note=note or "linkage-class decomposition",
+        note=note,
     )
 
 
@@ -888,7 +903,7 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
 
     kse = None
     if e_res.points:
-        kse = kse_check(net, system.kinetics, e_res.points, cfg)
+        kse = kse_check(net, system.kinetics, e_res.points, cfg, inv=inv, cls=cls)
 
     deco = linkage_decomposition_evidence(system, cfg)
 

@@ -320,7 +320,9 @@ class HillKinetics:
         if np.any((self.orders != 0) != (self.dissoc != 0)):
             raise InvalidKineticsError(
                 "dissociation support must match kinetic order support row by row")
-        self._table = hill_as_rational(self)._table
+        # The rational rewrite is kept: clearing denominators reuses it.
+        self._rational = hill_as_rational(self)
+        self._table = self._rational._table
 
     @property
     def num_reactions(self) -> int:

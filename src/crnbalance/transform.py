@@ -20,8 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .kinetics import (HillKinetics, Kinetics, PolyPLKinetics, PowerLawKinetics,
-                       RationalKinetics, evaluate, hill_as_rational,
-                       normalize_poly_pl, poly_pl)
+                       RationalKinetics, evaluate, normalize_poly_pl, poly_pl)
 from .network import CrnError, ReactionNetwork, build_network, structural_invariants
 
 
@@ -179,7 +178,7 @@ def hill_to_poly_pl(net: ReactionNetwork, kin: HillKinetics | RationalKinetics) 
     whenever the input is.
     """
     if isinstance(kin, HillKinetics):
-        kin = hill_as_rational(kin)
+        kin = kin._rational
     if kin.num_reactions != net.num_reactions:
         raise DimensionMismatchError("kinetics does not match the network")
     m = kin.num_species

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 
+import crnbalance
 from crnbalance.cli import run_cli
 from crnbalance.report import JSON_SCHEMA
 
@@ -67,6 +72,16 @@ def test_acb_json_mass_action():
     report, _ = run_json(["acb", data_path("re1_massaction.crn")])
     assert report["verdicts"]["acb"]["status"] == "ACB_certified"
     assert report["verdicts"]["bilp"] is True
+
+
+def test_module_entry_point_prints_the_report():
+    env = dict(os.environ, PYTHONPATH=str(Path(crnbalance.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crnbalance.cli", "acb",
+         str(data_path("counterexample.crn")), "--json"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["schema"] == "crn-balance/1"
 
 
 def test_missing_file_exit_2():

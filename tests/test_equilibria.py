@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 import crnbalance as cb
+from crnbalance.fileformat import parse_crn
+
+from conftest import DATA, random_weakly_reversible_network
 
 CB_POINT = np.array([2.0, 2 ** 0.5 * 1.5 ** -0.25, 2 ** 0.5 * 1.5 ** 0.25])
 
@@ -437,3 +440,156 @@ def test_result_types_compare_without_raising():
         for b in values:  # array holders compare by identity, like KineticSystem
             assert (a == b) == (a is b)
     assert values[6] == cb.AcbVerdict("NotACB_numeric", (), p)
+
+
+# --- linkage-decomposition evidence: exact flags before any solve ----------
+
+def _counting_multistart(monkeypatch):
+    calls = []
+    real = cb.equilibria._multistart
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cb.equilibria, "_multistart", counted)
+    return calls
+
+
+def _two_four_cycles():
+    """Two vertex-disjoint 4-cycles sharing both species: the linkage classes
+    are incidence independent (always) but not independent (s = 2 < 2 + 2)."""
+    complexes = [[1, 0], [2, 0], [2, 1], [1, 1], [3, 0], [4, 0], [4, 1], [3, 1]]
+    reactions = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
+    net = cb.build_network(["A", "B"], complexes, reactions)
+    orders = [[1, 1], [0, 2], [1, 0], [2, 1], [1, 2], [0, 1], [2, 0], [1, 1]]
+    return net, cb.power_law(orders, cb.rates_balancing_all_ones(net))
+
+
+def test_decomposition_evidence_skips_solves_when_rule_cannot_fire(monkeypatch, mm_polypl):
+    calls = _counting_multistart(monkeypatch)
+    net, kin = _two_four_cycles()
+    ev = cb.linkage_decomposition_evidence(cb.KineticSystem(net, kin),
+                                           cb.SolveConfig(seeds=16))
+    verdict = cb.check_decomposition(net, cb.linkage_class_parts(net))
+    assert verdict.incidence_independent and not verdict.bi_independent
+    assert (ev.independent, ev.incidence_independent, ev.bi_independent) == (
+        verdict.independent, verdict.incidence_independent, verdict.bi_independent)
+    assert ev.intersection_certified is False
+    assert ev.parts_acb == ()
+    assert "skipped" in ev.note
+    # the replica network of the enzyme is not bi-independent either; without
+    # the certified intersections of star_msc_acb_evidence rule 4 cannot fire
+    star = cb.star_msc(*mm_polypl)
+    ev = cb.linkage_decomposition_evidence(
+        cb.KineticSystem(star.network, star.kinetics), cb.SolveConfig(seeds=16))
+    assert ev.incidence_independent and not ev.bi_independent
+    assert ev.parts_acb == ()
+    assert calls == []
+
+
+def test_decomposition_evidence_solves_only_certifiable_parts(monkeypatch, re1_powerlaw,
+                                                              re1_massaction):
+    calls = _counting_multistart(monkeypatch)
+    cfg = cb.SolveConfig(seeds=16)
+    # both linkage classes have deficiency 1 and are not mass action
+    ev = cb.linkage_decomposition_evidence(cb.KineticSystem(*re1_powerlaw), cfg)
+    assert ev.bi_independent
+    assert ev.parts_acb == ("Inconclusive", "Inconclusive")
+    assert calls == []
+    # under mass action each part can be certified, so each part is solved
+    ev = cb.linkage_decomposition_evidence(cb.KineticSystem(*re1_massaction), cfg)
+    assert ev.parts_acb == ("ACB_certified", "ACB_certified")
+    assert len(calls) == 2
+
+
+def _ungated_decomposition_evidence(system, cfg, intersection_certified=None):
+    """Oracle: the per-part loop that solves every linkage class first."""
+    net = system.network
+    parts = cb.linkage_class_parts(net)
+    if len(parts) < 2:
+        return None
+    verdict = cb.check_decomposition(net, parts)
+    deco = cb.decompose(net, parts)
+    statuses = []
+    for part, summary in zip(parts, deco.summaries):
+        try:
+            _, ia_part, kin_part = cb.equilibria._part_system(system, part)
+        except cb.CrnError:
+            statuses.append("Inconclusive")
+            continue
+        points, _ = cb.equilibria._multistart(
+            [(ia_part, kin_part)], cb.KineticSystem(net, system.kinetics), cfg, None)
+        balanced = any(float(np.max(np.abs(ia_part @ cb.evaluate(kin_part, p.x)))) <= cfg.tol
+                       for p in points)
+        exact = (summary.delta == 0
+                 or cb.equilibria._part_is_mass_action(system, part, kin_part))
+        statuses.append("ACB_certified" if balanced and exact else "Inconclusive")
+    return cb.DecompositionEvidence(
+        independent=verdict.independent,
+        incidence_independent=verdict.incidence_independent,
+        bi_independent=verdict.bi_independent,
+        parts_acb=tuple(statuses),
+        intersection_certified=(verdict.bi_independent if intersection_certified is None
+                                else intersection_certified),
+        note="")
+
+
+def _differential_systems():
+    for path in sorted(DATA.glob("*.crn")):
+        yield path.stem, cb.KineticSystem(*parse_crn(path.read_text()))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        net = random_weakly_reversible_network(rng)
+        rates = cb.rates_balancing_all_ones(net)
+        orders = rng.integers(-1, 3, size=(net.num_reactions, net.num_species))
+        yield f"mass-action-{seed}", cb.KineticSystem(net, cb.mass_action_from(net, rates))
+        yield f"power-law-{seed}", cb.KineticSystem(net, cb.power_law(orders.tolist(), rates))
+
+
+def test_gated_decomposition_evidence_matches_ungated_verdicts():
+    cfg = cb.SolveConfig(seeds=16)
+    fired = 0
+    for name, system in _differential_systems():
+        analysis = cb.analyze_acb(system, cfg)
+        oracle = _ungated_decomposition_evidence(system, cfg)
+        gated = analysis.decomposition
+        assert (gated is None) == (oracle is None), name
+        if gated is not None:
+            assert dataclasses.replace(gated, parts_acb=(), note="") == \
+                dataclasses.replace(oracle, parts_acb=(), note=""), name
+            assert gated.parts_acb in ((), oracle.parts_acb), name
+        if not (analysis.complex_balanced or analysis.z_points):
+            continue
+        new = cb.acb_verdict(analysis, cfg)
+        analysis.decomposition = oracle
+        old = cb.acb_verdict(analysis, cfg)
+        assert (new.status, new.justification) == (old.status, old.justification), name
+        fired += "acb-decomposition" in [c.rule for c in new.justification]
+    assert fired >= 5  # the rule fires often enough for the comparison to bite
+
+
+def test_gated_decomposition_evidence_matches_ungated_on_replicas(mm_polypl):
+    # certified intersections keep rule 4 open on the replica network
+    cfg = cb.SolveConfig(seeds=16)
+    star = cb.star_msc(*mm_polypl)
+    system = cb.KineticSystem(star.network, star.kinetics)
+    gated = cb.linkage_decomposition_evidence(system, cfg, intersection_certified=True)
+    oracle = _ungated_decomposition_evidence(system, cfg, intersection_certified=True)
+    assert gated.parts_acb == oracle.parts_acb
+    assert all(s == "ACB_certified" for s in gated.parts_acb)
+
+
+def test_analyze_acb_computes_invariants_and_classification_once(monkeypatch, ce_system):
+    counts = {"structural_invariants": 0, "classify": 0}
+    for name in counts:
+        real = getattr(cb.equilibria, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cb.equilibria, name, counted)
+    analysis = cb.analyze_acb(ce_system, cb.SolveConfig(seeds=16))
+    assert analysis.kse is not None
+    assert counts == {"structural_invariants": 1, "classify": 1}

@@ -161,6 +161,27 @@ def test_hill_to_poly_pl_reproduces_enzyme_terms(mm_rational, mm_polypl):
     assert np.array_equal(out.term_orders[2], [[0, 1, 0, 0]])
 
 
+def test_hill_to_poly_pl_converts_hill_once(monkeypatch):
+    calls = []
+    real = cb.kinetics.hill_as_rational
+
+    def counted(kin):
+        calls.append(kin)
+        return real(kin)
+
+    monkeypatch.setattr(cb.kinetics, "hill_as_rational", counted)
+    monkeypatch.setattr(cb.transform, "hill_as_rational", counted, raising=False)
+    net = cb.build_network(["X", "Y"], [[1, 0], [0, 1], [1, 1]],
+                           [(0, 1, "r1"), (1, 2, "r2"), (2, 0, "r3")])
+    kin = cb.hill([[1, 0], [0, 1], [1, -1]],
+                  [[0.5, 0], [0, 0.5], [2.0, 0.5]], [1, "3/2", 1])
+    out = cb.hill_to_poly_pl(net, kin)
+    assert calls == [kin]
+    expected = cb.hill_to_poly_pl(net, real(kin))
+    for x in cb.sample_positive_states(2, 8, rng_seed=3):
+        assert np.array_equal(cb.evaluate(out, x), cb.evaluate(expected, x))
+
+
 def test_hill_to_poly_pl_term_counts_and_expansion():
     # two reactions sharing one denominator factor: each row's expansion has
     # as many terms as the product of the remaining factors' lengths
