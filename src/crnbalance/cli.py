@@ -258,6 +258,12 @@ def _cmd_starmsc(args, out):
     return 0
 
 
+def _report_diagnostics(diagnostics: dict) -> dict:
+    """The solver counts the report prints; per-seed stop reasons stay out."""
+    return {key: diagnostics[key]
+            for key in ("attempts", "converged", "distinct", "mode", "accepted")}
+
+
 def _cmd_equilibria(args, out):
     net, kin = _load(args.file)
     cfg = _config(args)
@@ -268,7 +274,8 @@ def _cmd_equilibria(args, out):
     report["equilibria"] = {
         "positive": [rpt.point_json(p) for p in e.points],
         "complex_balanced": [rpt.point_json(p) for p in z.points],
-        "diagnostics": {"positive": e.diagnostics, "complex_balanced": z.diagnostics},
+        "diagnostics": {"positive": _report_diagnostics(e.diagnostics),
+                        "complex_balanced": _report_diagnostics(z.diagnostics)},
     }
     lines = [f"positive equilibria found: {len(e.points)} "
              f"(attempts {e.diagnostics['attempts']})",

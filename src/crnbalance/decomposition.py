@@ -18,8 +18,8 @@ import numpy as np
 from . import rational
 from .kinetics import (InvalidKineticsError, Kinetics, PolyPLKinetics,
                        PowerLawKinetics)
-from .network import (CrnError, ReactionNetwork, build_network,
-                      structural_invariants)
+from .network import (CrnError, ReactionNetwork, StructuralInvariants,
+                      build_network, structural_invariants)
 
 
 class EmptySelectionError(CrnError):
@@ -64,6 +64,7 @@ class IndependenceVerdict:
     deficiency: int
     deficiency_sum: int
     relation: str | None  # which deficiency inequality is certified
+    summaries: tuple[SubnetworkSummary, ...]  # one per part, in part order
 
 
 def subnetwork(net: ReactionNetwork, reactions) -> ReactionNetwork:
@@ -152,10 +153,15 @@ def decompose(net: ReactionNetwork, parts) -> Decomposition:
     return Decomposition(tuple(cleaned), tuple(summaries))
 
 
-def check_decomposition(net: ReactionNetwork, parts) -> IndependenceVerdict:
-    """Independence / incidence independence / bi-independence, exactly."""
+def check_decomposition(net: ReactionNetwork, parts,
+                        inv: StructuralInvariants | None = None) -> IndependenceVerdict:
+    """Independence / incidence independence / bi-independence, exactly.
+
+    `inv` is the structural invariants of `net`, if already known.
+    """
     deco = decompose(net, parts)
-    inv = structural_invariants(net)
+    if inv is None:
+        inv = structural_invariants(net)
     s_sum = sum(p.s for p in deco.summaries)
     im_sum = sum(p.n - p.l for p in deco.summaries)
     independent = (inv.s == s_sum)
@@ -176,6 +182,7 @@ def check_decomposition(net: ReactionNetwork, parts) -> IndependenceVerdict:
         deficiency=inv.delta,
         deficiency_sum=deco.deficiency_sum,
         relation=relation,
+        summaries=deco.summaries,
     )
 
 

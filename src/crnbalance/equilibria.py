@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg, rational
-from .decomposition import check_decomposition, decompose, linkage_class_parts
+from .decomposition import check_decomposition
 from .kinetics import (Kinetics, KineticsClassification, PolyPLKinetics,
                        PowerLawKinetics, classify, evaluate, log_jacobian,
                        normalize_poly_pl)
@@ -53,7 +54,6 @@ class SolveConfig:
                                    # kinetics vanish are already rejected by the
                                    # relative residual test
     max_step: float = 4.0          # per-iteration log-space step clamp
-    polish_target: float = 1e-13   # keep iterating below tol while progress lasts
     lp_tol: float = 1e-7           # log-parametrization membership tolerance
     witness_cfrf: float = 1e-4     # complex-balance violation for a witness ...
     witness_sfrf: float = 1e-9     # ... at this equilibrium residual
@@ -120,30 +120,58 @@ def _normalized_rows(a, abs_a, k, jk_param):
     return g, jg, float(np.max(np.abs(raw), initial=0.0))
 
 
-def _newton(resjac, u0: np.ndarray, cfg: SolveConfig):
+# Line-search collapse (Nocedal & Wright, ch. 3 and 10): once the last
+# _COLLAPSE_STEPS accepted steps all needed lambda <= _COLLAPSE_LAMBDA while
+# the normalized residual is still above _COLLAPSE_RESIDUAL, the run creeps
+# and does not converge. A plateau taken at full steps is not a collapse:
+# such runs can still converge.
+_COLLAPSE_LAMBDA = 1e-3
+_COLLAPSE_STEPS = 5
+_COLLAPSE_RESIDUAL = 1e-2
+
+
+class _Run(NamedTuple):
+    u: np.ndarray
+    gnorm: float       # normalized residual, max norm
+    raw: float         # raw residual, max norm
+    stop: str          # why the iteration ended
+
+
+def _newton(resjac, u0: np.ndarray, cfg: SolveConfig,
+            escape_bound: float | None = None) -> _Run:
     """Damped Gauss-Newton on the flux-normalized residual.
 
-    Returns (u, normalized_residual_inf, raw_residual_inf) or None. Steps
-    are clamped in the max norm (exponential charts make the linear model
-    wildly optimistic far from a root) and damped on the 2-norm, which the
-    least-squares direction is guaranteed to descend.
+    Steps are clamped in the max norm (exponential charts make the linear
+    model wildly optimistic far from a root) and damped on the 2-norm, which
+    the least-squares direction is guaranteed to descend. `stop` is one of
+    "converged" (the polish target is met), "left the chart" (no residual at
+    u0), "escaped" (max|u| above `escape_bound`, where no point can be
+    accepted), "non-finite step", "step below 1e-15", "line search
+    exhausted", "line search collapsed" or "max_iter".
     """
     state = resjac(u0)
     if state is None:
-        return None
+        return _Run(u0, np.inf, np.inf, "left the chart")
     u = u0.copy()
     g, jac, raw = state
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+    # Polish four digits past acceptance so downstream rank estimates are
+    # not dominated by solver noise.
+    target = 1e-4 * cfg.tol
+    short_steps = 0
     for _ in range(cfg.max_iter):
-        # Polish a few digits past acceptance so downstream rank estimates
-        # are not dominated by solver noise.
-        if gnorm <= 1e-4 * cfg.tol:
-            break
+        if gnorm <= target:
+            return _Run(u, gnorm, raw, "converged")
+        if escape_bound is not None and np.max(np.abs(u)) > escape_bound:
+            return _Run(u, gnorm, raw, "escaped")
+        # lstsq raises on a non-finite Jacobian, so test it first
+        if not np.all(np.isfinite(jac)):
+            return _Run(u, gnorm, raw, "non-finite step")
         step = np.linalg.lstsq(jac, -g, rcond=None)[0]
         if not np.all(np.isfinite(step)):
-            break
+            return _Run(u, gnorm, raw, "non-finite step")
         if np.max(np.abs(step)) <= 1e-15 * (1.0 + np.max(np.abs(u))):
-            break
+            return _Run(u, gnorm, raw, "step below 1e-15")
         biggest = float(np.max(np.abs(step)))
         if biggest > cfg.max_step:
             step = step * (cfg.max_step / biggest)
@@ -162,18 +190,29 @@ def _newton(resjac, u0: np.ndarray, cfg: SolveConfig):
                     break
             lam *= 0.5
         if not accepted:
-            break
-    return u, gnorm, raw
+            return _Run(u, gnorm, raw, "line search exhausted")
+        short_steps = short_steps + 1 if lam <= _COLLAPSE_LAMBDA else 0
+        if short_steps >= _COLLAPSE_STEPS and gnorm > _COLLAPSE_RESIDUAL:
+            return _Run(u, gnorm, raw, "line search collapsed")
+    return _Run(u, gnorm, raw, "converged" if gnorm <= target else "max_iter")
 
 
-def _converged(out, cfg: SolveConfig) -> bool:
-    """Accept a run when both the flux-normalized and the raw residual clear
-    `tol`, inside the log-radius bound."""
-    if out is None:
-        return False
-    u, gnorm, raw = out
-    return (gnorm <= cfg.tol and raw <= cfg.tol
-            and np.max(np.abs(u)) <= cfg.accept_bound)
+def _seed_outcome(run: _Run, to_log, cfg: SolveConfig):
+    """(stop reason, log point or None) of one multistart run.
+
+    A run is accepted, as "converged", when both the flux-normalized and the
+    raw residual clear `tol` and its point lies inside the log-radius bound.
+    Any other run reports why it stopped; a run that met the polish target
+    and was still refused reports the acceptance test it failed.
+    """
+    if run.gnorm <= cfg.tol and run.raw <= cfg.tol:
+        log_x = to_log(run.u)
+        if np.max(np.abs(log_x)) <= cfg.accept_bound:
+            return "converged", log_x
+    if run.stop != "converged":
+        return run.stop, None
+    return ("raw residual above tol" if run.raw > cfg.tol
+            else "outside accept_bound"), None
 
 
 def _log_chart(pairs, cfg):
@@ -214,10 +253,15 @@ def _coset_chart(pairs, x0, basis_rows, cfg):
             raw = max(raw, raw_inf)
         return np.concatenate(gs), np.vstack(js), raw
 
-    def to_x(alpha):
-        return x0 + b @ alpha
+    def to_log(alpha):
+        # positive at every alpha the chart returned a residual for
+        return np.log(x0 + b @ alpha)
 
-    return resjac, to_x, b.shape[1]
+    return resjac, to_log, b.shape[1]
+
+
+def _identity(u):
+    return u
 
 
 def _dedup_logs(log_points: list[np.ndarray], tol: float) -> list[np.ndarray]:
@@ -231,44 +275,40 @@ def _dedup_logs(log_points: list[np.ndarray], tol: float) -> list[np.ndarray]:
 
 def _multistart(pairs, system: KineticSystem, cfg: SolveConfig,
                 constraint: CosetConstraint | None):
-    """Shared multistart driver; returns (points, diagnostics)."""
+    """Shared multistart driver; returns (points, diagnostics).
+
+    `diagnostics["stops"]` lists each seed's stop reason in seed order.
+    Only the log chart stops runs that escape past `accept_bound`; the
+    coset chart ends at its own positivity boundary.
+    """
     rng = np.random.default_rng(cfg.rng_seed)
     m = system.network.num_species
-    collected: list[np.ndarray] = []
-    attempts = converged = 0
 
     if constraint is None:
         resjac = _log_chart(pairs, cfg)
+        to_log, escape_bound = _identity, cfg.accept_bound
         seeds = [np.zeros(m)]
         seeds.extend(rng.uniform(-cfg.seed_width, cfg.seed_width, size=m)
                      for _ in range(max(0, cfg.seeds - 1)))
-        for u0 in seeds:
-            attempts += 1
-            out = _newton(resjac, u0, cfg)
-            if _converged(out, cfg):
-                converged += 1
-                collected.append(out[0])
     else:
         x0 = np.asarray(constraint.x0, dtype=float)
         if np.any(x0 <= 0):
             raise CrnError("coset anchor must be strictly positive")
-        resjac, to_x, d = _coset_chart(pairs, x0, constraint.basis, cfg)
+        resjac, to_log, d = _coset_chart(pairs, x0, constraint.basis, cfg)
+        escape_bound = None
         scale = 0.5 * float(np.min(x0)) / max(
             1.0, float(np.max(np.abs(constraint.basis))))
         seeds = [np.zeros(d)]
         seeds.extend(rng.uniform(-1.0, 1.0, size=d) * scale * (1 + trial)
                      for trial in range(max(0, cfg.seeds - 1)))
-        for a0 in seeds:
-            attempts += 1
-            out = _newton(resjac, a0, cfg)
-            if out is None:
-                continue
-            alpha, gnorm, raw = out
-            if gnorm <= cfg.tol and raw <= cfg.tol:
-                x = to_x(alpha)
-                if np.all(x > 0) and np.max(np.abs(np.log(x))) <= cfg.accept_bound:
-                    converged += 1
-                    collected.append(np.log(x))
+
+    stops: list[str] = []
+    collected: list[np.ndarray] = []
+    for u0 in seeds:
+        stop, log_x = _seed_outcome(_newton(resjac, u0, cfg, escape_bound), to_log, cfg)
+        stops.append(stop)
+        if log_x is not None:
+            collected.append(log_x)
 
     kept = _dedup_logs(collected, cfg.dedup_tol)
     points = []
@@ -280,8 +320,8 @@ def _multistart(pairs, system: KineticSystem, cfg: SolveConfig,
             cfrf_residual=system.cfrf_residual(x),
             kind="pending",
         ))
-    diagnostics = {"attempts": attempts, "converged": converged,
-                   "distinct": len(kept)}
+    diagnostics = {"attempts": len(stops), "converged": len(collected),
+                   "distinct": len(kept), "stops": stops}
     return points, diagnostics
 
 
@@ -474,9 +514,11 @@ def kse_check(net: ReactionNetwork, kin: Kinetics,
     logs = [np.log(p.x) for p in found_equilibria]
     for base in list(logs)[:8]:
         for _ in range(3):
-            out = _newton(resjac, base + rng.uniform(-0.8, 0.8, base.size), cfg)
-            if _converged(out, cfg):
-                logs.append(out[0])
+            run = _newton(resjac, base + rng.uniform(-0.8, 0.8, base.size), cfg,
+                          cfg.accept_bound)
+            _, log_x = _seed_outcome(run, _identity, cfg)
+            if log_x is not None:
+                logs.append(log_x)
     logs = _dedup_logs(logs, cfg.dedup_tol)
     columns = np.array([evaluate(kin, np.exp(u)) for u in logs]).T
     dim = linalg.numeric_rank(columns)
@@ -755,7 +797,9 @@ def _part_is_mass_action(system: KineticSystem, part, kin_part) -> bool:
 def linkage_decomposition_evidence(system: KineticSystem,
                                    config: SolveConfig | None = None,
                                    intersection_certified: bool | None = None,
-                                   note: str = "") -> DecompositionEvidence | None:
+                                   note: str = "", *,
+                                   inv: StructuralInvariants | None = None
+                                   ) -> DecompositionEvidence | None:
     """Per-part ACB certificates for the linkage-class decomposition.
 
     Parts are certified only through the zero-deficiency and mass-action
@@ -767,14 +811,17 @@ def linkage_decomposition_evidence(system: KineticSystem,
     rule out (neither bi-independent nor incidence independent with
     certified intersections), no part is solved: `parts_acb` is empty and
     `note` gives the reason. A part that is neither of zero deficiency nor
-    mass action is "Inconclusive" without a solve.
+    mass action is "Inconclusive" without a solve. `inv` is the structural
+    invariants of the system's network, if already known.
     """
     cfg = config or SolveConfig()
     net = system.network
-    parts = linkage_class_parts(net)
+    if inv is None:
+        inv = structural_invariants(net)
+    parts = inv.linkage_partition
     if len(parts) < 2:
         return None
-    verdict = check_decomposition(net, parts)
+    verdict = check_decomposition(net, parts, inv)
     certified = (verdict.bi_independent if intersection_certified is None
                  else intersection_certified)
     note = note or "linkage-class decomposition"
@@ -785,8 +832,7 @@ def linkage_decomposition_evidence(system: KineticSystem,
                   else "not bi-independent and intersections not certified")
         note = f"{note}; per-part certificates skipped: {reason}"
     else:
-        deco = decompose(net, parts)
-        for part, summary in zip(parts, deco.summaries):
+        for part, summary in zip(parts, verdict.summaries):
             try:
                 _, ia_part, kin_part = _part_system(system, part)
             except CrnError:
@@ -905,7 +951,7 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
     if e_res.points:
         kse = kse_check(net, system.kinetics, e_res.points, cfg, inv=inv, cls=cls)
 
-    deco = linkage_decomposition_evidence(system, cfg)
+    deco = linkage_decomposition_evidence(system, cfg, inv=inv)
 
     return AcbAnalysis(
         system=system, structural=inv, classification=cls,

@@ -1,5 +1,6 @@
 """Shared fixtures: the worked example systems and random network generators."""
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,18 @@ DATA = Path(__file__).parent / "data"
 
 def data_path(name: str) -> Path:
     return DATA / name
+
+
+def bench_ladder(seed: int, r: int):
+    """(network, power-law kinetics) of the benchmark's ladder generator,
+    `bench/workloads.py` `ladder_power_law`, balanced at x = 1."""
+    bench = str(DATA.parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads.ladder_power_law(seed, r)
 
 
 @pytest.fixture(scope="session")

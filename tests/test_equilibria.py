@@ -12,7 +12,7 @@ import pytest
 import crnbalance as cb
 from crnbalance.fileformat import parse_crn
 
-from conftest import DATA, random_weakly_reversible_network
+from conftest import DATA, bench_ladder, random_weakly_reversible_network
 
 CB_POINT = np.array([2.0, 2 ** 0.5 * 1.5 ** -0.25, 2 ** 0.5 * 1.5 ** 0.25])
 
@@ -593,3 +593,44 @@ def test_analyze_acb_computes_invariants_and_classification_once(monkeypatch, ce
     analysis = cb.analyze_acb(ce_system, cb.SolveConfig(seeds=16))
     assert analysis.kse is not None
     assert counts == {"structural_invariants": 1, "classify": 1}
+
+
+def test_ladder_analysis_computes_network_invariants_once(monkeypatch):
+    net, kin = bench_ladder(3, 12)
+    calls = []
+    real = cb.network.structural_invariants
+
+    def counted(arg):
+        calls.append(arg is net)
+        return real(arg)
+
+    for module in (cb.network, cb.equilibria, cb.decomposition):
+        monkeypatch.setattr(module, "structural_invariants", counted)
+    analysis = cb.analyze_acb(cb.KineticSystem(net, kin), cb.SolveConfig(seeds=16))
+    assert len(analysis.structural.linkage_partition) >= 2
+    assert analysis.decomposition is not None
+    assert calls.count(True) == 1
+
+
+def test_decomposition_evidence_decomposes_once(monkeypatch, re1_massaction):
+    calls = []
+    real = cb.decomposition.decompose
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    # count calls made through a module-level name in equilibria as well
+    monkeypatch.setattr(cb.decomposition, "decompose", counted)
+    monkeypatch.setattr(cb.equilibria, "decompose", counted, raising=False)
+    ev = cb.linkage_decomposition_evidence(cb.KineticSystem(*re1_massaction),
+                                           cb.SolveConfig(seeds=16))
+    assert ev.parts_acb == ("ACB_certified", "ACB_certified")
+    assert len(calls) == 1
+
+
+def test_check_decomposition_returns_the_part_summaries(re1_net):
+    parts = cb.linkage_class_parts(re1_net)
+    verdict = cb.check_decomposition(re1_net, parts, cb.structural_invariants(re1_net))
+    assert verdict.summaries == cb.decompose(re1_net, parts).summaries
+    assert verdict == cb.check_decomposition(re1_net, parts)
