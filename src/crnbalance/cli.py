@@ -21,7 +21,7 @@ from .equilibria import (KineticSystem, SolveConfig, acb_verdict, analyze_acb,
                          sample_positive_states, solve_equilibria,
                          star_msc_acb_evidence)
 from .fileformat import ParseError, parse_crn
-from .kinetic_matrices import NotRDKError, build_t_matrices, kinetic_order_subspace
+from .kinetic_matrices import build_t_matrices, kinetic_order_subspace, t_matrices_or_none
 from .kinetics import (HillKinetics, PolyPLKinetics, PowerLawKinetics,
                        RationalKinetics, classify, species_formation_rate)
 from .network import CrnError, is_conservative, stoichiometric_basis, structural_invariants
@@ -49,15 +49,6 @@ def _config(args) -> SolveConfig:
     return SolveConfig(seeds=args.seeds, rng_seed=args.rng, tol=args.tol)
 
 
-def _t_matrices_or_none(net, kin):
-    if not isinstance(kin, PowerLawKinetics):
-        return None
-    try:
-        return build_t_matrices(net, kin)
-    except NotRDKError:
-        return None
-
-
 def _resolve_flux_basis(value, net, tmat):
     """--flux-space S | Stilde | <file with one basis row per line>."""
     if value is None or value == "S":
@@ -72,10 +63,19 @@ def _resolve_flux_basis(value, net, tmat):
         return tmat.s_tilde_basis, None
     rows = []
     with open(value, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
-            if line:
-                rows.append([Fraction(tok) for tok in line.split()])
+            if not line:
+                continue
+            try:
+                row = [Fraction(tok) for tok in line.split()]
+            except (ValueError, ZeroDivisionError):
+                raise CrnError(f"flux-space file {value!r} line {number}: "
+                               f"not a row of numbers: {line!r}") from None
+            if len(row) != net.num_species:
+                raise CrnError(f"flux-space file {value!r} line {number}: {len(row)} "
+                               f"entries, expected one per species ({net.num_species})")
+            rows.append(row)
     if not rows:
         raise CrnError(f"flux-space file {value!r} contains no rows")
     return np.array([[float(v) for v in row] for row in rows]), tuple(
@@ -104,7 +104,7 @@ def _cmd_analyze(args, out):
     cfg = _config(args)
     inv = structural_invariants(net)
     conservative, witness = is_conservative(net)
-    tmat = _t_matrices_or_none(net, kin)
+    tmat = t_matrices_or_none(net, kin)
     cls = classify(kin, net, tmat)
     report = rpt.base_report("analyze", cfg)
     report["network"] = rpt.network_json(net)
@@ -135,7 +135,7 @@ def _cmd_analyze(args, out):
 def _cmd_kinetics(args, out):
     net, kin = _load(args.file)
     cfg = _config(args)
-    tmat = _t_matrices_or_none(net, kin)
+    tmat = t_matrices_or_none(net, kin)
     cls = classify(kin, net, tmat)
     report = rpt.base_report("kinetics", cfg)
     report["kinetics"] = rpt.classification_json(cls, _family(kin))
@@ -287,7 +287,7 @@ def _cmd_equilibria(args, out):
         lines.append("  Z: (" + ", ".join(rpt.sig12(v) for v in p.x)
                      + f")  cfrf {p.cfrf_residual:.2e}")
     if args.flux_space is not None and (e.points or z.points):
-        tmat = _t_matrices_or_none(net, kin)
+        tmat = t_matrices_or_none(net, kin)
         basis, _ = _resolve_flux_basis(args.flux_space, net, tmat)
         ref = (z.points[0].x if z.points else e.points[0].x)
         samples = sample_coset_counts(system, basis, ref, cfg)
@@ -309,7 +309,7 @@ def _cmd_acb(args, out):
     net, kin = _load(args.file)
     cfg = _config(args)
     system = KineticSystem(net, kin)
-    tmat = _t_matrices_or_none(net, kin)
+    tmat = t_matrices_or_none(net, kin)
     flux = None
     if args.flux_space is not None:
         flux, _ = _resolve_flux_basis(args.flux_space, net, tmat)

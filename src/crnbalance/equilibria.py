@@ -1,9 +1,11 @@
 """Numeric equilibria search and theorem-backed balancing verdicts.
 
-The solver is a multistart damped Newton iteration in log coordinates
-u = log x, which enforces positivity without projections: the positive
-equilibria solve N K(exp u) = 0 and the complex balanced ones
-Ia K(exp u) = 0. Found points are deduplicated, re-verified and reported
+The solver is a multistart damped Newton iteration over one of two charts.
+The log chart covers the positive orthant in coordinates u = log x, which
+enforces positivity without projections. The coset chart covers one
+stoichiometric coset x = x0 + B a and ends a run once x leaves the positive
+orthant. The positive equilibria solve N K(x) = 0 and the complex balanced
+ones Ia K(x) = 0. Found points are deduplicated, re-verified and reported
 with both residuals. Counts derived from such searches are certified lower
 bounds only; set-level claims (absolute complex balancing, log
 parametrization, kernel-spanning images) are rendered by the verdict
@@ -13,9 +15,9 @@ records a citation chain for every rule it fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .decomposition import check_decomposition
 from .kinetics import (Kinetics, KineticsClassification, PolyPLKinetics,
                        PowerLawKinetics, classify, evaluate, log_jacobian,
                        normalize_poly_pl)
-from .kinetic_matrices import TMatrices, build_t_matrices, is_pl_tik, NotRDKError
+from .kinetic_matrices import TMatrices, is_pl_tik, t_matrices_or_none
 from .network import (CrnError, ReactionNetwork, StructuralInvariants,
                       structural_invariants, stoichiometric_basis)
 
@@ -47,17 +49,20 @@ class SolveConfig:
     rng_seed: int = 42
     tol: float = 1e-9
     max_iter: int = 200
-    max_halvings: int = 40
-    dedup_tol: float = 1e-6        # log-coordinate distance between distinct points
-    seed_width: float = 3.0        # seeds drawn log-uniform in [e^-w, e^w]^m
-    accept_bound: float = 36.0     # log-radius guard; fake roots where the
-                                   # kinetics vanish are already rejected by the
-                                   # relative residual test
-    max_step: float = 4.0          # per-iteration log-space step clamp
-    lp_tol: float = 1e-7           # log-parametrization membership tolerance
-    witness_cfrf: float = 1e-4     # complex-balance violation for a witness ...
-    witness_sfrf: float = 1e-9     # ... at this equilibrium residual
     coset_samples: int = 8
+
+
+MAX_HALVINGS = 40       # line-search halvings per Newton step
+MAX_STEP = 4.0          # per-iteration step clamp, max norm
+SEED_WIDTH = 3.0        # log-chart seeds drawn log-uniform in [e^-w, e^w]^m
+ACCEPT_BOUND = 36.0     # log-radius guard; fake roots where the kinetics
+                        # vanish are already rejected by the relative
+                        # residual test
+DEDUP_TOL = 1e-6        # log-coordinate distance between distinct points
+LP_TOL = 1e-7           # log-parametrization membership tolerance
+LP_SAMPLES = 8          # sampled complement directions per LP check
+WITNESS_CFRF = 1e-4     # complex-balance violation for a witness ...
+WITNESS_SFRF = 1e-9     # ... at this equilibrium residual
 
 
 @dataclass(eq=False)
@@ -173,12 +178,12 @@ def _newton(resjac, u0: np.ndarray, cfg: SolveConfig,
         if np.max(np.abs(step)) <= 1e-15 * (1.0 + np.max(np.abs(u))):
             return _Run(u, gnorm, raw, "step below 1e-15")
         biggest = float(np.max(np.abs(step)))
-        if biggest > cfg.max_step:
-            step = step * (cfg.max_step / biggest)
+        if biggest > MAX_STEP:
+            step = step * (MAX_STEP / biggest)
         g2sq_old = float(g @ g)
         lam = 1.0
         accepted = False
-        for _ in range(cfg.max_halvings):
+        for _ in range(MAX_HALVINGS):
             trial = u + lam * step
             state = resjac(trial)
             if state is not None:
@@ -207,7 +212,7 @@ def _seed_outcome(run: _Run, to_log, cfg: SolveConfig):
     """
     if run.gnorm <= cfg.tol and run.raw <= cfg.tol:
         log_x = to_log(run.u)
-        if np.max(np.abs(log_x)) <= cfg.accept_bound:
+        if np.max(np.abs(log_x)) <= ACCEPT_BOUND:
             return "converged", log_x
     if run.stop != "converged":
         return run.stop, None
@@ -215,114 +220,111 @@ def _seed_outcome(run: _Run, to_log, cfg: SolveConfig):
             else "outside accept_bound"), None
 
 
-def _log_chart(pairs, cfg):
-    """resjac over u = log x for stacked residuals of (A @ K)(exp u)."""
+@dataclass(frozen=True, eq=False)
+class _Chart:
+    """Coordinates p in which the multistart solver searches.
+
+    `to_x` maps p to the state x (None off the chart), `param_jac` turns
+    dK/dlog x at x into dK/dp, `to_log` maps p to log x, and `seeds(cfg)`
+    draws the default seeds, the origin of the chart first. A run whose
+    max|p| exceeds `escape_bound` is stopped as escaped; None leaves runs to
+    end at the chart's own boundary.
+    """
+
+    to_x: Callable
+    param_jac: Callable
+    to_log: Callable
+    escape_bound: float | None
+    seeds: Callable
+
+    @classmethod
+    def log(cls, m: int) -> "_Chart":
+        """The positive orthant in u = log x."""
+        def to_x(u):
+            return None if np.max(np.abs(u)) > _U_BOUND else np.exp(u)
+
+        def seeds(cfg):
+            rng = np.random.default_rng(cfg.rng_seed)
+            return [np.zeros(m)] + [rng.uniform(-SEED_WIDTH, SEED_WIDTH, size=m)
+                                    for _ in range(max(0, cfg.seeds - 1))]
+
+        return cls(to_x, lambda jk, x: jk, lambda u: u, ACCEPT_BOUND, seeds)
+
+    @classmethod
+    def coset(cls, m: int, x0, basis_rows) -> "_Chart":
+        """The positive part of the coset x0 + span(basis_rows), x = x0 + B a."""
+        x0 = np.asarray(x0, dtype=float)
+        b = np.atleast_2d(np.asarray(basis_rows, dtype=float)).T  # (m, d)
+        if x0.shape != (m,) or b.shape[0] != m:
+            raise CrnError(f"coset anchor and basis rows need one entry per species ({m}); "
+                           f"got anchor shape {x0.shape}, basis rows of {b.shape[0]}")
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(x0)) and np.all(x0 > 0)):
+            raise CrnError("coset anchor must be finite and strictly positive, its basis finite")
+
+        def to_x(alpha):
+            x = x0 + b @ alpha
+            return None if np.any(x <= 0) or np.any(x > 1e18) else x
+
+        def to_log(alpha):
+            # positive at every alpha the chart returned a state for
+            return np.log(x0 + b @ alpha)
+
+        def seeds(cfg):
+            rng = np.random.default_rng(cfg.rng_seed)
+            scale = 0.5 * float(np.min(x0)) / max(1.0, float(np.max(np.abs(b), initial=0.0)))
+            return [np.zeros(b.shape[1])] + [
+                rng.uniform(-1.0, 1.0, size=b.shape[1]) * scale * (1 + trial)
+                for trial in range(max(0, cfg.seeds - 1))]
+
+        return cls(to_x, lambda jk, x: (jk / x[None, :]) @ b, to_log, None, seeds)
+
+
+def _multistart(pairs, chart: _Chart, seeds, cfg: SolveConfig):
+    """Damped Newton from every seed on the stacked residuals A K over `chart`.
+
+    `pairs` lists (A, kinetics); each block of rows is flux-normalized on its
+    own. Returns the accepted log points in seed order and the stop reason
+    of every seed.
+    """
     mats = [(a, np.abs(a), kin) for a, kin in pairs]
 
-    def resjac(u):
-        if np.max(np.abs(u)) > _U_BOUND:
+    def resjac(p):
+        x = chart.to_x(p)
+        if x is None:
             return None
-        x = np.exp(u)
         gs, js, raw = [], [], 0.0
         for a, abs_a, kin in mats:
             k, jk = log_jacobian(kin, x)
-            g, jg, raw_inf = _normalized_rows(a, abs_a, k, jk)
+            g, jg, raw_inf = _normalized_rows(a, abs_a, k, chart.param_jac(jk, x))
             gs.append(g)
             js.append(jg)
             raw = max(raw, raw_inf)
         return np.concatenate(gs), np.vstack(js), raw
 
-    return resjac
+    logs: list[np.ndarray] = []
+    stops: list[str] = []
+    for p0 in seeds:
+        stop, log_x = _seed_outcome(_newton(resjac, p0, cfg, chart.escape_bound),
+                                    chart.to_log, cfg)
+        stops.append(stop)
+        if log_x is not None:
+            logs.append(log_x)
+    return logs, stops
 
 
-def _coset_chart(pairs, x0, basis_rows, cfg):
-    """resjac over coset coordinates x = x0 + B a, valid only while x > 0."""
-    b = np.atleast_2d(np.asarray(basis_rows, dtype=float)).T  # (m, d)
-    mats = [(a, np.abs(a), kin) for a, kin in pairs]
-
-    def resjac(alpha):
-        x = x0 + b @ alpha
-        if np.any(x <= 0) or np.any(x > 1e18):
-            return None
-        gs, js, raw = [], [], 0.0
-        for a, abs_a, kin in mats:
-            k, jk = log_jacobian(kin, x)
-            g, jg, raw_inf = _normalized_rows(a, abs_a, k, (jk / x[None, :]) @ b)
-            gs.append(g)
-            js.append(jg)
-            raw = max(raw, raw_inf)
-        return np.concatenate(gs), np.vstack(js), raw
-
-    def to_log(alpha):
-        # positive at every alpha the chart returned a residual for
-        return np.log(x0 + b @ alpha)
-
-    return resjac, to_log, b.shape[1]
-
-
-def _identity(u):
-    return u
-
-
-def _dedup_logs(log_points: list[np.ndarray], tol: float) -> list[np.ndarray]:
+def _dedup_logs(log_points: list[np.ndarray]) -> list[np.ndarray]:
     ordered = sorted(log_points, key=lambda v: tuple(v))
     kept: list[np.ndarray] = []
     for u in ordered:
-        if all(np.max(np.abs(u - v)) > tol for v in kept):
+        if all(np.max(np.abs(u - v)) > DEDUP_TOL for v in kept):
             kept.append(u)
     return kept
 
 
-def _multistart(pairs, system: KineticSystem, cfg: SolveConfig,
-                constraint: CosetConstraint | None):
-    """Shared multistart driver; returns (points, diagnostics).
-
-    `diagnostics["stops"]` lists each seed's stop reason in seed order.
-    Only the log chart stops runs that escape past `accept_bound`; the
-    coset chart ends at its own positivity boundary.
-    """
-    rng = np.random.default_rng(cfg.rng_seed)
-    m = system.network.num_species
-
-    if constraint is None:
-        resjac = _log_chart(pairs, cfg)
-        to_log, escape_bound = _identity, cfg.accept_bound
-        seeds = [np.zeros(m)]
-        seeds.extend(rng.uniform(-cfg.seed_width, cfg.seed_width, size=m)
-                     for _ in range(max(0, cfg.seeds - 1)))
-    else:
-        x0 = np.asarray(constraint.x0, dtype=float)
-        if np.any(x0 <= 0):
-            raise CrnError("coset anchor must be strictly positive")
-        resjac, to_log, d = _coset_chart(pairs, x0, constraint.basis, cfg)
-        escape_bound = None
-        scale = 0.5 * float(np.min(x0)) / max(
-            1.0, float(np.max(np.abs(constraint.basis))))
-        seeds = [np.zeros(d)]
-        seeds.extend(rng.uniform(-1.0, 1.0, size=d) * scale * (1 + trial)
-                     for trial in range(max(0, cfg.seeds - 1)))
-
-    stops: list[str] = []
-    collected: list[np.ndarray] = []
-    for u0 in seeds:
-        stop, log_x = _seed_outcome(_newton(resjac, u0, cfg, escape_bound), to_log, cfg)
-        stops.append(stop)
-        if log_x is not None:
-            collected.append(log_x)
-
-    kept = _dedup_logs(collected, cfg.dedup_tol)
-    points = []
-    for u in kept:
-        x = np.exp(u)
-        points.append(EquilibriumPoint(
-            x=x,
-            sfrf_residual=system.sfrf_residual(x),
-            cfrf_residual=system.cfrf_residual(x),
-            kind="pending",
-        ))
-    diagnostics = {"attempts": len(stops), "converged": len(collected),
-                   "distinct": len(kept), "stops": stops}
-    return points, diagnostics
+def _distinct_states(pairs, chart: _Chart, seeds, cfg: SolveConfig) -> list[np.ndarray]:
+    """The deduplicated states the multistart accepted."""
+    logs, _ = _multistart(pairs, chart, seeds, cfg)
+    return [np.exp(u) for u in _dedup_logs(logs)]
 
 
 def solve_equilibria(system: KineticSystem, mode: str = "positive",
@@ -332,8 +334,9 @@ def solve_equilibria(system: KineticSystem, mode: str = "positive",
 
     Deterministic for a fixed rng_seed; the all-ones state (or the coset
     anchor) is always the first seed. Points are deduplicated at distance
-    `dedup_tol` in log coordinates and re-verified against `tol`; an empty
+    `DEDUP_TOL` in log coordinates and re-verified against `tol`; an empty
     result with diagnostics, not an exception, signals no convergence.
+    `diagnostics["stops"]` lists each seed's stop reason in seed order.
     """
     cfg = config or SolveConfig()
     net = system.network
@@ -343,16 +346,20 @@ def solve_equilibria(system: KineticSystem, mode: str = "positive",
         a = net.ia_array()
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    points, diagnostics = _multistart([(a, system.kinetics)], system, cfg, constraint)
-    final = []
-    for p in points:
-        res = p.sfrf_residual if mode == "positive" else p.cfrf_residual
-        if res <= cfg.tol:
-            kind = "complex_balanced" if p.cfrf_residual <= cfg.tol else "positive"
-            final.append(replace(p, kind=kind))
-    diagnostics["mode"] = mode
-    diagnostics["accepted"] = len(final)
-    return SolveResult(final, diagnostics)
+    chart = (_Chart.log(net.num_species) if constraint is None
+             else _Chart.coset(net.num_species, constraint.x0, constraint.basis))
+    logs, stops = _multistart([(a, system.kinetics)], chart, chart.seeds(cfg), cfg)
+    kept = _dedup_logs(logs)
+    points = []
+    for u in kept:
+        x = np.exp(u)
+        sfrf, cfrf = system.sfrf_residual(x), system.cfrf_residual(x)
+        if (sfrf if mode == "positive" else cfrf) <= cfg.tol:
+            kind = "complex_balanced" if cfrf <= cfg.tol else "positive"
+            points.append(EquilibriumPoint(x, sfrf, cfrf, kind))
+    diagnostics = {"attempts": len(stops), "converged": len(logs), "distinct": len(kept),
+                   "stops": stops, "mode": mode, "accepted": len(points)}
+    return SolveResult(points, diagnostics)
 
 
 @dataclass(frozen=True)
@@ -404,6 +411,9 @@ class LPSetSpec:
         basis = np.atleast_2d(np.asarray(self.flux_basis, dtype=float))
         object.__setattr__(self, "flux_basis", basis)
         object.__setattr__(self, "reference", np.asarray(self.reference, dtype=float))
+        if basis.shape[1] != self.reference.size:
+            raise CrnError(f"flux basis rows have {basis.shape[1]} entries, the "
+                           f"reference state {self.reference.size}")
         if linalg.numeric_rank(basis) != basis.shape[0]:
             raise CrnError("flux basis rows must be linearly independent")
 
@@ -421,14 +431,15 @@ class LpPropertyReport:
 
 
 def check_lp_property(system: KineticSystem, which: str, spec: LPSetSpec,
-                      n_samples: int = 8, config: SolveConfig | None = None,
+                      config: SolveConfig | None = None,
                       points: list[EquilibriumPoint] | None = None) -> LpPropertyReport:
     """Two-sided sampled test that the chosen equilibria set is log
     parametrized by the orthogonal complement of the flux subspace.
 
     (a) every solver-found equilibrium x of the kind must satisfy
-    log x - log x* ⊥ flux space within `lp_tol`; (b) for sampled directions
-    in the complement, x* e^mu must have the kind's residual below `lp_tol`.
+    log x - log x* ⊥ flux space within `LP_TOL`; (b) for `LP_SAMPLES` sampled
+    directions in the complement, x* e^mu must have the kind's residual
+    below `LP_TOL`.
     """
     cfg = config or SolveConfig()
     if which not in ("E", "Z"):
@@ -448,19 +459,19 @@ def check_lp_property(system: KineticSystem, which: str, spec: LPSetSpec,
     for p in points:
         v = np.log(p.x) - np.log(ref)
         max_proj = max(max_proj, linalg.projection_norm(v, onto))
-    found_ok = max_proj <= cfg.lp_tol
+    found_ok = max_proj <= LP_TOL
 
     perp = linalg.complement_basis_rows(spec.flux_basis, ref.size)
     rng = np.random.default_rng(cfg.rng_seed + 2)
     # A flux space filling R^m leaves no direction to sample.
-    n_sampled = n_samples if perp.shape[0] else 0
+    n_sampled = LP_SAMPLES if perp.shape[0] else 0
     max_res = 0.0
     for _ in range(n_sampled):
         mu = perp.T @ rng.uniform(-1.0, 1.0, size=perp.shape[0])
         x = ref * np.exp(mu)
         res = system.sfrf_residual(x) if which == "E" else system.cfrf_residual(x)
         max_res = max(max_res, res)
-    member_ok = max_res <= cfg.lp_tol
+    member_ok = max_res <= LP_TOL
 
     return LpPropertyReport(
         which=which, holds=found_ok and member_ok,
@@ -508,18 +519,11 @@ def kse_check(net: ReactionNetwork, kin: Kinetics,
         raise NoEquilibriaError("no equilibria to sample the kinetic image on")
     if inv is None:
         inv = structural_invariants(net)
-    a = net.n_array()
-    resjac = _log_chart([(a, kin)], cfg)
     rng = np.random.default_rng(cfg.rng_seed + 3)
     logs = [np.log(p.x) for p in found_equilibria]
-    for base in list(logs)[:8]:
-        for _ in range(3):
-            run = _newton(resjac, base + rng.uniform(-0.8, 0.8, base.size), cfg,
-                          cfg.accept_bound)
-            _, log_x = _seed_outcome(run, _identity, cfg)
-            if log_x is not None:
-                logs.append(log_x)
-    logs = _dedup_logs(logs, cfg.dedup_tol)
+    seeds = [base + rng.uniform(-0.8, 0.8, base.size) for base in logs[:8] for _ in range(3)]
+    solved, _ = _multistart([(net.n_array(), kin)], _Chart.log(net.num_species), seeds, cfg)
+    logs = _dedup_logs(logs + solved)
     columns = np.array([evaluate(kin, np.exp(u)) for u in logs]).T
     dim = linalg.numeric_rank(columns)
     if cls is None:
@@ -553,7 +557,7 @@ def poly_pl_equilibrated_check(net: ReactionNetwork, kin: PolyPLKinetics,
     intersections over its power-law term systems.
 
     Membership is decided by residuals of the other side's defining maps at
-    `lp_tol`, which is sturdier than matching solver point lists; flags are
+    `LP_TOL`, which is sturdier than matching solver point lists; flags are
     None when a side produced no sample points.
     """
     cfg = config or SolveConfig()
@@ -567,27 +571,29 @@ def poly_pl_equilibrated_check(net: ReactionNetwork, kin: PolyPLKinetics,
 
     joint_e_pairs = [(n_mat, tk) for tk in terms]
     joint_z_pairs = [(ia_mat, tk) for tk in terms]
-    joint_e, _ = _multistart(joint_e_pairs, system, cfg, None)
-    joint_z, _ = _multistart(joint_z_pairs, system, cfg, None)
-    joint_e = [p for p in joint_e
-               if max(float(np.max(np.abs(n_mat @ evaluate(tk, p.x)))) for tk in terms) <= cfg.tol]
-    joint_z = [p for p in joint_z
-               if max(float(np.max(np.abs(ia_mat @ evaluate(tk, p.x)))) for tk in terms) <= cfg.tol]
 
-    def all_members(points, mats_kins, tol) -> bool:
-        return all(
-            max(float(np.max(np.abs(mat @ evaluate(tk, p.x)))) for mat, tk in mats_kins) <= tol
-            for p in points)
+    def residual(x, mats_kins) -> float:
+        return max(float(np.max(np.abs(mat @ evaluate(tk, x)))) for mat, tk in mats_kins)
+
+    chart = _Chart.log(net.num_species)
+    seeds = chart.seeds(cfg)
+    joint_e = [x for x in _distinct_states(joint_e_pairs, chart, seeds, cfg)
+               if residual(x, joint_e_pairs) <= cfg.tol]
+    joint_z = [x for x in _distinct_states(joint_z_pairs, chart, seeds, cfg)
+               if residual(x, joint_z_pairs) <= cfg.tol]
+
+    def all_members(states, mats_kins) -> bool:
+        return all(residual(x, mats_kins) <= LP_TOL for x in states)
 
     pl_equilibrated = None
     if full_e or joint_e:
-        pl_equilibrated = all_members(full_e, joint_e_pairs, cfg.lp_tol)
+        pl_equilibrated = all_members([p.x for p in full_e], joint_e_pairs)
     pl_cb = None
     if full_z or joint_z:
-        pl_cb = all_members(full_z, joint_z_pairs, cfg.lp_tol)
+        pl_cb = all_members([p.x for p in full_z], joint_z_pairs)
     abs_pl_cb = None
     if joint_z:
-        abs_pl_cb = all_members(joint_e, joint_z_pairs, cfg.lp_tol)
+        abs_pl_cb = all_members(joint_e, joint_z_pairs)
     return PolyPlBalanceReport(
         pl_equilibrated=pl_equilibrated,
         pl_complex_balanced=pl_cb,
@@ -736,7 +742,7 @@ def acb_verdict(analysis: AcbAnalysis, config: SolveConfig | None = None) -> Acb
 
     witness = None
     for p in analysis.e_points:
-        if p.sfrf_residual <= cfg.witness_sfrf and p.cfrf_residual > cfg.witness_cfrf:
+        if p.sfrf_residual <= WITNESS_SFRF and p.cfrf_residual > WITNESS_CFRF:
             if witness is None or p.cfrf_residual > witness.cfrf_residual:
                 witness = p
     if witness is not None:
@@ -771,15 +777,11 @@ def certify_complex_balancing(system: KineticSystem,
 
 
 def _part_system(system: KineticSystem, part: tuple[int, ...]):
-    """Residual matrices and row-restricted kinetics for one part, on the
+    """Incidence columns and row-restricted kinetics of one part, on the
     full species space (so order rows never lose support)."""
     from .decomposition import restrict_kinetics
-    net = system.network
-    cols = list(part)
-    n_part = net.n_array()[:, cols]
-    ia_part = net.ia_array()[:, cols]
-    kin_part = restrict_kinetics(system.kinetics, part)
-    return n_part, ia_part, kin_part
+    ia_part = system.network.ia_array()[:, list(part)]
+    return ia_part, restrict_kinetics(system.kinetics, part)
 
 
 def _part_is_mass_action(system: KineticSystem, part, kin_part) -> bool:
@@ -832,9 +834,11 @@ def linkage_decomposition_evidence(system: KineticSystem,
                   else "not bi-independent and intersections not certified")
         note = f"{note}; per-part certificates skipped: {reason}"
     else:
+        chart = _Chart.log(net.num_species)
+        seeds = chart.seeds(cfg)
         for part, summary in zip(parts, verdict.summaries):
             try:
-                _, ia_part, kin_part = _part_system(system, part)
+                ia_part, kin_part = _part_system(system, part)
             except CrnError:
                 part_statuses.append("Inconclusive")
                 continue
@@ -842,10 +846,9 @@ def linkage_decomposition_evidence(system: KineticSystem,
                     or _part_is_mass_action(system, part, kin_part)):
                 part_statuses.append("Inconclusive")
                 continue
-            part_sys = KineticSystem(net, system.kinetics)  # residuals overridden below
-            points, _ = _multistart([(ia_part, kin_part)], part_sys, cfg, None)
-            cb = any(float(np.max(np.abs(ia_part @ evaluate(kin_part, p.x)))) <= cfg.tol
-                     for p in points)
+            states = _distinct_states([(ia_part, kin_part)], chart, seeds, cfg)
+            cb = any(float(np.max(np.abs(ia_part @ evaluate(kin_part, x)))) <= cfg.tol
+                     for x in states)
             part_statuses.append("ACB_certified" if cb else "Inconclusive")
     return DecompositionEvidence(
         independent=verdict.independent,
@@ -914,12 +917,7 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
     cfg = config or SolveConfig()
     net = system.network
     inv = structural_invariants(net)
-    t_matrices = None
-    if isinstance(system.kinetics, PowerLawKinetics):
-        try:
-            t_matrices = build_t_matrices(net, system.kinetics)
-        except NotRDKError:
-            t_matrices = None
+    t_matrices = t_matrices_or_none(net, system.kinetics)
     cls = classify(system.kinetics, net, t_matrices)
 
     e_res = solve_equilibria(system, "positive", config=cfg)

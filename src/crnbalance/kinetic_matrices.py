@@ -118,6 +118,16 @@ def build_t_matrices(net: ReactionNetwork, kin: PowerLawKinetics) -> TMatrices:
     )
 
 
+def t_matrices_or_none(net: ReactionNetwork, kin) -> TMatrices | None:
+    """The T matrices of a reactant-determined power-law kinetics, else None."""
+    if not isinstance(kin, PowerLawKinetics):
+        return None
+    try:
+        return build_t_matrices(net, kin)
+    except NotRDKError:
+        return None
+
+
 def is_pl_tik(t: TMatrices) -> bool:
     """Maximal column rank of T_hat, equivalently zero kinetic reactant deficiency."""
     return t.q_hat == len(t.reactant_complexes)

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from . import __version__
-from .equilibria import (AcbVerdict, EquilibriumPoint, KseReport,
+from .equilibria import (DEDUP_TOL, LP_TOL, AcbVerdict, EquilibriumPoint, KseReport,
                          LpPropertyReport, PolyPlBalanceReport, SolveConfig)
 from .kinetic_matrices import TMatrices, is_pl_tik
 from .kinetics import KineticsClassification
@@ -41,8 +41,8 @@ def config_json(cfg: SolveConfig) -> dict:
         "seeds": cfg.seeds,
         "rng_seed": cfg.rng_seed,
         "max_iter": cfg.max_iter,
-        "dedup_tol": cfg.dedup_tol,
-        "lp_tol": cfg.lp_tol,
+        "dedup_tol": DEDUP_TOL,
+        "lp_tol": LP_TOL,
         "coset_samples": cfg.coset_samples,
     }
 

@@ -209,8 +209,8 @@ def test_criterion_6_mass_action_regression(re1_net):
     verdict = cb.acb_verdict(analysis, cfg)
     rules = [c.rule for c in verdict.justification]
     witnesses = [p for p in analysis.e_points
-                 if p.sfrf_residual <= cfg.witness_sfrf
-                 and p.cfrf_residual > cfg.witness_cfrf]
+                 if p.sfrf_residual <= cb.equilibria.WITNESS_SFRF
+                 and p.cfrf_residual > cb.equilibria.WITNESS_CFRF]
     checks = [
         ("x=1 complex balanced",
          cb.KineticSystem(re1_net, kin).cfrf_residual(np.ones(3)) == 0.0),
@@ -331,7 +331,7 @@ def test_criterion_8_property_suite(re1_powerlaw, re1_massaction, counterexample
             for a, b in zip(sorted(tuple(np.log(p.x)) for p in pa),
                             sorted(tuple(np.log(p.x)) for p in pb)):
                 ok_scaling &= float(np.max(np.abs(np.array(a) - np.array(b)))) \
-                    <= cfg.dedup_tol
+                    <= cb.equilibria.DEDUP_TOL
     checks.append(("rate-scaling invariance of solver point sets", ok_scaling))
 
     ok_unique = True

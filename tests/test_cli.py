@@ -184,6 +184,24 @@ def test_flux_space_stilde_and_file(tmp_path):
     assert "coset_counts" in report2
 
 
+def test_flux_space_rows_need_one_entry_per_species(tmp_path):
+    short = tmp_path / "short.txt"
+    short.write_text("1 -1\n")
+    for command in ("acb", "equilibria"):
+        code, out, err = run([command, data_path("re1_massaction.crn"), "--seeds", "4",
+                              "--flux-space", short])
+        assert code == 1, command
+        assert out == ""
+        assert err.startswith("analysis error: ")
+        assert "2 entries, expected one per species (3)" in err
+    garbled = tmp_path / "garbled.txt"
+    garbled.write_text("1 -1 0\n1 x 0\n")
+    code, _, err = run(["acb", data_path("re1_massaction.crn"), "--seeds", "4",
+                        "--flux-space", garbled])
+    assert code == 1
+    assert "line 2: not a row of numbers" in err
+
+
 def test_json_round_trips_losslessly():
     report, raw = run_json(["analyze", data_path("re1_powerlaw.crn")])
     from crnbalance.report import dumps_report

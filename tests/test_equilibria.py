@@ -99,7 +99,7 @@ def test_rate_scaling_invariance(ce_system, counterexample):
         logs_b = sorted(tuple(np.log(p.x)) for p in b.points)
         assert len(logs_a) == len(logs_b)
         for ua, ub in zip(logs_a, logs_b):
-            assert np.max(np.abs(np.array(ua) - np.array(ub))) <= cfg.dedup_tol
+            assert np.max(np.abs(np.array(ua) - np.array(ub))) <= cb.equilibria.DEDUP_TOL
 
 
 def test_determinism(ce_system):
@@ -160,6 +160,13 @@ def test_check_lp_property_wrong_flux_space_fails(ma_system):
     rep = cb.check_lp_property(ma_system, "Z", wrong, config=cfg)
     assert not rep.holds
     assert not rep.membership_direction_ok
+
+
+def test_flux_basis_of_the_wrong_width_is_rejected(ma_system):
+    with pytest.raises(cb.CrnError, match="2 entries, the reference state 3"):
+        cb.LPSetSpec(np.array([[1.0, -1.0]]), np.ones(3))
+    with pytest.raises(cb.CrnError, match="2 entries, the reference state 3"):
+        cb.analyze_acb(ma_system, cb.SolveConfig(seeds=4), flux_spec_basis=[[1, -1]])
 
 
 def test_check_lp_property_counterexample_kinetic_flux(ce_system, counterexample):
@@ -392,6 +399,26 @@ def test_constrained_solver_respects_coset(ce_system, counterexample):
         assert np.max(np.abs(perp @ (p.x - x0))) < 1e-7
 
 
+def test_coset_chart_rejects_bad_anchors_and_widths(ce_system, counterexample):
+    net, _ = counterexample
+    s_basis = np.array(cb.stoichiometric_basis(net), dtype=float)
+    cfg = cb.SolveConfig(seeds=4)
+    bad = [
+        (np.array([np.nan, 1.0, 1.0]), s_basis, "finite and strictly positive"),
+        (np.array([np.inf, 1.0, 1.0]), s_basis, "finite and strictly positive"),
+        (np.array([0.0, 1.0, 1.0]), s_basis, "finite and strictly positive"),
+        (np.ones(2), s_basis, "one entry per species"),
+        (np.ones(4), np.ones((1, 4)), "one entry per species"),
+        (np.ones(3), s_basis[:, :2], "one entry per species"),
+        (np.ones(3), np.array([[1.0, np.nan, 0.0]]), "its basis finite"),
+    ]
+    for x0, basis, message in bad:
+        with pytest.raises(cb.CrnError, match=message):
+            cb.solve_equilibria(ce_system, "positive", cb.CosetConstraint(x0, basis), cfg)
+        with pytest.raises(cb.CrnError, match=message):
+            cb.coset_intersection_count(ce_system, basis, x0, cfg)
+
+
 def _contradictory_analysis():
     """Evidence certifying both ACB (mass action) and not ACB (KSE, delta 1)."""
     net = cb.build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1), (1, 0)])
@@ -514,14 +541,15 @@ def _ungated_decomposition_evidence(system, cfg, intersection_certified=None):
     statuses = []
     for part, summary in zip(parts, deco.summaries):
         try:
-            _, ia_part, kin_part = cb.equilibria._part_system(system, part)
+            ia_part, kin_part = cb.equilibria._part_system(system, part)
         except cb.CrnError:
             statuses.append("Inconclusive")
             continue
-        points, _ = cb.equilibria._multistart(
-            [(ia_part, kin_part)], cb.KineticSystem(net, system.kinetics), cfg, None)
-        balanced = any(float(np.max(np.abs(ia_part @ cb.evaluate(kin_part, p.x)))) <= cfg.tol
-                       for p in points)
+        chart = cb.equilibria._Chart.log(net.num_species)
+        logs, _ = cb.equilibria._multistart([(ia_part, kin_part)], chart, chart.seeds(cfg), cfg)
+        balanced = any(
+            float(np.max(np.abs(ia_part @ cb.evaluate(kin_part, np.exp(u))))) <= cfg.tol
+            for u in cb.equilibria._dedup_logs(logs))
         exact = (summary.delta == 0
                  or cb.equilibria._part_is_mass_action(system, part, kin_part))
         statuses.append("ACB_certified" if balanced and exact else "Inconclusive")

@@ -60,6 +60,28 @@ def test_not_rdk_raises():
         cb.build_t_matrices(net, kin)
 
 
+def test_t_matrices_or_none(monkeypatch, counterexample, mm_polypl, re1_massaction):
+    from crnbalance import kinetic_matrices
+    calls = []
+    real = kinetic_matrices.build_t_matrices
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    # the module global is looked up at each call, so a tracer that patches
+    # it counts the calls made through t_matrices_or_none
+    monkeypatch.setattr(kinetic_matrices, "build_t_matrices", counted)
+    assert kinetic_matrices.t_matrices_or_none(*counterexample).q_hat == 4
+    assert kinetic_matrices.t_matrices_or_none(*mm_polypl) is None
+    assert len(calls) == 1
+    net = cb.build_network(["A", "B"], [[1, 0], [0, 1], [1, 1]], [(0, 1), (0, 2)])
+    assert kinetic_matrices.t_matrices_or_none(
+        net, cb.power_law([[1, 0], [2, 0]], [1, 1])) is None
+    cb.analyze_acb(cb.KineticSystem(*re1_massaction), cb.SolveConfig(seeds=4))
+    assert len(calls) == 3
+
+
 def test_rank_bounds(re1_powerlaw, counterexample, toy_pl_tik):
     for net, kin in (re1_powerlaw, counterexample, toy_pl_tik):
         inv = cb.structural_invariants(net)

@@ -9,7 +9,7 @@ import numpy as np
 
 import crnbalance as cb
 from crnbalance.cli import run_cli
-from crnbalance.equilibria import _newton
+from crnbalance.equilibria import ACCEPT_BOUND, MAX_HALVINGS, MAX_STEP, _newton
 from crnbalance.fileformat import parse_crn
 
 from conftest import DATA, bench_ladder
@@ -27,7 +27,7 @@ def _state(g, jac):
 
 def _drifting(u):
     """1 / (1 + u) decreases along +u without reaching 0; from u = 0 the
-    Newton steps are 1, 2 and then 4, clamped by `max_step`, all accepted
+    Newton steps are 1, 2 and then 4, clamped by `MAX_STEP`, all accepted
     at lambda = 1."""
     g = 1.0 / (1.0 + u[0])
     return _state([g], [[-g * g]])
@@ -35,8 +35,8 @@ def _drifting(u):
 
 class _Creeping:
     """A residual decreasing along +u whose Jacobian asks for a clamped step
-    of `max_step`, but a trial farther than `reach` from the last accepted
-    point is worse, so only steps of lambda <= reach / max_step are
+    of `MAX_STEP`, but a trial farther than `reach` from the last accepted
+    point is worse, so only steps of lambda <= reach / MAX_STEP are
     accepted. The last accepted point is the lowest residual seen."""
 
     def __init__(self, reach, level=1.0):
@@ -56,17 +56,17 @@ class _Creeping:
 
 
 def test_drift_past_accept_bound_escapes():
-    run = _newton(_drifting, np.zeros(1), CFG, CFG.accept_bound)
+    run = _newton(_drifting, np.zeros(1), CFG, ACCEPT_BOUND)
     assert run.stop == "escaped"
-    assert CFG.accept_bound < run.u[0] <= CFG.accept_bound + CFG.max_step
+    assert ACCEPT_BOUND < run.u[0] <= ACCEPT_BOUND + MAX_STEP
     # without an escape bound, as on the coset chart, the run goes on
     assert _newton(_drifting, np.zeros(1), CFG).stop == "max_iter"
 
 
 def test_escape_is_checked_at_the_seed():
-    run = _newton(_drifting, np.array([CFG.accept_bound + 1.0]), CFG, CFG.accept_bound)
+    run = _newton(_drifting, np.array([ACCEPT_BOUND + 1.0]), CFG, ACCEPT_BOUND)
     assert run.stop == "escaped"
-    assert run.u[0] == CFG.accept_bound + 1.0
+    assert run.u[0] == ACCEPT_BOUND + 1.0
 
 
 def test_creeping_line_search_collapses():
@@ -125,7 +125,7 @@ def test_nan_jacobian_is_a_non_finite_step():
 
 
 def test_max_iter():
-    run = _newton(_drifting, np.zeros(1), cb.SolveConfig(max_iter=3), CFG.accept_bound)
+    run = _newton(_drifting, np.zeros(1), cb.SolveConfig(max_iter=3), ACCEPT_BOUND)
     assert run.stop == "max_iter"
     assert run.u[0] == 7.0  # steps 1, 2, 4
 
@@ -193,12 +193,12 @@ def _reference_newton(resjac, u0, cfg):
         if np.max(np.abs(step)) <= 1e-15 * (1.0 + np.max(np.abs(u))):
             break
         biggest = float(np.max(np.abs(step)))
-        if biggest > cfg.max_step:
-            step = step * (cfg.max_step / biggest)
+        if biggest > MAX_STEP:
+            step = step * (MAX_STEP / biggest)
         g2sq_old = float(g @ g)
         lam = 1.0
         accepted = False
-        for _ in range(cfg.max_halvings):
+        for _ in range(MAX_HALVINGS):
             trial = u + lam * step
             state = resjac(trial)
             if state is not None:
