@@ -25,8 +25,7 @@ from .kinetic_matrices import (
 from .decomposition import (
     Decomposition, EmptySelectionError, IndependenceVerdict,
     NotAPartitionError, SubnetworkSummary, TooLargeError, check_decomposition,
-    decompose, linkage_class_parts, restrict_kinetics, search_decompositions,
-    subnetwork,
+    decompose, linkage_class_parts, search_decompositions, subnetwork,
 )
 from .transform import (
     DimensionMismatchError, NonIntegerComplexError, PffCertificate,

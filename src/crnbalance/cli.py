@@ -49,18 +49,14 @@ def _config(args) -> SolveConfig:
     return SolveConfig(seeds=args.seeds, rng_seed=args.rng, tol=args.tol)
 
 
-def _resolve_flux_basis(value, net, tmat):
-    """--flux-space S | Stilde | <file with one basis row per line>."""
-    if value is None or value == "S":
-        basis = stoichiometric_basis(net)
-        return np.array(basis, dtype=float), tuple(tuple(r) for r in basis)
+def _resolve_flux_basis(value, net, tmat) -> np.ndarray:
+    """Basis rows of --flux-space S | Stilde | <file with one basis row per line>."""
+    if value == "S":
+        return np.array(stoichiometric_basis(net), dtype=float)
     if value == "Stilde":
         if tmat is None:
             raise CrnError("Stilde flux space needs reactant-determined power-law kinetics")
-        if tmat.exact_s_tilde_basis is not None:
-            basis = tmat.exact_s_tilde_basis
-            return np.array(basis, dtype=float), tuple(tuple(r) for r in basis)
-        return tmat.s_tilde_basis, None
+        return tmat.s_tilde_basis
     rows = []
     with open(value, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -78,8 +74,7 @@ def _resolve_flux_basis(value, net, tmat):
             rows.append(row)
     if not rows:
         raise CrnError(f"flux-space file {value!r} contains no rows")
-    return np.array([[float(v) for v in row] for row in rows]), tuple(
-        tuple(row) for row in rows)
+    return np.array([[float(v) for v in row] for row in rows])
 
 
 def _print_verdict_lines(out, verdict):
@@ -288,7 +283,7 @@ def _cmd_equilibria(args, out):
                      + f")  cfrf {p.cfrf_residual:.2e}")
     if args.flux_space is not None and (e.points or z.points):
         tmat = t_matrices_or_none(net, kin)
-        basis, _ = _resolve_flux_basis(args.flux_space, net, tmat)
+        basis = _resolve_flux_basis(args.flux_space, net, tmat)
         ref = (z.points[0].x if z.points else e.points[0].x)
         samples = sample_coset_counts(system, basis, ref, cfg)
         inv = structural_invariants(net)
@@ -309,10 +304,9 @@ def _cmd_acb(args, out):
     net, kin = _load(args.file)
     cfg = _config(args)
     system = KineticSystem(net, kin)
-    tmat = t_matrices_or_none(net, kin)
     flux = None
     if args.flux_space is not None:
-        flux, _ = _resolve_flux_basis(args.flux_space, net, tmat)
+        flux = _resolve_flux_basis(args.flux_space, net, t_matrices_or_none(net, kin))
     analysis = analyze_acb(system, cfg, flux_spec_basis=flux)
     verdict = acb_verdict(analysis, cfg)
     report = rpt.base_report("acb", cfg)
@@ -384,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reaction network structure, kinetics and complex-balancing analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, two_files=False):
+    def add(name, fn, help_text, two_files=False, max_parts=False, flux_space=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="network/kinetics file")
         if two_files:
@@ -393,23 +387,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-9, help="solver residual tolerance")
         p.add_argument("--seeds", type=int, default=64, help="multistart seed count")
         p.add_argument("--rng", type=int, default=42, help="random seed")
-        p.add_argument("--max-parts", type=int, default=None, dest="max_parts",
-                       help="search decompositions up to this many parts")
-        p.add_argument("--assume-concordant", action="store_true",
-                       dest="assume_concordant",
-                       help="treat the network as concordant (user assertion)")
-        p.add_argument("--flux-space", default=None, dest="flux_space",
-                       help="S, Stilde, or a file with one basis row per line")
+        if max_parts:
+            p.add_argument("--max-parts", type=int, default=None, dest="max_parts",
+                           help="search decompositions up to this many parts")
+        if flux_space:
+            p.add_argument("--assume-concordant", action="store_true",
+                           dest="assume_concordant",
+                           help="treat the network as concordant (user assertion)")
+            p.add_argument("--flux-space", default=None, dest="flux_space",
+                           help="S, Stilde, or a file with one basis row per line")
         p.set_defaults(handler=fn)
         return p
 
     add("analyze", _cmd_analyze, "structural invariants and classification")
     add("kinetics", _cmd_kinetics, "kinetics classification flags")
     add("tmatrix", _cmd_tmatrix, "kinetic order matrices and ranks")
-    add("decompose", _cmd_decompose, "decomposition independence verdicts")
+    add("decompose", _cmd_decompose, "decomposition independence verdicts", max_parts=True)
     add("starmsc", _cmd_starmsc, "replica transform of a poly-PL system")
-    add("equilibria", _cmd_equilibria, "multistart equilibria search")
-    add("acb", _cmd_acb, "absolute complex balancing verdict")
+    add("equilibria", _cmd_equilibria, "multistart equilibria search", flux_space=True)
+    add("acb", _cmd_acb, "absolute complex balancing verdict", flux_space=True)
     add("pff", _cmd_pff, "positive-function-factor comparison", two_files=True)
     return parser
 

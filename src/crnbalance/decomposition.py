@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import rational
-from .kinetics import (InvalidKineticsError, Kinetics, PolyPLKinetics,
-                       PowerLawKinetics)
 from .network import (CrnError, ReactionNetwork, StructuralInvariants,
                       build_network, structural_invariants)
 
@@ -91,49 +87,6 @@ def subnetwork(net: ReactionNetwork, reactions) -> ReactionNetwork:
     return build_network(species, complexes, rxns)
 
 
-def restrict_kinetics(kin: Kinetics, reactions, species_keep=None) -> Kinetics:
-    """Kinetics of a subnetwork: row restriction of orders and rates.
-
-    When `species_keep` is given, order columns are restricted too; a kept
-    reaction whose orders touch a dropped species cannot be restricted and
-    raises.
-    """
-    idxs = sorted(set(int(q) for q in reactions))
-    if isinstance(kin, PowerLawKinetics):
-        orders = kin.orders[idxs]
-        exact = (tuple(kin.exact_orders[q] for q in idxs)
-                 if kin.exact_orders is not None else None)
-        if species_keep is not None:
-            keep = list(species_keep)
-            dropped = [i for i in range(kin.num_species) if i not in keep]
-            if dropped and np.any(orders[:, dropped] != 0):
-                raise InvalidKineticsError(
-                    "kinetic orders reference a species outside the subnetwork")
-            orders = orders[:, keep]
-            if exact is not None:
-                exact = tuple(tuple(row[i] for i in keep) for row in exact)
-        return PowerLawKinetics(orders, kin.rates[idxs], exact)
-    if isinstance(kin, PolyPLKinetics):
-        coeffs = tuple(kin.term_coeffs[q] for q in idxs)
-        orders = tuple(kin.term_orders[q] for q in idxs)
-        e_c = (tuple(kin.exact_term_coeffs[q] for q in idxs)
-               if kin.exact_term_coeffs is not None else None)
-        e_o = (tuple(kin.exact_term_orders[q] for q in idxs)
-               if kin.exact_term_orders is not None else None)
-        if species_keep is not None:
-            keep = list(species_keep)
-            dropped = [i for i in range(kin.num_species) if i not in keep]
-            if dropped and any(np.any(f[:, dropped] != 0) for f in orders):
-                raise InvalidKineticsError(
-                    "kinetic orders reference a species outside the subnetwork")
-            orders = tuple(f[:, keep] for f in orders)
-            if e_o is not None:
-                e_o = tuple(tuple(tuple(row[i] for i in keep) for row in rows)
-                            for rows in e_o)
-        return PolyPLKinetics(coeffs, orders, kin.rates[idxs], e_c, e_o)
-    raise InvalidKineticsError("only power-law and poly-PL kinetics restrict to parts")
-
-
 def _validate_partition(net: ReactionNetwork, parts) -> list[tuple[int, ...]]:
     cleaned = [tuple(sorted(set(int(q) for q in part))) for part in parts]
     if any(not part for part in cleaned):
@@ -144,13 +97,18 @@ def _validate_partition(net: ReactionNetwork, parts) -> list[tuple[int, ...]]:
     return cleaned
 
 
+def _summaries(net: ReactionNetwork, parts, known: dict) -> tuple[SubnetworkSummary, ...]:
+    """One summary per part; `known` maps the parts already summarized."""
+    for part in parts:
+        if part not in known:
+            inv = structural_invariants(subnetwork(net, part))
+            known[part] = SubnetworkSummary(part, inv.n, inv.l, inv.s, inv.delta)
+    return tuple(known[part] for part in parts)
+
+
 def decompose(net: ReactionNetwork, parts) -> Decomposition:
-    cleaned = _validate_partition(net, parts)
-    summaries = []
-    for part in cleaned:
-        inv = structural_invariants(subnetwork(net, part))
-        summaries.append(SubnetworkSummary(part, inv.n, inv.l, inv.s, inv.delta))
-    return Decomposition(tuple(cleaned), tuple(summaries))
+    cleaned = tuple(_validate_partition(net, parts))
+    return Decomposition(cleaned, _summaries(net, cleaned, {}))
 
 
 def check_decomposition(net: ReactionNetwork, parts,
@@ -213,7 +171,8 @@ def search_decompositions(net: ReactionNetwork, predicate: str,
     Lists the set partitions of the separator classes, at most `max_parts`
     blocks each, extending every prefix in order. Classes are ordered by
     smallest reaction, so the output keeps the lexicographic order of the
-    reactions' restricted-growth strings. The guard counts reactions.
+    reactions' restricted-growth strings. The guard counts reactions. A part
+    that recurs across partitions is summarized once per call.
     """
     if predicate not in ("independent", "incidence_independent", "bi_independent"):
         raise ValueError(f"unknown predicate {predicate!r}")
@@ -226,4 +185,9 @@ def search_decompositions(net: ReactionNetwork, predicate: str,
         # the class joins block b; b == len(blocks) opens a new block
         partitions = [blocks[:b] + [(blocks + [[]])[b] + cls] + blocks[b + 1:]
                       for blocks in partitions for b in range(min(len(blocks) + 1, max_parts))]
-    return [decompose(net, blocks) for blocks in partitions]
+    known: dict = {}
+    found = []
+    for blocks in partitions:
+        parts = tuple(tuple(sorted(block)) for block in blocks)
+        found.append(Decomposition(parts, _summaries(net, parts, known)))
+    return found

@@ -24,8 +24,8 @@ import numpy as np
 from . import linalg, rational
 from .decomposition import check_decomposition
 from .kinetics import (Kinetics, KineticsClassification, PolyPLKinetics,
-                       PowerLawKinetics, classify, evaluate, log_jacobian,
-                       normalize_poly_pl)
+                       PowerLawKinetics, _is_mass_action, classify, evaluate,
+                       log_jacobian, normalize_poly_pl)
 from .kinetic_matrices import TMatrices, is_pl_tik, t_matrices_or_none
 from .network import (CrnError, ReactionNetwork, StructuralInvariants,
                       structural_invariants, stoichiometric_basis)
@@ -65,16 +65,21 @@ WITNESS_CFRF = 1e-4     # complex-balance violation for a witness ...
 WITNESS_SFRF = 1e-9     # ... at this equilibrium residual
 
 
+def _residual(pairs, x) -> float:
+    """Max of |A K(x)| over the (A, kinetics) blocks of `pairs`."""
+    return max(float(np.max(np.abs(a @ evaluate(kin, x)))) for a, kin in pairs)
+
+
 @dataclass(eq=False)
 class KineticSystem:
     network: ReactionNetwork
     kinetics: Kinetics
 
     def sfrf_residual(self, x) -> float:
-        return float(np.max(np.abs(self.network.n_array() @ evaluate(self.kinetics, x))))
+        return _residual([(self.network.n_array(), self.kinetics)], x)
 
     def cfrf_residual(self, x) -> float:
-        return float(np.max(np.abs(self.network.ia_array() @ evaluate(self.kinetics, x))))
+        return _residual([(self.network.ia_array(), self.kinetics)], x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +180,8 @@ def _newton(resjac, u0: np.ndarray, cfg: SolveConfig,
         step = np.linalg.lstsq(jac, -g, rcond=None)[0]
         if not np.all(np.isfinite(step)):
             return _Run(u, gnorm, raw, "non-finite step")
-        if np.max(np.abs(step)) <= 1e-15 * (1.0 + np.max(np.abs(u))):
+        # a zero-width chart (no coordinates) has an empty step
+        if np.max(np.abs(step), initial=0.0) <= 1e-15 * (1.0 + np.max(np.abs(u), initial=0.0)):
             return _Run(u, gnorm, raw, "step below 1e-15")
         biggest = float(np.max(np.abs(step)))
         if biggest > MAX_STEP:
@@ -572,18 +578,15 @@ def poly_pl_equilibrated_check(net: ReactionNetwork, kin: PolyPLKinetics,
     joint_e_pairs = [(n_mat, tk) for tk in terms]
     joint_z_pairs = [(ia_mat, tk) for tk in terms]
 
-    def residual(x, mats_kins) -> float:
-        return max(float(np.max(np.abs(mat @ evaluate(tk, x)))) for mat, tk in mats_kins)
-
     chart = _Chart.log(net.num_species)
     seeds = chart.seeds(cfg)
     joint_e = [x for x in _distinct_states(joint_e_pairs, chart, seeds, cfg)
-               if residual(x, joint_e_pairs) <= cfg.tol]
+               if _residual(joint_e_pairs, x) <= cfg.tol]
     joint_z = [x for x in _distinct_states(joint_z_pairs, chart, seeds, cfg)
-               if residual(x, joint_z_pairs) <= cfg.tol]
+               if _residual(joint_z_pairs, x) <= cfg.tol]
 
     def all_members(states, mats_kins) -> bool:
-        return all(residual(x, mats_kins) <= LP_TOL for x in states)
+        return all(_residual(mats_kins, x) <= LP_TOL for x in states)
 
     pl_equilibrated = None
     if full_e or joint_e:
@@ -776,26 +779,6 @@ def certify_complex_balancing(system: KineticSystem,
     return None, ()
 
 
-def _part_system(system: KineticSystem, part: tuple[int, ...]):
-    """Incidence columns and row-restricted kinetics of one part, on the
-    full species space (so order rows never lose support)."""
-    from .decomposition import restrict_kinetics
-    ia_part = system.network.ia_array()[:, list(part)]
-    return ia_part, restrict_kinetics(system.kinetics, part)
-
-
-def _part_is_mass_action(system: KineticSystem, part, kin_part) -> bool:
-    net = system.network
-    if not isinstance(kin_part, PowerLawKinetics):
-        return False
-    for row, q in zip(kin_part.orders, part):
-        target = np.array([float(c) for c in
-                           net.complexes[net.reactions[q].reactant].coeffs])
-        if np.max(np.abs(row - target)) > 1e-12:
-            return False
-    return True
-
-
 def linkage_decomposition_evidence(system: KineticSystem,
                                    config: SolveConfig | None = None,
                                    intersection_certified: bool | None = None,
@@ -805,9 +788,12 @@ def linkage_decomposition_evidence(system: KineticSystem,
     """Per-part ACB certificates for the linkage-class decomposition.
 
     Parts are certified only through the zero-deficiency and mass-action
-    rules (no recursion). Intersection certification defaults to the
-    independence status: for a bi-independent decomposition the equilibria
-    sets of the whole are exactly the intersections of the parts'.
+    rules (no recursion). A part is solved as Ia diag(1_part) K(x) = 0, the
+    incidence columns of the other reactions zeroed and the system's own
+    kinetics kept, so parts of every kinetics family are solved.
+    Intersection certification defaults to the independence status: for a
+    bi-independent decomposition the equilibria sets of the whole are
+    exactly the intersections of the parts'.
 
     The exact flags are settled first. When they rule the decomposition
     rule out (neither bi-independent nor incidence independent with
@@ -836,19 +822,17 @@ def linkage_decomposition_evidence(system: KineticSystem,
     else:
         chart = _Chart.log(net.num_species)
         seeds = chart.seeds(cfg)
+        ia = net.ia_array()
         for part, summary in zip(parts, verdict.summaries):
-            try:
-                ia_part, kin_part = _part_system(system, part)
-            except CrnError:
-                part_statuses.append("Inconclusive")
-                continue
             if not (summary.delta == 0
-                    or _part_is_mass_action(system, part, kin_part)):
+                    or _is_mass_action(system.kinetics, net, part)):
                 part_statuses.append("Inconclusive")
                 continue
-            states = _distinct_states([(ia_part, kin_part)], chart, seeds, cfg)
-            cb = any(float(np.max(np.abs(ia_part @ evaluate(kin_part, x)))) <= cfg.tol
-                     for x in states)
+            mask = np.zeros(net.num_reactions)
+            mask[list(part)] = 1.0
+            pairs = [(ia * mask, system.kinetics)]
+            states = _distinct_states(pairs, chart, seeds, cfg)
+            cb = any(_residual(pairs, x) <= cfg.tol for x in states)
             part_statuses.append("ACB_certified" if cb else "Inconclusive")
     return DecompositionEvidence(
         independent=verdict.independent,
@@ -897,9 +881,8 @@ def default_flux_spec(system: KineticSystem,
     if (isinstance(system.kinetics, PowerLawKinetics) and cls.pl_rdk
             and not cls.mass_action and t_matrices is not None
             and t_matrices.exact_s_tilde_basis is not None):
-        basis = t_matrices.exact_s_tilde_basis
-        return LPSetSpec(np.array(basis, dtype=float), reference,
-                         tuple(tuple(row) for row in basis))
+        return LPSetSpec(t_matrices.s_tilde_basis, reference,
+                         tuple(tuple(row) for row in t_matrices.exact_s_tilde_basis))
     basis = stoichiometric_basis(net)
     return LPSetSpec(np.array(basis, dtype=float), reference,
                      tuple(tuple(row) for row in basis))

@@ -478,9 +478,13 @@ def _is_pl_rdk(kin: PowerLawKinetics, net: ReactionNetwork) -> bool:
     return True
 
 
-def _is_mass_action(kin: PowerLawKinetics, net: ReactionNetwork) -> bool:
-    for q, rx in enumerate(net.reactions):
-        target = net.complexes[rx.reactant].coeffs
+def _is_mass_action(kin: Kinetics, net: ReactionNetwork, reactions) -> bool:
+    """Whether `kin` is power law with each of `reactions` ordered by its
+    reactant complex (mass action on those reactions)."""
+    if not isinstance(kin, PowerLawKinetics):
+        return False
+    for q in reactions:
+        target = net.complexes[net.reactions[q].reactant].coeffs
         if kin.exact_orders is not None:
             if kin.exact_orders[q] != target:
                 return False
@@ -537,7 +541,7 @@ def classify(kin: Kinetics, net: ReactionNetwork, t=None) -> KineticsClassificat
             pl_nik=bool(np.all(orders >= 0)),
             por=bool(np.all(np.any(orders < 0, axis=0))),
             cf=rdk,
-            mass_action=_is_mass_action(kin, net),
+            mass_action=_is_mass_action(kin, net, range(net.num_reactions)),
         )
     if isinstance(kin, PolyPLKinetics):
         stacked = np.vstack(kin.term_orders)

@@ -20,7 +20,7 @@ def orthonormal_columns(basis_rows: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the row space of `basis_rows`."""
     a = np.atleast_2d(np.asarray(basis_rows, dtype=float))
     q, r = np.linalg.qr(a.T)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
+    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max(initial=0.0))
     return q[:, keep]
 
 

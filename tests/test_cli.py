@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 
 import crnbalance
-from crnbalance.cli import run_cli
+from crnbalance.cli import build_parser, run_cli
 from crnbalance.report import JSON_SCHEMA
 
 from conftest import data_path
@@ -206,3 +206,49 @@ def test_json_round_trips_losslessly():
     report, raw = run_json(["analyze", data_path("re1_powerlaw.crn")])
     from crnbalance.report import dumps_report
     assert dumps_report(report) == raw
+
+
+ZERO_ORDER_SUBSPACE = """\
+# A <-> B, both reactions of order 1 in A: the kinetic order subspace is {0}
+species A B
+r1: A -> B rate 1
+r2: B -> A rate 1
+kinetics powerlaw
+order r1: A=1
+order r2: A=1
+"""
+
+
+def test_zero_kinetic_order_subspace(tmp_path):
+    path = tmp_path / "zero.crn"
+    path.write_text(ZERO_ORDER_SUBSPACE)
+    report, _ = run_json(["tmatrix", path])
+    assert report["order_subspace"]["dim"] == 0
+    for extra in ([], ["--flux-space", "Stilde"]):
+        report, _ = run_json(["acb", path, "--seeds", "16", *extra])
+        acb = report["verdicts"]["acb"]
+        assert acb["status"] == "ACB_certified"
+        rules = [item["rule"] for item in acb["justification"]]
+        assert "deficiency-zero" in rules and "bi-lp" in rules
+    report, _ = run_json(["equilibria", path, "--seeds", "16", "--flux-space", "Stilde"])
+    assert all((c["e_found"], c["z_found"]) == (1, 1)
+               for c in report["coset_counts"]["classes"])
+
+
+def test_subcommands_take_only_the_options_they_read():
+    code, out, _ = run(["analyze", data_path("re1_powerlaw.crn"), "--max-parts", "2"])
+    assert (code, out) == (2, "")
+    options = {"--json": [], "--tol": ["1e-9"], "--seeds": ["4"], "--rng": ["1"],
+               "--max-parts": ["2"], "--flux-space": ["S"], "--assume-concordant": []}
+    parser = build_parser()
+    taken = {}
+    for name in ("analyze", "kinetics", "tmatrix", "decompose", "starmsc",
+                 "equilibria", "acb", "pff"):
+        files = ["a.crn", "b.crn"] if name == "pff" else ["a.crn"]
+        taken[name] = {option for option, value in options.items()
+                       if not parser.parse_known_args([name, *files, option, *value])[1]}
+    common = {"--json", "--tol", "--seeds", "--rng"}
+    assert taken["decompose"] == common | {"--max-parts"}
+    assert taken["acb"] == taken["equilibria"] == common | {"--flux-space",
+                                                            "--assume-concordant"}
+    assert sum(map(len, taken.values())) == 37

@@ -108,6 +108,24 @@ def test_search_matches_brute_force(re1_net, counterexample, mm_polypl, predicat
             assert [d.parts for d in found] == oracle, (net.reactions, max_parts)
 
 
+def test_search_summarizes_each_distinct_part_once(monkeypatch):
+    net = random_weakly_reversible_network(np.random.default_rng(207))
+    expected = [cb.decompose(net, d.parts) for d in
+                cb.search_decompositions(net, "incidence_independent")]
+    calls = []
+    real = cb.decomposition.structural_invariants
+
+    def counted(sub):
+        calls.append(sub)
+        return real(sub)
+
+    monkeypatch.setattr(cb.decomposition, "structural_invariants", counted)
+    found = cb.search_decompositions(net, "incidence_independent")
+    assert found == expected
+    distinct = {part for d in found for part in d.parts}
+    assert len(calls) == len(distinct) < sum(len(d.parts) for d in found)
+
+
 def test_search_is_deterministic(counterexample):
     net, _ = counterexample
     a = cb.search_decompositions(net, "incidence_independent", max_parts=3)
@@ -154,18 +172,3 @@ def test_linkage_classes_always_incidence_independent(re1_net, counterexample,
     for net in (re1_net, counterexample[0], mm_polypl[0]):
         parts = cb.linkage_class_parts(net)
         assert cb.check_decomposition(net, parts).incidence_independent
-
-
-def test_restrict_kinetics(re1_powerlaw, re1_massaction):
-    net, kin = re1_powerlaw
-    part = [4, 5, 6, 7]
-    restricted = cb.restrict_kinetics(kin, part)
-    assert restricted.num_reactions == 4
-    assert np.array_equal(restricted.orders, kin.orders[4:])
-    # dropping species X2 fails: reaction r8 has order -1 on it
-    with pytest.raises(cb.InvalidKineticsError):
-        cb.restrict_kinetics(kin, part, species_keep=[0, 2])
-    # under mass action the first linkage class only involves X1 and X2
-    _, ma = re1_massaction
-    ok = cb.restrict_kinetics(ma, [0, 1, 2, 3], species_keep=[0, 1])
-    assert ok.orders.shape == (4, 2)

@@ -530,8 +530,30 @@ def test_decomposition_evidence_solves_only_certifiable_parts(monkeypatch, re1_p
     assert len(calls) == 2
 
 
+def _old_part_system(system, part):
+    """The part as its own system: the incidence columns of its reactions
+    and a power-law kinetics of their order rows; None for other families."""
+    kin = system.kinetics
+    if not isinstance(kin, cb.PowerLawKinetics):
+        return None
+    rows = list(part)
+    exact = None if kin.exact_orders is None else tuple(kin.exact_orders[q] for q in rows)
+    return (system.network.ia_array()[:, rows],
+            cb.PowerLawKinetics(kin.orders[rows], kin.rates[rows], exact))
+
+
+def _old_part_is_mass_action(system, part, kin_part):
+    net = system.network
+    for row, q in zip(kin_part.orders, part):
+        target = np.array([float(c) for c in net.complexes[net.reactions[q].reactant].coeffs])
+        if np.max(np.abs(row - target)) > 1e-12:
+            return False
+    return True
+
+
 def _ungated_decomposition_evidence(system, cfg, intersection_certified=None):
-    """Oracle: the per-part loop that solves every linkage class first."""
+    """Oracle: the per-part loop that solves every linkage class first, each
+    part as its own system."""
     net = system.network
     parts = cb.linkage_class_parts(net)
     if len(parts) < 2:
@@ -540,18 +562,17 @@ def _ungated_decomposition_evidence(system, cfg, intersection_certified=None):
     deco = cb.decompose(net, parts)
     statuses = []
     for part, summary in zip(parts, deco.summaries):
-        try:
-            ia_part, kin_part = cb.equilibria._part_system(system, part)
-        except cb.CrnError:
+        part_system = _old_part_system(system, part)
+        if part_system is None:
             statuses.append("Inconclusive")
             continue
+        ia_part, kin_part = part_system
         chart = cb.equilibria._Chart.log(net.num_species)
         logs, _ = cb.equilibria._multistart([(ia_part, kin_part)], chart, chart.seeds(cfg), cfg)
         balanced = any(
             float(np.max(np.abs(ia_part @ cb.evaluate(kin_part, np.exp(u))))) <= cfg.tol
             for u in cb.equilibria._dedup_logs(logs))
-        exact = (summary.delta == 0
-                 or cb.equilibria._part_is_mass_action(system, part, kin_part))
+        exact = summary.delta == 0 or _old_part_is_mass_action(system, part, kin_part)
         statuses.append("ACB_certified" if balanced and exact else "Inconclusive")
     return cb.DecompositionEvidence(
         independent=verdict.independent,
@@ -662,3 +683,55 @@ def test_check_decomposition_returns_the_part_summaries(re1_net):
     verdict = cb.check_decomposition(re1_net, parts, cb.structural_invariants(re1_net))
     assert verdict.summaries == cb.decompose(re1_net, parts).summaries
     assert verdict == cb.check_decomposition(re1_net, parts)
+
+
+def test_hill_parts_are_solved():
+    # A <-> B and C <-> D on disjoint species, each of deficiency 0; Hill
+    # factors x/(1/2 + x) at rate 3/2 balance x = 1
+    net = cb.build_network(["A", "B", "C", "D"], [[1, 0, 0, 0], [0, 1, 0, 0],
+                                                  [0, 0, 1, 0], [0, 0, 0, 1]],
+                           [(0, 1), (1, 0), (2, 3), (3, 2)])
+    orders = np.eye(4).tolist()
+    dissoc = (0.5 * np.eye(4)).tolist()
+    system = cb.KineticSystem(net, cb.hill(orders, dissoc, ["3/2"] * 4))
+    cfg = cb.SolveConfig(seeds=16)
+    analysis = cb.analyze_acb(system, cfg)
+    assert analysis.decomposition.bi_independent
+    assert analysis.decomposition.parts_acb == ("ACB_certified",) * 2
+    verdict = cb.acb_verdict(analysis, cfg)
+    assert verdict.status == "ACB_certified"
+    rules = [c.rule for c in verdict.justification]
+    assert rules.index("deficiency-zero") < rules.index("acb-decomposition")
+
+
+def _zero_order_subspace():
+    """A <-> B with both kinetic order rows on A: the kinetic order subspace is {0}."""
+    net = cb.build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1), (1, 0)])
+    return cb.KineticSystem(net, cb.power_law([[1, 0], [1, 0]], [1, 1]))
+
+
+def test_zero_kinetic_order_subspace_is_a_flux_space(fast_cfg):
+    system = _zero_order_subspace()
+    t = cb.build_t_matrices(system.network, system.kinetics)
+    assert t.exact_s_tilde_basis == [] and t.s_tilde_basis.shape == (0, 2)
+    assert cb.linalg.orthonormal_columns(t.s_tilde_basis).shape == (2, 0)
+    analysis = cb.analyze_acb(system, fast_cfg)
+    assert analysis.clp.holds and analysis.plp.holds and analysis.bilp
+    verdict = cb.acb_verdict(analysis, fast_cfg)
+    assert verdict.status == "ACB_certified"
+    rules = [c.rule for c in verdict.justification]
+    assert "deficiency-zero" in rules and "bi-lp" in rules
+
+
+def test_zero_width_coset_counts_its_anchor_only(fast_cfg):
+    # the chart of a zero-width coset is its anchor alone
+    system = _zero_order_subspace()
+    counts = cb.coset_intersection_count(system, np.zeros((0, 2)), [0.5, 3.0], fast_cfg)
+    assert (counts.e_found, counts.z_found) == (1, 1)
+    net = system.network
+    ma = cb.KineticSystem(net, cb.mass_action_from(net, [1, 1]))
+    assert cb.coset_intersection_count(ma, np.zeros((0, 2)), [1.0, 1.0], fast_cfg).e_found == 1
+    res = cb.solve_equilibria(ma, "positive", cb.CosetConstraint(np.array([1.0, 2.0]),
+                                                                 np.zeros((0, 2))), fast_cfg)
+    assert len(res) == 0
+    assert set(res.diagnostics["stops"]) == {"step below 1e-15"}
