@@ -7,8 +7,8 @@ from .network import (
     Complex, CrnError, DuplicateComplexError, DuplicateReactionError,
     DuplicateSpeciesError, NegativeCoefficientError, Reaction, ReactionNetwork,
     SelfLoopReactionError, StructuralInvariants, UnusedComplexError,
-    UnusedSpeciesError, build_network, is_conservative, linkage_classes,
-    stoichiometric_basis, structural_invariants,
+    UnusedSpeciesError, build_network, is_conservative, linkage_class_parts,
+    linkage_classes, stoichiometric_basis, structural_invariants,
 )
 from .kinetics import (
     HillKinetics, InvalidKineticsError, Kinetics, KineticsClassification,
@@ -25,7 +25,7 @@ from .kinetic_matrices import (
 from .decomposition import (
     Decomposition, EmptySelectionError, IndependenceVerdict,
     NotAPartitionError, SubnetworkSummary, TooLargeError, check_decomposition,
-    decompose, linkage_class_parts, search_decompositions, subnetwork,
+    decompose, search_decompositions, subnetwork,
 )
 from .transform import (
     DimensionMismatchError, NonIntegerComplexError, PffCertificate,

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import report as rpt
-from .decomposition import check_decomposition, linkage_class_parts, search_decompositions
+from .decomposition import check_decomposition, search_decompositions
 from .equilibria import (KineticSystem, SolveConfig, acb_verdict, analyze_acb,
                          poly_pl_equilibrated_check, sample_coset_counts,
                          sample_positive_states, solve_equilibria,
@@ -24,7 +24,8 @@ from .fileformat import ParseError, parse_crn
 from .kinetic_matrices import build_t_matrices, kinetic_order_subspace, t_matrices_or_none
 from .kinetics import (HillKinetics, PolyPLKinetics, PowerLawKinetics,
                        RationalKinetics, classify, species_formation_rate)
-from .network import CrnError, is_conservative, stoichiometric_basis, structural_invariants
+from .network import (CrnError, is_conservative, linkage_class_parts, stoichiometric_basis,
+                      structural_invariants)
 from .transform import pff_check, star_msc
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import rational
 from .network import (CrnError, ReactionNetwork, StructuralInvariants,
-                      build_network, structural_invariants)
+                      build_network, linkage_classes, structural_invariants)
 
 
 class EmptySelectionError(CrnError):
@@ -101,8 +101,10 @@ def _summaries(net: ReactionNetwork, parts, known: dict) -> tuple[SubnetworkSumm
     """One summary per part; `known` maps the parts already summarized."""
     for part in parts:
         if part not in known:
-            inv = structural_invariants(subnetwork(net, part))
-            known[part] = SubnetworkSummary(part, inv.n, inv.l, inv.s, inv.delta)
+            sub = subnetwork(net, part)
+            n, l = sub.num_complexes, len(linkage_classes(sub))
+            s = rational.rank([list(row) for row in sub.n])
+            known[part] = SubnetworkSummary(part, n, l, s, n - l - s)
     return tuple(known[part] for part in parts)
 
 
@@ -142,11 +144,6 @@ def check_decomposition(net: ReactionNetwork, parts,
         relation=relation,
         summaries=deco.summaries,
     )
-
-
-def linkage_class_parts(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
-    """The linkage-class decomposition of the reaction set."""
-    return structural_invariants(net).linkage_partition
 
 
 def _separator_classes(net: ReactionNetwork, predicate: str) -> list[list[int]]:

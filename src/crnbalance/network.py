@@ -202,8 +202,8 @@ def build_network(species, complexes, reactions) -> ReactionNetwork:
         ia_rows[rx.reactant][qi] = Fraction(-1)
         ia_rows[rx.product][qi] = Fraction(1)
     ia = tuple(tuple(row) for row in ia_rows)
-    n_mat = tuple(tuple(row) for row in rational.matmul([list(rw) for rw in y],
-                                                        [list(rw) for rw in ia]))
+    # N = Y Ia: column q is Y[:, product] - Y[:, reactant].
+    n_mat = tuple(tuple(row[rx.product] - row[rx.reactant] for rx in rxns) for row in y)
     return ReactionNetwork(species, tuple(built), tuple(rxns), y, ia, n_mat)
 
 
@@ -289,6 +289,17 @@ def linkage_classes(net: ReactionNetwork) -> list[list[int]]:
     return _undirected_components(net.num_complexes, edges)
 
 
+def linkage_class_parts(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
+    """The linkage-class decomposition of the reaction set: reaction indices
+    per class, in the order of `linkage_classes`."""
+    comps = linkage_classes(net)
+    comp_of = {c: idx for idx, comp in enumerate(comps) for c in comp}
+    return tuple(
+        tuple(qi for qi, rx in enumerate(net.reactions) if comp_of[rx.reactant] == idx)
+        for idx in range(len(comps))
+    )
+
+
 def is_conservative(net: ReactionNetwork) -> tuple[bool, tuple[Fraction, ...] | None]:
     """Whether S-perp contains a strictly positive vector, with an exact witness.
 
@@ -307,16 +318,8 @@ def structural_invariants(net: ReactionNetwork) -> StructuralInvariants:
     m, n, r = net.num_species, net.num_complexes, net.num_reactions
     n_r = len(net.reactant_complexes)
 
-    comps = linkage_classes(net)
-    l = len(comps)
-    comp_of = {}
-    for idx, comp in enumerate(comps):
-        for c in comp:
-            comp_of[c] = idx
-    linkage_partition = tuple(
-        tuple(qi for qi, rx in enumerate(net.reactions) if comp_of[rx.reactant] == idx)
-        for idx in range(l)
-    )
+    linkage_partition = linkage_class_parts(net)
+    l = len(linkage_partition)
 
     succ: list[list[int]] = [[] for _ in range(n)]
     for rx in net.reactions:
@@ -334,10 +337,9 @@ def structural_invariants(net: ReactionNetwork) -> StructuralInvariants:
     terminal = tuple(tuple(sccs[i]) for i in range(sl) if not outgoing[i])
     t = len(terminal)
 
-    sccs_per_component = [0] * l
-    for comp in sccs:
-        sccs_per_component[comp_of[comp[0]]] += 1
-    weakly_reversible = all(c == 1 for c in sccs_per_component)
+    # every linkage class is strongly connected iff no reaction leaves its
+    # strong linkage class
+    weakly_reversible = not any(outgoing)
 
     s = rational.rank([list(row) for row in net.n])
     delta = n - l - s

@@ -5,11 +5,14 @@ Ranks, kernels and positivity feasibility here back integer-valued claims
 floating-point tolerance could flip a verdict. All routines therefore work
 on `fractions.Fraction` entries and refuse floats outright; callers that
 hold float data must decide for themselves how to rationalize it.
+Elimination and the simplex scale rows to integers and pivot fraction-free,
+so no gcd is normalized until the Fractions they return are formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -20,6 +23,8 @@ _ONE = Fraction(1)
 
 def frac(value) -> Fraction:
     """Coerce ints, Fractions, or strings like '3/2' to Fraction."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
     return Fraction(value)
@@ -45,37 +50,63 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
+def _scaled(row) -> tuple[int, list[int]]:
+    """The lcm of a row's denominators and the row times it, as integers."""
+    scale = lcm(*(v.denominator for v in row))
+    return scale, [v.numerator * (scale // v.denominator) for v in row]
+
+
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (on a copy) and the pivot column indices."""
-    m = [row[:] for row in mat]
+    """Reduced row echelon form (on a copy) and the pivot column indices.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on the rows scaled to
+    integers: every update pv*a - f*b is divided exactly by the previous
+    pivot, so each entry stays an integer minor and all pivot rows share the
+    last pivot d as their leading entry. Only the final entries become
+    Fractions, v/d. The reduced form is unique, so scaling rows changes
+    nothing in the result.
+    """
+    m = [_scaled(row)[1] for row in mat]
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(n_cols):
         pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
+        prow = m[r]
+        pv = prow[c]
         for i in range(n_rows):
-            if i != r and m[i][c] != 0:
+            if i != r:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], prow)]
+        prev = pv
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return m, pivots
+    return [[Fraction(v, prev) if v else _ZERO for v in row] for row in m], pivots
 
 
 def rank(mat) -> int:
-    """Exact rank over the rationals."""
-    m = matrix(mat)
-    if not m or not m[0]:
-        return 0
-    return len(rref(m)[1])
+    """Exact rank over the rationals: the forward pass of Bareiss elimination."""
+    rows = [_scaled(row)[1] for row in matrix(mat)]
+    found = 0
+    prev = 1
+    while rows and rows[0]:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            rows = [row[1:] for row in rows]
+            continue
+        pv, *tail = rows.pop(i)
+        rows = [[(pv * a - row[0] * b) // prev for a, b in zip(row[1:], tail)]
+                for row in rows]
+        prev = pv
+        found += 1
+    return found
 
 
 def nullspace(mat) -> list[Vector]:
@@ -148,56 +179,61 @@ def orthogonal_complement(vectors: list, dim: int) -> list[Vector]:
 def _phase1_feasible(a: Matrix, b: Vector) -> Vector | None:
     """Solve A u = b with u >= 0 via a phase-1 simplex (Bland's rule).
 
-    Returns one feasible u, or None. Exact arithmetic throughout; Bland's
-    pivoting rule guarantees termination.
+    Returns one feasible u, or None. Bland's pivoting rule guarantees
+    termination. The tableau is pivoted in integers (Edmonds): row i of
+    [A | b] is scaled by the lcm L_i of its denominators, and each update
+    pv*x - f*y is divided exactly by the previous pivot `det`, the
+    determinant of the current basis, so the exact tableau is T / det with
+    row i scaled by L_i while artificial i is basic. Row scaling leaves every
+    ratio and sign unchanged, and the reduced-cost row starts as
+    sum_i (L / L_i) T_i, L = lcm(L_i): L times the unscaled one. So the pivot
+    sequence and the solution are those of the simplex over Fractions. The
+    artificial columns are not stored: no pivot and no entry of u reads them.
     """
     n_rows = len(a)
     n_cols = len(a[0]) if n_rows else 0
     if n_rows == 0:
         return []
-    # Tableau [A | I | b] with b >= 0; artificial variable i is column n_cols+i.
-    tab: Matrix = []
-    for i in range(n_rows):
-        row = list(a[i])
-        rhs = b[i]
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        row.extend(_ONE if j == i else _ZERO for j in range(n_rows))
-        row.append(rhs)
-        tab.append(row)
+    # Tableau [A | b] with b >= 0; artificial variable i has basis label n_cols+i.
+    scales: list[int] = []
+    tab: list[list[int]] = []
+    for row_a, rhs in zip(a, b):
+        scale, row = _scaled(list(row_a) + [rhs])
+        scales.append(scale)
+        tab.append([-v for v in row] if rhs < 0 else row)
     basis = [n_cols + i for i in range(n_rows)]
-    total = n_cols + n_rows
-    # Reduced-cost row for min(sum of artificials): z_j = sum_i tab[i][j] while
-    # every basic variable is artificial; kept in sync under pivots below.
-    z = [sum(tab[i][j] for i in range(n_rows)) for j in range(total + 1)]
+    total = n_cols
+    common = lcm(*scales)
+    z = [sum((common // s) * row[j] for s, row in zip(scales, tab)) for j in range(total + 1)]
+    det = 1
     while True:
         enter = next((j for j in range(n_cols) if z[j] > 0), None)
         if enter is None:
             break
         ratios = [
-            (tab[i][total] / tab[i][enter], basis[i], i)
+            (Fraction(tab[i][total], tab[i][enter]), basis[i], i)
             for i in range(n_rows)
             if tab[i][enter] > 0
         ]
         if not ratios:
             return None  # unbounded phase-1 cannot happen, but stay safe
         _, _, leave = min(ratios)
-        pv = tab[leave][enter]
-        tab[leave] = [v / pv for v in tab[leave]]
+        prow = tab[leave]
+        pv = prow[enter]
         for i in range(n_rows):
-            if i != leave and tab[i][enter] != 0:
+            if i != leave:
                 f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+                tab[i] = [(pv * x - f * y) // det for x, y in zip(tab[i], prow)]
         f = z[enter]
-        z = [x - f * y for x, y in zip(z, tab[leave])]
+        z = [(pv * x - f * y) // det for x, y in zip(z, prow)]
+        det = pv
         basis[leave] = enter
     if z[total] != 0:
         return None
     u = [_ZERO] * n_cols
     for i, var in enumerate(basis):
         if var < n_cols:
-            u[var] = tab[i][total]
+            u[var] = Fraction(tab[i][total], det)
     return u
 
 

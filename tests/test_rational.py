@@ -1,6 +1,7 @@
 """Exact rational linear algebra: ranks, kernels, positivity feasibility."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +9,156 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crnbalance import rational
+from crnbalance.rational import Matrix, Vector
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+# The Fraction-based elimination and simplex that the integer-pivoting
+# versions in `rational` replaced, kept verbatim as the oracle they must match.
+
+
+def oracle_rref(mat: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form (on a copy) and the pivot column indices."""
+    m = [row[:] for row in mat]
+    n_rows = len(m)
+    n_cols = len(m[0]) if n_rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [v / pv for v in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
+
+
+def oracle_phase1_feasible(a: Matrix, b: Vector) -> Vector | None:
+    """Solve A u = b with u >= 0 via a phase-1 simplex (Bland's rule).
+
+    Returns one feasible u, or None. Exact arithmetic throughout; Bland's
+    pivoting rule guarantees termination.
+    """
+    n_rows = len(a)
+    n_cols = len(a[0]) if n_rows else 0
+    if n_rows == 0:
+        return []
+    # Tableau [A | I | b] with b >= 0; artificial variable i is column n_cols+i.
+    tab: Matrix = []
+    for i in range(n_rows):
+        row = list(a[i])
+        rhs = b[i]
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+        row.extend(_ONE if j == i else _ZERO for j in range(n_rows))
+        row.append(rhs)
+        tab.append(row)
+    basis = [n_cols + i for i in range(n_rows)]
+    total = n_cols + n_rows
+    # Reduced-cost row for min(sum of artificials): z_j = sum_i tab[i][j] while
+    # every basic variable is artificial; kept in sync under pivots below.
+    z = [sum(tab[i][j] for i in range(n_rows)) for j in range(total + 1)]
+    while True:
+        enter = next((j for j in range(n_cols) if z[j] > 0), None)
+        if enter is None:
+            break
+        ratios = [
+            (tab[i][total] / tab[i][enter], basis[i], i)
+            for i in range(n_rows)
+            if tab[i][enter] > 0
+        ]
+        if not ratios:
+            return None  # unbounded phase-1 cannot happen, but stay safe
+        _, _, leave = min(ratios)
+        pv = tab[leave][enter]
+        tab[leave] = [v / pv for v in tab[leave]]
+        for i in range(n_rows):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        f = z[enter]
+        z = [x - f * y for x, y in zip(z, tab[leave])]
+        basis[leave] = enter
+    if z[total] != 0:
+        return None
+    u = [_ZERO] * n_cols
+    for i, var in enumerate(basis):
+        if var < n_cols:
+            u[var] = tab[i][total]
+    return u
+
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda rows: st.integers(1, 4).flatmap(
         lambda cols: st.lists(
             st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
             min_size=rows, max_size=rows)))
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def rational_matrices(draw):
+    """p/q matrices up to 6 x 6, single rows and columns included, some of them
+    zero, some with a row that combines the others, some with a positive
+    kernel vector (so the simplex ends feasible and returns a witness)."""
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), _fractions)
+    mat = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                        min_size=n_rows, max_size=n_rows))
+    kind = draw(st.sampled_from(["plain", "zero", "dependent", "kernel"]))
+    if kind == "zero":
+        return [[Fraction(0)] * n_cols for _ in range(n_rows)]
+    if kind == "dependent":
+        weights = draw(st.lists(_fractions, min_size=n_rows, max_size=n_rows))
+        combo = [sum(w * row[j] for w, row in zip(weights, mat)) for j in range(n_cols)]
+        mat.insert(draw(st.integers(0, n_rows)), combo)
+    if kind == "kernel":
+        z = draw(st.lists(st.integers(1, 5).map(Fraction), min_size=n_cols, max_size=n_cols))
+        for row in mat:
+            row[-1] = -sum(a * b for a, b in zip(row[:-1], z[:-1])) / z[-1]
+    return mat
+
+
+@given(rational_matrices())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_rref_matches_fraction_oracle(mat):
+    red, pivots = rational.rref(mat)
+    assert (red, pivots) == oracle_rref(mat)
+    assert all(type(v) is Fraction for row in red for v in row)
+
+
+@given(rational_matrices())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_rank_nullspace_row_basis_match_fraction_oracle(mat):
+    rank, nullspace, row_basis = (rational.rank(mat), rational.nullspace(mat),
+                                  rational.row_basis(mat))
+    with mock.patch.object(rational, "rref", oracle_rref):
+        assert rank == len(oracle_rref(mat)[1])
+        assert nullspace == rational.nullspace(mat)
+        assert row_basis == rational.row_basis(mat)
+
+
+@given(rational_matrices(), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_simplex_gives_the_fraction_oracle_witness(mat, data):
+    z = rational.positive_kernel_vector(mat)
+    with mock.patch.object(rational, "_phase1_feasible", oracle_phase1_feasible):
+        assert z == rational.positive_kernel_vector(mat)
+    b = data.draw(st.lists(_fractions, min_size=len(mat), max_size=len(mat)))
+    assert rational._phase1_feasible(mat, b) == oracle_phase1_feasible(mat, b)
 
 
 def test_rank_examples():
@@ -24,6 +169,8 @@ def test_rank_examples():
     assert rational.rank([[0, 0], [0, 0]]) == 0
     that = [[0, -1, 0, 0], [-1, -1, -2, 0], [1, 1, 0, -2], [1, 1, 1, 1]]
     assert rational.rank(that) == 4
+    assert rational.rank([]) == rational.rank([[]]) == 0
+    assert rational.rref([]) == oracle_rref([]) == ([], [])
 
 
 def test_frac_rejects_floats():
