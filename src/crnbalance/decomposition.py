@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import rational
 from .network import (CrnError, ReactionNetwork, StructuralInvariants,
-                      build_network, linkage_classes, structural_invariants)
+                      build_network, structural_invariants)
 
 
 class EmptySelectionError(CrnError):
@@ -101,10 +101,8 @@ def _summaries(net: ReactionNetwork, parts, known: dict) -> tuple[SubnetworkSumm
     """One summary per part; `known` maps the parts already summarized."""
     for part in parts:
         if part not in known:
-            sub = subnetwork(net, part)
-            n, l = sub.num_complexes, len(linkage_classes(sub))
-            s = rational.rank([list(row) for row in sub.n])
-            known[part] = SubnetworkSummary(part, n, l, s, n - l - s)
+            inv = structural_invariants(subnetwork(net, part))
+            known[part] = SubnetworkSummary(part, inv.n, inv.l, inv.s, inv.delta)
     return tuple(known[part] for part in parts)
 
 
