@@ -46,16 +46,16 @@ def main():
     print(f"max SFRF deviation over 20 random states: {deviation:.2e} "
           "(dynamically equivalent)")
 
-    verdict = cb.check_decomposition(star.network,
-                                     cb.linkage_class_parts(star.network))
+    star_system = cb.KineticSystem(star.network, star.kinetics)
+    verdict = star_system.linkage_verdict
     print(f"replica decomposition: incidence independent = "
           f"{verdict.incidence_independent}, bi-independent = "
           f"{verdict.bi_independent} (deficiency {verdict.deficiency} vs "
           f"part sum {verdict.deficiency_sum})")
 
     cfg = cb.SolveConfig()
-    evidence = cb.star_msc_acb_evidence(star, net, kin, cfg)
-    analysis = cb.analyze_acb(cb.KineticSystem(star.network, star.kinetics), cfg)
+    evidence = cb.star_msc_acb_evidence(star_system, cb.KineticSystem(net, kin), cfg)
+    analysis = cb.analyze_acb(star_system, cfg)
     analysis.decomposition = evidence
     acb = cb.acb_verdict(analysis, cfg)
     print(f"\ntransform verdict: {acb.status}")

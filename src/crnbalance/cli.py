@@ -15,17 +15,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import report as rpt
-from .decomposition import check_decomposition, search_decompositions
+from .decomposition import search_decompositions
 from .equilibria import (KineticSystem, SolveConfig, acb_verdict, analyze_acb,
                          poly_pl_equilibrated_check, sample_coset_counts,
                          sample_positive_states, solve_equilibria,
                          star_msc_acb_evidence)
 from .fileformat import ParseError, parse_crn
-from .kinetic_matrices import build_t_matrices, kinetic_order_subspace, t_matrices_or_none
+from .kinetic_matrices import build_t_matrices, kinetic_order_subspace
 from .kinetics import (HillKinetics, PolyPLKinetics, PowerLawKinetics,
-                       RationalKinetics, classify, species_formation_rate)
-from .network import (CrnError, is_conservative, linkage_class_parts, stoichiometric_basis,
-                      structural_invariants)
+                       RationalKinetics, species_formation_rate)
+from .network import CrnError, is_conservative, stoichiometric_basis
 from .transform import pff_check, star_msc
 
 
@@ -50,14 +49,15 @@ def _config(args) -> SolveConfig:
     return SolveConfig(seeds=args.seeds, rng_seed=args.rng, tol=args.tol)
 
 
-def _resolve_flux_basis(value, net, tmat) -> np.ndarray:
+def _resolve_flux_basis(value, system: KineticSystem) -> np.ndarray:
     """Basis rows of --flux-space S | Stilde | <file with one basis row per line>."""
+    net = system.network
     if value == "S":
         return np.array(stoichiometric_basis(net), dtype=float)
     if value == "Stilde":
-        if tmat is None:
+        if system.t_matrices is None:
             raise CrnError("Stilde flux space needs reactant-determined power-law kinetics")
-        return tmat.s_tilde_basis
+        return system.t_matrices.s_tilde_basis
     rows = []
     with open(value, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -98,10 +98,9 @@ def _emit(args, out, report: dict, text_lines: list[str]) -> None:
 def _cmd_analyze(args, out):
     net, kin = _load(args.file)
     cfg = _config(args)
-    inv = structural_invariants(net)
+    system = KineticSystem(net, kin)
+    inv, tmat, cls = system.invariants, system.t_matrices, system.classification
     conservative, witness = is_conservative(net)
-    tmat = t_matrices_or_none(net, kin)
-    cls = classify(kin, net, tmat)
     report = rpt.base_report("analyze", cfg)
     report["network"] = rpt.network_json(net)
     report["structural"] = rpt.structural_json(inv, witness)
@@ -131,8 +130,7 @@ def _cmd_analyze(args, out):
 def _cmd_kinetics(args, out):
     net, kin = _load(args.file)
     cfg = _config(args)
-    tmat = t_matrices_or_none(net, kin)
-    cls = classify(kin, net, tmat)
+    cls = KineticSystem(net, kin).classification
     report = rpt.base_report("kinetics", cfg)
     report["kinetics"] = rpt.classification_json(cls, _family(kin))
     lines = [f"{k} = {v}" for k, v in report["kinetics"].items() if v is not None]
@@ -171,8 +169,8 @@ def _cmd_tmatrix(args, out):
 def _cmd_decompose(args, out):
     net, kin = _load(args.file)
     cfg = _config(args)
-    parts = linkage_class_parts(net)
-    verdict = check_decomposition(net, parts)
+    system = KineticSystem(net, kin)
+    parts, verdict = system.invariants.linkage_partition, system.linkage_verdict
     report = rpt.base_report("decompose", cfg)
     report["linkage_decomposition"] = {
         "parts": [list(p) for p in parts],
@@ -216,10 +214,9 @@ def _cmd_starmsc(args, out):
         f1 = species_formation_rate(star.network, star.kinetics, x)
         deviation = max(deviation, float(np.max(np.abs(f0 - f1))
                                          / max(1.0, np.max(np.abs(f0)))))
-    parts = linkage_class_parts(star.network)
-    verdict = check_decomposition(star.network, parts)
-    evidence = star_msc_acb_evidence(star, net, kin, cfg)
     star_system = KineticSystem(star.network, star.kinetics)
+    verdict = star_system.linkage_verdict
+    evidence = star_msc_acb_evidence(star_system, KineticSystem(net, kin), cfg)
     analysis = analyze_acb(star_system, cfg)
     analysis.decomposition = evidence if evidence is not None else analysis.decomposition
     acb = acb_verdict(analysis, cfg)
@@ -283,14 +280,12 @@ def _cmd_equilibria(args, out):
         lines.append("  Z: (" + ", ".join(rpt.sig12(v) for v in p.x)
                      + f")  cfrf {p.cfrf_residual:.2e}")
     if args.flux_space is not None and (e.points or z.points):
-        tmat = t_matrices_or_none(net, kin)
-        basis = _resolve_flux_basis(args.flux_space, net, tmat)
+        basis = _resolve_flux_basis(args.flux_space, system)
         ref = (z.points[0].x if z.points else e.points[0].x)
         samples = sample_coset_counts(system, basis, ref, cfg)
-        inv = structural_invariants(net)
-        cls = classify(kin, net, tmat)
+        inv = system.invariants
         e_exact = bool(args.assume_concordant and inv.conservative
-                       and inv.weakly_reversible and cls.pl_nik)
+                       and inv.weakly_reversible and system.classification.pl_nik)
         report["coset_counts"] = rpt.coset_counts_json(samples, e_exact)
         lines.append(f"coset intersection counts over {len(samples)} sampled classes "
                      f"(E side exact: {e_exact}):")
@@ -307,7 +302,7 @@ def _cmd_acb(args, out):
     system = KineticSystem(net, kin)
     flux = None
     if args.flux_space is not None:
-        flux = _resolve_flux_basis(args.flux_space, net, t_matrices_or_none(net, kin))
+        flux = _resolve_flux_basis(args.flux_space, system)
     analysis = analyze_acb(system, cfg, flux_spec_basis=flux)
     verdict = acb_verdict(analysis, cfg)
     report = rpt.base_report("acb", cfg)

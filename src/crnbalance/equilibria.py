@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import linalg, rational
-from .decomposition import check_decomposition
+from .decomposition import IndependenceVerdict, check_decomposition
 from .kinetics import (Kinetics, KineticsClassification, PolyPLKinetics,
                        PowerLawKinetics, _is_mass_action, classify, evaluate,
                        log_jacobian, normalize_poly_pl)
@@ -70,10 +71,36 @@ def _residual(pairs, x) -> float:
     return max(float(np.max(np.abs(a @ evaluate(kin, x)))) for a, kin in pairs)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class KineticSystem:
+    """A network with its kinetics, and the exact facts of the pair.
+
+    Each fact is computed on first use and kept for the life of the system:
+    the network's structural `invariants`, the `t_matrices` (None unless the
+    kinetics is reactant-determined power law), the kinetics
+    `classification`, and the `linkage_verdict` of the linkage-class
+    decomposition. The pair is frozen, so the facts cannot go stale.
+    """
+
     network: ReactionNetwork
     kinetics: Kinetics
+
+    @cached_property
+    def invariants(self) -> StructuralInvariants:
+        return structural_invariants(self.network)
+
+    @cached_property
+    def t_matrices(self) -> TMatrices | None:
+        return t_matrices_or_none(self.network, self.kinetics)
+
+    @cached_property
+    def classification(self) -> KineticsClassification:
+        return classify(self.kinetics, self.network, self.t_matrices)
+
+    @cached_property
+    def linkage_verdict(self) -> IndependenceVerdict:
+        inv = self.invariants
+        return check_decomposition(self.network, inv.linkage_partition, inv)
 
     def sfrf_residual(self, x) -> float:
         return _residual([(self.network.n_array(), self.kinetics)], x)
@@ -505,11 +532,8 @@ class KseReport:
     span_exceeds_incidence_kernel: bool
 
 
-def kse_check(net: ReactionNetwork, kin: Kinetics,
-              found_equilibria: list[EquilibriumPoint],
-              config: SolveConfig | None = None, *,
-              inv: StructuralInvariants | None = None,
-              cls: KineticsClassification | None = None) -> KseReport:
+def kse_check(system: KineticSystem, found_equilibria: list[EquilibriumPoint],
+              config: SolveConfig | None = None) -> KseReport:
     """Sampled dimension of the span of kinetic images over positive equilibria.
 
     Columns are K(x) at the found equilibria plus re-solves from log-space
@@ -517,14 +541,12 @@ def kse_check(net: ReactionNetwork, kin: Kinetics,
     certified lower bound for dim span K(E+). The kinetics is kernel
     spanning when that dimension reaches r - s = dim ker N; exceeding
     dim ker Ia = r - n + l already rules absolute complex balancing out on
-    positive-deficiency networks. `inv` and `cls` are the structural
-    invariants of `net` and the classification of `kin`, if already known.
+    positive-deficiency networks.
     """
     cfg = config or SolveConfig()
     if not found_equilibria:
         raise NoEquilibriaError("no equilibria to sample the kinetic image on")
-    if inv is None:
-        inv = structural_invariants(net)
+    net, kin, inv = system.network, system.kinetics, system.invariants
     rng = np.random.default_rng(cfg.rng_seed + 3)
     logs = [np.log(p.x) for p in found_equilibria]
     seeds = [base + rng.uniform(-0.8, 0.8, base.size) for base in logs[:8] for _ in range(3)]
@@ -532,9 +554,7 @@ def kse_check(net: ReactionNetwork, kin: Kinetics,
     logs = _dedup_logs(logs + solved)
     columns = np.array([evaluate(kin, np.exp(u)) for u in logs]).T
     dim = linalg.numeric_rank(columns)
-    if cls is None:
-        cls = classify(kin, net)
-    por = bool(cls.por) if cls.por is not None else False
+    por = bool(system.classification.por)
     kernel_dim = inv.r - inv.n + inv.l
     return KseReport(
         r_minus_s=inv.r - inv.s,
@@ -764,17 +784,14 @@ def acb_verdict(analysis: AcbAnalysis, config: SolveConfig | None = None) -> Acb
 
 # --- orchestration ---------------------------------------------------------
 
-def certify_complex_balancing(system: KineticSystem,
-                              inv: StructuralInvariants,
-                              t_matrices: TMatrices | None,
-                              z_points: list[EquilibriumPoint]):
+def certify_complex_balancing(system: KineticSystem, z_points: list[EquilibriumPoint]):
     """Complex balancing status plus the citations that established it."""
     if z_points:
         return True, (CB_BY_SOLVER,)
-    if not inv.weakly_reversible:
+    if not system.invariants.weakly_reversible:
         # A complex balanced system is necessarily weakly reversible.
         return False, ()
-    if t_matrices is not None and is_pl_tik(t_matrices):
+    if system.t_matrices is not None and is_pl_tik(system.t_matrices):
         return True, (CB_BY_MAX_RANK,)
     return None, ()
 
@@ -782,9 +799,7 @@ def certify_complex_balancing(system: KineticSystem,
 def linkage_decomposition_evidence(system: KineticSystem,
                                    config: SolveConfig | None = None,
                                    intersection_certified: bool | None = None,
-                                   note: str = "", *,
-                                   inv: StructuralInvariants | None = None
-                                   ) -> DecompositionEvidence | None:
+                                   note: str = "") -> DecompositionEvidence | None:
     """Per-part ACB certificates for the linkage-class decomposition.
 
     Parts are certified only through the zero-deficiency and mass-action
@@ -799,17 +814,14 @@ def linkage_decomposition_evidence(system: KineticSystem,
     rule out (neither bi-independent nor incidence independent with
     certified intersections), no part is solved: `parts_acb` is empty and
     `note` gives the reason. A part that is neither of zero deficiency nor
-    mass action is "Inconclusive" without a solve. `inv` is the structural
-    invariants of the system's network, if already known.
+    mass action is "Inconclusive" without a solve.
     """
     cfg = config or SolveConfig()
     net = system.network
-    if inv is None:
-        inv = structural_invariants(net)
-    parts = inv.linkage_partition
+    parts = system.invariants.linkage_partition
     if len(parts) < 2:
         return None
-    verdict = check_decomposition(net, parts, inv)
+    verdict = system.linkage_verdict
     certified = (verdict.bi_independent if intersection_certified is None
                  else intersection_certified)
     note = note or "linkage-class decomposition"
@@ -844,10 +856,10 @@ def linkage_decomposition_evidence(system: KineticSystem,
     )
 
 
-def star_msc_acb_evidence(star, source_net: ReactionNetwork,
-                          source_kin: PolyPLKinetics,
+def star_msc_acb_evidence(star_system: KineticSystem, source_system: KineticSystem,
                           config: SolveConfig | None = None) -> DecompositionEvidence | None:
-    """Evidence that a replica transform is ACB via its linkage classes.
+    """Evidence that `star_system`, the replica transform of the poly-PL
+    `source_system`, is ACB via its linkage classes.
 
     Requires the source system to be weakly reversible with zero deficiency,
     complex balanced, and termwise complex balanced (its complex balanced
@@ -856,28 +868,23 @@ def star_msc_acb_evidence(star, source_net: ReactionNetwork,
     transform's equilibria sets equal the part intersections.
     """
     cfg = config or SolveConfig()
-    src_inv = structural_invariants(source_net)
+    src_inv = source_system.invariants
     if not src_inv.weakly_reversible or src_inv.delta != 0:
         return None
-    balance = poly_pl_equilibrated_check(source_net, source_kin, cfg)
+    balance = poly_pl_equilibrated_check(source_system.network, source_system.kinetics, cfg)
     if balance.n_full_z == 0 or balance.pl_complex_balanced is not True:
         return None
-    evidence = linkage_decomposition_evidence(
-        KineticSystem(star.network, star.kinetics), cfg,
-        intersection_certified=True,
+    return linkage_decomposition_evidence(
+        star_system, cfg, intersection_certified=True,
         note=("replica linkage classes of a termwise complex balanced, "
               "weakly reversible, zero-deficiency source"))
-    return evidence
 
 
-def default_flux_spec(system: KineticSystem,
-                      reference: np.ndarray,
-                      t_matrices: TMatrices | None,
-                      cls: KineticsClassification) -> LPSetSpec:
+def default_flux_spec(system: KineticSystem, reference: np.ndarray) -> LPSetSpec:
     """Flux space for LP checks: the kinetic order subspace for
     reactant-determined power-law kinetics, the stoichiometric subspace
-    otherwise. `cls` is the classification of the system's kinetics."""
-    net = system.network
+    otherwise."""
+    net, cls, t_matrices = system.network, system.classification, system.t_matrices
     if (isinstance(system.kinetics, PowerLawKinetics) and cls.pl_rdk
             and not cls.mass_action and t_matrices is not None
             and t_matrices.exact_s_tilde_basis is not None):
@@ -892,20 +899,16 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
                 flux_spec_basis=None) -> AcbAnalysis:
     """Run the whole evidence pipeline for one system.
 
-    Collects structural invariants, classification, order matrices where
-    defined, equilibria of both kinds, LP/bi-LP reports against the default
-    (or supplied) flux space, the kinetic-image span report, and linkage
-    decomposition evidence; the result feeds `acb_verdict`.
+    Reads the system's exact facts (structural invariants, classification,
+    order matrices where defined) and collects equilibria of both kinds,
+    LP/bi-LP reports against the default (or supplied) flux space, the
+    kinetic-image span report, and linkage decomposition evidence; the
+    result feeds `acb_verdict`.
     """
     cfg = config or SolveConfig()
-    net = system.network
-    inv = structural_invariants(net)
-    t_matrices = t_matrices_or_none(net, system.kinetics)
-    cls = classify(system.kinetics, net, t_matrices)
-
     e_res = solve_equilibria(system, "positive", config=cfg)
     z_res = solve_equilibria(system, "complex_balanced", config=cfg)
-    cb, cb_cites = certify_complex_balancing(system, inv, t_matrices, z_res.points)
+    cb, cb_cites = certify_complex_balancing(system, z_res.points)
 
     clp = plp = None
     bilp = None
@@ -914,7 +917,7 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
         if flux_spec_basis is not None:
             spec_z = LPSetSpec(np.atleast_2d(np.asarray(flux_spec_basis, dtype=float)), ref)
         else:
-            spec_z = default_flux_spec(system, ref, t_matrices, cls)
+            spec_z = default_flux_spec(system, ref)
         try:
             clp = check_lp_property(system, "Z", spec_z, config=cfg, points=z_res.points)
         except ReferenceNotEquilibriumError:
@@ -930,16 +933,17 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
 
     kse = None
     if e_res.points:
-        kse = kse_check(net, system.kinetics, e_res.points, cfg, inv=inv, cls=cls)
+        kse = kse_check(system, e_res.points, cfg)
 
-    deco = linkage_decomposition_evidence(system, cfg, inv=inv)
+    deco = linkage_decomposition_evidence(system, cfg)
 
     return AcbAnalysis(
-        system=system, structural=inv, classification=cls,
+        system=system, structural=system.invariants,
+        classification=system.classification,
         complex_balanced=cb, cb_citations=cb_cites,
         e_points=e_res.points, z_points=z_res.points,
         e_diagnostics=e_res.diagnostics,
-        t_matrices=t_matrices, clp=clp, plp=plp, bilp=bilp,
+        t_matrices=system.t_matrices, clp=clp, plp=plp, bilp=bilp,
         kse=kse, decomposition=deco,
     )
 

@@ -63,7 +63,7 @@ def test_criterion_2_counterexample_order_matrices(counterexample):
     t = cb.build_t_matrices(net, kin)
     cls = cb.classify(kin, net, t)
     cb_status, citations = cb.equilibria.certify_complex_balancing(
-        cb.KineticSystem(net, kin), inv, t, [])
+        cb.KineticSystem(net, kin), [])
     checks = [
         ("T-hat printed", np.array_equal(t.that, np.array(THAT_PRINTED, float))),
         ("q-hat=4", t.q_hat == 4),

@@ -123,6 +123,37 @@ def test_starmsc_json():
     assert report["verdicts"]["acb"]["status"] == "ACB_certified"
 
 
+def _count_calls(monkeypatch, module, name):
+    """Record the calls to `module.name` made through any crnbalance reference."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if mod is not None and (key == "crnbalance" or key.startswith("crnbalance.")):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_starmsc_checks_the_replica_decomposition_once(monkeypatch):
+    calls = _count_calls(monkeypatch, crnbalance.decomposition, "check_decomposition")
+    code, _, err = run(["starmsc", data_path("mm_polypl.crn")])
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_acb_with_stilde_builds_the_t_matrices_once(monkeypatch):
+    calls = _count_calls(monkeypatch, crnbalance.kinetic_matrices, "build_t_matrices")
+    code, _, err = run(["acb", data_path("counterexample.crn"), "--flux-space", "Stilde"])
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 def test_equilibria_json_with_flux_space():
     report, _ = run_json(["equilibria", data_path("re1_massaction.crn"),
                           "--seeds", "16", "--flux-space", "S"])

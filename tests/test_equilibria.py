@@ -218,10 +218,8 @@ def test_toy_pl_tik_bilp(toy_pl_tik):
 
 def test_rkdzt_certificate_without_points(toy_pl_tik):
     net, kin = toy_pl_tik
-    inv = cb.structural_invariants(net)
-    t = cb.build_t_matrices(net, kin)
     status, citations = cb.equilibria.certify_complex_balancing(
-        cb.KineticSystem(net, kin), inv, t, [])
+        cb.KineticSystem(net, kin), [])
     assert status is True
     assert citations[0].rule == "maximal-rank-complex-balancing"
 
@@ -238,7 +236,7 @@ def test_cb_impossible_without_weak_reversibility(fast_cfg):
 def test_kse_counterexample(ce_solutions, counterexample):
     net, kin = counterexample
     cfg, e, _ = ce_solutions
-    rep = cb.kse_check(net, kin, e.points, cfg)
+    rep = cb.kse_check(cb.KineticSystem(net, kin), e.points, cfg)
     assert rep.r_minus_s == 4
     assert rep.por is True
     assert rep.incidence_kernel_dim == 2
@@ -254,7 +252,7 @@ def test_kse_reversible_pair(fast_cfg):
     kin = cb.mass_action_from(net, [1, 2])
     system = cb.KineticSystem(net, kin)
     e = cb.solve_equilibria(system, "positive", config=fast_cfg)
-    rep = cb.kse_check(net, kin, e.points, fast_cfg)
+    rep = cb.kse_check(system, e.points, fast_cfg)
     assert rep.r_minus_s == 1
     assert rep.sampled_span_dim == 1
     assert rep.kse is True
@@ -264,7 +262,7 @@ def test_kse_no_equilibria_raises(fast_cfg):
     net = cb.build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1)])
     kin = cb.mass_action_from(net, [1])
     with pytest.raises(cb.NoEquilibriaError):
-        cb.kse_check(net, kin, [], fast_cfg)
+        cb.kse_check(cb.KineticSystem(net, kin), [], fast_cfg)
 
 
 def test_poly_pl_balance_single_term(fast_cfg):
@@ -328,11 +326,11 @@ def test_acb_star_replica_rule(mm_polypl):
     net, kin = mm_polypl
     cfg = cb.SolveConfig(seeds=24)
     star = cb.star_msc(net, kin)
-    evidence = cb.star_msc_acb_evidence(star, net, kin, cfg)
+    system = cb.KineticSystem(star.network, star.kinetics)
+    evidence = cb.star_msc_acb_evidence(system, cb.KineticSystem(net, kin), cfg)
     assert evidence is not None
     assert evidence.incidence_independent and not evidence.bi_independent
     assert all(s == "ACB_certified" for s in evidence.parts_acb)
-    system = cb.KineticSystem(star.network, star.kinetics)
     analysis = cb.analyze_acb(system, cfg)
     analysis.decomposition = evidence
     verdict = cb.acb_verdict(analysis, cfg)
@@ -629,6 +627,14 @@ def test_gated_decomposition_evidence_matches_ungated_on_replicas(mm_polypl):
     assert all(s == "ACB_certified" for s in gated.parts_acb)
 
 
+def test_kinetic_system_is_frozen_and_keeps_its_facts(re1_massaction):
+    system = cb.KineticSystem(*re1_massaction)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.kinetics = re1_massaction[1]
+    assert system.invariants is system.invariants
+    assert system.linkage_verdict is system.linkage_verdict
+
+
 def test_analyze_acb_computes_invariants_and_classification_once(monkeypatch, ce_system):
     counts = {"structural_invariants": 0, "classify": 0}
     for name in counts:
@@ -639,7 +645,9 @@ def test_analyze_acb_computes_invariants_and_classification_once(monkeypatch, ce
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(cb.equilibria, name, counted)
-    analysis = cb.analyze_acb(ce_system, cb.SolveConfig(seeds=16))
+    # a fresh system: the shared fixture may already hold its facts
+    system = cb.KineticSystem(ce_system.network, ce_system.kinetics)
+    analysis = cb.analyze_acb(system, cb.SolveConfig(seeds=16))
     assert analysis.kse is not None
     assert counts == {"structural_invariants": 1, "classify": 1}
 
