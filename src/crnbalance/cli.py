@@ -24,7 +24,7 @@ from .fileformat import ParseError, parse_crn
 from .kinetic_matrices import build_t_matrices, kinetic_order_subspace
 from .kinetics import (HillKinetics, PolyPLKinetics, PowerLawKinetics,
                        RationalKinetics, species_formation_rate)
-from .network import CrnError, is_conservative, stoichiometric_basis
+from .network import CrnError, stoichiometric_basis
 from .transform import pff_check, star_msc
 
 
@@ -100,7 +100,7 @@ def _cmd_analyze(args, out):
     cfg = _config(args)
     system = KineticSystem(net, kin)
     inv, tmat, cls = system.invariants, system.t_matrices, system.classification
-    conservative, witness = is_conservative(net)
+    witness = inv.conservation_witness
     report = rpt.base_report("analyze", cfg)
     report["network"] = rpt.network_json(net)
     report["structural"] = rpt.structural_json(inv, witness)
@@ -113,7 +113,7 @@ def _cmd_analyze(args, out):
         f"rank S = {inv.s} (exact), deficiency = {inv.delta}",
         f"weakly reversible: {inv.weakly_reversible}, t-minimal: {inv.t_minimal}, "
         f"cycle terminal: {inv.cycle_terminal}",
-        f"conservative: {conservative}"
+        f"conservative: {inv.conservative}"
         + (f" (witness {[str(w) for w in witness]})" if witness else ""),
         f"kinetics family: {_family(kin)}, classification: "
         + ", ".join(f"{k}={v}" for k, v in rpt.classification_json(cls, _family(kin)).items()
@@ -305,11 +305,12 @@ def _cmd_acb(args, out):
         flux = _resolve_flux_basis(args.flux_space, system)
     analysis = analyze_acb(system, cfg, flux_spec_basis=flux)
     verdict = acb_verdict(analysis, cfg)
+    inv = system.invariants
     report = rpt.base_report("acb", cfg)
-    report["structural"] = rpt.structural_json(analysis.structural)
-    report["kinetics"] = rpt.classification_json(analysis.classification, _family(kin))
-    if analysis.t_matrices is not None:
-        report["t_matrices"] = rpt.tmatrices_json(analysis.t_matrices)
+    report["structural"] = rpt.structural_json(inv)
+    report["kinetics"] = rpt.classification_json(system.classification, _family(kin))
+    if system.t_matrices is not None:
+        report["t_matrices"] = rpt.tmatrices_json(system.t_matrices)
     report["equilibria"] = {
         "positive": [rpt.point_json(p) for p in analysis.e_points],
         "complex_balanced": [rpt.point_json(p) for p in analysis.z_points],
@@ -326,8 +327,7 @@ def _cmd_acb(args, out):
             poly_pl_equilibrated_check(net, kin, cfg))
     report["assumptions"] = {"concordant": bool(args.assume_concordant)}
     lines = [
-        f"deficiency {analysis.structural.delta}, weakly reversible: "
-        f"{analysis.structural.weakly_reversible}",
+        f"deficiency {inv.delta}, weakly reversible: {inv.weakly_reversible}",
         f"complex balanced: {analysis.complex_balanced or bool(analysis.z_points)} "
         f"({len(analysis.z_points)} point(s) found)",
         f"positive equilibria found: {len(analysis.e_points)}",

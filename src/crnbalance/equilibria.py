@@ -537,8 +537,8 @@ def kse_check(system: KineticSystem, found_equilibria: list[EquilibriumPoint],
     """Sampled dimension of the span of kinetic images over positive equilibria.
 
     Columns are K(x) at the found equilibria plus re-solves from log-space
-    perturbations of them; the numeric rank (relative threshold 1e-9) is a
-    certified lower bound for dim span K(E+). The kinetics is kernel
+    perturbations of them, each scaled to unit norm; their numeric rank
+    (relative threshold 1e-9) is a certified lower bound for dim span K(E+). The kinetics is kernel
     spanning when that dimension reaches r - s = dim ker N; exceeding
     dim ker Ia = r - n + l already rules absolute complex balancing out on
     positive-deficiency networks.
@@ -553,7 +553,9 @@ def kse_check(system: KineticSystem, found_equilibria: list[EquilibriumPoint],
     solved, _ = _multistart([(net.n_array(), kin)], _Chart.log(net.num_species), seeds, cfg)
     logs = _dedup_logs(logs + solved)
     columns = np.array([evaluate(kin, np.exp(u)) for u in logs]).T
-    dim = linalg.numeric_rank(columns)
+    # unit-norm columns: the rank must not depend on the scale of each state
+    norms = np.linalg.norm(columns, axis=0)
+    dim = linalg.numeric_rank(columns / np.where(norms > 0, norms, 1.0))
     por = bool(system.classification.por)
     kernel_dim = inv.r - inv.n + inv.l
     return KseReport(
@@ -691,9 +693,6 @@ class AcbVerdict:
 
 @dataclass(frozen=True)
 class DecompositionEvidence:
-    independent: bool
-    incidence_independent: bool
-    bi_independent: bool
     parts_acb: tuple[str, ...]           # per-part verdict status strings
     intersection_certified: bool         # E+/Z+ of the whole equal the part intersections
     note: str
@@ -701,15 +700,14 @@ class DecompositionEvidence:
 
 @dataclass(eq=False)
 class AcbAnalysis:
+    """Evidence on `system` for `acb_verdict`; exact facts stay on `system`."""
+
     system: KineticSystem
-    structural: StructuralInvariants
-    classification: KineticsClassification
     complex_balanced: bool | None
     cb_citations: tuple[Citation, ...]
     e_points: list[EquilibriumPoint]
     z_points: list[EquilibriumPoint]
     e_diagnostics: dict = field(default_factory=dict)
-    t_matrices: TMatrices | None = None
     clp: LpPropertyReport | None = None
     plp: LpPropertyReport | None = None
     bilp: bool | None = None
@@ -717,69 +715,62 @@ class AcbAnalysis:
     decomposition: DecompositionEvidence | None = None
 
 
-def acb_verdict(analysis: AcbAnalysis, config: SolveConfig | None = None) -> AcbVerdict:
-    """Apply the verdict rules in order and collect every rule that fires.
+class _Rule(NamedTuple):
+    citation: Citation
+    status: str
+    fires: Callable  # (analysis, witness or None) -> bool
 
-    Rules: (1) zero deficiency, (2) mass action, (3) CLP + bi-LP,
-    (4) decomposition into certified-ACB parts (bi-independent, or
-    incidence-independent with certified intersections), (5) the partial
-    converse via kernel-spanning/kernel-exceeding image spans, (6) a numeric
-    witness, (7) a clean numeric sweep. The status is the first fired rule;
-    the justification lists them all.
+
+def _parts_certified(a: AcbAnalysis) -> bool:
+    parts = a.decomposition.parts_acb if a.decomposition is not None else ()
+    return bool(parts) and all(s == "ACB_certified" for s in parts)
+
+
+# The verdict rules in the order they apply. Each predicate reads the exact
+# facts from `a.system` and the evidence from the analysis `a`; `w` is the witness.
+_RULES = (
+    _Rule(RULE_FEINBERG, "ACB_certified", lambda a, w: a.system.invariants.delta == 0),
+    _Rule(RULE_HORN_JACKSON, "ACB_certified", lambda a, w: a.system.classification.mass_action),
+    _Rule(RULE_BILP, "ACB_certified", lambda a, w: (
+        a.clp is not None and a.clp.holds and a.plp is not None and a.plp.holds
+        and bool(a.bilp))),
+    _Rule(RULE_DECOMPOSITION, "ACB_certified", lambda a, w: (
+        _parts_certified(a) and a.system.linkage_verdict.bi_independent)),
+    _Rule(RULE_DECOMPOSITION_REPLICA, "ACB_certified", lambda a, w: (
+        _parts_certified(a) and not a.system.linkage_verdict.bi_independent
+        and a.system.linkage_verdict.incidence_independent
+        and a.decomposition.intersection_certified)),
+    _Rule(RULE_KSE, "NotACB_certified", lambda a, w: (
+        a.kse is not None and a.system.invariants.delta > 0
+        and (a.kse.kse or a.kse.span_exceeds_incidence_kernel))),
+    _Rule(RULE_WITNESS, "NotACB_numeric", lambda a, w: w is not None),
+    _Rule(RULE_SWEEP, "ACB_numeric", lambda a, w: w is None and bool(a.e_points)),
+)
+
+
+def acb_verdict(analysis: AcbAnalysis, config: SolveConfig | None = None) -> AcbVerdict:
+    """Fold `_RULES` in order over the analysis and its numeric witness.
+
+    The witness is the found equilibrium that violates complex balancing the
+    most (cfrf residual above `WITNESS_CFRF` at sfrf residual below
+    `WITNESS_SFRF`). The status is that of the first rule that fires
+    ("Inconclusive" if none does); the justification lists the
+    complex-balancing citations, then every fired rule in table order.
+    Certified verdicts both ways raise. `config` is not read.
     """
-    cfg = config or SolveConfig()
-    cb = analysis.complex_balanced or bool(analysis.z_points)
-    if not cb:
+    if not (analysis.complex_balanced or analysis.z_points):
         raise NotComplexBalancedError(
             "verdict undefined: no complex balanced equilibrium is known or certified")
-
-    fired: list[Citation] = list(analysis.cb_citations)
-    statuses: list[str] = []
-
-    if analysis.structural.delta == 0:
-        fired.append(RULE_FEINBERG)
-        statuses.append("ACB_certified")
-    if analysis.classification.mass_action:
-        fired.append(RULE_HORN_JACKSON)
-        statuses.append("ACB_certified")
-    if (analysis.clp is not None and analysis.clp.holds
-            and analysis.plp is not None and analysis.plp.holds
-            and analysis.bilp):
-        fired.append(RULE_BILP)
-        statuses.append("ACB_certified")
-    deco = analysis.decomposition
-    if deco is not None and deco.parts_acb and all(
-            s == "ACB_certified" for s in deco.parts_acb):
-        if deco.bi_independent:
-            fired.append(RULE_DECOMPOSITION)
-            statuses.append("ACB_certified")
-        elif deco.incidence_independent and deco.intersection_certified:
-            fired.append(RULE_DECOMPOSITION_REPLICA)
-            statuses.append("ACB_certified")
-
-    kse = analysis.kse
-    if (kse is not None and analysis.structural.delta > 0
-            and (kse.kse or kse.span_exceeds_incidence_kernel)):
-        fired.append(RULE_KSE)
-        statuses.append("NotACB_certified")
-
-    witness = None
-    for p in analysis.e_points:
-        if p.sfrf_residual <= WITNESS_SFRF and p.cfrf_residual > WITNESS_CFRF:
-            if witness is None or p.cfrf_residual > witness.cfrf_residual:
-                witness = p
-    if witness is not None:
-        fired.append(RULE_WITNESS)
-        statuses.append("NotACB_numeric")
-    elif analysis.e_points:
-        fired.append(RULE_SWEEP)
-        statuses.append("ACB_numeric")
-
+    witness = max((p for p in analysis.e_points
+                   if p.sfrf_residual <= WITNESS_SFRF and p.cfrf_residual > WITNESS_CFRF),
+                  key=lambda p: p.cfrf_residual, default=None)
+    fired = [rule for rule in _RULES if rule.fires(analysis, witness)]
+    statuses = {rule.status for rule in fired}
     if "ACB_certified" in statuses and "NotACB_certified" in statuses:
         raise CrnError("contradictory certified verdicts: inconsistent evidence bundle")
-
-    status = statuses[0] if statuses else "Inconclusive"
-    return AcbVerdict(status=status, justification=tuple(fired), witness=witness)
+    return AcbVerdict(status=fired[0].status if fired else "Inconclusive",
+                      justification=analysis.cb_citations + tuple(r.citation for r in fired),
+                      witness=witness)
 
 
 # --- orchestration ---------------------------------------------------------
@@ -847,9 +838,6 @@ def linkage_decomposition_evidence(system: KineticSystem,
             cb = any(_residual(pairs, x) <= cfg.tol for x in states)
             part_statuses.append("ACB_certified" if cb else "Inconclusive")
     return DecompositionEvidence(
-        independent=verdict.independent,
-        incidence_independent=verdict.incidence_independent,
-        bi_independent=verdict.bi_independent,
         parts_acb=tuple(part_statuses),
         intersection_certified=certified,
         note=note,
@@ -938,12 +926,9 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
     deco = linkage_decomposition_evidence(system, cfg)
 
     return AcbAnalysis(
-        system=system, structural=system.invariants,
-        classification=system.classification,
-        complex_balanced=cb, cb_citations=cb_cites,
+        system=system, complex_balanced=cb, cb_citations=cb_cites,
         e_points=e_res.points, z_points=z_res.points,
-        e_diagnostics=e_res.diagnostics,
-        t_matrices=system.t_matrices, clp=clp, plp=plp, bilp=bilp,
+        e_diagnostics=e_res.diagnostics, clp=clp, plp=plp, bilp=bilp,
         kse=kse, decomposition=deco,
     )
 

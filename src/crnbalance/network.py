@@ -130,6 +130,7 @@ class StructuralInvariants:
     conservative: bool
     linkage_partition: tuple[tuple[int, ...], ...]   # reaction indices per class
     terminal_classes: tuple[tuple[int, ...], ...]    # complex indices per class
+    conservation_witness: tuple[Fraction, ...] | None  # z > 0 with N^T z = 0
 
 
 def build_network(species, complexes, reactions) -> ReactionNetwork:
@@ -343,7 +344,7 @@ def structural_invariants(net: ReactionNetwork) -> StructuralInvariants:
 
     s = rational.rank([list(row) for row in net.n])
     delta = n - l - s
-    conservative, _ = is_conservative(net)
+    conservative, witness = is_conservative(net)
 
     return StructuralInvariants(
         m=m, n=n, n_r=n_r, r=r, l=l, sl=sl, t=t, s=s, delta=delta,
@@ -353,6 +354,7 @@ def structural_invariants(net: ReactionNetwork) -> StructuralInvariants:
         conservative=conservative,
         linkage_partition=linkage_partition,
         terminal_classes=terminal,
+        conservation_witness=witness,
     )
 
 

@@ -214,7 +214,7 @@ def test_criterion_6_mass_action_regression(re1_net):
     checks = [
         ("x=1 complex balanced",
          cb.KineticSystem(re1_net, kin).cfrf_residual(np.ones(3)) == 0.0),
-        ("delta > 0", analysis.structural.delta == 2),
+        ("delta > 0", analysis.system.invariants.delta == 2),
         ("CLP holds with P = S", analysis.clp is not None and analysis.clp.holds),
         ("bi-LP with P_E = P_Z = S",
          analysis.plp is not None and analysis.plp.holds and analysis.bilp),

@@ -283,3 +283,19 @@ def test_subcommands_take_only_the_options_they_read():
     assert taken["acb"] == taken["equilibria"] == common | {"--flux-space",
                                                             "--assume-concordant"}
     assert sum(map(len, taken.values())) == 37
+
+
+def test_analyze_reads_the_conservation_witness_from_the_invariants(monkeypatch):
+    # the conservativity simplex runs once, inside structural_invariants
+    calls = []
+    real = crnbalance.rational.positive_kernel_vector
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(crnbalance.rational, "positive_kernel_vector", counted)
+    report, _ = run_json(["analyze", data_path("counterexample.crn")])
+    assert report["structural"]["conservative"] is True
+    assert "conservation_witness" in report["structural"]
+    assert len(calls) == 1

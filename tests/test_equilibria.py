@@ -258,6 +258,19 @@ def test_kse_reversible_pair(fast_cfg):
     assert rep.kse is True
 
 
+def test_kse_span_rank_is_scale_invariant_on_ladder_r24():
+    # the kinetic images of ladder r = 24 (seed 2) differ in scale by orders
+    # of magnitude; ranked as raw columns the span read 7, with unit-norm
+    # columns it reads 9. The status is NotACB_certified either way
+    # (7 and 9 both exceed dim ker Ia).
+    cfg = cb.SolveConfig(seeds=16)
+    system = cb.KineticSystem(*bench_ladder(2, 24))
+    e = cb.solve_equilibria(system, "positive", config=cfg)
+    rep = cb.kse_check(system, e.points, cfg)
+    assert rep.sampled_span_dim == 9
+    assert rep.span_exceeds_incidence_kernel
+
+
 def test_kse_no_equilibria_raises(fast_cfg):
     net = cb.build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1)])
     kin = cb.mass_action_from(net, [1])
@@ -329,7 +342,8 @@ def test_acb_star_replica_rule(mm_polypl):
     system = cb.KineticSystem(star.network, star.kinetics)
     evidence = cb.star_msc_acb_evidence(system, cb.KineticSystem(net, kin), cfg)
     assert evidence is not None
-    assert evidence.incidence_independent and not evidence.bi_independent
+    verdict = system.linkage_verdict
+    assert verdict.incidence_independent and not verdict.bi_independent
     assert all(s == "ACB_certified" for s in evidence.parts_acb)
     analysis = cb.analyze_acb(system, cfg)
     analysis.decomposition = evidence
@@ -418,15 +432,102 @@ def test_coset_chart_rejects_bad_anchors_and_widths(ce_system, counterexample):
 
 
 def _contradictory_analysis():
-    """Evidence certifying both ACB (mass action) and not ACB (KSE, delta 1)."""
-    net = cb.build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1), (1, 0)])
+    """Evidence certifying both ACB (mass action) and not ACB (KSE, delta 1):
+    A <-> B, 2A <-> 2B under mass action, with an injected kernel-spanning
+    image report."""
+    net = cb.build_network(["A", "B"], [[1, 0], [0, 1], [2, 0], [0, 2]],
+                           [(0, 1), (1, 0), (2, 3), (3, 2)])
     return cb.AcbAnalysis(
-        system=cb.KineticSystem(net, cb.power_law([[1, 0], [0, 1]], [1, 1])),
-        structural=dataclasses.replace(cb.structural_invariants(net), delta=1),
-        classification=cb.KineticsClassification(mass_action=True),
+        system=cb.KineticSystem(net, cb.mass_action_from(net, [1, 1, 1, 1])),
         complex_balanced=True, cb_citations=(), e_points=[], z_points=[],
-        kse=cb.KseReport(r_minus_s=1, sampled_span_dim=1, kse=True, por=False,
-                         incidence_kernel_dim=1, span_exceeds_incidence_kernel=False))
+        kse=cb.KseReport(r_minus_s=3, sampled_span_dim=3, kse=True, por=False,
+                         incidence_kernel_dim=2, span_exceeds_incidence_kernel=True))
+
+
+# --- the verdict rule table, one case per rule on injected evidence --------
+
+_TABLE = [rule.citation.rule for rule in cb.equilibria._RULES]
+_CLEAN = cb.EquilibriumPoint(np.ones(2), 0.0, 0.0, "complex_balanced")
+_WITNESS = cb.EquilibriumPoint(np.ones(2), 0.0, 1.0, "positive")
+_LP_HOLDS = cb.LpPropertyReport("Z", True, True, True, 0.0, 0.0, 1, 8)
+_PARTS_ACB = cb.DecompositionEvidence(("ACB_certified",) * 2, True, "")
+
+
+def _rule_system(name):
+    """Tiny power-law systems: "pair" is A <-> B (deficiency 0); "pairs" is
+    A <-> B, 2A <-> 2B (deficiency 1, incidence but not bi-independent
+    linkage classes); "chains" is A <-> 2A <-> 3A, B <-> 2B <-> 3B
+    (deficiency 2, bi-independent). "-ma" is mass action; otherwise every
+    order row carries an extra 1 on B, so the kinetics is not mass action."""
+    base, _, ma = name.partition("-")
+    if base == "pair":
+        complexes, reactions = [[1, 0], [0, 1]], [(0, 1), (1, 0)]
+    elif base == "pairs":
+        complexes = [[1, 0], [0, 1], [2, 0], [0, 2]]
+        reactions = [(0, 1), (1, 0), (2, 3), (3, 2)]
+    else:
+        complexes = [[1, 0], [2, 0], [3, 0], [0, 1], [0, 2], [0, 3]]
+        reactions = [(0, 1), (1, 0), (1, 2), (2, 1), (3, 4), (4, 3), (4, 5), (5, 4)]
+    net = cb.build_network(["A", "B"], complexes, reactions)
+    rates = [1] * len(reactions)
+    if ma:
+        return cb.KineticSystem(net, cb.mass_action_from(net, rates))
+    orders = [[complexes[q][0], complexes[q][1] + 1] for q, _ in reactions]
+    return cb.KineticSystem(net, cb.power_law(orders, rates))
+
+
+_RULE_CASES = [
+    # (rule, system, injected evidence, fired rules, status)
+    ("deficiency-zero", "pair", {"e_points": [_CLEAN]},
+     ["deficiency-zero", "numeric-sweep"], "ACB_certified"),
+    ("mass-action", "pairs-ma", {"e_points": [_CLEAN]},
+     ["mass-action", "numeric-sweep"], "ACB_certified"),
+    ("bi-lp", "pairs", {"clp": _LP_HOLDS, "plp": _LP_HOLDS, "bilp": True,
+                        "e_points": [_WITNESS]},
+     ["bi-lp", "numeric-witness"], "ACB_certified"),
+    ("acb-decomposition", "chains", {"decomposition": _PARTS_ACB},
+     ["acb-decomposition"], "ACB_certified"),
+    ("acb-replica-decomposition", "pairs", {"decomposition": _PARTS_ACB},
+     ["acb-replica-decomposition"], "ACB_certified"),
+    ("kse-partial-converse", "pairs",
+     {"kse": cb.KseReport(3, 3, True, False, 2, True), "e_points": [_WITNESS]},
+     ["kse-partial-converse", "numeric-witness"], "NotACB_certified"),
+    ("numeric-witness", "pairs", {"e_points": [_CLEAN, _WITNESS]},
+     ["numeric-witness"], "NotACB_numeric"),
+    ("numeric-sweep", "pairs", {"e_points": [_CLEAN]},
+     ["numeric-sweep"], "ACB_numeric"),
+]
+
+
+def test_rule_cases_cover_the_table():
+    assert [case[0] for case in _RULE_CASES] == _TABLE
+
+
+@pytest.mark.parametrize("rule,system,evidence,fired,status", _RULE_CASES,
+                         ids=[case[0] for case in _RULE_CASES])
+def test_rule_table_entry(monkeypatch, rule, system, evidence, fired, status):
+    calls = _counting_multistart(monkeypatch)
+    analysis = cb.AcbAnalysis(
+        system=_rule_system(system), complex_balanced=True,
+        cb_citations=(cb.equilibria.CB_BY_SOLVER,), e_points=[], z_points=[])
+    for name, value in evidence.items():
+        setattr(analysis, name, value)
+    verdict = cb.acb_verdict(analysis)
+    rules = [c.rule for c in verdict.justification]
+    assert rules == ["complex-balanced-point"] + fired
+    assert rule in fired
+    assert fired == sorted(fired, key=_TABLE.index)
+    assert verdict.status == status
+    assert verdict.witness is (_WITNESS if "numeric-witness" in fired else None)
+    assert calls == []
+
+
+def test_no_rule_fires_inconclusive():
+    analysis = cb.AcbAnalysis(system=_rule_system("pairs"), complex_balanced=True,
+                              cb_citations=(), e_points=[], z_points=[])
+    verdict = cb.acb_verdict(analysis)
+    assert (verdict.status, verdict.justification, verdict.witness) == (
+        "Inconclusive", (), None)
 
 
 def test_contradictory_verdict_raises():
@@ -498,17 +599,16 @@ def test_decomposition_evidence_skips_solves_when_rule_cannot_fire(monkeypatch, 
                                            cb.SolveConfig(seeds=16))
     verdict = cb.check_decomposition(net, cb.linkage_class_parts(net))
     assert verdict.incidence_independent and not verdict.bi_independent
-    assert (ev.independent, ev.incidence_independent, ev.bi_independent) == (
-        verdict.independent, verdict.incidence_independent, verdict.bi_independent)
     assert ev.intersection_certified is False
     assert ev.parts_acb == ()
     assert "skipped" in ev.note
     # the replica network of the enzyme is not bi-independent either; without
-    # the certified intersections of star_msc_acb_evidence rule 4 cannot fire
+    # the certified intersections of star_msc_acb_evidence the replica rule cannot fire
     star = cb.star_msc(*mm_polypl)
-    ev = cb.linkage_decomposition_evidence(
-        cb.KineticSystem(star.network, star.kinetics), cb.SolveConfig(seeds=16))
-    assert ev.incidence_independent and not ev.bi_independent
+    system = cb.KineticSystem(star.network, star.kinetics)
+    ev = cb.linkage_decomposition_evidence(system, cb.SolveConfig(seeds=16))
+    verdict = system.linkage_verdict
+    assert verdict.incidence_independent and not verdict.bi_independent
     assert ev.parts_acb == ()
     assert calls == []
 
@@ -518,8 +618,9 @@ def test_decomposition_evidence_solves_only_certifiable_parts(monkeypatch, re1_p
     calls = _counting_multistart(monkeypatch)
     cfg = cb.SolveConfig(seeds=16)
     # both linkage classes have deficiency 1 and are not mass action
-    ev = cb.linkage_decomposition_evidence(cb.KineticSystem(*re1_powerlaw), cfg)
-    assert ev.bi_independent
+    system = cb.KineticSystem(*re1_powerlaw)
+    ev = cb.linkage_decomposition_evidence(system, cfg)
+    assert system.linkage_verdict.bi_independent
     assert ev.parts_acb == ("Inconclusive", "Inconclusive")
     assert calls == []
     # under mass action each part can be certified, so each part is solved
@@ -573,9 +674,6 @@ def _ungated_decomposition_evidence(system, cfg, intersection_certified=None):
         exact = summary.delta == 0 or _old_part_is_mass_action(system, part, kin_part)
         statuses.append("ACB_certified" if balanced and exact else "Inconclusive")
     return cb.DecompositionEvidence(
-        independent=verdict.independent,
-        incidence_independent=verdict.incidence_independent,
-        bi_independent=verdict.bi_independent,
         parts_acb=tuple(statuses),
         intersection_certified=(verdict.bi_independent if intersection_certified is None
                                 else intersection_certified),
@@ -617,7 +715,7 @@ def test_gated_decomposition_evidence_matches_ungated_verdicts():
 
 
 def test_gated_decomposition_evidence_matches_ungated_on_replicas(mm_polypl):
-    # certified intersections keep rule 4 open on the replica network
+    # certified intersections keep the replica rule open on the replica network
     cfg = cb.SolveConfig(seeds=16)
     star = cb.star_msc(*mm_polypl)
     system = cb.KineticSystem(star.network, star.kinetics)
@@ -664,7 +762,7 @@ def test_ladder_analysis_computes_network_invariants_once(monkeypatch):
     for module in (cb.network, cb.equilibria, cb.decomposition):
         monkeypatch.setattr(module, "structural_invariants", counted)
     analysis = cb.analyze_acb(cb.KineticSystem(net, kin), cb.SolveConfig(seeds=16))
-    assert len(analysis.structural.linkage_partition) >= 2
+    assert len(analysis.system.invariants.linkage_partition) >= 2
     assert analysis.decomposition is not None
     assert calls.count(True) == 1
 
@@ -704,7 +802,7 @@ def test_hill_parts_are_solved():
     system = cb.KineticSystem(net, cb.hill(orders, dissoc, ["3/2"] * 4))
     cfg = cb.SolveConfig(seeds=16)
     analysis = cb.analyze_acb(system, cfg)
-    assert analysis.decomposition.bi_independent
+    assert system.linkage_verdict.bi_independent
     assert analysis.decomposition.parts_acb == ("ACB_certified",) * 2
     verdict = cb.acb_verdict(analysis, cfg)
     assert verdict.status == "ACB_certified"
