@@ -538,10 +538,10 @@ def kse_check(system: KineticSystem, found_equilibria: list[EquilibriumPoint],
 
     Columns are K(x) at the found equilibria plus re-solves from log-space
     perturbations of them, each scaled to unit norm; their numeric rank
-    (relative threshold 1e-9) is a certified lower bound for dim span K(E+). The kinetics is kernel
-    spanning when that dimension reaches r - s = dim ker N; exceeding
-    dim ker Ia = r - n + l already rules absolute complex balancing out on
-    positive-deficiency networks.
+    (relative threshold 1e-9) is a certified lower bound for dim span K(E+).
+    The kinetics is kernel spanning when that dimension reaches
+    r - s = dim ker N; exceeding dim ker Ia = r - n + l already rules
+    absolute complex balancing out on positive-deficiency networks.
     """
     cfg = config or SolveConfig()
     if not found_equilibria:
