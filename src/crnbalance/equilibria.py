@@ -4,13 +4,16 @@ The solver is a multistart damped Newton iteration over one of two charts.
 The log chart covers the positive orthant in coordinates u = log x, which
 enforces positivity without projections. The coset chart covers one
 stoichiometric coset x = x0 + B a and ends a run once x leaves the positive
-orthant. The positive equilibria solve N K(x) = 0 and the complex balanced
-ones Ia K(x) = 0. Found points are deduplicated, re-verified and reported
-with both residuals. Counts derived from such searches are certified lower
-bounds only; set-level claims (absolute complex balancing, log
-parametrization, kernel-spanning images) are rendered by the verdict
-engine, which combines numeric evidence with the classical theorems and
-records a citation chain for every rule it fires.
+orthant. The seeds of a multistart are stepped together (`newton._newton`):
+states are stacks (seeds, d), and each line-search round evaluates the
+kinetics once on the trial points of all seeds still running, while every
+seed keeps the iterates it would have alone. The positive equilibria solve N K(x) = 0 and
+the complex balanced ones Ia K(x) = 0. Found points are deduplicated,
+re-verified and reported with both residuals. Counts derived from such
+searches are certified lower bounds only; set-level claims (absolute
+complex balancing, log parametrization, kernel-spanning images) are
+rendered by the verdict engine, which combines numeric evidence with the
+classical theorems and records a citation chain for every rule it fires.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ import numpy as np
 from . import linalg, rational
 from .decomposition import IndependenceVerdict, check_decomposition
 from .kinetics import (Kinetics, KineticsClassification, PolyPLKinetics,
-                       PowerLawKinetics, _is_mass_action, classify, evaluate,
-                       log_jacobian, normalize_poly_pl)
+                       PowerLawKinetics, _frozen, _is_mass_action, classify,
+                       evaluate, log_jacobian, normalize_poly_pl)
 from .kinetic_matrices import TMatrices, is_pl_tik, t_matrices_or_none
+from .newton import ACCEPT_BOUND, _Chart, _newton, _Run
 from .network import (CrnError, ReactionNetwork, StructuralInvariants,
                       structural_invariants, stoichiometric_basis)
 
@@ -53,12 +57,6 @@ class SolveConfig:
     coset_samples: int = 8
 
 
-MAX_HALVINGS = 40       # line-search halvings per Newton step
-MAX_STEP = 4.0          # per-iteration step clamp, max norm
-SEED_WIDTH = 3.0        # log-chart seeds drawn log-uniform in [e^-w, e^w]^m
-ACCEPT_BOUND = 36.0     # log-radius guard; fake roots where the kinetics
-                        # vanish are already rejected by the relative
-                        # residual test
 DEDUP_TOL = 1e-6        # log-coordinate distance between distinct points
 LP_TOL = 1e-7           # log-parametrization membership tolerance
 LP_SAMPLES = 8          # sampled complement directions per LP check
@@ -78,8 +76,9 @@ class KineticSystem:
     Each fact is computed on first use and kept for the life of the system:
     the network's structural `invariants`, the `t_matrices` (None unless the
     kinetics is reactant-determined power law), the kinetics
-    `classification`, and the `linkage_verdict` of the linkage-class
-    decomposition. The pair is frozen, so the facts cannot go stale.
+    `classification`, the `linkage_verdict` of the linkage-class
+    decomposition, and the read-only float matrices `n_float` (N) and
+    `ia_float` (Ia). The pair is frozen, so the facts cannot go stale.
     """
 
     network: ReactionNetwork
@@ -102,11 +101,19 @@ class KineticSystem:
         inv = self.invariants
         return check_decomposition(self.network, inv.linkage_partition, inv)
 
+    @cached_property
+    def n_float(self) -> np.ndarray:
+        return _frozen(self.network.n_array())
+
+    @cached_property
+    def ia_float(self) -> np.ndarray:
+        return _frozen(self.network.ia_array())
+
     def sfrf_residual(self, x) -> float:
-        return _residual([(self.network.n_array(), self.kinetics)], x)
+        return _residual([(self.n_float, self.kinetics)], x)
 
     def cfrf_residual(self, x) -> float:
-        return _residual([(self.network.ia_array(), self.kinetics)], x)
+        return _residual([(self.ia_float, self.kinetics)], x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +142,6 @@ class SolveResult:
         return len(self.points)
 
 
-_U_BOUND = 44.0  # exp(44) ~ 1.3e19: beyond this the chart has left desk scale
-
-
 def _normalized_rows(a, abs_a, k, jk_param):
     """Flux-normalized residual rows G = (A K) / (|A| K) and their Jacobian.
 
@@ -145,94 +149,20 @@ def _normalized_rows(a, abs_a, k, jk_param):
     which makes the residual scale invariant: shrinking or inflating the
     whole state cannot fake progress, and rows whose kinetics run at tiny
     magnitudes still count at full weight. Rows with no flux (all-zero rows
-    of A) are identically zero and stay zero.
+    of A) are identically zero and stay zero. `k` is a stack (..., r) and
+    `jk_param` (..., r, d); A K is formed one matrix-vector product per
+    state, as for a single state.
     """
-    raw = a @ k
-    flux = abs_a @ k
+    raw = np.matmul(a, k[..., None])[..., 0]
+    flux = np.matmul(abs_a, k[..., None])[..., 0]
     div = np.where(flux > 0, flux, 1.0)
     g = raw / div
-    d_raw = a @ jk_param
-    d_flux = abs_a @ jk_param
-    jg = (d_raw - g[:, None] * d_flux) / div[:, None]
-    return g, jg, float(np.max(np.abs(raw), initial=0.0))
-
-
-# Line-search collapse (Nocedal & Wright, ch. 3 and 10): once the last
-# _COLLAPSE_STEPS accepted steps all needed lambda <= _COLLAPSE_LAMBDA while
-# the normalized residual is still above _COLLAPSE_RESIDUAL, the run creeps
-# and does not converge. A plateau taken at full steps is not a collapse:
-# such runs can still converge.
-_COLLAPSE_LAMBDA = 1e-3
-_COLLAPSE_STEPS = 5
-_COLLAPSE_RESIDUAL = 1e-2
-
-
-class _Run(NamedTuple):
-    u: np.ndarray
-    gnorm: float       # normalized residual, max norm
-    raw: float         # raw residual, max norm
-    stop: str          # why the iteration ended
-
-
-def _newton(resjac, u0: np.ndarray, cfg: SolveConfig,
-            escape_bound: float | None = None) -> _Run:
-    """Damped Gauss-Newton on the flux-normalized residual.
-
-    Steps are clamped in the max norm (exponential charts make the linear
-    model wildly optimistic far from a root) and damped on the 2-norm, which
-    the least-squares direction is guaranteed to descend. `stop` is one of
-    "converged" (the polish target is met), "left the chart" (no residual at
-    u0), "escaped" (max|u| above `escape_bound`, where no point can be
-    accepted), "non-finite step", "step below 1e-15", "line search
-    exhausted", "line search collapsed" or "max_iter".
-    """
-    state = resjac(u0)
-    if state is None:
-        return _Run(u0, np.inf, np.inf, "left the chart")
-    u = u0.copy()
-    g, jac, raw = state
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    # Polish four digits past acceptance so downstream rank estimates are
-    # not dominated by solver noise.
-    target = 1e-4 * cfg.tol
-    short_steps = 0
-    for _ in range(cfg.max_iter):
-        if gnorm <= target:
-            return _Run(u, gnorm, raw, "converged")
-        if escape_bound is not None and np.max(np.abs(u)) > escape_bound:
-            return _Run(u, gnorm, raw, "escaped")
-        # lstsq raises on a non-finite Jacobian, so test it first
-        if not np.all(np.isfinite(jac)):
-            return _Run(u, gnorm, raw, "non-finite step")
-        step = np.linalg.lstsq(jac, -g, rcond=None)[0]
-        if not np.all(np.isfinite(step)):
-            return _Run(u, gnorm, raw, "non-finite step")
-        # a zero-width chart (no coordinates) has an empty step
-        if np.max(np.abs(step), initial=0.0) <= 1e-15 * (1.0 + np.max(np.abs(u), initial=0.0)):
-            return _Run(u, gnorm, raw, "step below 1e-15")
-        biggest = float(np.max(np.abs(step)))
-        if biggest > MAX_STEP:
-            step = step * (MAX_STEP / biggest)
-        g2sq_old = float(g @ g)
-        lam = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            trial = u + lam * step
-            state = resjac(trial)
-            if state is not None:
-                g2, jac2, raw2 = state
-                if float(g2 @ g2) < g2sq_old:
-                    u, g, jac, raw = trial, g2, jac2, raw2
-                    gnorm = float(np.max(np.abs(g2)))
-                    accepted = True
-                    break
-            lam *= 0.5
-        if not accepted:
-            return _Run(u, gnorm, raw, "line search exhausted")
-        short_steps = short_steps + 1 if lam <= _COLLAPSE_LAMBDA else 0
-        if short_steps >= _COLLAPSE_STEPS and gnorm > _COLLAPSE_RESIDUAL:
-            return _Run(u, gnorm, raw, "line search collapsed")
-    return _Run(u, gnorm, raw, "converged" if gnorm <= target else "max_iter")
+    # jg = (A dK - g |A| dK) / div, in place to hold fewer stacks at once
+    jg = np.matmul(abs_a, jk_param)
+    jg *= g[..., None]
+    np.subtract(np.matmul(a, jk_param), jg, out=jg)
+    jg /= div[..., None]
+    return g, jg, np.max(np.abs(raw), axis=-1, initial=0.0)
 
 
 def _seed_outcome(run: _Run, to_log, cfg: SolveConfig):
@@ -253,92 +183,37 @@ def _seed_outcome(run: _Run, to_log, cfg: SolveConfig):
             else "outside accept_bound"), None
 
 
-@dataclass(frozen=True, eq=False)
-class _Chart:
-    """Coordinates p in which the multistart solver searches.
-
-    `to_x` maps p to the state x (None off the chart), `param_jac` turns
-    dK/dlog x at x into dK/dp, `to_log` maps p to log x, and `seeds(cfg)`
-    draws the default seeds, the origin of the chart first. A run whose
-    max|p| exceeds `escape_bound` is stopped as escaped; None leaves runs to
-    end at the chart's own boundary.
-    """
-
-    to_x: Callable
-    param_jac: Callable
-    to_log: Callable
-    escape_bound: float | None
-    seeds: Callable
-
-    @classmethod
-    def log(cls, m: int) -> "_Chart":
-        """The positive orthant in u = log x."""
-        def to_x(u):
-            return None if np.max(np.abs(u)) > _U_BOUND else np.exp(u)
-
-        def seeds(cfg):
-            rng = np.random.default_rng(cfg.rng_seed)
-            return [np.zeros(m)] + [rng.uniform(-SEED_WIDTH, SEED_WIDTH, size=m)
-                                    for _ in range(max(0, cfg.seeds - 1))]
-
-        return cls(to_x, lambda jk, x: jk, lambda u: u, ACCEPT_BOUND, seeds)
-
-    @classmethod
-    def coset(cls, m: int, x0, basis_rows) -> "_Chart":
-        """The positive part of the coset x0 + span(basis_rows), x = x0 + B a."""
-        x0 = np.asarray(x0, dtype=float)
-        b = np.atleast_2d(np.asarray(basis_rows, dtype=float)).T  # (m, d)
-        if x0.shape != (m,) or b.shape[0] != m:
-            raise CrnError(f"coset anchor and basis rows need one entry per species ({m}); "
-                           f"got anchor shape {x0.shape}, basis rows of {b.shape[0]}")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(x0)) and np.all(x0 > 0)):
-            raise CrnError("coset anchor must be finite and strictly positive, its basis finite")
-
-        def to_x(alpha):
-            x = x0 + b @ alpha
-            return None if np.any(x <= 0) or np.any(x > 1e18) else x
-
-        def to_log(alpha):
-            # positive at every alpha the chart returned a state for
-            return np.log(x0 + b @ alpha)
-
-        def seeds(cfg):
-            rng = np.random.default_rng(cfg.rng_seed)
-            scale = 0.5 * float(np.min(x0)) / max(1.0, float(np.max(np.abs(b), initial=0.0)))
-            return [np.zeros(b.shape[1])] + [
-                rng.uniform(-1.0, 1.0, size=b.shape[1]) * scale * (1 + trial)
-                for trial in range(max(0, cfg.seeds - 1))]
-
-        return cls(to_x, lambda jk, x: (jk / x[None, :]) @ b, to_log, None, seeds)
-
-
 def _multistart(pairs, chart: _Chart, seeds, cfg: SolveConfig):
     """Damped Newton from every seed on the stacked residuals A K over `chart`.
 
     `pairs` lists (A, kinetics); each block of rows is flux-normalized on its
-    own. Returns the accepted log points in seed order and the stop reason
-    of every seed.
+    own. The seeds are stepped together (`_newton`): each line-search round
+    evaluates the kinetics once per pair, on the stack of trial points.
+    Returns the accepted log points in seed order and the stop reason of
+    every seed.
     """
+    if not len(seeds):
+        return [], []
     mats = [(a, np.abs(a), kin) for a, kin in pairs]
 
     def resjac(p):
-        x = chart.to_x(p)
-        if x is None:
-            return None
-        gs, js, raw = [], [], 0.0
+        on, x = chart.to_x(p)
+        gs, js, raw = [], [], np.zeros(x.shape[0])
         for a, abs_a, kin in mats:
             k, jk = log_jacobian(kin, x)
             g, jg, raw_inf = _normalized_rows(a, abs_a, k, chart.param_jac(jk, x))
             gs.append(g)
             js.append(jg)
-            raw = max(raw, raw_inf)
-        return np.concatenate(gs), np.vstack(js), raw
+            # fmax, like max() from 0.0, passes over a NaN residual
+            raw = np.fmax(raw, raw_inf)
+        if len(mats) == 1:
+            return on, gs[0], js[0], raw
+        return on, np.concatenate(gs, axis=-1), np.concatenate(js, axis=-2), raw
 
     logs: list[np.ndarray] = []
     stops: list[str] = []
-    for p0 in seeds:
-        stop, log_x = _seed_outcome(_newton(resjac, p0, cfg, chart.escape_bound),
-                                    chart.to_log, cfg)
+    for run in _newton(resjac, np.array(seeds, dtype=float), cfg, chart.escape_bound):
+        stop, log_x = _seed_outcome(run, chart.to_log, cfg)
         stops.append(stop)
         if log_x is not None:
             logs.append(log_x)
@@ -346,10 +221,24 @@ def _multistart(pairs, chart: _Chart, seeds, cfg: SolveConfig):
 
 
 def _dedup_logs(log_points: list[np.ndarray]) -> list[np.ndarray]:
+    """The points in lexicographic order, each dropped that lies within
+    `DEDUP_TOL` (max norm) of a point kept before it.
+
+    The kept points are sorted by their first coordinate, so the scan walks
+    them backwards and stops at the first v with u[0] - v[0] > `DEDUP_TOL`:
+    that v, and every v before it, differs from u by more than the tolerance
+    in the first coordinate alone.
+    """
     ordered = sorted(log_points, key=lambda v: tuple(v))
     kept: list[np.ndarray] = []
     for u in ordered:
-        if all(np.max(np.abs(u - v)) > DEDUP_TOL for v in kept):
+        for v in reversed(kept):
+            if u[0] - v[0] > DEDUP_TOL:
+                kept.append(u)
+                break
+            if np.max(np.abs(u - v)) <= DEDUP_TOL:
+                break
+        else:
             kept.append(u)
     return kept
 
@@ -374,9 +263,9 @@ def solve_equilibria(system: KineticSystem, mode: str = "positive",
     cfg = config or SolveConfig()
     net = system.network
     if mode == "positive":
-        a = net.n_array()
+        a = system.n_float
     elif mode == "complex_balanced":
-        a = net.ia_array()
+        a = system.ia_float
     else:
         raise ValueError(f"unknown mode {mode!r}")
     chart = (_Chart.log(net.num_species) if constraint is None
@@ -550,7 +439,7 @@ def kse_check(system: KineticSystem, found_equilibria: list[EquilibriumPoint],
     rng = np.random.default_rng(cfg.rng_seed + 3)
     logs = [np.log(p.x) for p in found_equilibria]
     seeds = [base + rng.uniform(-0.8, 0.8, base.size) for base in logs[:8] for _ in range(3)]
-    solved, _ = _multistart([(net.n_array(), kin)], _Chart.log(net.num_species), seeds, cfg)
+    solved, _ = _multistart([(system.n_float, kin)], _Chart.log(net.num_species), seeds, cfg)
     logs = _dedup_logs(logs + solved)
     columns = np.array([evaluate(kin, np.exp(u)) for u in logs]).T
     # unit-norm columns: the rank must not depend on the scale of each state
@@ -592,7 +481,7 @@ def poly_pl_equilibrated_check(net: ReactionNetwork, kin: PolyPLKinetics,
     norm = normalize_poly_pl(kin)
     terms = [norm.term_system(j) for j in range(norm.length)]
     system = KineticSystem(net, norm)
-    n_mat, ia_mat = net.n_array(), net.ia_array()
+    n_mat, ia_mat = system.n_float, system.ia_float
 
     full_e = solve_equilibria(system, "positive", config=cfg).points
     full_z = solve_equilibria(system, "complex_balanced", config=cfg).points
@@ -825,7 +714,7 @@ def linkage_decomposition_evidence(system: KineticSystem,
     else:
         chart = _Chart.log(net.num_species)
         seeds = chart.seeds(cfg)
-        ia = net.ia_array()
+        ia = system.ia_float
         for part, summary in zip(parts, verdict.summaries):
             if not (summary.delta == 0
                     or _is_mass_action(system.kinetics, net, part)):

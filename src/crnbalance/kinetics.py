@@ -98,7 +98,7 @@ def _starts(sizes) -> np.ndarray:
 
 
 def _monomials(coeffs: np.ndarray, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return coeffs * np.prod(np.power(x[None, :], orders), axis=1)
+    return coeffs * np.prod(np.power(x[..., None, :], orders), axis=-1)
 
 
 class _RateTable:
@@ -122,24 +122,32 @@ class _RateTable:
         self.row_firsts = _starts([len(fs) for fs in denominators if fs])
 
     def rates(self, x: np.ndarray, jacobian: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """K(x), and dK/du (u = log x) when `jacobian` is set."""
+        """K(x), and dK/du (u = log x) when `jacobian` is set.
+
+        `x` is one state (m,) or a stack (..., m); each state of a stack gets
+        the same arithmetic, in the same order, as when evaluated alone.
+        """
         monos = _monomials(self.weights, self.orders, x)
-        k = np.add.reduceat(monos, self.starts)
-        jac = (np.add.reduceat(monos[:, None] * self.orders, self.starts, axis=0)
-               if jacobian else None)
+        k = np.add.reduceat(monos, self.starts, axis=-1)
+        jac = None
+        if jacobian:
+            jac = monos[..., None] * self.orders
+            if self.starts.size < self.weights.size:  # some reaction has several terms
+                jac = np.add.reduceat(jac, self.starts, axis=-2)
         if self.factor_rows.size:
             fmonos = _monomials(self.factor_coeffs, self.factor_orders, x)
-            values = np.add.reduceat(fmonos, self.factor_starts)
+            values = np.add.reduceat(fmonos, self.factor_starts, axis=-1)
             if np.any(values <= 0):
                 raise NonPositiveStateError("denominator factor vanished")
             rows = self.factor_rows
-            den = np.multiply.reduceat(values, self.row_firsts)
-            k[rows] /= den
+            den = np.multiply.reduceat(values, self.row_firsts, axis=-1)
+            k[..., rows] /= den
             if jacobian:
-                grads = np.add.reduceat(fmonos[:, None] * self.factor_orders,
-                                        self.factor_starts, axis=0) / values[:, None]
-                jac[rows] = (jac[rows] / den[:, None]
-                             - k[rows, None] * np.add.reduceat(grads, self.row_firsts, axis=0))
+                grads = np.add.reduceat(fmonos[..., None] * self.factor_orders,
+                                        self.factor_starts, axis=-2) / values[..., None]
+                jac[..., rows, :] = (jac[..., rows, :] / den[..., None]
+                                     - k[..., rows, None]
+                                     * np.add.reduceat(grads, self.row_firsts, axis=-2))
         return k, jac
 
 
@@ -422,11 +430,15 @@ Kinetics = PowerLawKinetics | PolyPLKinetics | HillKinetics | RationalKinetics
 
 
 def evaluate(kin: Kinetics, x) -> np.ndarray:
-    """Reaction rate vector K(x); strictly positive states always accepted."""
+    """Reaction rate vector K(x); strictly positive states always accepted.
+
+    A stack of states (..., m) gives the stack of rate vectors (..., r).
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise NonPositiveStateError("state has a negative entry")
-    bad = np.flatnonzero(kin._table.negative_species & (x == 0))
+    zero = (kin._table.negative_species & (x == 0)).reshape(-1, x.shape[-1])
+    bad = np.flatnonzero(np.any(zero, axis=0))
     if bad.size:
         raise NonPositiveStateError(
             f"state entry {bad[0]} is zero but a kinetic order on it is negative")
@@ -434,7 +446,11 @@ def evaluate(kin: Kinetics, x) -> np.ndarray:
 
 
 def log_jacobian(kin: Kinetics, x) -> tuple[np.ndarray, np.ndarray]:
-    """K(x) and the Jacobian dK/du in log coordinates u = log x (x > 0)."""
+    """K(x) and the Jacobian dK/du in log coordinates u = log x (x > 0).
+
+    A stack of states (..., m) gives K of shape (..., r) and dK/du of shape
+    (..., r, m).
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise NonPositiveStateError("log-coordinate Jacobian needs x > 0")

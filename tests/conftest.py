@@ -15,16 +15,21 @@ def data_path(name: str) -> Path:
     return DATA / name
 
 
-def bench_ladder(seed: int, r: int):
-    """(network, power-law kinetics) of the benchmark's ladder generator,
-    `bench/workloads.py` `ladder_power_law`, balanced at x = 1."""
+def bench_workloads():
+    """The benchmark's instance generators, `bench/workloads.py`."""
     bench = str(DATA.parent.parent / "bench")
     sys.path.insert(0, bench)
     try:
         import workloads
     finally:
         sys.path.remove(bench)
-    return workloads.ladder_power_law(seed, r)
+    return workloads
+
+
+def bench_ladder(seed: int, r: int):
+    """(network, power-law kinetics) of the benchmark's ladder generator,
+    `bench/workloads.py` `ladder_power_law`, balanced at x = 1."""
+    return bench_workloads().ladder_power_law(seed, r)
 
 
 @pytest.fixture(scope="session")

@@ -841,3 +841,52 @@ def test_zero_width_coset_counts_its_anchor_only(fast_cfg):
                                                                  np.zeros((0, 2))), fast_cfg)
     assert len(res) == 0
     assert set(res.diagnostics["stops"]) == {"step below 1e-15"}
+
+
+# --- deduplication of accepted log points ----------------------------------
+
+def _quadratic_dedup(log_points):
+    """Oracle: each point in lexicographic order against every kept one."""
+    ordered = sorted(log_points, key=lambda v: tuple(v))
+    kept = []
+    for u in ordered:
+        if all(np.max(np.abs(u - v)) > cb.equilibria.DEDUP_TOL for v in kept):
+            kept.append(u)
+    return kept
+
+
+def _dedup_cases():
+    tol = cb.equilibria.DEDUP_TOL
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        base = rng.uniform(-2, 2, size=(int(rng.integers(1, 25)), 3))
+        points = list(base)
+        for p in base[:8]:
+            points.append(p + rng.uniform(-1.5 * tol, 1.5 * tol, 3))   # near copies
+            points.append(p + np.array([0.0, 3 * tol, 0.0]))            # same first coordinate
+            points.append(p + np.array([0.0, tol, -tol]))
+        yield [points[i] for i in rng.permutation(len(points))]
+    # points exactly DEDUP_TOL apart, and a grid sharing first coordinates
+    yield [np.array([j * tol, 0.0]) for j in (0, 1, 2, 4)]
+    yield [np.array([a * tol, b * tol]) for a in range(4) for b in range(4)]
+    yield []
+
+
+def test_windowed_dedup_keeps_what_the_quadratic_scan_keeps():
+    for points in _dedup_cases():
+        kept, want = cb.equilibria._dedup_logs(points), _quadratic_dedup(points)
+        assert len(kept) == len(want)
+        assert all(a is b for a, b in zip(kept, want))
+    exact = [np.array([0.0, 0.0]), np.array([1e-6, 0.0]), np.array([2e-6, 0.0])]
+    assert [u[0] for u in cb.equilibria._dedup_logs(exact)] == [0.0, 2e-6]
+
+
+def test_float_matrices_are_cached_and_read_only(re1_powerlaw):
+    system = cb.KineticSystem(*re1_powerlaw)
+    net = system.network
+    assert system.n_float is system.n_float and system.ia_float is system.ia_float
+    assert np.array_equal(system.n_float, net.n_array())
+    assert np.array_equal(system.ia_float, net.ia_array())
+    for a in (system.n_float, system.ia_float):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0

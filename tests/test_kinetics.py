@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import crnbalance as cb
 
+from conftest import bench_workloads
+
 
 def test_evaluate_re1_at_ones(re1_powerlaw):
     net, kin = re1_powerlaw
@@ -175,24 +177,27 @@ def test_hill_evaluation_rewrite_at_zero():
     assert np.isclose(cb.evaluate(kin, [x])[0], expected, rtol=1e-14)
 
 
-@pytest.mark.parametrize("family", ["powerlaw", "polypl", "hill", "rational"])
-def test_log_jacobian_matches_finite_differences(family, mm_rational):
-    rng = np.random.default_rng(17)
+FAMILIES = ["powerlaw", "polypl", "hill", "rational"]
+
+
+def _family(family, mm_rational, rng):
+    """(kinetics, number of species) of a small instance of `family`."""
     if family == "powerlaw":
-        kin = cb.power_law(rng.uniform(-2, 2, (3, 2)), rng.uniform(0.5, 2, 3))
-        m = 2
-    elif family == "polypl":
-        kin = cb.poly_pl(
+        return cb.power_law(rng.uniform(-2, 2, (3, 2)), rng.uniform(0.5, 2, 3)), 2
+    if family == "polypl":
+        return cb.poly_pl(
             [[(0.5, tuple(rng.uniform(-1, 2, 2))), (1.2, tuple(rng.uniform(-1, 2, 2)))],
              [(0.8, tuple(rng.uniform(-1, 2, 2)))]],
-            [1.3, 0.7])
-        m = 2
-    elif family == "hill":
-        kin = cb.hill([[1, -2], [0, 1]], [[0.5, 2.0], [0, 1.5]], [1.0, 0.7])
-        m = 2
-    else:
-        kin = mm_rational[1]
-        m = 4
+            [1.3, 0.7]), 2
+    if family == "hill":
+        return cb.hill([[1, -2], [0, 1]], [[0.5, 2.0], [0, 1.5]], [1.0, 0.7]), 2
+    return mm_rational[1], 4
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_log_jacobian_matches_finite_differences(family, mm_rational):
+    rng = np.random.default_rng(17)
+    kin, m = _family(family, mm_rational, rng)
     u = rng.uniform(-0.5, 0.5, m)
     x = np.exp(u)
     k, jac = cb.kinetics.log_jacobian(kin, x)
@@ -205,6 +210,44 @@ def test_log_jacobian_matches_finite_differences(family, mm_rational):
         dn[i] -= eps
         fd = (cb.evaluate(kin, np.exp(up)) - cb.evaluate(kin, np.exp(dn))) / (2 * eps)
         assert np.allclose(jac[:, i], fd, rtol=1e-5, atol=1e-8)
+
+
+def _ladder(family):
+    work = bench_workloads()
+    return {"powerlaw": work.ladder_power_law(1, 40), "polypl": work.ladder_poly_pl(1, 12),
+            "hill": work.ladder_hill(1, 8)}[family][1]
+
+
+@pytest.mark.parametrize("family", FAMILIES + ["powerlaw-ladder", "polypl-ladder",
+                                               "hill-ladder"])
+def test_stacked_states_evaluate_as_single_states(family, mm_rational):
+    """Each state of a stack (..., m) gets the bits it gets alone."""
+    rng = np.random.default_rng(5)
+    if family.endswith("-ladder"):
+        kin = _ladder(family.split("-")[0])
+        m = kin.num_species
+    else:
+        kin, m = _family(family, mm_rational, rng)
+    states = np.exp(rng.uniform(-3, 3, size=(2, 4, m)))
+    k, jac = cb.kinetics.log_jacobian(kin, states)
+    rates = cb.evaluate(kin, states)
+    assert k.shape == rates.shape == (2, 4, kin.num_reactions)
+    assert jac.shape == (2, 4, kin.num_reactions, m)
+    for idx in np.ndindex(2, 4):
+        k1, jac1 = cb.kinetics.log_jacobian(kin, states[idx])
+        assert k1.tobytes() == k[idx].tobytes() == rates[idx].tobytes()
+        assert jac1.tobytes() == jac[idx].tobytes()
+    empty = cb.kinetics.log_jacobian(kin, np.ones((0, m)))
+    assert empty[0].shape == (0, kin.num_reactions)
+    assert empty[1].shape == (0, kin.num_reactions, m)
+
+
+def test_stacked_zero_state_names_the_species():
+    kin = cb.power_law([[0, -1, 0]], [1])
+    states = np.ones((3, 3))
+    states[2, 1] = 0.0
+    with pytest.raises(cb.NonPositiveStateError, match="state entry 1 is zero"):
+        cb.evaluate(kin, states)
 
 
 def test_power_law_rates_and_jacobian_are_the_plain_formula(counterexample):
