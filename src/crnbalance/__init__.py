@@ -3,6 +3,19 @@ decompositions, equilibria search and complex-balancing verdicts."""
 
 __version__ = "0.1.0"
 
+# The largest module first: without bytecode caches every process compiles
+# the package, and the smaller modules then compile into the memory that
+# its compile freed instead of growing the heap past it.
+from .equilibria import (
+    AcbAnalysis, AcbVerdict, Citation, CosetConstraint, CosetCounts,
+    DecompositionEvidence, EquilibriumPoint, KineticSystem, KseReport,
+    LPSetSpec, LpPropertyReport, NoEquilibriaError, NotComplexBalancedError,
+    PolyPlBalanceReport, ReferenceNotEquilibriumError, SolveConfig,
+    SolveResult, acb_verdict, analyze_acb, check_bilp, check_lp_property,
+    coset_intersection_count, kse_check, linkage_decomposition_evidence,
+    poly_pl_equilibrated_check, sample_coset_counts, sample_positive_states,
+    solve_equilibria, star_msc_acb_evidence,
+)
 from .network import (
     Complex, CrnError, DuplicateComplexError, DuplicateReactionError,
     DuplicateSpeciesError, NegativeCoefficientError, Reaction, ReactionNetwork,
@@ -30,14 +43,4 @@ from .decomposition import (
 from .transform import (
     DimensionMismatchError, NonIntegerComplexError, PffCertificate,
     StarMscResult, hill_to_poly_pl, pff_check, star_msc,
-)
-from .equilibria import (
-    AcbAnalysis, AcbVerdict, Citation, CosetConstraint, CosetCounts,
-    DecompositionEvidence, EquilibriumPoint, KineticSystem, KseReport,
-    LPSetSpec, LpPropertyReport, NoEquilibriaError, NotComplexBalancedError,
-    PolyPlBalanceReport, ReferenceNotEquilibriumError, SolveConfig,
-    SolveResult, acb_verdict, analyze_acb, check_bilp, check_lp_property,
-    coset_intersection_count, kse_check, linkage_decomposition_evidence,
-    poly_pl_equilibrated_check, sample_coset_counts, sample_positive_states,
-    solve_equilibria, star_msc_acb_evidence,
 )

@@ -214,10 +214,9 @@ def _cmd_starmsc(args, out):
         f1 = species_formation_rate(star.network, star.kinetics, x)
         deviation = max(deviation, float(np.max(np.abs(f0 - f1))
                                          / max(1.0, np.max(np.abs(f0)))))
-    star_system = KineticSystem(star.network, star.kinetics)
-    verdict = star_system.linkage_verdict
-    evidence = star_msc_acb_evidence(star_system, KineticSystem(net, kin), cfg)
-    analysis = analyze_acb(star_system, cfg)
+    verdict = star.system.linkage_verdict
+    evidence = star_msc_acb_evidence(star.system, star.source, cfg)
+    analysis = analyze_acb(star.system, cfg)
     analysis.decomposition = evidence if evidence is not None else analysis.decomposition
     acb = acb_verdict(analysis, cfg)
     report = rpt.base_report("starmsc", cfg)

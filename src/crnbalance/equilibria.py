@@ -28,10 +28,11 @@ import numpy as np
 from . import linalg, rational
 from .decomposition import IndependenceVerdict, check_decomposition
 from .kinetics import (Kinetics, KineticsClassification, PolyPLKinetics,
-                       PowerLawKinetics, _frozen, _is_mass_action, classify,
-                       evaluate, log_jacobian, normalize_poly_pl)
+                       PowerLawKinetics, _frozen, _is_mass_action, _residuals,
+                       classify, evaluate, log_jacobian, normalize_poly_pl)
 from .kinetic_matrices import TMatrices, is_pl_tik, t_matrices_or_none
-from .newton import ACCEPT_BOUND, _Chart, _newton, _Run
+from .newton import (DEDUP_TOL, _Chart, _dedup_logs, _newton, _normalized_rows,
+                     _seed_outcome)
 from .network import (CrnError, ReactionNetwork, StructuralInvariants,
                       structural_invariants, stoichiometric_basis)
 
@@ -57,16 +58,10 @@ class SolveConfig:
     coset_samples: int = 8
 
 
-DEDUP_TOL = 1e-6        # log-coordinate distance between distinct points
 LP_TOL = 1e-7           # log-parametrization membership tolerance
 LP_SAMPLES = 8          # sampled complement directions per LP check
 WITNESS_CFRF = 1e-4     # complex-balance violation for a witness ...
 WITNESS_SFRF = 1e-9     # ... at this equilibrium residual
-
-
-def _residual(pairs, x) -> float:
-    """Max of |A K(x)| over the (A, kinetics) blocks of `pairs`."""
-    return max(float(np.max(np.abs(a @ evaluate(kin, x)))) for a, kin in pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,10 +105,10 @@ class KineticSystem:
         return _frozen(self.network.ia_array())
 
     def sfrf_residual(self, x) -> float:
-        return _residual([(self.n_float, self.kinetics)], x)
+        return _residuals([(self.n_float, self.kinetics)], [x])[0]
 
     def cfrf_residual(self, x) -> float:
-        return _residual([(self.ia_float, self.kinetics)], x)
+        return _residuals([(self.ia_float, self.kinetics)], [x])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,47 +135,6 @@ class SolveResult:
 
     def __len__(self):
         return len(self.points)
-
-
-def _normalized_rows(a, abs_a, k, jk_param):
-    """Flux-normalized residual rows G = (A K) / (|A| K) and their Jacobian.
-
-    Each row of A K is divided by the total kinetic flux through that row,
-    which makes the residual scale invariant: shrinking or inflating the
-    whole state cannot fake progress, and rows whose kinetics run at tiny
-    magnitudes still count at full weight. Rows with no flux (all-zero rows
-    of A) are identically zero and stay zero. `k` is a stack (..., r) and
-    `jk_param` (..., r, d); A K is formed one matrix-vector product per
-    state, as for a single state.
-    """
-    raw = np.matmul(a, k[..., None])[..., 0]
-    flux = np.matmul(abs_a, k[..., None])[..., 0]
-    div = np.where(flux > 0, flux, 1.0)
-    g = raw / div
-    # jg = (A dK - g |A| dK) / div, in place to hold fewer stacks at once
-    jg = np.matmul(abs_a, jk_param)
-    jg *= g[..., None]
-    np.subtract(np.matmul(a, jk_param), jg, out=jg)
-    jg /= div[..., None]
-    return g, jg, np.max(np.abs(raw), axis=-1, initial=0.0)
-
-
-def _seed_outcome(run: _Run, to_log, cfg: SolveConfig):
-    """(stop reason, log point or None) of one multistart run.
-
-    A run is accepted, as "converged", when both the flux-normalized and the
-    raw residual clear `tol` and its point lies inside the log-radius bound.
-    Any other run reports why it stopped; a run that met the polish target
-    and was still refused reports the acceptance test it failed.
-    """
-    if run.gnorm <= cfg.tol and run.raw <= cfg.tol:
-        log_x = to_log(run.u)
-        if np.max(np.abs(log_x)) <= ACCEPT_BOUND:
-            return "converged", log_x
-    if run.stop != "converged":
-        return run.stop, None
-    return ("raw residual above tol" if run.raw > cfg.tol
-            else "outside accept_bound"), None
 
 
 def _multistart(pairs, chart: _Chart, seeds, cfg: SolveConfig):
@@ -220,29 +174,6 @@ def _multistart(pairs, chart: _Chart, seeds, cfg: SolveConfig):
     return logs, stops
 
 
-def _dedup_logs(log_points: list[np.ndarray]) -> list[np.ndarray]:
-    """The points in lexicographic order, each dropped that lies within
-    `DEDUP_TOL` (max norm) of a point kept before it.
-
-    The kept points are sorted by their first coordinate, so the scan walks
-    them backwards and stops at the first v with u[0] - v[0] > `DEDUP_TOL`:
-    that v, and every v before it, differs from u by more than the tolerance
-    in the first coordinate alone.
-    """
-    ordered = sorted(log_points, key=lambda v: tuple(v))
-    kept: list[np.ndarray] = []
-    for u in ordered:
-        for v in reversed(kept):
-            if u[0] - v[0] > DEDUP_TOL:
-                kept.append(u)
-                break
-            if np.max(np.abs(u - v)) <= DEDUP_TOL:
-                break
-        else:
-            kept.append(u)
-    return kept
-
-
 def _distinct_states(pairs, chart: _Chart, seeds, cfg: SolveConfig) -> list[np.ndarray]:
     """The deduplicated states the multistart accepted."""
     logs, _ = _multistart(pairs, chart, seeds, cfg)
@@ -272,10 +203,11 @@ def solve_equilibria(system: KineticSystem, mode: str = "positive",
              else _Chart.coset(net.num_species, constraint.x0, constraint.basis))
     logs, stops = _multistart([(a, system.kinetics)], chart, chart.seeds(cfg), cfg)
     kept = _dedup_logs(logs)
+    states = [np.exp(u) for u in kept]
+    sfrfs = _residuals([(system.n_float, system.kinetics)], states)
+    cfrfs = _residuals([(system.ia_float, system.kinetics)], states)
     points = []
-    for u in kept:
-        x = np.exp(u)
-        sfrf, cfrf = system.sfrf_residual(x), system.cfrf_residual(x)
+    for x, sfrf, cfrf in zip(states, sfrfs, cfrfs):
         if (sfrf if mode == "positive" else cfrf) <= cfg.tol:
             kind = "complex_balanced" if cfrf <= cfg.tol else "positive"
             points.append(EquilibriumPoint(x, sfrf, cfrf, kind))
@@ -367,9 +299,9 @@ def check_lp_property(system: KineticSystem, which: str, spec: LPSetSpec,
     if which not in ("E", "Z"):
         raise ValueError("which must be 'E' or 'Z'")
     mode = "positive" if which == "E" else "complex_balanced"
+    pairs = [(system.n_float if which == "E" else system.ia_float, system.kinetics)]
     ref = spec.reference
-    ref_res = (system.sfrf_residual(ref) if which == "E"
-               else system.cfrf_residual(ref))
+    ref_res = _residuals(pairs, [ref])[0]
     if ref_res > cfg.tol:
         raise ReferenceNotEquilibriumError(
             f"reference state has {which} residual {ref_res:.3e} above {cfg.tol:.1e}")
@@ -387,12 +319,9 @@ def check_lp_property(system: KineticSystem, which: str, spec: LPSetSpec,
     rng = np.random.default_rng(cfg.rng_seed + 2)
     # A flux space filling R^m leaves no direction to sample.
     n_sampled = LP_SAMPLES if perp.shape[0] else 0
-    max_res = 0.0
-    for _ in range(n_sampled):
-        mu = perp.T @ rng.uniform(-1.0, 1.0, size=perp.shape[0])
-        x = ref * np.exp(mu)
-        res = system.sfrf_residual(x) if which == "E" else system.cfrf_residual(x)
-        max_res = max(max_res, res)
+    samples = [ref * np.exp(perp.T @ rng.uniform(-1.0, 1.0, size=perp.shape[0]))
+               for _ in range(n_sampled)]
+    max_res = max([0.0, *_residuals(pairs, samples)])
     member_ok = max_res <= LP_TOL
 
     return LpPropertyReport(
@@ -441,7 +370,7 @@ def kse_check(system: KineticSystem, found_equilibria: list[EquilibriumPoint],
     seeds = [base + rng.uniform(-0.8, 0.8, base.size) for base in logs[:8] for _ in range(3)]
     solved, _ = _multistart([(system.n_float, kin)], _Chart.log(net.num_species), seeds, cfg)
     logs = _dedup_logs(logs + solved)
-    columns = np.array([evaluate(kin, np.exp(u)) for u in logs]).T
+    columns = evaluate(kin, np.array([np.exp(u) for u in logs])).T
     # unit-norm columns: the rank must not depend on the scale of each state
     norms = np.linalg.norm(columns, axis=0)
     dim = linalg.numeric_rank(columns / np.where(norms > 0, norms, 1.0))
@@ -491,13 +420,15 @@ def poly_pl_equilibrated_check(net: ReactionNetwork, kin: PolyPLKinetics,
 
     chart = _Chart.log(net.num_species)
     seeds = chart.seeds(cfg)
-    joint_e = [x for x in _distinct_states(joint_e_pairs, chart, seeds, cfg)
-               if _residual(joint_e_pairs, x) <= cfg.tol]
-    joint_z = [x for x in _distinct_states(joint_z_pairs, chart, seeds, cfg)
-               if _residual(joint_z_pairs, x) <= cfg.tol]
+
+    def solved(pairs) -> list[np.ndarray]:
+        states = _distinct_states(pairs, chart, seeds, cfg)
+        return [x for x, res in zip(states, _residuals(pairs, states)) if res <= cfg.tol]
+
+    joint_e, joint_z = solved(joint_e_pairs), solved(joint_z_pairs)
 
     def all_members(states, mats_kins) -> bool:
-        return all(_residual(mats_kins, x) <= LP_TOL for x in states)
+        return all(res <= LP_TOL for res in _residuals(mats_kins, states))
 
     pl_equilibrated = None
     if full_e or joint_e:
@@ -724,7 +655,7 @@ def linkage_decomposition_evidence(system: KineticSystem,
             mask[list(part)] = 1.0
             pairs = [(ia * mask, system.kinetics)]
             states = _distinct_states(pairs, chart, seeds, cfg)
-            cb = any(_residual(pairs, x) <= cfg.tol for x in states)
+            cb = any(res <= cfg.tol for res in _residuals(pairs, states))
             part_statuses.append("ACB_certified" if cb else "Inconclusive")
     return DecompositionEvidence(
         parts_acb=tuple(part_statuses),

@@ -462,6 +462,20 @@ def species_formation_rate(net: ReactionNetwork, kin: Kinetics, x) -> np.ndarray
     return net.n_array() @ evaluate(kin, x)
 
 
+def _residuals(pairs, states) -> list[float]:
+    """Max of |A K(x)| over the (A, kinetics) blocks of `pairs` at each of
+    the `states`, one `evaluate` per pair; each value is the state's own
+    (one matrix-vector product per state, blocks folded as max() does)."""
+    if not len(states):
+        return []
+    x = np.array(states, dtype=float)
+    out = None
+    for a, kin in pairs:
+        res = np.max(np.abs(np.matmul(a, evaluate(kin, x)[..., None])[..., 0]), axis=-1)
+        out = res if out is None else np.where(res > out, res, out)
+    return out.tolist()
+
+
 @dataclass(frozen=True)
 class KineticsClassification:
     """Structure flags; None marks a flag that does not apply to the family."""

@@ -1,8 +1,9 @@
-"""The damped Newton iteration of the multistart solver, and its charts.
+"""The numeric parts of the multistart solver: the damped Newton
+iteration, its charts, the flux-normalized residual rows, the test that
+accepts a run's point and the deduplication of accepted points.
 
-`_newton` steps every seed of a multistart together over a `_Chart`. The
-residual it drives to zero, and the test that accepts a run's point, belong
-to the caller (`equilibria._multistart`).
+`_newton` steps every seed of a multistart together over a `_Chart`;
+`equilibria._multistart` assembles the residual from the caller's pairs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ ACCEPT_BOUND = 36.0     # log-radius guard; fake roots where the kinetics
                         # vanish are already rejected by the relative
                         # residual test
 _U_BOUND = 44.0  # exp(44) ~ 1.3e19: beyond this the chart has left desk scale
+DEDUP_TOL = 1e-6        # log-coordinate distance between distinct points
+# 2^-c and c for c < MAX_HALVINGS, from Python floats: numpy's float ** int
+# loop would page in code no other part of a pass runs.
+_HALVES = np.array([0.5 ** c for c in range(MAX_HALVINGS)])
+_COUNTS = np.array([float(c) for c in range(MAX_HALVINGS)])
 
 
 # Line-search collapse (Nocedal & Wright, ch. 3 and 10): once the last
@@ -54,10 +60,15 @@ def _newton(resjac, p0: np.ndarray, cfg,
     raw): the mask of the rows on the chart, and the residual rows (k, q),
     their Jacobians (k, q, d) and raw residuals (k,) of those k rows.
     Every round of the line search makes one such call, on the trial
-    points of all seeds still running, so the seeds advance together while
-    each keeps its own step, lambda and counters. A seed's iterates are
-    those of the seed run alone: each row gets the same arithmetic, and
-    each Newton step is one least-squares solve of that seed's Jacobian.
+    points of all seeds still searching, so the seeds advance together
+    while each keeps its own step, lambda and counters. A round may try
+    lambda, lambda/2, ... of a seed, as many as its last step needed and
+    twice that after a round that refused them all, but at most n // s
+    each with s of n seeds searching; the seed takes the largest length
+    whose squared residual falls. A seed's iterates are those of the seed
+    run alone: each length is an exact power of two, above 2^-MAX_HALVINGS,
+    each row gets the same arithmetic, and each Newton step is one
+    least-squares solve of that seed's Jacobian.
 
     `cfg` is the caller's `SolveConfig`; `max_iter` and `tol` are read.
 
@@ -78,10 +89,11 @@ def _newton(resjac, p0: np.ndarray, cfg,
     g[on], raw[on], gsq[on] = g_on, raw_on, _squares(g_on)
     gnorm[on] = np.max(np.abs(g_on), axis=1, initial=0.0)
     step = np.zeros_like(u)
-    lam = np.ones(n)  # 2^-k after k halvings, so it counts them exactly
-    # Accepted steps, and the latest run of short ones. Float counts are
-    # exact here, and comparing them runs float loops numpy has already
-    # paged in; integer compares would page in 128 KB more of its code.
+    # The next length, 2^-h after h halvings in this step, and how many the
+    # next round tries; accepted steps, and the latest run of short ones.
+    # Float counts are exact here, and comparing them runs float loops numpy
+    # has already paged in; integer compares would page in 128 KB more.
+    lam, halved, tries = np.ones(n), np.zeros(n), np.ones(n)
     iters, short_steps = np.zeros(n), np.zeros(n)
     # Polish four digits past acceptance so downstream rank estimates are
     # not dominated by solver noise.
@@ -119,7 +131,7 @@ def _newton(resjac, p0: np.ndarray, cfg,
         clamp = live & (biggest > MAX_STEP)
         step[rows[clamp]] *= (MAX_STEP / biggest[clamp])[:, None]
         rows = rows[live]
-        lam[rows] = 1.0
+        lam[rows], halved[rows] = 1.0, 0.0
         return rows
 
     stop(np.flatnonzero(~on), "left the chart")
@@ -128,17 +140,30 @@ def _newton(resjac, p0: np.ndarray, cfg,
     # one stack of them alive at a time.
     del j_on
     while searching.size:
-        trial = u[searching] + lam[searching, None] * step[searching]
+        # column c: the length lam * 2^-c, after halved + c halvings
+        width = min(n // searching.size, MAX_HALVINGS)
+        counts = halved[searching, None] + _COUNTS[:width]
+        lams = lam[searching, None] * _HALVES[:width]
+        grid = (_COUNTS[:width] < tries[searching, None]) & (counts < MAX_HALVINGS)
+        trial = (u[searching, None] + lams[..., None] * step[searching, None])[grid]
         on, g_on, j_on, raw_on = resjac(trial)
-        sq = _squares(g_on)
-        better = sq < gsq[searching[on]]
-        hit = np.zeros(searching.size, dtype=bool)
-        hit[on] = better
+        sq = np.full(trial.shape[0], np.inf)
+        sq[on] = _squares(g_on)
+        sqs = np.full(grid.shape, np.inf)
+        sqs[grid] = sq
+        fell = sqs < gsq[searching, None]
+        # the largest length whose residual fell, 0 where none did
+        best = np.max(np.where(fell, lams, 0.0), axis=1)
+        first = fell & (lams >= best[:, None])
+        hit = best > 0.0
         acc, refused = searching[hit], searching[~hit]
         if acc.size:
-            at = np.flatnonzero(better)
-            u[acc], g[acc], raw[acc], gsq[acc] = trial[hit], g_on[at], raw_on[at], sq[at]
+            took = first[grid]
+            at = np.flatnonzero(took[on])
+            u[acc], g[acc], raw[acc], gsq[acc] = trial[took], g_on[at], raw_on[at], sq[took]
             gnorm[acc] = np.max(np.abs(g[acc]), axis=1, initial=0.0)
+            lam[acc] = best[hit]
+            tries[acc] = np.max(np.where(first, counts, 0.0), axis=1)[hit] + 1.0
             iters[acc] += 1
             short_steps[acc] = np.where(lam[acc] <= _COLLAPSE_LAMBDA, short_steps[acc] + 1, 0)
             creeping = (short_steps[acc] >= _COLLAPSE_STEPS) & (gnorm[acc] > _COLLAPSE_RESIDUAL)
@@ -146,14 +171,83 @@ def _newton(resjac, p0: np.ndarray, cfg,
             acc = newton_steps(acc[~creeping], j_on, at[~creeping])
         del j_on
         if refused.size:
-            lam[refused] *= 0.5
-            spent = lam[refused] <= 0.5 ** MAX_HALVINGS
+            # go on past the last length tried, with twice as many
+            last = np.max(np.where(grid, counts, 0.0), axis=1)
+            tail = grid & (counts >= last[:, None])
+            lam[refused] = 0.5 * np.max(np.where(tail, lams, 0.0), axis=1)[~hit]
+            halved[refused] = last[~hit] + 1.0
+            tries[refused] *= 2.0
+            spent = halved[refused] >= MAX_HALVINGS
             stop(refused[spent], "line search exhausted")
             refused = refused[~spent]
         going = np.zeros(n, dtype=bool)
         going[refused] = going[acc] = True
         searching = np.flatnonzero(going)  # in seed order
     return [_Run(u[i], float(gnorm[i]), float(raw[i]), stops[i]) for i in range(n)]
+
+
+def _normalized_rows(a, abs_a, k, jk_param):
+    """Flux-normalized residual rows G = (A K) / (|A| K) and their Jacobian.
+
+    Each row of A K is divided by the total kinetic flux through that row,
+    which makes the residual scale invariant: shrinking or inflating the
+    whole state cannot fake progress, and rows whose kinetics run at tiny
+    magnitudes still count at full weight. Rows with no flux (all-zero rows
+    of A) are identically zero and stay zero. `k` is a stack (..., r) and
+    `jk_param` (..., r, d); A K is formed one matrix-vector product per
+    state, as for a single state.
+    """
+    raw = np.matmul(a, k[..., None])[..., 0]
+    flux = np.matmul(abs_a, k[..., None])[..., 0]
+    div = np.where(flux > 0, flux, 1.0)
+    g = raw / div
+    # jg = (A dK - g |A| dK) / div, in place to hold fewer stacks at once
+    jg = np.matmul(abs_a, jk_param)
+    jg *= g[..., None]
+    np.subtract(np.matmul(a, jk_param), jg, out=jg)
+    jg /= div[..., None]
+    return g, jg, np.max(np.abs(raw), axis=-1, initial=0.0)
+
+
+def _seed_outcome(run: _Run, to_log, cfg):
+    """(stop reason, log point or None) of one multistart run.
+
+    A run is accepted, as "converged", when both the flux-normalized and the
+    raw residual clear `tol` and its point lies inside the log-radius bound.
+    Any other run reports why it stopped; a run that met the polish target
+    and was still refused reports the acceptance test it failed.
+    """
+    if run.gnorm <= cfg.tol and run.raw <= cfg.tol:
+        log_x = to_log(run.u)
+        if np.max(np.abs(log_x)) <= ACCEPT_BOUND:
+            return "converged", log_x
+    if run.stop != "converged":
+        return run.stop, None
+    return ("raw residual above tol" if run.raw > cfg.tol
+            else "outside accept_bound"), None
+
+
+def _dedup_logs(log_points: list[np.ndarray]) -> list[np.ndarray]:
+    """The points in lexicographic order, each dropped that lies within
+    `DEDUP_TOL` (max norm) of a point kept before it.
+
+    The kept points are sorted by their first coordinate, so the scan walks
+    them backwards and stops at the first v with u[0] - v[0] > `DEDUP_TOL`:
+    that v, and every v before it, differs from u by more than the tolerance
+    in the first coordinate alone.
+    """
+    ordered = sorted(log_points, key=lambda v: tuple(v))
+    kept: list[np.ndarray] = []
+    for u in ordered:
+        for v in reversed(kept):
+            if u[0] - v[0] > DEDUP_TOL:
+                kept.append(u)
+                break
+            if np.max(np.abs(u - v)) <= DEDUP_TOL:
+                break
+        else:
+            kept.append(u)
+    return kept
 
 
 @dataclass(frozen=True, eq=False)

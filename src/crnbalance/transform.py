@@ -19,9 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from .equilibria import KineticSystem
 from .kinetics import (HillKinetics, Kinetics, PolyPLKinetics, PowerLawKinetics,
                        RationalKinetics, evaluate, normalize_poly_pl, poly_pl)
-from .network import CrnError, ReactionNetwork, build_network, structural_invariants
+from .network import CrnError, ReactionNetwork, build_network
+# Unused here since the systems compute their own invariants; the benchmark's
+# tracer test still expects this module to hold the name (ROADMAP item 8).
+from .network import structural_invariants  # noqa: F401
 
 
 class NonIntegerComplexError(CrnError):
@@ -34,13 +38,24 @@ class DimensionMismatchError(CrnError):
 
 @dataclass(eq=False)
 class StarMscResult:
-    network: ReactionNetwork
-    kinetics: PowerLawKinetics
+    """The replica system and its source, each a `KineticSystem` that keeps
+    the invariants the deficiencies were read from."""
+
+    source: KineticSystem                       # the poly-PL system transformed
+    system: KineticSystem                       # the power-law replica system
     shift: int                                  # M, added per replica step
     length: int                                 # h, number of replicas
     replica_map: tuple[tuple[int, int], ...]    # new reaction -> (orig q, replica j)
     predicted_delta: int
     computed_delta: int
+
+    @property
+    def network(self) -> ReactionNetwork:
+        return self.system.network
+
+    @property
+    def kinetics(self) -> PowerLawKinetics:
+        return self.system.kinetics
 
 
 def star_msc(net: ReactionNetwork, kin: PolyPLKinetics) -> StarMscResult:
@@ -52,6 +67,7 @@ def star_msc(net: ReactionNetwork, kin: PolyPLKinetics) -> StarMscResult:
     carries the j-th term of q's normalized kinetics; summing replicas
     reproduces the original species formation rate at every positive state.
     """
+    source = KineticSystem(net, kin)
     kin = normalize_poly_pl(kin)
     h = kin.length
     for cpx in net.complexes:
@@ -61,7 +77,7 @@ def star_msc(net: ReactionNetwork, kin: PolyPLKinetics) -> StarMscResult:
     max_coeff = max(int(c) for cpx in net.complexes for c in cpx.coeffs)
     shift = 1 + max_coeff
 
-    inv = structural_invariants(net)
+    inv = source.invariants
     predicted = inv.delta + (inv.n - inv.l) * (h - 1)
 
     n = net.num_complexes
@@ -91,9 +107,9 @@ def star_msc(net: ReactionNetwork, kin: PolyPLKinetics) -> StarMscResult:
     star_kin = PowerLawKinetics(
         np.array(order_rows), np.array(rates),
         tuple(exact_rows) if exact_rows is not None else None)
-    computed = structural_invariants(star_net).delta
-    return StarMscResult(star_net, star_kin, shift, h, tuple(replica_map),
-                         predicted, computed)
+    system = KineticSystem(star_net, star_kin)
+    return StarMscResult(source, system, shift, h, tuple(replica_map),
+                         predicted, system.invariants.delta)
 
 
 @dataclass(frozen=True)

@@ -299,3 +299,20 @@ def test_analyze_reads_the_conservation_witness_from_the_invariants(monkeypatch)
     assert report["structural"]["conservative"] is True
     assert "conservation_witness" in report["structural"]
     assert len(calls) == 1
+
+
+def test_starmsc_computes_each_networks_invariants_once(monkeypatch):
+    calls = []
+    real = crnbalance.network.structural_invariants
+
+    def counted(net):
+        calls.append(net)
+        return real(net)
+
+    for module in (crnbalance.network, crnbalance.equilibria, crnbalance.decomposition):
+        monkeypatch.setattr(module, "structural_invariants", counted)
+    report, _ = run_json(["starmsc", data_path("mm_polypl.crn")])
+    assert report["transform"]["computed_deficiency"] == 4
+    # the source, the replica and the three parts of the replica decomposition
+    assert len(calls) == 5
+    assert len({id(net) for net in calls}) == 5

@@ -12,7 +12,7 @@ import pytest
 import crnbalance as cb
 from crnbalance.fileformat import parse_crn
 
-from conftest import DATA, bench_ladder, random_weakly_reversible_network
+from conftest import DATA, bench_ladder, bench_workloads, random_weakly_reversible_network
 
 CB_POINT = np.array([2.0, 2 ** 0.5 * 1.5 ** -0.25, 2 ** 0.5 * 1.5 ** 0.25])
 
@@ -890,3 +890,36 @@ def test_float_matrices_are_cached_and_read_only(re1_powerlaw):
     for a in (system.n_float, system.ia_float):
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
+
+
+def _residual_of_one_point(pairs, x):
+    """The residual max |A K(x)| of one state, block by block."""
+    return max(float(np.max(np.abs(a @ cb.evaluate(kin, x)))) for a, kin in pairs)
+
+
+def test_stacked_residuals_are_those_of_each_point():
+    """Residuals reach the reports, so the stacked check must give each
+    point's own bits: at solved equilibria of both kinds and at sampled
+    states, on the fixtures and the ladders, for one block and for the
+    joint blocks of poly-PL term systems."""
+    work = bench_workloads()
+    cases = [parse_crn(path.read_text()) for path in sorted(DATA.glob("*.crn"))]
+    cases += [bench_ladder(seed, 12) for seed in (3, 5, 7)] + [
+        bench_ladder(2, 24), work.ladder_poly_pl(1, 12), work.ladder_hill(1, 8)]
+    cfg = cb.SolveConfig(seeds=8)
+    checked = 0
+    for net, kin in cases:
+        system = cb.KineticSystem(net, kin)
+        states = [p.x for mode in ("positive", "complex_balanced")
+                  for p in cb.solve_equilibria(system, mode, config=cfg).points]
+        states += cb.sample_positive_states(net.num_species, 6, rng_seed=3)
+        blocks = [[(system.n_float, kin)], [(system.ia_float, kin)]]
+        if isinstance(kin, cb.PolyPLKinetics):
+            norm = cb.normalize_poly_pl(kin)
+            blocks.append([(system.n_float, norm.term_system(j)) for j in range(norm.length)])
+        for pairs in blocks:
+            want = [_residual_of_one_point(pairs, x) for x in states]
+            assert cb.kinetics._residuals(pairs, states) == want
+            checked += len(states)
+    assert checked > 200
+    assert cb.kinetics._residuals([(system.n_float, kin)], []) == []

@@ -8,6 +8,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 import crnbalance as cb
 from crnbalance.cli import run_cli
@@ -178,8 +179,8 @@ _FAKES = {
 }
 
 
-def _labelled(makers):
-    """One stacked residual over fresh fakes: the row (v, label) is the fake
+def _labelled_single(makers):
+    """One residual over fresh fakes: the point (v, label) is the fake
     `label` at v, with a zero Jacobian column for the label coordinate."""
     fakes = [make() for make in makers]
 
@@ -190,7 +191,12 @@ def _labelled(makers):
         g, jac, raw = state
         return g, np.hstack([jac, np.zeros((jac.shape[0], 1))]), raw
 
-    return _stacked(resjac)
+    return resjac
+
+
+def _labelled(makers):
+    """The stacked residual of `_labelled_single`."""
+    return _stacked(_labelled_single(makers))
 
 
 def _same_run(a, b):
@@ -477,6 +483,121 @@ def test_multistart_edge_cases_match_the_sequential_iteration(monkeypatch, count
     _, stops = multistart(pairs, coset, [np.array([5.0]), np.array([-5.0])], cfg)
     assert stops == ["left the chart"] * 2
     assert len(checked) == 6
+
+
+# --- several lengths per line-search round --------------------------------
+
+def _out_of_reach(u):
+    """Decreasing along +u, with a Newton step clamped to +MAX_STEP; a trial
+    farther than MAX_STEP * 2^-40 from u = 0 is worse than the seed u = 0.
+    From that seed only the length 2^-40 would be accepted, a length the
+    line search never tries, so the search is exhausted."""
+    v = u[0]
+    g = 10.0 if v > MAX_STEP * 0.5 ** 40 else 1.0 + np.exp(-v)
+    return _state([g], [[-1e-3]])
+
+
+def _holes(u):
+    """Decreasing along +u, with a Newton step clamped to +MAX_STEP, except
+    for three trial points of the seed u = 0: u = 4 is worse and u = 2 off
+    the chart, so the first step needs two halvings and lands on u = 1. The
+    second step then tries three lengths in one round: u = 5 is taken, and
+    the trials past it, u = 3 (a NaN residual) and u = 2, are not."""
+    v = u[0]
+    if v == 2.0:
+        return None
+    if v == 3.0:
+        return _state([np.nan], [[np.nan]])
+    if 1.0 < v <= 4.0:
+        return _state([10.0], [[-1e-3]])
+    return _state([1.0 + np.exp(-v)], [[-1e-3]])
+
+
+def _converging():
+    return lambda u: _state([u[0] - 1.0], [[1.0]])
+
+
+def _off_chart():
+    return lambda u: None
+
+
+def _counting(resjac, rows):
+    """`resjac`, appending the number of rows of each call to `rows`."""
+    def counted(p):
+        rows.append(p.shape[0])
+        return resjac(p)
+    return counted
+
+
+_ROUND_CASES = {
+    # the exhausted seed searches alone for most of its 40 trials, at most
+    # 4 per round, and never moves
+    "exhausted": ([lambda: _out_of_reach, _converging, _converging, _off_chart],
+                  ["line search exhausted", "converged", "converged", "left the chart"], 0.0),
+    # two seeds stopping early leave the rows for three trials per seed; the
+    # seed of `_holes` goes to u = 1, then 5, then on by MAX_STEP per step
+    "trials past the taken one": (
+        [lambda: _holes, _converging, _converging, lambda: _drifting, _off_chart, _off_chart],
+        ["max_iter", "converged", "converged", "max_iter", "left the chart", "left the chart"],
+        5.0 + 4 * MAX_STEP),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROUND_CASES))
+def test_rounds_of_several_lengths_match_the_sequential_iteration(case):
+    makers, want, end = _ROUND_CASES[case]
+    cfg = cb.SolveConfig(max_iter=6)
+    seeds = np.array([[0.0, label] for label in range(len(makers))])
+    rows = []
+    runs = _newton(_counting(_labelled(makers), rows), seeds, cfg, ACCEPT_BOUND)
+    assert [run.stop for run in runs] == want
+    for seed, run in zip(seeds, runs):
+        alone = _sequential_newton(_labelled_single(makers), seed, cfg, ACCEPT_BOUND)
+        assert _same_run(run, alone), run.stop
+    assert runs[0].u[0] == end
+    assert max(rows) == rows[0] == len(seeds)
+
+
+@pytest.mark.parametrize("h, rounds", [(0, 5), (3, 3 + 4), (11, 4 + 4)])
+def test_steps_needing_h_halvings_take_one_round_after_the_first(h, rounds):
+    """Every step of the first seed needs h halvings, and the 15 other seeds
+    are off the chart, so a round may try up to 16 lengths. The first step
+    takes rounds of 1, 2, 4, ... lengths until it reaches the (h+1)-th; each
+    later step tries h + 1 lengths in a single round. Halving one length at
+    a time, each of the five steps took h + 1 rounds."""
+    cfg = cb.SolveConfig(max_iter=5)
+    makers = [lambda: _Creeping(reach=MAX_STEP * 0.5 ** h)] + [_off_chart] * 15
+    seeds = np.array([[0.0, label] for label in range(16)])
+    rows = []
+    run = _newton(_counting(_labelled(makers), rows), seeds, cfg)[0]
+    alone = _sequential_newton(_labelled_single(makers), seeds[0], cfg)
+    assert _same_run(run, alone)
+    assert run.stop == ("line search collapsed" if h == 11 else "max_iter")
+    assert len(rows) == 1 + rounds
+    assert max(rows) == rows[0] == 16
+
+
+def test_no_round_has_more_rows_than_the_seeds(monkeypatch):
+    """On the fixtures and the ladders, no `resjac` call of a multistart
+    gets more rows than its first, the seeds themselves."""
+    real = cb.equilibria._newton
+    multistarts = []
+
+    def newton(resjac, p0, cfg, escape_bound=None):
+        rows = []
+        multistarts.append((p0.shape[0], rows))
+        return real(_counting(resjac, rows), p0, cfg, escape_bound)
+
+    monkeypatch.setattr(cb.equilibria, "_newton", newton)
+    cfg = cb.SolveConfig(seeds=16)
+    for path in sorted(DATA.glob("*.crn")):
+        cb.analyze_acb(cb.KineticSystem(*parse_crn(path.read_text())), cfg)
+    for seed in (3, 5, 7):
+        cb.analyze_acb(cb.KineticSystem(*bench_ladder(seed, 12)), cfg)
+    cb.analyze_acb(cb.KineticSystem(*bench_ladder(2, 24)), cfg)
+    assert len(multistarts) > 20
+    for n, rows in multistarts:
+        assert max(rows) == rows[0] == n
 
 
 # --- differential check against the iteration without the early stops ---
