@@ -23,7 +23,7 @@ from .equilibria import (KineticSystem, SolveConfig, acb_verdict, analyze_acb,
 from .fileformat import ParseError, parse_crn
 from .kinetic_matrices import build_t_matrices, kinetic_order_subspace
 from .kinetics import (HillKinetics, PolyPLKinetics, PowerLawKinetics,
-                       RationalKinetics, species_formation_rate)
+                       RationalKinetics, evaluate)
 from .network import CrnError, stoichiometric_basis
 from .transform import pff_check, star_msc
 
@@ -207,13 +207,12 @@ def _cmd_starmsc(args, out):
     if not isinstance(kin, PolyPLKinetics):
         raise CrnError("the replica transform needs poly-PL kinetics")
     star = star_msc(net, kin)
-    states = sample_positive_states(net.num_species, 20, cfg.rng_seed)
-    deviation = 0.0
-    for x in states:
-        f0 = species_formation_rate(net, kin, x)
-        f1 = species_formation_rate(star.network, star.kinetics, x)
-        deviation = max(deviation, float(np.max(np.abs(f0 - f1))
-                                         / max(1.0, np.max(np.abs(f0)))))
+    states = np.array(sample_positive_states(net.num_species, 20, cfg.rng_seed))
+    # the SFRF N K(x) of both networks, one matrix-vector product per state
+    f0, f1 = (np.matmul(n.n_array(), evaluate(k, states)[..., None])[..., 0]
+              for n, k in ((net, kin), (star.network, star.kinetics)))
+    deviation = max([0.0] + [d / max(1.0, s) for d, s in zip(
+        np.max(np.abs(f0 - f1), axis=1).tolist(), np.max(np.abs(f0), axis=1).tolist())])
     verdict = star.system.linkage_verdict
     evidence = star_msc_acb_evidence(star.system, star.source, cfg)
     analysis = analyze_acb(star.system, cfg)

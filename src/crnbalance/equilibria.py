@@ -31,8 +31,8 @@ from .kinetics import (Kinetics, KineticsClassification, PolyPLKinetics,
                        PowerLawKinetics, _frozen, _is_mass_action, _residuals,
                        classify, evaluate, log_jacobian, normalize_poly_pl)
 from .kinetic_matrices import TMatrices, is_pl_tik, t_matrices_or_none
-from .newton import (DEDUP_TOL, _Chart, _dedup_logs, _newton, _normalized_rows,
-                     _seed_outcome)
+from .newton import (DEDUP_TOL, SolveConfig, _Chart, _dedup_logs, _newton,
+                     _normalized_rows, _seed_outcome)
 from .network import (CrnError, ReactionNetwork, StructuralInvariants,
                       structural_invariants, stoichiometric_basis)
 
@@ -47,15 +47,6 @@ class ReferenceNotEquilibriumError(CrnError):
 
 class NotComplexBalancedError(CrnError):
     pass
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    seeds: int = 64
-    rng_seed: int = 42
-    tol: float = 1e-9
-    max_iter: int = 200
-    coset_samples: int = 8
 
 
 LP_TOL = 1e-7           # log-parametrization membership tolerance

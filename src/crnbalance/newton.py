@@ -1,6 +1,6 @@
-"""The numeric parts of the multistart solver: the damped Newton
-iteration, its charts, the flux-normalized residual rows, the test that
-accepts a run's point and the deduplication of accepted points.
+"""The numeric parts of the multistart solver: its settings, the damped
+Newton iteration, its charts, the flux-normalized residual rows, the test
+that accepts a run's point and the deduplication of accepted points.
 
 `_newton` steps every seed of a multistart together over a `_Chart`;
 `equilibria._multistart` assembles the residual from the caller's pairs.
@@ -8,6 +8,7 @@ accepts a run's point and the deduplication of accepted points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -23,10 +24,7 @@ ACCEPT_BOUND = 36.0     # log-radius guard; fake roots where the kinetics
                         # residual test
 _U_BOUND = 44.0  # exp(44) ~ 1.3e19: beyond this the chart has left desk scale
 DEDUP_TOL = 1e-6        # log-coordinate distance between distinct points
-# 2^-c and c for c < MAX_HALVINGS, from Python floats: numpy's float ** int
-# loop would page in code no other part of a pass runs.
-_HALVES = np.array([0.5 ** c for c in range(MAX_HALVINGS)])
-_COUNTS = np.array([float(c) for c in range(MAX_HALVINGS)])
+_HALVES = [0.5 ** c for c in range(MAX_HALVINGS)]  # 2^-c, c < MAX_HALVINGS
 
 
 # Line-search collapse (Nocedal & Wright, ch. 3 and 10): once the last
@@ -39,6 +37,25 @@ _COLLAPSE_STEPS = 5
 _COLLAPSE_RESIDUAL = 1e-2
 
 
+@dataclass(frozen=True)
+class SolveConfig:
+    seeds: int = 64
+    rng_seed: int = 42
+    tol: float = 1e-9
+    max_iter: int = 200
+    coset_samples: int = 8
+
+    def __post_init__(self):
+        # out of range, each is misread (seeds 0 ran one seed) or fails later
+        for name, ok, rule in (("seeds", self.seeds >= 1, "at least 1"),
+                               ("rng_seed", self.rng_seed >= 0, "at least 0"),
+                               ("tol", 0 < self.tol < np.inf, "finite and positive"),
+                               ("max_iter", self.max_iter >= 0, "at least 0"),
+                               ("coset_samples", self.coset_samples >= 0, "at least 0")):
+            if not ok:
+                raise CrnError(f"solver setting {name} must be {rule}, got {getattr(self, name)!r}")
+
+
 class _Run(NamedTuple):
     u: np.ndarray
     gnorm: float       # normalized residual, max norm
@@ -46,31 +63,25 @@ class _Run(NamedTuple):
     stop: str          # why the iteration ended
 
 
-def _squares(g: np.ndarray) -> np.ndarray:
-    """g . g of each row, as the dot product of that row alone computes it."""
-    return np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0]
-
-
-def _newton(resjac, p0: np.ndarray, cfg,
+def _newton(resjac, p0: np.ndarray, cfg: SolveConfig,
             escape_bound: float | None = None) -> list[_Run]:
     """Damped Gauss-Newton on the residual `resjac` returns, from every row
     of `p0` (seeds, d) at once.
 
     `resjac(P)` evaluates a stack of points (n, d) and returns (on, G, J,
     raw): the mask of the rows on the chart, and the residual rows (k, q),
-    their Jacobians (k, q, d) and raw residuals (k,) of those k rows.
-    Every round of the line search makes one such call, on the trial
-    points of all seeds still searching, so the seeds advance together
-    while each keeps its own step, lambda and counters. A round may try
-    lambda, lambda/2, ... of a seed, as many as its last step needed and
-    twice that after a round that refused them all, but at most n // s
-    each with s of n seeds searching; the seed takes the largest length
-    whose squared residual falls. A seed's iterates are those of the seed
-    run alone: each length is an exact power of two, above 2^-MAX_HALVINGS,
+    their Jacobians (k, q, d) and raw residuals (k,) of those k rows. Each
+    line-search round makes one such call, on the trial points of every
+    seed still searching. Points, steps and residuals are numpy stacks;
+    each seed's lambda, counters, residual norms and stop reason are Python
+    scalars, and one pass over the seeds makes a round's choices. A round
+    tries lambda, lambda/2, ... of a seed, as many as its last step needed
+    and twice that after a round that refused them all, but at most n // s
+    with s of n seeds searching; the seed takes the largest length whose
+    squared residual falls. A seed's iterates are those of the seed run
+    alone: each length is an exact power of two, above 2^-MAX_HALVINGS,
     each row gets the same arithmetic, and each Newton step is one
     least-squares solve of that seed's Jacobian.
-
-    `cfg` is the caller's `SolveConfig`; `max_iter` and `tol` are read.
 
     Steps are clamped in the max norm (exponential charts make the linear
     model wildly optimistic far from a root) and damped on the 2-norm, which
@@ -81,109 +92,108 @@ def _newton(resjac, p0: np.ndarray, cfg,
     search exhausted", "line search collapsed" or "max_iter".
     """
     n = p0.shape[0]
-    stops: list[str | None] = [None] * n
-    u = p0.copy()
-    on, g_on, j_on, raw_on = resjac(u)
-    g = np.zeros((n,) + g_on.shape[1:])
-    raw, gnorm, gsq = np.full(n, np.inf), np.full(n, np.inf), np.zeros(n)
-    g[on], raw[on], gsq[on] = g_on, raw_on, _squares(g_on)
-    gnorm[on] = np.max(np.abs(g_on), axis=1, initial=0.0)
-    step = np.zeros_like(u)
-    # The next length, 2^-h after h halvings in this step, and how many the
-    # next round tries; accepted steps, and the latest run of short ones.
-    # Float counts are exact here, and comparing them runs float loops numpy
-    # has already paged in; integer compares would page in 128 KB more.
-    lam, halved, tries = np.ones(n), np.zeros(n), np.ones(n)
-    iters, short_steps = np.zeros(n), np.zeros(n)
+    u, step = p0.copy(), np.zeros_like(p0)
+    # Per seed: the next length, 2^-h of the step after h halvings in it, and
+    # how many the next round tries; accepted steps, the latest run of short
+    # ones; below, g . g, max|g|, the raw residual and the stop reason.
+    lam, halved, tries, iters, short_steps = [1.0] * n, [0] * n, [1] * n, [0] * n, [0] * n
     # Polish four digits past acceptance so downstream rank estimates are
     # not dominated by solver noise.
     target = 1e-4 * cfg.tol
 
-    def stop(rows, why):
-        for i in rows:
-            stops[i] = why
+    def residuals(points):
+        """resjac at `points`; per point its residual row (None off the
+        chart) and g . g (inf off the chart), per row max|g| and raw."""
+        on, g, jac, raw_on = resjac(points)
+        at, sq = [None] * len(points), [math.inf] * len(points)
+        # g . g of each row, as the dot product of that row alone computes it
+        squares = np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0].tolist()
+        for j, (t, s) in enumerate(zip(np.flatnonzero(on).tolist(), squares)):
+            at[t], sq[t] = j, s
+        return at, sq, np.max(np.abs(g), axis=1, initial=0.0).tolist(), raw_on.tolist(), g, jac
 
-    def newton_steps(rows: np.ndarray, jacs: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """The top of a Newton iteration for `rows`, the Jacobian of rows[j]
-        being jacs[at[j]]: the stop tests, then a clamped step at lambda = 1.
-        Returns the rows that go on to search a line."""
-        live = np.ones(rows.size, dtype=bool)
-
-        def stop_where(mask, why):
-            stop(rows[live & mask], why)
-            live[mask] = False
-
-        spent = iters[rows] >= cfg.max_iter
-        stop_where(spent & (gnorm[rows] <= target), "converged")
-        stop_where(spent, "max_iter")
-        stop_where(gnorm[rows] <= target, "converged")
-        if escape_bound is not None:
-            stop_where(np.max(np.abs(u[rows]), axis=1, initial=0.0) > escape_bound, "escaped")
+    def newton_steps(took, points, g, jac):
+        """The top of a Newton iteration for each (seed, t, j) of `took`, the
+        seed being at points[t] with residual g[j] and Jacobian jac[j]: the
+        stop tests, then a clamped step at lambda = 1. Returns the seeds
+        that go on to search a line."""
+        umax = np.max(np.abs(points), axis=1, initial=0.0).tolist()
         # lstsq raises on a non-finite Jacobian, so test it first
-        stop_where(~np.all(np.isfinite(jacs), axis=(1, 2))[at], "non-finite step")
-        for i, j in zip(rows[live], at[live]):
-            step[i] = np.linalg.lstsq(jacs[j], -g[i], rcond=None)[0]
-        stop_where(~np.all(np.isfinite(step[rows]), axis=1), "non-finite step")
-        # a zero-width chart (no coordinates) has an empty step
-        biggest = np.max(np.abs(step[rows]), axis=1, initial=0.0)
-        stop_where(biggest <= 1e-15 * (1.0 + np.max(np.abs(u[rows]), axis=1, initial=0.0)),
-                   "step below 1e-15")
-        clamp = live & (biggest > MAX_STEP)
-        step[rows[clamp]] *= (MAX_STEP / biggest[clamp])[:, None]
-        rows = rows[live]
-        lam[rows], halved[rows] = 1.0, 0.0
-        return rows
+        finite = np.all(np.isfinite(jac), axis=(1, 2)).tolist()
+        solved = []
+        for i, t, j in took:
+            if iters[i] >= cfg.max_iter:
+                stops[i] = "converged" if gnorm[i] <= target else "max_iter"
+            elif gnorm[i] <= target:
+                stops[i] = "converged"
+            elif escape_bound is not None and umax[t] > escape_bound:
+                stops[i] = "escaped"
+            elif not finite[j]:
+                stops[i] = "non-finite step"
+            else:
+                step[i] = np.linalg.lstsq(jac[j], -g[j], rcond=None)[0]
+                solved.append((i, t))
+        if not solved:  # an empty list index would page in numpy code
+            return []
+        # NaN or inf where the step is not finite, 0 on a zero-width chart
+        biggest = np.max(np.abs(step[[i for i, _ in solved]]), axis=1, initial=0.0).tolist()
+        going = []
+        for (i, t), b in zip(solved, biggest):
+            if not math.isfinite(b):
+                stops[i] = "non-finite step"
+            elif b <= 1e-15 * (1.0 + umax[t]):
+                stops[i] = "step below 1e-15"
+            else:
+                if b > MAX_STEP:
+                    step[i] *= MAX_STEP / b
+                lam[i], halved[i] = 1.0, 0
+                going.append(i)
+        return going
 
-    stop(np.flatnonzero(~on), "left the chart")
-    searching = newton_steps(np.flatnonzero(on), j_on, np.arange(np.count_nonzero(on)))
+    at, gsq, gmax, raws, g, jac = residuals(u)
+    gnorm = [math.inf if j is None else gmax[j] for j in at]
+    raw = [math.inf if j is None else raws[j] for j in at]
+    stops = ["left the chart" if j is None else None for j in at]
+    searching = newton_steps([(i, i, j) for i, j in enumerate(at) if j is not None], u, g, jac)
     # Jacobians are needed only for the steps just taken; dropping them keeps
     # one stack of them alive at a time.
-    del j_on
-    while searching.size:
-        # column c: the length lam * 2^-c, after halved + c halvings
-        width = min(n // searching.size, MAX_HALVINGS)
-        counts = halved[searching, None] + _COUNTS[:width]
-        lams = lam[searching, None] * _HALVES[:width]
-        grid = (_COUNTS[:width] < tries[searching, None]) & (counts < MAX_HALVINGS)
-        trial = (u[searching, None] + lams[..., None] * step[searching, None])[grid]
-        on, g_on, j_on, raw_on = resjac(trial)
-        sq = np.full(trial.shape[0], np.inf)
-        sq[on] = _squares(g_on)
-        sqs = np.full(grid.shape, np.inf)
-        sqs[grid] = sq
-        fell = sqs < gsq[searching, None]
-        # the largest length whose residual fell, 0 where none did
-        best = np.max(np.where(fell, lams, 0.0), axis=1)
-        first = fell & (lams >= best[:, None])
-        hit = best > 0.0
-        acc, refused = searching[hit], searching[~hit]
-        if acc.size:
-            took = first[grid]
-            at = np.flatnonzero(took[on])
-            u[acc], g[acc], raw[acc], gsq[acc] = trial[took], g_on[at], raw_on[at], sq[took]
-            gnorm[acc] = np.max(np.abs(g[acc]), axis=1, initial=0.0)
-            lam[acc] = best[hit]
-            tries[acc] = np.max(np.where(first, counts, 0.0), axis=1)[hit] + 1.0
-            iters[acc] += 1
-            short_steps[acc] = np.where(lam[acc] <= _COLLAPSE_LAMBDA, short_steps[acc] + 1, 0)
-            creeping = (short_steps[acc] >= _COLLAPSE_STEPS) & (gnorm[acc] > _COLLAPSE_RESIDUAL)
-            stop(acc[creeping], "line search collapsed")
-            acc = newton_steps(acc[~creeping], j_on, at[~creeping])
-        del j_on
-        if refused.size:
-            # go on past the last length tried, with twice as many
-            last = np.max(np.where(grid, counts, 0.0), axis=1)
-            tail = grid & (counts >= last[:, None])
-            lam[refused] = 0.5 * np.max(np.where(tail, lams, 0.0), axis=1)[~hit]
-            halved[refused] = last[~hit] + 1.0
-            tries[refused] *= 2.0
-            spent = halved[refused] >= MAX_HALVINGS
-            stop(refused[spent], "line search exhausted")
-            refused = refused[~spent]
-        going = np.zeros(n, dtype=bool)
-        going[refused] = going[acc] = True
-        searching = np.flatnonzero(going)  # in seed order
-    return [_Run(u[i], float(gnorm[i]), float(raw[i]), stops[i]) for i in range(n)]
+    del g, jac
+    while searching:
+        # seed i tries lam[i] * 2^-c for c < k, after halved[i] + c halvings
+        width = min(n // len(searching), MAX_HALVINGS)
+        counts = [min(tries[i], width, MAX_HALVINGS - halved[i]) for i in searching]
+        rows = [i for i, k in zip(searching, counts) for _ in range(k)]
+        lams = [lam[i] * h for i, k in zip(searching, counts) for h in _HALVES[:k]]
+        trial = u[rows] + np.array(lams)[:, None] * step[rows]
+        at, sq, gmax, raws, g, jac = residuals(trial)
+        moved, took, kept, t = [], [], [], 0
+        for i, k in zip(searching, counts):
+            # the first, so the largest, length whose squared residual fell
+            c = next((c for c in range(k) if sq[t + c] < gsq[i]), None)
+            if c is None:
+                # go on past the last length tried, with twice as many
+                lam[i], halved[i], tries[i] = 0.5 * lams[t + k - 1], halved[i] + k, 2 * tries[i]
+                if halved[i] >= MAX_HALVINGS:
+                    stops[i] = "line search exhausted"
+                else:
+                    kept.append(i)
+            else:
+                j = at[t + c]
+                moved.append((i, t + c))
+                lam[i], gsq[i], gnorm[i], raw[i] = lams[t + c], sq[t + c], gmax[j], raws[j]
+                tries[i], iters[i] = halved[i] + c + 1, iters[i] + 1
+                short_steps[i] = short_steps[i] + 1 if lam[i] <= _COLLAPSE_LAMBDA else 0
+                if short_steps[i] >= _COLLAPSE_STEPS and gnorm[i] > _COLLAPSE_RESIDUAL:
+                    stops[i] = "line search collapsed"
+                else:
+                    took.append((i, t + c, j))
+            t += k
+        if moved:
+            u[[i for i, _ in moved]] = trial[[t for _, t in moved]]
+            kept += newton_steps(took, trial, g, jac)
+        del g, jac
+        searching = sorted(kept)  # in seed order
+    return [_Run(u[i], gnorm[i], raw[i], stops[i]) for i in range(n)]
 
 
 def _normalized_rows(a, abs_a, k, jk_param):
@@ -278,7 +288,7 @@ class _Chart:
         def seeds(cfg):
             rng = np.random.default_rng(cfg.rng_seed)
             return [np.zeros(m)] + [rng.uniform(-SEED_WIDTH, SEED_WIDTH, size=m)
-                                    for _ in range(max(0, cfg.seeds - 1))]
+                                    for _ in range(cfg.seeds - 1)]
 
         return cls(to_x, lambda jk, x: jk, lambda u: u, ACCEPT_BOUND, seeds)
 
@@ -311,6 +321,6 @@ class _Chart:
             scale = 0.5 * float(np.min(x0)) / max(1.0, float(np.max(np.abs(b), initial=0.0)))
             return [np.zeros(b.shape[1])] + [
                 rng.uniform(-1.0, 1.0, size=b.shape[1]) * scale * (1 + trial)
-                for trial in range(max(0, cfg.seeds - 1))]
+                for trial in range(cfg.seeds - 1)]
 
         return cls(to_x, lambda jk, x: np.matmul(jk / x[..., None, :], b), to_log, None, seeds)

@@ -8,9 +8,12 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
+import pytest
 
 import crnbalance
 from crnbalance.cli import build_parser, run_cli
+from crnbalance.fileformat import parse_crn
 from crnbalance.report import JSON_SCHEMA
 
 from conftest import data_path
@@ -301,6 +304,19 @@ def test_analyze_reads_the_conservation_witness_from_the_invariants(monkeypatch)
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("option, value, field", [
+    ("--seeds", "0", "seeds"), ("--seeds", "-3", "seeds"), ("--rng", "-1", "rng_seed"),
+    ("--tol", "nan", "tol"), ("--tol", "-1", "tol"), ("--tol", "inf", "tol")])
+def test_solver_settings_out_of_range_are_analysis_errors(option, value, field):
+    # before: --seeds 0 ran one seed and printed 0, --rng -1 and --tol nan
+    # ended in a traceback, --tol -1 accepted nothing
+    code, out, err = run(["equilibria", data_path("re1_massaction.crn"), "--json", option, value])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"analysis error: solver setting {field} must be ")
+    assert err.count("\n") == 1
+
+
 def test_starmsc_computes_each_networks_invariants_once(monkeypatch):
     calls = []
     real = crnbalance.network.structural_invariants
@@ -316,3 +332,20 @@ def test_starmsc_computes_each_networks_invariants_once(monkeypatch):
     # the source, the replica and the three parts of the replica decomposition
     assert len(calls) == 5
     assert len({id(net) for net in calls}) == 5
+
+
+def test_starmsc_deviation_matches_the_per_state_loop(monkeypatch):
+    """The SFRF deviation of both networks' stacked rates has the bits of
+    the loop over one state at a time."""
+    monkeypatch.setattr(crnbalance.report, "residual_str", repr)  # every digit
+    report, _ = run_json(["starmsc", data_path("mm_polypl.crn")])
+    net, kin = parse_crn(Path(data_path("mm_polypl.crn")).read_text())
+    star = crnbalance.star_msc(net, kin)
+    deviation = 0.0
+    for x in crnbalance.sample_positive_states(net.num_species, 20, 42):
+        f0 = crnbalance.species_formation_rate(net, kin, x)
+        f1 = crnbalance.species_formation_rate(star.network, star.kinetics, x)
+        deviation = max(deviation, float(np.max(np.abs(f0 - f1))
+                                         / max(1.0, np.max(np.abs(f0)))))
+    assert deviation > 0.0
+    assert report["transform"]["sfrf_max_relative_deviation"] == repr(deviation)

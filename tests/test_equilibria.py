@@ -162,6 +162,19 @@ def test_check_lp_property_wrong_flux_space_fails(ma_system):
     assert not rep.membership_direction_ok
 
 
+def test_solve_config_rejects_settings_the_solver_cannot_use():
+    for bad in ({"seeds": 0}, {"seeds": -3}, {"rng_seed": -1}, {"tol": float("nan")},
+                {"tol": 0.0}, {"tol": -1.0}, {"tol": float("inf")}, {"max_iter": -1},
+                {"coset_samples": -1}):
+        (field, value), = bad.items()
+        with pytest.raises(cb.CrnError, match=f"solver setting {field} must be "):
+            cb.SolveConfig(**bad)
+    # the smallest settings the solver reads as given
+    cfg = cb.SolveConfig(seeds=1, rng_seed=0, tol=1e-300, max_iter=0, coset_samples=0)
+    system = cb.KineticSystem(*parse_crn((DATA / "re1_massaction.crn").read_text()))
+    assert cb.solve_equilibria(system, "positive", config=cfg).diagnostics["attempts"] == 1
+
+
 def test_flux_basis_of_the_wrong_width_is_rejected(ma_system):
     with pytest.raises(cb.CrnError, match="2 entries, the reference state 3"):
         cb.LPSetSpec(np.array([[1.0, -1.0]]), np.ones(3))

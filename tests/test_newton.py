@@ -1,7 +1,8 @@
 """Stop reasons of the damped Newton iteration, which steps all seeds of a
 multistart together; a differential check of it against the sequential
-per-seed iteration it replaced; and a differential check of the two early
-stops against the iteration without them."""
+per-seed iteration it replaced; a differential check of the two early
+stops against the iteration without them; and a check that its rounds are
+those of the stacked driver that kept each seed's scalars in numpy masks."""
 
 import collections
 import io
@@ -14,7 +15,8 @@ import crnbalance as cb
 from crnbalance.cli import run_cli
 from crnbalance.equilibria import _seed_outcome
 from crnbalance.fileformat import parse_crn
-from crnbalance.newton import ACCEPT_BOUND, MAX_HALVINGS, MAX_STEP, _Chart, _Run, _newton
+from crnbalance.newton import (_COLLAPSE_LAMBDA, _COLLAPSE_RESIDUAL, _COLLAPSE_STEPS,
+                               ACCEPT_BOUND, MAX_HALVINGS, MAX_STEP, _Chart, _Run, _newton)
 
 from conftest import DATA, bench_ladder, bench_workloads
 
@@ -740,3 +742,173 @@ def test_early_stops_keep_points_and_verdicts(monkeypatch):
         for c, d in zip(a, b):
             assert _same_points(c.e_points, d.e_points), name
             assert _same_points(c.z_points, d.z_points), name
+
+
+# --- the masked stacked driver, as an oracle of the round schedule --------
+
+# 2^-c and c for c < MAX_HALVINGS, as numpy rows, for `_masked_newton`.
+_HALVES = np.array([0.5 ** c for c in range(MAX_HALVINGS)])
+_COUNTS = np.array([float(c) for c in range(MAX_HALVINGS)])
+
+
+def _squares(g: np.ndarray) -> np.ndarray:
+    """g . g of each row, as the dot product of that row alone computes it."""
+    return np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0]
+
+
+def _masked_newton(resjac, p0: np.ndarray, cfg,
+                   escape_bound: float | None = None) -> list[_Run]:
+    """The stacked driver with each seed's lambda, counters and residual
+    norms kept in numpy arrays and updated through masks, as `_newton` was
+    written before its per-seed scalars became Python values."""
+    n = p0.shape[0]
+    stops: list[str | None] = [None] * n
+    u = p0.copy()
+    on, g_on, j_on, raw_on = resjac(u)
+    g = np.zeros((n,) + g_on.shape[1:])
+    raw, gnorm, gsq = np.full(n, np.inf), np.full(n, np.inf), np.zeros(n)
+    g[on], raw[on], gsq[on] = g_on, raw_on, _squares(g_on)
+    gnorm[on] = np.max(np.abs(g_on), axis=1, initial=0.0)
+    step = np.zeros_like(u)
+    # The next length, 2^-h after h halvings in this step, and how many the
+    # next round tries; accepted steps, and the latest run of short ones.
+    lam, halved, tries = np.ones(n), np.zeros(n), np.ones(n)
+    iters, short_steps = np.zeros(n), np.zeros(n)
+    # Polish four digits past acceptance so downstream rank estimates are
+    # not dominated by solver noise.
+    target = 1e-4 * cfg.tol
+
+    def stop(rows, why):
+        for i in rows:
+            stops[i] = why
+
+    def newton_steps(rows: np.ndarray, jacs: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The top of a Newton iteration for `rows`, the Jacobian of rows[j]
+        being jacs[at[j]]: the stop tests, then a clamped step at lambda = 1.
+        Returns the rows that go on to search a line."""
+        live = np.ones(rows.size, dtype=bool)
+
+        def stop_where(mask, why):
+            stop(rows[live & mask], why)
+            live[mask] = False
+
+        spent = iters[rows] >= cfg.max_iter
+        stop_where(spent & (gnorm[rows] <= target), "converged")
+        stop_where(spent, "max_iter")
+        stop_where(gnorm[rows] <= target, "converged")
+        if escape_bound is not None:
+            stop_where(np.max(np.abs(u[rows]), axis=1, initial=0.0) > escape_bound, "escaped")
+        # lstsq raises on a non-finite Jacobian, so test it first
+        stop_where(~np.all(np.isfinite(jacs), axis=(1, 2))[at], "non-finite step")
+        for i, j in zip(rows[live], at[live]):
+            step[i] = np.linalg.lstsq(jacs[j], -g[i], rcond=None)[0]
+        stop_where(~np.all(np.isfinite(step[rows]), axis=1), "non-finite step")
+        # a zero-width chart (no coordinates) has an empty step
+        biggest = np.max(np.abs(step[rows]), axis=1, initial=0.0)
+        stop_where(biggest <= 1e-15 * (1.0 + np.max(np.abs(u[rows]), axis=1, initial=0.0)),
+                   "step below 1e-15")
+        clamp = live & (biggest > MAX_STEP)
+        step[rows[clamp]] *= (MAX_STEP / biggest[clamp])[:, None]
+        rows = rows[live]
+        lam[rows], halved[rows] = 1.0, 0.0
+        return rows
+
+    stop(np.flatnonzero(~on), "left the chart")
+    searching = newton_steps(np.flatnonzero(on), j_on, np.arange(np.count_nonzero(on)))
+    # Jacobians are needed only for the steps just taken; dropping them keeps
+    # one stack of them alive at a time.
+    del j_on
+    while searching.size:
+        # column c: the length lam * 2^-c, after halved + c halvings
+        width = min(n // searching.size, MAX_HALVINGS)
+        counts = halved[searching, None] + _COUNTS[:width]
+        lams = lam[searching, None] * _HALVES[:width]
+        grid = (_COUNTS[:width] < tries[searching, None]) & (counts < MAX_HALVINGS)
+        trial = (u[searching, None] + lams[..., None] * step[searching, None])[grid]
+        on, g_on, j_on, raw_on = resjac(trial)
+        sq = np.full(trial.shape[0], np.inf)
+        sq[on] = _squares(g_on)
+        sqs = np.full(grid.shape, np.inf)
+        sqs[grid] = sq
+        fell = sqs < gsq[searching, None]
+        # the largest length whose residual fell, 0 where none did
+        best = np.max(np.where(fell, lams, 0.0), axis=1)
+        first = fell & (lams >= best[:, None])
+        hit = best > 0.0
+        acc, refused = searching[hit], searching[~hit]
+        if acc.size:
+            took = first[grid]
+            at = np.flatnonzero(took[on])
+            u[acc], g[acc], raw[acc], gsq[acc] = trial[took], g_on[at], raw_on[at], sq[took]
+            gnorm[acc] = np.max(np.abs(g[acc]), axis=1, initial=0.0)
+            lam[acc] = best[hit]
+            tries[acc] = np.max(np.where(first, counts, 0.0), axis=1)[hit] + 1.0
+            iters[acc] += 1
+            short_steps[acc] = np.where(lam[acc] <= _COLLAPSE_LAMBDA, short_steps[acc] + 1, 0)
+            creeping = (short_steps[acc] >= _COLLAPSE_STEPS) & (gnorm[acc] > _COLLAPSE_RESIDUAL)
+            stop(acc[creeping], "line search collapsed")
+            acc = newton_steps(acc[~creeping], j_on, at[~creeping])
+        del j_on
+        if refused.size:
+            # go on past the last length tried, with twice as many
+            last = np.max(np.where(grid, counts, 0.0), axis=1)
+            tail = grid & (counts >= last[:, None])
+            lam[refused] = 0.5 * np.max(np.where(tail, lams, 0.0), axis=1)[~hit]
+            halved[refused] = last[~hit] + 1.0
+            tries[refused] *= 2.0
+            spent = halved[refused] >= MAX_HALVINGS
+            stop(refused[spent], "line search exhausted")
+            refused = refused[~spent]
+        going = np.zeros(n, dtype=bool)
+        going[refused] = going[acc] = True
+        searching = np.flatnonzero(going)  # in seed order
+    return [_Run(u[i], float(gnorm[i]), float(raw[i]), stops[i]) for i in range(n)]
+
+
+def _recorded(resjac, stacks):
+    """`resjac`, appending the shape and bytes of each input stack to `stacks`."""
+    def recorded(p):
+        stacks.append((p.shape, p.tobytes()))
+        return resjac(p)
+    return recorded
+
+
+def test_rounds_match_the_masked_driver(monkeypatch):
+    """Every `_newton` call of the fixtures, both coset charts and the
+    ladders also runs `_masked_newton`: both must hand `resjac` the same
+    stacks in the same order, which fixes the per-layer call counts, and
+    return bit-identical runs."""
+    real = cb.equilibria._newton
+    checked = []
+
+    def newton(resjac, p0, cfg, escape_bound=None):
+        stacks, masked_stacks = [], []
+        runs = real(_recorded(resjac, stacks), p0, cfg, escape_bound)
+        masked = _masked_newton(_recorded(resjac, masked_stacks), p0, cfg, escape_bound)
+        assert stacks == masked_stacks
+        assert len(runs) == len(masked)
+        assert all(_same_run(a, b) for a, b in zip(runs, masked))
+        checked.append((len(stacks), [run.stop for run in runs]))
+        return runs
+
+    monkeypatch.setattr(cb.equilibria, "_newton", newton)
+    cfg = cb.SolveConfig(seeds=16)
+    for path in sorted(DATA.glob("*.crn")):
+        system = cb.KineticSystem(*parse_crn(path.read_text()))
+        for mode in ("positive", "complex_balanced"):
+            cb.solve_equilibria(system, mode, config=cfg)
+    assert len(checked) == 10
+    for name, space in (("re1_massaction.crn", "S"), ("counterexample.crn", "Stilde")):
+        _coset_outcome(name, space, cfg)
+    work = bench_workloads()
+    ladders = [bench_ladder(seed, 12) for seed in (3, 5, 7)] + [
+        bench_ladder(2, 24), work.ladder_poly_pl(1, 12), work.ladder_hill(1, 8)]
+    for net, kin in ladders:
+        cb.analyze_acb(cb.KineticSystem(net, kin), cfg)  # E, Z, KSE and part solves
+
+    assert len(checked) > 40
+    assert max(rounds for rounds, _ in checked) > 20
+    stops = collections.Counter(s for _, call in checked for s in call)
+    for reason in ("converged", "escaped", "left the chart", "line search collapsed",
+                   "line search exhausted", "step below 1e-15", "max_iter"):
+        assert stops[reason] > 0, reason
