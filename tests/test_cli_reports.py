@@ -1,12 +1,16 @@
-"""Recorded CLI reports: 24 ``--json`` commands on the fixtures, re-run
-in-process and compared with ``tests/data/cli_reports.json``.
+"""Recorded CLI output: 24 ``--json`` commands on the fixtures, re-run
+in-process and compared with ``tests/data/cli_reports.json``, and the text
+output of those commands plus ``kinetics``, ``tmatrix`` and two ``pff``
+comparisons, compared with ``tests/data/cli_text.json``.
 
 Non-numeric fields must match exactly, key order included. Numbers, and
 strings that parse as numbers (coordinates, residuals), must agree within
 rtol 1e-8 or atol 1e-12, so that another BLAS build does not fail the test.
-A command that fails must write the recorded stderr line and exit code.
+Text lines must match exactly outside their number literals, which get the
+same tolerance. A command that fails must write the recorded stderr line
+and exit code.
 
-Regenerate the recording (after a change that is meant to move a report)
+Regenerate both recordings (after a change that is meant to move a report)
 with ``PYTHONPATH=src python tests/test_cli_reports.py``, and name every
 changed entry in CHANGES.md.
 """
@@ -14,12 +18,14 @@ changed entry in CHANGES.md.
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 from crnbalance.cli import run_cli
 
 DATA = Path(__file__).parent / "data"
 RECORDED = DATA / "cli_reports.json"
+TEXT_RECORDED = DATA / "cli_text.json"
 FIXTURES = ("counterexample", "hill_single", "mm_polypl", "re1_massaction", "re1_powerlaw")
 RTOL, ATOL = 1e-8, 1e-12
 
@@ -30,11 +36,19 @@ COMMANDS = [[cmd, f"{name}.crn"] for name in FIXTURES
     ["starmsc", "mm_polypl.crn"],
     ["decompose", "re1_powerlaw.crn", "--max-parts", "8"],
 ]
+TEXT_COMMANDS = COMMANDS + [[cmd, f"{name}.crn"] for name in FIXTURES
+                            for cmd in ("kinetics", "tmatrix")] + [
+    ["pff", "hill_single.crn", "hill_single.crn"],
+    ["pff", "re1_powerlaw.crn", "re1_massaction.crn"],
+]
+# a number literal: integer, decimal or exponent form
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def _run(argv) -> dict:
+def _run(argv, as_json=True) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    code = run_cli([argv[0], str(DATA / argv[1]), *argv[2:], "--json"], out, err)
+    files = [str(DATA / arg) if arg.endswith(".crn") else arg for arg in argv]
+    code = run_cli(files + ["--json"] * as_json, out, err)
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -75,6 +89,18 @@ def _mismatch(new, old, path="$"):
     return f"{path}: {new!r} != {old!r}"
 
 
+def _text_mismatch(new: str, old: str):
+    """The first line that differs beyond the number tolerance, or None."""
+    new_lines, old_lines = new.splitlines(), old.splitlines()
+    if len(new_lines) != len(old_lines):
+        return f"{len(new_lines)} lines != {len(old_lines)}"
+    for number, (a, b) in enumerate(zip(new_lines, old_lines), 1):
+        if _NUMBER.split(a) != _NUMBER.split(b) or any(
+                _mismatch(x, y) for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b))):
+            return f"line {number}: {a!r} != {b!r}"
+    return None
+
+
 def test_recorded_cli_reports():
     recorded = json.loads(RECORDED.read_text())
     assert [r["argv"] for r in recorded] == COMMANDS
@@ -89,6 +115,17 @@ def test_recorded_cli_reports():
         assert found is None, f"{name}: {found}"
 
 
+def test_recorded_cli_text():
+    recorded = json.loads(TEXT_RECORDED.read_text())
+    assert [r["argv"] for r in recorded] == TEXT_COMMANDS
+    for old in recorded:
+        new = _run(old["argv"], as_json=False)
+        name = " ".join(old["argv"])
+        assert (new["exit"], new["stderr"]) == (old["exit"], old["stderr"]), name
+        found = _text_mismatch(new["stdout"], old["stdout"])
+        assert found is None, f"{name}: {found}"
+
+
 def test_tolerance_applies_to_numbers_only():
     assert _mismatch({"x": ["1.000000000001"]}, {"x": ["1"]}) is None
     assert _mismatch({"x": "1.1e-20"}, {"x": "1.0e-20"}) is None  # below atol
@@ -97,7 +134,15 @@ def test_tolerance_applies_to_numbers_only():
     assert _mismatch({"k": "positive"}, {"k": "complex_balanced"}) is not None
     assert _mismatch({"k": True}, {"k": 1}) is not None
     assert _mismatch({"k": "3/2"}, {"k": "1.5"}) is not None
+    assert _text_mismatch("x = (1.000000000001, -2)\n", "x = (1, -2)\n") is None
+    assert _text_mismatch("cfrf 1.1e-20\n", "cfrf 1.0e-20\n") is None
+    assert _text_mismatch("x = (1.0001, -2)\n", "x = (1, -2)\n") is not None
+    assert _text_mismatch("x = (1, 2)\n", "x = (1, -2)\n") is not None
+    assert _text_mismatch("CLP: True\n", "CLP: False\n") is not None
+    assert _text_mismatch("a\n", "a\nb\n") is not None
 
 
 if __name__ == "__main__":
     RECORDED.write_text(json.dumps([_run(argv) for argv in COMMANDS], indent=1) + "\n")
+    TEXT_RECORDED.write_text(json.dumps(
+        [_run(argv, as_json=False) for argv in TEXT_COMMANDS], indent=1) + "\n")
