@@ -11,7 +11,7 @@ from .equilibria import (
     DecompositionEvidence, EquilibriumPoint, KineticSystem, KseReport,
     LPSetSpec, LpPropertyReport, NoEquilibriaError, NotComplexBalancedError,
     PolyPlBalanceReport, ReferenceNotEquilibriumError, SolveConfig,
-    SolveResult, acb_verdict, analyze_acb, check_bilp, check_lp_property,
+    SolveResult, acb_verdict, analyze_acb, check_lp_property,
     coset_intersection_count, kse_check, linkage_decomposition_evidence,
     poly_pl_equilibrated_check, sample_coset_counts, sample_positive_states,
     solve_equilibria, star_msc_acb_evidence,

@@ -28,25 +28,17 @@ from .network import CrnError, stoichiometric_basis
 from .transform import pff_check, star_msc
 
 
+_FAMILIES = {PowerLawKinetics: "powerlaw", PolyPLKinetics: "polypl",
+             HillKinetics: "hill", RationalKinetics: "rational"}
+
+
 def _family(kin) -> str:
-    if isinstance(kin, PowerLawKinetics):
-        return "powerlaw"
-    if isinstance(kin, PolyPLKinetics):
-        return "polypl"
-    if isinstance(kin, HillKinetics):
-        return "hill"
-    if isinstance(kin, RationalKinetics):
-        return "rational"
-    return type(kin).__name__
+    return _FAMILIES.get(type(kin), type(kin).__name__)
 
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_crn(fh.read())
-
-
-def _config(args) -> SolveConfig:
-    return SolveConfig(seeds=args.seeds, rng_seed=args.rng, tol=args.tol)
 
 
 def _resolve_flux_basis(value, system: KineticSystem) -> np.ndarray:
@@ -78,30 +70,24 @@ def _resolve_flux_basis(value, system: KineticSystem) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in rows])
 
 
-def _print_verdict_lines(out, verdict):
-    out.write(f"ACB verdict: {verdict['status']}\n")
-    for item in verdict["justification"]:
-        out.write(f"  [{item['rule']}] {item['citation']}\n")
+def _verdict_lines(verdict: dict) -> list[str]:
+    """Text lines of a verdict's JSON: status, citations, witness."""
+    lines = [f"ACB verdict: {verdict['status']}"]
+    lines += [f"  [{item['rule']}] {item['citation']}" for item in verdict["justification"]]
     if verdict.get("witness"):
-        out.write(f"  witness x = ({', '.join(verdict['witness']['x'])}), "
-                  f"cfrf residual {verdict['witness']['cfrf_residual']}\n")
+        lines.append(f"  witness x = ({', '.join(verdict['witness']['x'])}), "
+                     f"cfrf residual {verdict['witness']['cfrf_residual']}")
+    return lines
 
 
-def _emit(args, out, report: dict, text_lines: list[str]) -> None:
-    if args.json:
-        out.write(rpt.dumps_report(report))
-    else:
-        for line in text_lines:
-            out.write(line + "\n")
+# Each handler takes the parsed arguments, the system of `args.file`, the
+# solver settings and the report `run_cli` started; it adds its own report
+# sections and returns its text lines.
 
-
-def _cmd_analyze(args, out):
-    net, kin = _load(args.file)
-    cfg = _config(args)
-    system = KineticSystem(net, kin)
+def _cmd_analyze(args, system, cfg, report):
+    net, kin = system.network, system.kinetics
     inv, tmat, cls = system.invariants, system.t_matrices, system.classification
     witness = inv.conservation_witness
-    report = rpt.base_report("analyze", cfg)
     report["network"] = rpt.network_json(net)
     report["structural"] = rpt.structural_json(inv, witness)
     report["kinetics"] = rpt.classification_json(cls, _family(kin))
@@ -123,29 +109,21 @@ def _cmd_analyze(args, out):
         lines.append(f"kinetic reactant rank {tmat.q_tilde}, T-hat rank {tmat.q_hat}, "
                      f"kinetic reactant deficiency {tmat.delta_hat}"
                      + (" (exact)" if tmat.ranks_exact else " (numeric)"))
-    _emit(args, out, report, lines)
-    return 0
+    return lines
 
 
-def _cmd_kinetics(args, out):
-    net, kin = _load(args.file)
-    cfg = _config(args)
-    cls = KineticSystem(net, kin).classification
-    report = rpt.base_report("kinetics", cfg)
-    report["kinetics"] = rpt.classification_json(cls, _family(kin))
-    lines = [f"{k} = {v}" for k, v in report["kinetics"].items() if v is not None]
-    _emit(args, out, report, lines)
-    return 0
+def _cmd_kinetics(args, system, cfg, report):
+    report["kinetics"] = rpt.classification_json(system.classification,
+                                                 _family(system.kinetics))
+    return [f"{k} = {v}" for k, v in report["kinetics"].items() if v is not None]
 
 
-def _cmd_tmatrix(args, out):
-    net, kin = _load(args.file)
-    cfg = _config(args)
+def _cmd_tmatrix(args, system, cfg, report):
+    net, kin = system.network, system.kinetics
     if not isinstance(kin, PowerLawKinetics):
         raise CrnError("T matrices are defined for power-law kinetics")
     tmat = build_t_matrices(net, kin)
     sub = kinetic_order_subspace(tmat, net)
-    report = rpt.base_report("tmatrix", cfg)
     report["t_matrices"] = rpt.tmatrices_json(tmat)
     report["order_subspace"] = {
         "dim": sub.dim,
@@ -162,16 +140,11 @@ def _cmd_tmatrix(args, out):
                  f"PL-TIK: {report['t_matrices']['pl_tik']}")
     lines.append(f"kinetic order subspace dim = {sub.dim}"
                  + (" [warning: not cycle terminal]" if sub.not_cycle_terminal else ""))
-    _emit(args, out, report, lines)
-    return 0
+    return lines
 
 
-def _cmd_decompose(args, out):
-    net, kin = _load(args.file)
-    cfg = _config(args)
-    system = KineticSystem(net, kin)
+def _cmd_decompose(args, system, cfg, report):
     parts, verdict = system.invariants.linkage_partition, system.linkage_verdict
-    report = rpt.base_report("decompose", cfg)
     report["linkage_decomposition"] = {
         "parts": [list(p) for p in parts],
         "independent": verdict.independent,
@@ -189,7 +162,7 @@ def _cmd_decompose(args, out):
         + (f" ({verdict.relation})" if verdict.relation else ""),
     ]
     if args.max_parts is not None:
-        found = search_decompositions(net, "bi_independent", args.max_parts)
+        found = search_decompositions(system.network, "bi_independent", args.max_parts)
         report["search"] = {
             "predicate": "bi_independent",
             "max_parts": args.max_parts,
@@ -197,13 +170,11 @@ def _cmd_decompose(args, out):
         }
         lines.append(f"bi-independent decompositions with <= {args.max_parts} parts: "
                      f"{len(found)}")
-    _emit(args, out, report, lines)
-    return 0
+    return lines
 
 
-def _cmd_starmsc(args, out):
-    net, kin = _load(args.file)
-    cfg = _config(args)
+def _cmd_starmsc(args, system, cfg, report):
+    net, kin = system.network, system.kinetics
     if not isinstance(kin, PolyPLKinetics):
         raise CrnError("the replica transform needs poly-PL kinetics")
     star = star_msc(net, kin)
@@ -218,7 +189,6 @@ def _cmd_starmsc(args, out):
     analysis = analyze_acb(star.system, cfg)
     analysis.decomposition = evidence if evidence is not None else analysis.decomposition
     acb = acb_verdict(analysis, cfg)
-    report = rpt.base_report("starmsc", cfg)
     report["transform"] = {
         "shift": star.shift,
         "length": star.length,
@@ -243,10 +213,7 @@ def _cmd_starmsc(args, out):
         f"replica decomposition incidence independent: {verdict.incidence_independent}, "
         f"bi-independent: {verdict.bi_independent}",
     ]
-    _emit(args, out, report, lines)
-    if not args.json:
-        _print_verdict_lines(out, report["verdicts"]["acb"])
-    return 0
+    return lines + _verdict_lines(report["verdicts"]["acb"])
 
 
 def _report_diagnostics(diagnostics: dict) -> dict:
@@ -255,13 +222,9 @@ def _report_diagnostics(diagnostics: dict) -> dict:
             for key in ("attempts", "converged", "distinct", "mode", "accepted")}
 
 
-def _cmd_equilibria(args, out):
-    net, kin = _load(args.file)
-    cfg = _config(args)
-    system = KineticSystem(net, kin)
+def _cmd_equilibria(args, system, cfg, report):
     e = solve_equilibria(system, "positive", config=cfg)
     z = solve_equilibria(system, "complex_balanced", config=cfg)
-    report = rpt.base_report("equilibria", cfg)
     report["equilibria"] = {
         "positive": [rpt.point_json(p) for p in e.points],
         "complex_balanced": [rpt.point_json(p) for p in z.points],
@@ -290,21 +253,19 @@ def _cmd_equilibria(args, out):
         for anchor, counts in samples:
             lines.append(f"  anchor (" + ", ".join(rpt.sig12(v) for v in anchor)
                          + f"): |E| >= {counts.e_found}, |Z| >= {counts.z_found}")
-    _emit(args, out, report, lines)
-    return 0
+    return lines
 
 
-def _cmd_acb(args, out):
-    net, kin = _load(args.file)
-    cfg = _config(args)
-    system = KineticSystem(net, kin)
-    flux = None
-    if args.flux_space is not None:
-        flux = _resolve_flux_basis(args.flux_space, system)
+def _cmd_acb(args, system, cfg, report):
+    net, kin = system.network, system.kinetics
+    flux = (None if args.flux_space is None
+            else _resolve_flux_basis(args.flux_space, system))
     analysis = analyze_acb(system, cfg, flux_spec_basis=flux)
     verdict = acb_verdict(analysis, cfg)
     inv = system.invariants
-    report = rpt.base_report("acb", cfg)
+    # CLP and PLP are checked on one flux space, so the two spaces coincide
+    # whenever PLP was checked; the report keeps the key
+    bilp = True if analysis.plp is not None else None
     report["structural"] = rpt.structural_json(inv)
     report["kinetics"] = rpt.classification_json(system.classification, _family(kin))
     if system.t_matrices is not None:
@@ -317,7 +278,7 @@ def _cmd_acb(args, out):
         "acb": rpt.verdict_json(verdict),
         "clp": rpt.lp_json(analysis.clp),
         "plp": rpt.lp_json(analysis.plp),
-        "bilp": analysis.bilp,
+        "bilp": bilp,
         "kse": rpt.kse_json(analysis.kse),
     }
     if isinstance(kin, PolyPLKinetics):
@@ -333,25 +294,20 @@ def _cmd_acb(args, out):
     if analysis.clp is not None:
         lines.append(f"CLP: {analysis.clp.holds}"
                      + (f", PLP: {analysis.plp.holds}" if analysis.plp else "")
-                     + (f", bi-LP: {analysis.bilp}" if analysis.bilp is not None else ""))
+                     + (f", bi-LP: {bilp}" if bilp is not None else ""))
     if analysis.kse is not None:
         lines.append(f"kinetic image span: {analysis.kse.sampled_span_dim} of "
                      f"r - s = {analysis.kse.r_minus_s} (KSE: {analysis.kse.kse})")
-    _emit(args, out, report, lines)
-    if not args.json:
-        _print_verdict_lines(out, report["verdicts"]["acb"])
-    return 0
+    return lines + _verdict_lines(report["verdicts"]["acb"])
 
 
-def _cmd_pff(args, out):
-    net_a, kin_a = _load(args.file)
+def _cmd_pff(args, system, cfg, report):
+    net_a, kin_a = system.network, system.kinetics
     net_b, kin_b = _load(args.file_b)
-    cfg = _config(args)
     if net_a.num_reactions != net_b.num_reactions:
         raise CrnError("the two files define different reaction counts")
     states = sample_positive_states(net_a.num_species, 20, cfg.rng_seed)
     cert = pff_check(kin_a, kin_b, states)
-    report = rpt.base_report("pff", cfg)
     report["pff"] = {
         "equivalent": cert.equivalent,
         "factor_kind": cert.factor_kind,
@@ -360,10 +316,8 @@ def _cmd_pff(args, out):
         "order_shift": None if cert.order_shift is None
         else [rpt.sig12(v) for v in cert.order_shift],
     }
-    lines = [f"PFF equivalent: {cert.equivalent} (factor kind: {cert.factor_kind}, "
-             f"max spread {cert.sampled_max_spread:.3e})"]
-    _emit(args, out, report, lines)
-    return 0
+    return [f"PFF equivalent: {cert.equivalent} (factor kind: {cert.factor_kind}, "
+            f"max spread {cert.sampled_max_spread:.3e})"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv, stdout=None, stderr=None) -> int:
+    """Load `args.file`, run the subcommand's handler on its system and
+    write the JSON report (``--json``) or the handler's text lines."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = build_parser()
@@ -413,7 +369,13 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args, out)
+        net, kin = _load(args.file)
+        cfg = SolveConfig(seeds=args.seeds, rng_seed=args.rng, tol=args.tol)
+        report = rpt.base_report(args.command, cfg)
+        lines = args.handler(args, KineticSystem(net, kin), cfg, report)
+        out.write(rpt.dumps_report(report) if args.json
+                  else "".join(line + "\n" for line in lines))
+        return 0
     except (ParseError, OSError) as exc:
         err.write(f"parse error: {exc}\n")
         return 2

@@ -19,17 +19,16 @@ classical theorems and records a citation chain for every rule it fires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import linalg, rational
+from . import linalg
 from .decomposition import IndependenceVerdict, check_decomposition
 from .kinetics import (Kinetics, KineticsClassification, PolyPLKinetics,
-                       PowerLawKinetics, _frozen, _is_mass_action, _residuals,
-                       classify, evaluate, log_jacobian, normalize_poly_pl)
+                       _frozen, _is_mass_action, _residuals, classify, evaluate,
+                       log_jacobian, normalize_poly_pl)
 from .kinetic_matrices import TMatrices, is_pl_tik, t_matrices_or_none
 from .newton import (DEDUP_TOL, SolveConfig, _Chart, _dedup_logs, _newton,
                      _normalized_rows, _seed_outcome)
@@ -250,7 +249,6 @@ class LPSetSpec:
 
     flux_basis: np.ndarray
     reference: np.ndarray
-    exact_basis: tuple[tuple[Fraction, ...], ...] | None = None
 
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.flux_basis, dtype=float))
@@ -321,14 +319,6 @@ def check_lp_property(system: KineticSystem, which: str, spec: LPSetSpec,
         max_projection=max_proj, max_residual=max_res,
         n_found=len(points), n_sampled=n_sampled,
     )
-
-
-def check_bilp(system: KineticSystem, z_spec: LPSetSpec, e_spec: LPSetSpec) -> bool:
-    """Whether the two flux subspaces coincide (exact when both are rational)."""
-    if z_spec.exact_basis is not None and e_spec.exact_basis is not None:
-        return rational.spans_equal([list(r) for r in z_spec.exact_basis],
-                                    [list(r) for r in e_spec.exact_basis])
-    return linalg.rows_span_equal(z_spec.flux_basis, e_spec.flux_basis)
 
 
 @dataclass(frozen=True)
@@ -519,9 +509,8 @@ class AcbAnalysis:
     e_points: list[EquilibriumPoint]
     z_points: list[EquilibriumPoint]
     e_diagnostics: dict = field(default_factory=dict)
-    clp: LpPropertyReport | None = None
+    clp: LpPropertyReport | None = None    # CLP and PLP share one flux space
     plp: LpPropertyReport | None = None
-    bilp: bool | None = None
     kse: KseReport | None = None
     decomposition: DecompositionEvidence | None = None
 
@@ -543,8 +532,7 @@ _RULES = (
     _Rule(RULE_FEINBERG, "ACB_certified", lambda a, w: a.system.invariants.delta == 0),
     _Rule(RULE_HORN_JACKSON, "ACB_certified", lambda a, w: a.system.classification.mass_action),
     _Rule(RULE_BILP, "ACB_certified", lambda a, w: (
-        a.clp is not None and a.clp.holds and a.plp is not None and a.plp.holds
-        and bool(a.bilp))),
+        a.clp is not None and a.clp.holds and a.plp is not None and a.plp.holds)),
     _Rule(RULE_DECOMPOSITION, "ACB_certified", lambda a, w: (
         _parts_certified(a) and a.system.linkage_verdict.bi_independent)),
     _Rule(RULE_DECOMPOSITION_REPLICA, "ACB_certified", lambda a, w: (
@@ -679,19 +667,15 @@ def star_msc_acb_evidence(star_system: KineticSystem, source_system: KineticSyst
               "weakly reversible, zero-deficiency source"))
 
 
-def default_flux_spec(system: KineticSystem, reference: np.ndarray) -> LPSetSpec:
-    """Flux space for LP checks: the kinetic order subspace for
-    reactant-determined power-law kinetics, the stoichiometric subspace
-    otherwise."""
-    net, cls, t_matrices = system.network, system.classification, system.t_matrices
-    if (isinstance(system.kinetics, PowerLawKinetics) and cls.pl_rdk
-            and not cls.mass_action and t_matrices is not None
+def default_flux_basis(system: KineticSystem) -> np.ndarray:
+    """Flux space rows for LP checks: the kinetic order subspace for
+    reactant-determined power-law kinetics with rational orders that is not
+    mass action, the stoichiometric subspace otherwise."""
+    t_matrices = system.t_matrices
+    if (t_matrices is not None and not system.classification.mass_action
             and t_matrices.exact_s_tilde_basis is not None):
-        return LPSetSpec(t_matrices.s_tilde_basis, reference,
-                         tuple(tuple(row) for row in t_matrices.exact_s_tilde_basis))
-    basis = stoichiometric_basis(net)
-    return LPSetSpec(np.array(basis, dtype=float), reference,
-                     tuple(tuple(row) for row in basis))
+        return t_matrices.s_tilde_basis
+    return np.array(stoichiometric_basis(system.network), dtype=float)
 
 
 def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
@@ -700,8 +684,10 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
 
     Reads the system's exact facts (structural invariants, classification,
     order matrices where defined) and collects equilibria of both kinds,
-    LP/bi-LP reports against the default (or supplied) flux space, the
-    kinetic-image span report, and linkage decomposition evidence; the
+    the CLP report on Z+ and, when E+ points were found, the PLP report on
+    E+, both against one flux space (`flux_spec_basis`, by default
+    `default_flux_basis`), so bi-LP holds exactly when both do; then the
+    kinetic-image span report and linkage decomposition evidence. The
     result feeds `acb_verdict`.
     """
     cfg = config or SolveConfig()
@@ -710,25 +696,15 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
     cb, cb_cites = certify_complex_balancing(system, z_res.points)
 
     clp = plp = None
-    bilp = None
     if z_res.points:
-        ref = z_res.points[0].x
-        if flux_spec_basis is not None:
-            spec_z = LPSetSpec(np.atleast_2d(np.asarray(flux_spec_basis, dtype=float)), ref)
-        else:
-            spec_z = default_flux_spec(system, ref)
-        try:
-            clp = check_lp_property(system, "Z", spec_z, config=cfg, points=z_res.points)
-        except ReferenceNotEquilibriumError:
-            clp = None
+        basis = default_flux_basis(system) if flux_spec_basis is None else flux_spec_basis
+        # each reference is a point the solver accepted at `tol`, so the
+        # reference check of `check_lp_property` cannot refuse it
+        clp = check_lp_property(system, "Z", LPSetSpec(basis, z_res.points[0].x),
+                                config=cfg, points=z_res.points)
         if e_res.points:
-            spec_e = LPSetSpec(spec_z.flux_basis, e_res.points[0].x, spec_z.exact_basis)
-            try:
-                plp = check_lp_property(system, "E", spec_e, config=cfg, points=e_res.points)
-            except ReferenceNotEquilibriumError:
-                plp = None
-            if clp is not None and plp is not None:
-                bilp = check_bilp(system, spec_z, spec_e)
+            plp = check_lp_property(system, "E", LPSetSpec(basis, e_res.points[0].x),
+                                    config=cfg, points=e_res.points)
 
     kse = None
     if e_res.points:
@@ -739,7 +715,7 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
     return AcbAnalysis(
         system=system, complex_balanced=cb, cb_citations=cb_cites,
         e_points=e_res.points, z_points=z_res.points,
-        e_diagnostics=e_res.diagnostics, clp=clp, plp=plp, bilp=bilp,
+        e_diagnostics=e_res.diagnostics, clp=clp, plp=plp,
         kse=kse, decomposition=deco,
     )
 

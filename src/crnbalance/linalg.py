@@ -40,13 +40,3 @@ def projection_norm(v: np.ndarray, onto_columns: np.ndarray) -> float:
         return 0.0
     coeffs = onto_columns.T @ v
     return float(np.linalg.norm(onto_columns @ coeffs))
-
-
-def rows_span_equal(a: np.ndarray, b: np.ndarray, rel_tol: float = 1e-9) -> bool:
-    """Whether two row spaces coincide (numeric rank test on the stack)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    ra, rb = numeric_rank(a, rel_tol), numeric_rank(b, rel_tol)
-    if ra != rb:
-        return False
-    return numeric_rank(np.vstack([a, b]), rel_tol) == ra

@@ -349,3 +349,20 @@ def test_starmsc_deviation_matches_the_per_state_loop(monkeypatch):
                                          / max(1.0, np.max(np.abs(f0)))))
     assert deviation > 0.0
     assert report["transform"]["sfrf_max_relative_deviation"] == repr(deviation)
+
+
+def test_pff_evaluates_each_kinetics_once(monkeypatch):
+    """The sampled `pff` route evaluates each kinetics once on the stack of
+    its 20 sample states."""
+    calls = []
+    evaluate = crnbalance.transform.evaluate
+
+    def counting(kin, x):
+        calls.append(np.shape(x))
+        return evaluate(kin, x)
+
+    monkeypatch.setattr(crnbalance.transform, "evaluate", counting)
+    path = data_path("hill_single.crn")
+    report, _ = run_json(["pff", path, path])
+    assert report["pff"]["factor_kind"] == "sampled"
+    assert calls == [(20, 1)] * 2

@@ -142,15 +142,13 @@ def test_check_lp_property_mass_action(ma_system):
     cfg = cb.SolveConfig(seeds=24)
     z = cb.solve_equilibria(ma_system, "complex_balanced", config=cfg)
     basis_rows = cb.stoichiometric_basis(ma_system.network)
-    spec = cb.LPSetSpec(np.array(basis_rows, dtype=float), z.points[0].x,
-                        tuple(tuple(r) for r in basis_rows))
+    spec = cb.LPSetSpec(np.array(basis_rows, dtype=float), z.points[0].x)
     clp = cb.check_lp_property(ma_system, "Z", spec, config=cfg)
     assert clp.holds and clp.n_sampled == 8
     e = cb.solve_equilibria(ma_system, "positive", config=cfg)
-    spec_e = cb.LPSetSpec(spec.flux_basis, e.points[0].x, spec.exact_basis)
+    spec_e = cb.LPSetSpec(spec.flux_basis, e.points[0].x)
     plp = cb.check_lp_property(ma_system, "E", spec_e, config=cfg)
     assert plp.holds
-    assert cb.check_bilp(ma_system, spec, spec_e)
 
 
 def test_check_lp_property_wrong_flux_space_fails(ma_system):
@@ -187,9 +185,7 @@ def test_check_lp_property_counterexample_kinetic_flux(ce_system, counterexample
     cfg = cb.SolveConfig(seeds=24)
     t = cb.build_t_matrices(net, kin)
     z = cb.solve_equilibria(ce_system, "complex_balanced", config=cfg)
-    basis = t.exact_s_tilde_basis
-    spec = cb.LPSetSpec(np.array(basis, dtype=float), z.points[0].x,
-                        tuple(tuple(r) for r in basis))
+    spec = cb.LPSetSpec(np.array(t.exact_s_tilde_basis, dtype=float), z.points[0].x)
     rep = cb.check_lp_property(ce_system, "Z", spec, config=cfg)
     assert rep.holds
     # S-tilde fills R^3, so no membership direction is left to sample
@@ -203,18 +199,6 @@ def test_reference_not_equilibrium_raises(ma_system):
         cb.check_lp_property(ma_system, "Z", spec)
 
 
-def test_check_bilp_proper_subspace(ma_system):
-    cfg = cb.SolveConfig(seeds=16)
-    z = cb.solve_equilibria(ma_system, "complex_balanced", config=cfg)
-    ref = z.points[0].x
-    full = cb.LPSetSpec(
-        np.array(cb.stoichiometric_basis(ma_system.network), dtype=float), ref,
-        tuple(tuple(r) for r in cb.stoichiometric_basis(ma_system.network)))
-    sub = cb.LPSetSpec(np.array([[-1.0, 1.0, 0.0]]), ref, ((-1, 1, 0),))
-    assert not cb.check_bilp(ma_system, sub, full)
-    assert cb.check_bilp(ma_system, full, full)
-
-
 def test_toy_pl_tik_bilp(toy_pl_tik):
     net, kin = toy_pl_tik
     system = cb.KineticSystem(net, kin)
@@ -222,7 +206,6 @@ def test_toy_pl_tik_bilp(toy_pl_tik):
     analysis = cb.analyze_acb(system, cfg)
     assert analysis.clp is not None and analysis.clp.holds
     assert analysis.plp is not None and analysis.plp.holds
-    assert analysis.bilp
     verdict = cb.acb_verdict(analysis, cfg)
     assert verdict.status == "ACB_certified"
     rules = [c.rule for c in verdict.justification]
@@ -495,8 +478,7 @@ _RULE_CASES = [
      ["deficiency-zero", "numeric-sweep"], "ACB_certified"),
     ("mass-action", "pairs-ma", {"e_points": [_CLEAN]},
      ["mass-action", "numeric-sweep"], "ACB_certified"),
-    ("bi-lp", "pairs", {"clp": _LP_HOLDS, "plp": _LP_HOLDS, "bilp": True,
-                        "e_points": [_WITNESS]},
+    ("bi-lp", "pairs", {"clp": _LP_HOLDS, "plp": _LP_HOLDS, "e_points": [_WITNESS]},
      ["bi-lp", "numeric-witness"], "ACB_certified"),
     ("acb-decomposition", "chains", {"decomposition": _PARTS_ACB},
      ["acb-decomposition"], "ACB_certified"),
@@ -835,7 +817,7 @@ def test_zero_kinetic_order_subspace_is_a_flux_space(fast_cfg):
     assert t.exact_s_tilde_basis == [] and t.s_tilde_basis.shape == (0, 2)
     assert cb.linalg.orthonormal_columns(t.s_tilde_basis).shape == (2, 0)
     analysis = cb.analyze_acb(system, fast_cfg)
-    assert analysis.clp.holds and analysis.plp.holds and analysis.bilp
+    assert analysis.clp.holds and analysis.plp.holds
     verdict = cb.acb_verdict(analysis, fast_cfg)
     assert verdict.status == "ACB_certified"
     rules = [c.rule for c in verdict.justification]
@@ -920,11 +902,12 @@ def test_stacked_residuals_are_those_of_each_point():
     cases += [bench_ladder(seed, 12) for seed in (3, 5, 7)] + [
         bench_ladder(2, 24), work.ladder_poly_pl(1, 12), work.ladder_hill(1, 8)]
     cfg = cb.SolveConfig(seeds=8)
-    checked = 0
+    checked = solved = 0
     for net, kin in cases:
         system = cb.KineticSystem(net, kin)
-        states = [p.x for mode in ("positive", "complex_balanced")
+        points = [p for mode in ("positive", "complex_balanced")
                   for p in cb.solve_equilibria(system, mode, config=cfg).points]
+        states = [p.x for p in points]
         states += cb.sample_positive_states(net.num_species, 6, rng_seed=3)
         blocks = [[(system.n_float, kin)], [(system.ia_float, kin)]]
         if isinstance(kin, cb.PolyPLKinetics):
@@ -934,5 +917,11 @@ def test_stacked_residuals_are_those_of_each_point():
             want = [_residual_of_one_point(pairs, x) for x in states]
             assert cb.kinetics._residuals(pairs, states) == want
             checked += len(states)
-    assert checked > 200
+        # the recorded residuals of each solved point are those of the point
+        # alone, so an LP check on a solved reference recomputes them exactly
+        for p in points:
+            assert p.sfrf_residual == cb.kinetics._residuals([(system.n_float, kin)], [p.x])[0]
+            assert p.cfrf_residual == cb.kinetics._residuals([(system.ia_float, kin)], [p.x])[0]
+        solved += len(points)
+    assert checked > 200 and solved > 50
     assert cb.kinetics._residuals([(system.n_float, kin)], []) == []

@@ -136,6 +136,25 @@ def test_pff_sampled_route(mm_polypl, mm_rational):
     assert np.allclose(ratio, 1 + x[1] + x[3])
 
 
+def test_pff_sampled_spread_matches_the_per_state_loop(mm_polypl, mm_rational,
+                                                       counterexample):
+    """One stacked `evaluate` per kinetics gives the spread that evaluating
+    one state at a time gives, to the bit."""
+    _, pl = counterexample
+    hl = cb.hill(np.abs(pl.orders).tolist(), np.where(pl.orders != 0, 1.0, 0.0).tolist(),
+                 pl.rates.tolist())
+    spreads = []
+    for ka, kb in ((mm_polypl[1], mm_rational[1]), (pl, hl), (hl, pl), (hl, hl)):
+        states = cb.sample_positive_states(ka.num_species, 20, rng_seed=5)
+        spread = 0.0
+        for x in states:
+            ratios = cb.evaluate(ka, x) / cb.evaluate(kb, x)
+            spread = max(spread, float((ratios.max() - ratios.min()) / ratios.mean()))
+        assert cb.pff_check(ka, kb, states).sampled_max_spread == spread
+        spreads.append(spread)
+    assert spreads[1] > 0.0 and spreads[3] == 0.0
+
+
 def test_hill_to_poly_pl_single_reaction():
     net = cb.build_network(["X"], [[1], [2]], [(0, 1)])
     kin = cb.hill([[1]], [[0.5]], [1])
