@@ -366,3 +366,21 @@ def test_pff_evaluates_each_kinetics_once(monkeypatch):
     report, _ = run_json(["pff", path, path])
     assert report["pff"]["factor_kind"] == "sampled"
     assert calls == [(20, 1)] * 2
+
+
+def test_cli_input_checks_are_analysis_errors(tmp_path):
+    comments = tmp_path / "comments.txt"
+    comments.write_text("# only comments\n\n   # and blank lines\n")
+    cases = [
+        (["acb", data_path("mm_polypl.crn"), "--seeds", "4", "--flux-space", "Stilde"],
+         "Stilde flux space needs reactant-determined power-law kinetics"),
+        (["acb", data_path("re1_massaction.crn"), "--seeds", "4", "--flux-space", comments],
+         f"flux-space file {str(comments)!r} contains no rows"),
+        (["starmsc", data_path("re1_powerlaw.crn")],
+         "the replica transform needs poly-PL kinetics"),
+        (["pff", data_path("re1_powerlaw.crn"), data_path("hill_single.crn")],
+         "the two files define different reaction counts"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(argv)
+        assert (code, out, err) == (1, "", f"analysis error: {message}\n"), argv

@@ -131,3 +131,224 @@ def test_round_trip_massaction_becomes_powerlaw():
     net2, kin2 = parse_crn(render_crn(net, kin))
     assert np.array_equal(kin2.orders, kin.orders)
     assert cb.classify(kin2, net2).mass_action is True
+
+
+_TWO = "species A B\nr1: A -> B rate 1\n"
+
+# One malformed input per `raise` of the parser, plus the order of the checks
+# within one kinetics line: (text, exception class, message, line).
+PARSE_ERRORS = {
+    "number": (_TWO + "kinetics powerlaw\norder r1: A=x\n",
+               ParseError, "expected a number, got 'x'", 4),
+    "number-in-parentheses": (_TWO + "kinetics powerlaw\norder r1: A=(1, 2)\n",
+                              ParseError, "expected a number, got '(1'", 4),
+    "rate-not-a-number": ("species A B\nr1: A -> B rate x\nkinetics massaction\n",
+                          ParseError, "expected a number, got 'x'", 2),
+    "empty-complex": ("species A B\nr1:  -> B rate 1\nkinetics massaction\n",
+                      ParseError, "empty complex", 2),
+    "stoichiometry-zero-denominator": (
+        "species A B\nr1: 1/0 A -> B rate 1\nkinetics massaction\n",
+        ParseError, "bad stoichiometric coefficient '1/0'", 2),
+    "stoichiometry-word": ("species A B\nr1: x A -> B rate 1\nkinetics massaction\n",
+                           ParseError, "bad stoichiometric coefficient 'x'", 2),
+    "malformed-complex-term": ("species A B\nr1: 2 A C -> B rate 1\nkinetics massaction\n",
+                               ParseError, "malformed complex term '2 A C'", 2),
+    "unknown-species-in-complex": ("species A B\nr1: A -> C rate 1\nkinetics massaction\n",
+                                   UnknownSpeciesError, "unknown species 'C'", 2),
+    "negative-stoichiometry": ("species A B\nr1: -1 A -> B rate 1\nkinetics massaction\n",
+                               ParseError, "negative stoichiometric coefficient for A", 2),
+    "order-entry-without-value": (_TWO + "kinetics powerlaw\norder r1: A\n",
+                                  ParseError, "expected name=value, got 'A'", 4),
+    "order-trailing-comma": (_TWO + "kinetics powerlaw\norder r1: A=1,\n",
+                             ParseError, "expected name=value, got ''", 4),
+    "order-unknown-species": (_TWO + "kinetics powerlaw\norder r1: C=1\n",
+                              UnknownSpeciesError, "unknown species 'C'", 4),
+    "order-species-twice": (_TWO + "kinetics powerlaw\norder r1: A=1, A=2\n",
+                            ParseError, "species A assigned twice", 4),
+    "term-species-twice": (_TWO + "kinetics polypl\nterm r1 coeff 1: B=1, B=2\n",
+                           ParseError, "species B assigned twice", 4),
+    "term-unknown-species": (_TWO + "kinetics polypl\nterm r1 coeff 1: C=1\n",
+                             UnknownSpeciesError, "unknown species 'C'", 4),
+    "hill-entry-without-value": (_TWO + "kinetics hill\nhill r1: A\n",
+                                 ParseError, "expected name=(f=..., d=...), got 'A'", 4),
+    "hill-unknown-species": (_TWO + "kinetics hill\nhill r1: C=(f=1, d=1)\n",
+                             UnknownSpeciesError, "unknown species 'C'", 4),
+    "hill-malformed-entry": (_TWO + "kinetics hill\nhill r1: A=(f=1)\n",
+                             ParseError, "malformed hill entry '(f=1)'", 4),
+    "hill-entry-not-a-number": (_TWO + "kinetics hill\nhill r1: A=(f=x, d=1)\n",
+                                ParseError, "expected a number, got 'x'", 4),
+    "duplicate-species": ("species A A\n", ParseError, "duplicate species 'A'", 1),
+    "species-without-names": ("species\n", ParseError, "species line declares no names", 1),
+    "second-kinetics-block": (_TWO + "kinetics massaction\nkinetics powerlaw\n",
+                              ParseError, "second kinetics block", 4),
+    "unknown-family": (_TWO + "kinetics foo\n", ParseError,
+                       "expected: kinetics massaction|powerlaw|polypl|hill", 3),
+    "kinetics-without-family": (_TWO + "kinetics\n", ParseError,
+                                "expected: kinetics massaction|powerlaw|polypl|hill", 3),
+    "order-wrong-family": (_TWO + "kinetics massaction\norder r9: C\n", ParseError,
+                           "order lines require `kinetics powerlaw` first", 4),
+    "order-unknown-reaction": (_TWO + "kinetics powerlaw\norder r9: C\n", ParseError,
+                               "order line for unknown reaction 'r9'", 4),
+    "order-duplicate-line": (_TWO + "kinetics powerlaw\norder r1: A=1\norder r1: C\n",
+                             ParseError, "duplicate order line for 'r1'", 5),
+    "term-wrong-family": (_TWO + "kinetics powerlaw\nterm r1: C\n", ParseError,
+                          "term lines require `kinetics polypl` first", 4),
+    "term-pattern": (_TWO + "kinetics polypl\nterm r9: C\n", ParseError,
+                     "expected: term <label> coeff <a>: S=val, ...", 4),
+    "term-unknown-reaction": (_TWO + "kinetics polypl\nterm r9 coeff 0: C\n", ParseError,
+                              "term line for unknown reaction 'r9'", 4),
+    "term-coefficient-not-a-number": (_TWO + "kinetics polypl\nterm r1 coeff q: C\n",
+                                      ParseError, "expected a number, got 'q'", 4),
+    "term-coefficient": (_TWO + "kinetics polypl\nterm r1 coeff 0: C\n", ParseError,
+                         "poly-PL term coefficients must be positive", 4),
+    "hill-wrong-family": (_TWO + "kinetics polypl\nhill r9: C\n", ParseError,
+                          "hill lines require `kinetics hill` first", 4),
+    "hill-unknown-reaction": (_TWO + "kinetics hill\nhill r9: C\n", ParseError,
+                              "hill line for unknown reaction 'r9'", 4),
+    "hill-duplicate-line": (_TWO + "kinetics hill\nhill r1: A=(f=1, d=1)\nhill r1: C\n",
+                            ParseError, "duplicate hill line for 'r1'", 5),
+    "unrecognized-statement": ("species A B\nfoo bar\n", ParseError,
+                               "unrecognized statement 'foo bar'", 2),
+    "reaction-after-kinetics": ("species A B\nkinetics massaction\nr1: A -> B rate 1\n",
+                                ParseError,
+                                "reaction lines must precede the kinetics block", 3),
+    "duplicate-reaction-label": (_TWO + "r1: B -> A rate 1\nkinetics massaction\n",
+                                 ParseError, "duplicate reaction label 'r1'", 3),
+    "reaction-without-arrow": ("species A B\nr1: A B rate 1\nkinetics massaction\n",
+                               ParseError, "reaction needs `->`", 2),
+    "reaction-without-rate": ("species A B\nr1: A -> B\nkinetics massaction\n",
+                              ParseError, "reaction needs `rate <positive number>`", 2),
+    "negative-rate": ("species A B\nr1: A -> B rate -1/2\nkinetics massaction\n",
+                      NegativeRateError, "rate for r1 must be positive", 2),
+    "zero-decimal-rate": ("species A B\nr1: A -> B rate 0.0\nkinetics massaction\n",
+                          NegativeRateError, "rate for r1 must be positive", 2),
+    "no-species": ("# nothing\n", ParseError, "no species declared", None),
+    "no-reactions": ("species A B\nkinetics massaction\n", ParseError,
+                     "no reactions declared", None),
+    "no-kinetics-block": (_TWO, ParseError, "no kinetics block", None),
+    "missing-order-line": (_TWO + "r2: B -> A rate 1\nkinetics powerlaw\norder r1: A=1\n",
+                           MissingKineticsRowError, "no order line for reaction 'r2'", None),
+    "missing-term-line": (_TWO + "kinetics polypl\n", MissingKineticsRowError,
+                          "no term line for reaction 'r1'", None),
+    "missing-hill-line": (_TWO + "kinetics hill\n", MissingKineticsRowError,
+                          "no hill line for reaction 'r1'", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_table(case):
+    text, kind, message, line = PARSE_ERRORS[case]
+    with pytest.raises(ParseError) as info:
+        parse_crn(text)
+    assert type(info.value) is kind
+    assert info.value.line == line
+    assert str(info.value) == message + ("" if line is None else f" (line {line})")
+
+
+F = Fraction
+
+# Valid inputs of every family: what they parse to and how they render.
+PARSED = {
+    "powerlaw-rational-orders": (
+        "species A B\nr1: A -> B rate 3/2\nr2: B -> A rate 2\nkinetics powerlaw\n"
+        "order r1: A=1/2\norder r2: B=-2/3, A=1\n",
+        {"complexes": [(1, 0), (0, 1)], "reactions": [(0, 1, "r1"), (1, 0, "r2")],
+         "rates": [1.5, 2.0],
+         "orders": [[0.5, 0.0], [1.0, -2 / 3]],
+         "exact_orders": ((F(1, 2), F(0)), (F(1), F(-2, 3)))},
+        "species A B\nr1: A -> B rate 1.5\nr2: B -> A rate 2\nkinetics powerlaw\n"
+        "order r1: A=1/2\norder r2: A=1, B=-2/3\n"),
+    "powerlaw-decimal-orders-and-stoichiometry": (
+        "# decimal orders leave no exact copy\n"
+        "species A B   # two species\n"
+        "r1: 0.5 A -> B rate 0.25\nr2: B -> 0.5 A rate 1\n\nkinetics powerlaw\n"
+        "order r1: A=0.5\norder r2: B=1.25e0   # exponent form\n",
+        {"complexes": [(F(1, 2), 0), (0, 1)], "reactions": [(0, 1, "r1"), (1, 0, "r2")],
+         "rates": [0.25, 1.0],
+         "orders": [[0.5, 0.0], [0.0, 1.25]],
+         "exact_orders": None},
+        "species A B\nr1: 1/2 A -> B rate 0.25\nr2: B -> 1/2 A rate 1\nkinetics powerlaw\n"
+        "order r1: A=0.5\norder r2: B=1.25\n"),
+    "polypl-repeated-terms": (
+        "species A B\nr1: A -> B rate 1\nr2: B -> A rate 2\nkinetics polypl\n"
+        "term r1 coeff 1/2: A=1\nterm r1 coeff 3: A=2, B=1/3\nterm r2 coeff 1: B=1\n",
+        {"complexes": [(1, 0), (0, 1)], "reactions": [(0, 1, "r1"), (1, 0, "r2")],
+         "rates": [1.0, 2.0],
+         "term_coeffs": [[0.5, 3.0], [1.0]],
+         "term_orders": [[[1.0, 0.0], [2.0, 1 / 3]], [[0.0, 1.0]]],
+         "exact_term_coeffs": ((F(1, 2), F(3)), (F(1),)),
+         "exact_term_orders": (((F(1), F(0)), (F(2), F(1, 3))), ((F(0), F(1)),))},
+        "species A B\nr1: A -> B rate 1\nr2: B -> A rate 2\nkinetics polypl\n"
+        "term r1 coeff 1/2: A=1\nterm r1 coeff 3: A=2, B=1/3\nterm r2 coeff 1: B=1\n"),
+    "polypl-decimal-terms": (
+        "species A B\nr1: A -> B rate 1\nr2: B -> A rate 1\nkinetics polypl\n"
+        "term r1 coeff 0.5: A=1\nterm r2 coeff 1: B=0.5\nterm r2 coeff 2:\n",
+        {"complexes": [(1, 0), (0, 1)], "reactions": [(0, 1, "r1"), (1, 0, "r2")],
+         "rates": [1.0, 1.0],
+         "term_coeffs": [[0.5], [1.0, 2.0]],
+         "term_orders": [[[1.0, 0.0]], [[0.0, 0.5], [0.0, 0.0]]],
+         "exact_term_coeffs": None, "exact_term_orders": None},
+        "species A B\nr1: A -> B rate 1\nr2: B -> A rate 1\nkinetics polypl\n"
+        "term r1 coeff 0.5: A=1.0\nterm r2 coeff 1.0: B=0.5\nterm r2 coeff 2.0: \n"),
+    "hill-two-species": (
+        "species A B\nr1: A + B -> 2 B rate 1\nr2: B -> A rate 1/2\nkinetics hill\n"
+        "hill r1: A=(f=1, d=0.5), B=(f=2, d=3/2)\nhill r2: B=( f = 1 , d = 1 )\n",
+        {"complexes": [(1, 1), (0, 2), (0, 1), (1, 0)],
+         "reactions": [(0, 1, "r1"), (2, 3, "r2")],
+         "rates": [1.0, 0.5],
+         "orders": [[1.0, 2.0], [0.0, 1.0]],
+         "dissoc": [[0.5, 1.5], [0.0, 1.0]]},
+        "species A B\nr1: A + B -> 2 B rate 1\nr2: B -> A rate 0.5\nkinetics hill\n"
+        "hill r1: A=(f=1.0, d=0.5), B=(f=2.0, d=1.5)\nhill r2: B=(f=1.0, d=1.0)\n"),
+    "massaction": (
+        "species X Y   # comment\nr1: 2 X -> Y rate 3\nr2: Y -> 0 rate 1/4\n"
+        "kinetics massaction\n",
+        {"complexes": [(2, 0), (0, 1), (0, 0)], "reactions": [(0, 1, "r1"), (1, 2, "r2")],
+         "rates": [3.0, 0.25],
+         "orders": [[2.0, 0.0], [0.0, 1.0]],
+         "exact_orders": ((F(2), F(0)), (F(0), F(1)))},
+        "species X Y\nr1: 2 X -> Y rate 3\nr2: Y -> 0 rate 0.25\nkinetics powerlaw\n"
+        "order r1: X=2\norder r2: Y=1\n"),
+}
+
+
+def _parsed_fields(net, kin) -> dict:
+    fields = {"complexes": [cpx.coeffs for cpx in net.complexes],
+              "reactions": [(rx.reactant, rx.product, rx.label) for rx in net.reactions],
+              "rates": kin.rates.tolist()}
+    if isinstance(kin, cb.PolyPLKinetics):
+        fields.update(term_coeffs=[a.tolist() for a in kin.term_coeffs],
+                      term_orders=[f.tolist() for f in kin.term_orders],
+                      exact_term_coeffs=kin.exact_term_coeffs,
+                      exact_term_orders=kin.exact_term_orders)
+    elif isinstance(kin, cb.HillKinetics):
+        fields.update(orders=kin.orders.tolist(), dissoc=kin.dissoc.tolist())
+    else:
+        fields.update(orders=kin.orders.tolist(), exact_orders=kin.exact_orders)
+    return fields
+
+
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _leaves(item)
+    elif value is not None:
+        yield value
+
+
+@pytest.mark.parametrize("case", sorted(PARSED))
+def test_parsed_and_rendered_table(case):
+    text, expected, rendered = PARSED[case]
+    net, kin = parse_crn(text)
+    fields = _parsed_fields(net, kin)
+    assert fields == expected
+    # The exact copies hold Fractions, not equal floats or ints.
+    for key in ("complexes", "exact_orders", "exact_term_coeffs", "exact_term_orders"):
+        assert all(type(v) is Fraction for v in _leaves(fields.get(key))), key
+    assert render_crn(net, kin) == rendered
+
+
+def test_render_refuses_rational_kinetics():
+    net, kin = parse_crn(data_path("hill_single.crn").read_text())
+    with pytest.raises(ValueError, match="power-law, poly-PL and hill"):
+        render_crn(net, cb.hill_as_rational(kin))

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crnbalance as cb
+from crnbalance.fileformat import parse_crn
+from crnbalance.kinetics import _is_mass_action
 
 from conftest import bench_workloads
 
@@ -309,3 +311,53 @@ def test_mass_action_classification_on_integer_networks():
         kin = cb.mass_action_from(net, [1] * net.num_reactions)
         cls = cb.classify(kin, net)
         assert cls.pl_rdk is True and cls.pl_nik is True
+
+
+# Decimal orders leave no exact copy of the rows, so classify compares them
+# within its float tolerance.
+SHARED_REACTANT = """\
+species A B
+r1: A -> B rate 1
+r2: A -> 2 B rate 1
+r3: B -> A rate 1
+kinetics powerlaw
+order r1: A=0.5
+order r2: A={order}
+order r3: B=1
+"""
+
+
+@pytest.mark.parametrize("order, rdk", [("0.5", True), ("0.25", False)])
+def test_pl_rdk_compares_decimal_rows_within_tolerance(order, rdk):
+    net, kin = parse_crn(SHARED_REACTANT.format(order=order))
+    assert kin.exact_orders is None
+    assert cb.classify(kin, net).pl_rdk is rdk
+
+
+def test_mass_action_of_a_part_with_a_decimal_order_elsewhere():
+    net, kin = parse_crn("species A B C\nr1: A -> B rate 1\nr2: B -> A rate 1\n"
+                         "r3: C -> A rate 1\nkinetics powerlaw\n"
+                         "order r1: A=1\norder r2: B=1.0\norder r3: C=0.5\n")
+    assert kin.exact_orders is None
+    assert _is_mass_action(kin, net, [0, 1]) is True
+    assert _is_mass_action(kin, net, [2]) is False
+    assert cb.classify(kin, net).mass_action is False
+
+
+@pytest.mark.parametrize("order, cf", [("1", True), ("2", False)])
+def test_poly_pl_cf_compares_term_orders(order, cf):
+    net, kin = parse_crn("species A B\nr1: A -> B rate 1\nr2: A -> 2 B rate 1\n"
+                         "r3: B -> A rate 1\nkinetics polypl\n"
+                         "term r1 coeff 1: A=1\nterm r1 coeff 2: A=1, B=1\n"
+                         f"term r2 coeff 1: A=1\nterm r2 coeff 2: A=1, B={order}\n"
+                         "term r3 coeff 1: B=1\n")
+    assert cb.classify(kin, net).cf is cf
+
+
+@pytest.mark.parametrize("order, surjective", [("0.5", False), ("0.25", True)])
+def test_factor_span_compares_decimal_kinetic_complexes(order, surjective):
+    net, kin = parse_crn("species A B\nr1: A -> B rate 1\nr2: B -> A rate 1\n"
+                         f"kinetics powerlaw\norder r1: A=0.5\norder r2: A={order}\n")
+    system = cb.KineticSystem(net, kin)
+    assert system.t_matrices.exact_t is None
+    assert system.classification.factor_span_surjective is surjective
