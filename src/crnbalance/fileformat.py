@@ -1,7 +1,7 @@
 """Text format for networks with kinetics, and its parser/renderer.
 
     # example
-    species X1 X2 X3
+    species X1 X2
     r1: 2 X1 -> X1 + X2 rate 1
     r2: X1 + X2 -> 2 X1 rate 3/2
     kinetics powerlaw
@@ -16,8 +16,11 @@ optional, nonnegative rational). The kinetics block is one of:
     kinetics polypl       followed by `term <label> coeff <a>: S=val, ...` lines
     kinetics hill         followed by `hill <label>: S=(f=<val>, d=<val>), ...`
 
-Unlisted species default to order zero. Numbers may be integers, `p/q`
-rationals (kept exact) or decimals (stored as floats). `#` starts a comment.
+Each species appears at most once per kinetics line; unlisted species
+default to order zero. Numbers may be integers, `p/q` rationals (kept exact)
+or decimals. Decimal stoichiometric coefficients are kept exact too (`0.5 A`
+is 1/2 A); decimal rates, orders, coefficients and Hill constants are stored
+as floats. `#` starts a comment.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 from .kinetics import (HillKinetics, Kinetics, PolyPLKinetics, PowerLawKinetics,
                        hill, mass_action_from, poly_pl, power_law)
-from .network import Complex, ReactionNetwork, build_network
+from .network import ReactionNetwork, build_network
 
 
 class ParseError(Exception):
@@ -102,31 +105,22 @@ def _parse_complex(text: str, species_index: dict[str, int], line: int):
     return coeffs
 
 
-def _parse_assignments(text: str, species_index: dict[str, int], line: int):
-    """`S1=v, S2=v` into a {species index: value} dict."""
-    out: dict[int, object] = {}
-    text = text.strip()
-    if not text:
-        return out
-    for item in text.split(","):
-        if "=" not in item:
-            raise ParseError(f"expected name=value, got {item.strip()!r}", line)
-        name, value = item.split("=", 1)
-        name = name.strip()
-        if name not in species_index:
-            raise UnknownSpeciesError(f"unknown species {name!r}", line)
-        idx = species_index[name]
-        if idx in out:
-            raise ParseError(f"species {name} assigned twice", line)
-        out[idx] = _parse_number(value.strip(), line)
-    return out
-
-
 _HILL_ENTRY = re.compile(r"^\(\s*f\s*=\s*(?P<f>[^,\s]+)\s*,\s*d\s*=\s*(?P<d>[^)\s]+)\s*\)$")
 
 
-def _parse_hill_assignments(text: str, species_index: dict[str, int], line: int):
-    out: dict[int, tuple[object, object]] = {}
+def _parse_hill_entry(token: str, line: int) -> tuple[object, object]:
+    """`(f=<val>, d=<val>)` into its kinetic order and dissociation constant."""
+    match = _HILL_ENTRY.match(token)
+    if not match:
+        raise ParseError(f"malformed hill entry {token!r}", line)
+    return _parse_number(match["f"], line), _parse_number(match["d"], line)
+
+
+def _parse_assignments(text: str, species_index: dict[str, int], line: int,
+                       parse_value, form: str):
+    """`S1=v, S2=v` into a {species index: value} dict, each value read by
+    `parse_value`; `form` is the entry shape an error message asks for."""
+    out: dict[int, object] = {}
     text = text.strip()
     if not text:
         return out
@@ -143,17 +137,26 @@ def _parse_hill_assignments(text: str, species_index: dict[str, int], line: int)
     items.append(text[start:])
     for item in items:
         if "=" not in item:
-            raise ParseError(f"expected name=(f=..., d=...), got {item.strip()!r}", line)
+            raise ParseError(f"expected {form}, got {item.strip()!r}", line)
         name, value = item.split("=", 1)
         name = name.strip()
         if name not in species_index:
             raise UnknownSpeciesError(f"unknown species {name!r}", line)
-        match = _HILL_ENTRY.match(value.strip())
-        if not match:
-            raise ParseError(f"malformed hill entry {value.strip()!r}", line)
-        out[species_index[name]] = (_parse_number(match["f"], line),
-                                    _parse_number(match["d"], line))
+        idx = species_index[name]
+        if idx in out:
+            raise ParseError(f"species {name} assigned twice", line)
+        out[idx] = parse_value(value.strip(), line)
     return out
+
+
+# Each kinetics-line keyword: the family whose block it belongs to, the
+# reader of one entry's value and the entry shape its errors ask for.
+_KINETICS_LINES = {
+    "order": ("powerlaw", _parse_number, "name=value"),
+    "term": ("polypl", _parse_number, "name=value"),
+    "hill": ("hill", _parse_hill_entry, "name=(f=..., d=...)"),
+}
+_TERM = re.compile(r"^(?P<label>\S+)\s+coeff\s+(?P<coeff>\S+)\s*:\s*(?P<rest>.*)$")
 
 
 def parse_crn(text: str) -> tuple[ReactionNetwork, Kinetics]:
@@ -166,9 +169,8 @@ def parse_crn(text: str) -> tuple[ReactionNetwork, Kinetics]:
     rates: list[object] = []
     labels: dict[str, int] = {}
     family: str | None = None
-    order_rows: dict[str, dict[int, object]] = {}
-    term_rows: dict[str, list[tuple[object, dict[int, object]]]] = {}
-    hill_rows: dict[str, dict[int, tuple[object, object]]] = {}
+    # reaction label -> [(term coefficient or None, {species index: value}), ...]
+    rows: dict[str, list[tuple[object, dict[int, object]]]] = {}
 
     def intern_complex(coeffs: list[Fraction]) -> int:
         key = tuple(coeffs)
@@ -199,44 +201,31 @@ def parse_crn(text: str) -> tuple[ReactionNetwork, Kinetics]:
                 raise ParseError("expected: kinetics massaction|powerlaw|polypl|hill",
                                  lineno)
             family = tokens[1]
-        elif head == "order":
-            if family != "powerlaw":
-                raise ParseError("order lines require `kinetics powerlaw` first", lineno)
-            body = stmt[len("order"):].strip()
-            label, _, rest = body.partition(":")
-            label = label.strip()
+        elif head in _KINETICS_LINES:
+            line_family, parse_value, form = _KINETICS_LINES[head]
+            if family != line_family:
+                raise ParseError(f"{head} lines require `kinetics {line_family}` first",
+                                 lineno)
+            body = stmt[len(head):].strip()
+            if head == "term":
+                match = _TERM.match(body)
+                if not match:
+                    raise ParseError("expected: term <label> coeff <a>: S=val, ...", lineno)
+                label, rest = match["label"], match["rest"]
+            else:
+                label, _, rest = body.partition(":")
+                label = label.strip()
             if label not in labels:
-                raise ParseError(f"order line for unknown reaction {label!r}", lineno)
-            if label in order_rows:
-                raise ParseError(f"duplicate order line for {label!r}", lineno)
-            order_rows[label] = _parse_assignments(rest, species_index, lineno)
-        elif head == "term":
-            if family != "polypl":
-                raise ParseError("term lines require `kinetics polypl` first", lineno)
-            body = stmt[len("term"):].strip()
-            match = re.match(r"^(?P<label>\S+)\s+coeff\s+(?P<coeff>\S+)\s*:\s*(?P<rest>.*)$",
-                             body)
-            if not match:
-                raise ParseError("expected: term <label> coeff <a>: S=val, ...", lineno)
-            label = match["label"]
-            if label not in labels:
-                raise ParseError(f"term line for unknown reaction {label!r}", lineno)
-            coeff = _parse_number(match["coeff"], lineno)
-            if coeff <= 0:
-                raise ParseError("poly-PL term coefficients must be positive", lineno)
-            term_rows.setdefault(label, []).append(
-                (coeff, _parse_assignments(match["rest"], species_index, lineno)))
-        elif head == "hill":
-            if family != "hill":
-                raise ParseError("hill lines require `kinetics hill` first", lineno)
-            body = stmt[len("hill"):].strip()
-            label, _, rest = body.partition(":")
-            label = label.strip()
-            if label not in labels:
-                raise ParseError(f"hill line for unknown reaction {label!r}", lineno)
-            if label in hill_rows:
-                raise ParseError(f"duplicate hill line for {label!r}", lineno)
-            hill_rows[label] = _parse_hill_assignments(rest, species_index, lineno)
+                raise ParseError(f"{head} line for unknown reaction {label!r}", lineno)
+            coeff = None
+            if head == "term":
+                coeff = _parse_number(match["coeff"], lineno)
+                if coeff <= 0:
+                    raise ParseError("poly-PL term coefficients must be positive", lineno)
+            elif label in rows:
+                raise ParseError(f"duplicate {head} line for {label!r}", lineno)
+            rows.setdefault(label, []).append(
+                (coeff, _parse_assignments(rest, species_index, lineno, parse_value, form)))
         else:
             match = re.match(r"^(?P<label>[^:\s]+)\s*:\s*(?P<body>.*)$", stmt)
             if not match:
@@ -253,8 +242,7 @@ def parse_crn(text: str) -> tuple[ReactionNetwork, Kinetics]:
             if not rate_part.strip():
                 raise ParseError("reaction needs `rate <positive number>`", lineno)
             rate = _parse_number(rate_part.strip(), lineno)
-            if (isinstance(rate, Fraction) and rate <= 0) or (
-                    isinstance(rate, float) and rate <= 0):
+            if rate <= 0:
                 raise NegativeRateError(f"rate for {label} must be positive", lineno)
             reactant = intern_complex(_parse_complex(lhs, species_index, lineno))
             product = intern_complex(_parse_complex(rhs, species_index, lineno))
@@ -270,67 +258,35 @@ def parse_crn(text: str) -> tuple[ReactionNetwork, Kinetics]:
         raise ParseError("no kinetics block")
 
     net = build_network(species, complexes, reactions)
-    m = len(species)
-
     if family == "massaction":
         return net, mass_action_from(net, rates)
-    if family == "powerlaw":
-        rows = []
-        for _, _, label in reactions:
-            if label not in order_rows:
-                raise MissingKineticsRowError(f"no order line for reaction {label!r}")
-            row = [Fraction(0)] * m
-            for idx, value in order_rows[label].items():
-                row[idx] = value
-            rows.append(row)
-        return net, power_law(rows, rates)
-    if family == "polypl":
-        all_terms = []
-        for _, _, label in reactions:
-            if label not in term_rows:
-                raise MissingKineticsRowError(f"no term line for reaction {label!r}")
-            terms = []
-            for coeff, assignment in term_rows[label]:
-                row = [Fraction(0)] * m
-                for idx, value in assignment.items():
-                    row[idx] = value
-                terms.append((coeff, row))
-            all_terms.append(terms)
-        return net, poly_pl(all_terms, rates)
-    # hill
-    f_rows, d_rows = [], []
+    keyword = next(k for k, (f, _, _) in _KINETICS_LINES.items() if f == family)
+    # a Hill entry is an (order, dissociation constant) pair
+    zero = (Fraction(0), Fraction(0)) if family == "hill" else Fraction(0)
+    terms = []
     for _, _, label in reactions:
-        if label not in hill_rows:
-            raise MissingKineticsRowError(f"no hill line for reaction {label!r}")
-        f_row = [Fraction(0)] * m
-        d_row = [Fraction(0)] * m
-        for idx, (f_val, d_val) in hill_rows[label].items():
-            f_row[idx] = f_val
-            d_row[idx] = d_val
-        f_rows.append(f_row)
-        d_rows.append(d_row)
-    return net, hill(f_rows, d_rows, rates)
+        if label not in rows:
+            raise MissingKineticsRowError(f"no {keyword} line for reaction {label!r}")
+        reaction_terms = []
+        for coeff, entries in rows[label]:
+            row = [zero] * len(species)
+            for idx, value in entries.items():
+                row[idx] = value
+            reaction_terms.append((coeff, row))
+        terms.append(reaction_terms)
+    if family == "polypl":
+        return net, poly_pl(terms, rates)
+    dense = [reaction_terms[0][1] for reaction_terms in terms]
+    if family == "powerlaw":
+        return net, power_law(dense, rates)
+    return net, hill([[f for f, _ in row] for row in dense],
+                     [[d for _, d in row] for row in dense], rates)
 
 
 def _format_number(value) -> str:
     if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else str(value)
+        return str(value)
     return repr(float(value))
-
-
-def _format_complex(cpx: Complex, species: tuple[str, ...]) -> str:
-    parts = []
-    for coeff, name in zip(cpx.coeffs, species):
-        if coeff == 0:
-            continue
-        parts.append(name if coeff == 1 else f"{_format_number(coeff)} {name}")
-    return " + ".join(parts) if parts else "0"
-
-
-def _row_values(float_row, exact_row):
-    if exact_row is not None:
-        return list(exact_row)
-    return [float(v) for v in float_row]
 
 
 def _format_assignments(values, species) -> str:
@@ -342,38 +298,30 @@ def _format_assignments(values, species) -> str:
 def render_crn(net: ReactionNetwork, kin: Kinetics) -> str:
     """Text that parses back to an equal network and kinetics."""
     lines = ["species " + " ".join(net.species)]
-    for q, rx in enumerate(net.reactions):
-        rate = _format_number(kin.rates[q] if not float(kin.rates[q]).is_integer()
-                              else Fraction(int(kin.rates[q])))
-        lines.append(f"{rx.label}: {_format_complex(net.complexes[rx.reactant], net.species)}"
-                     f" -> {_format_complex(net.complexes[rx.product], net.species)}"
-                     f" rate {rate}")
+    for rx, k in zip(net.reactions, kin.rates):
+        rate = _format_number(k if not float(k).is_integer() else Fraction(int(k)))
+        lines.append(f"{rx.label}: {net.complexes[rx.reactant].format(net.species)}"
+                     f" -> {net.complexes[rx.product].format(net.species)} rate {rate}")
     if isinstance(kin, PowerLawKinetics):
         lines.append("kinetics powerlaw")
-        for q, rx in enumerate(net.reactions):
-            exact = kin.exact_orders[q] if kin.exact_orders is not None else None
-            row = _row_values(kin.orders[q], exact)
+        orders = kin.exact_orders if kin.exact_orders is not None else kin.orders
+        for rx, row in zip(net.reactions, orders):
             lines.append(f"order {rx.label}: {_format_assignments(row, net.species)}")
     elif isinstance(kin, PolyPLKinetics):
         lines.append("kinetics polypl")
-        for q, rx in enumerate(net.reactions):
-            for j in range(kin.term_coeffs[q].shape[0]):
-                coeff = (kin.exact_term_coeffs[q][j]
-                         if kin.exact_term_coeffs is not None
-                         else float(kin.term_coeffs[q][j]))
-                exact = (kin.exact_term_orders[q][j]
-                         if kin.exact_term_orders is not None else None)
-                row = _row_values(kin.term_orders[q][j], exact)
+        coeffs = (kin.exact_term_coeffs if kin.exact_term_coeffs is not None
+                  else kin.term_coeffs)
+        orders = (kin.exact_term_orders if kin.exact_term_orders is not None
+                  else kin.term_orders)
+        for rx, rx_coeffs, rx_orders in zip(net.reactions, coeffs, orders):
+            for coeff, row in zip(rx_coeffs, rx_orders):
                 lines.append(f"term {rx.label} coeff {_format_number(coeff)}: "
                              f"{_format_assignments(row, net.species)}")
     elif isinstance(kin, HillKinetics):
         lines.append("kinetics hill")
-        for q, rx in enumerate(net.reactions):
-            parts = []
-            for i, name in enumerate(net.species):
-                if kin.orders[q, i] != 0:
-                    parts.append(f"{name}=(f={_format_number(float(kin.orders[q, i]))}, "
-                                 f"d={_format_number(float(kin.dissoc[q, i]))})")
+        for rx, f_row, d_row in zip(net.reactions, kin.orders, kin.dissoc):
+            parts = [f"{name}=(f={_format_number(f)}, d={_format_number(d)})"
+                     for name, f, d in zip(net.species, f_row, d_row) if f != 0]
             lines.append(f"hill {rx.label}: {', '.join(parts)}")
     else:
         raise ValueError("rendering is defined for power-law, poly-PL and hill kinetics")

@@ -108,9 +108,7 @@ def tmatrices_json(t: TMatrices) -> dict:
         "kinetic_reactant_deficiency": t.delta_hat,
         "pl_tik": is_pl_tik(t),
         "ranks_exact": t.ranks_exact,
-        "order_subspace_dim": (len(t.exact_s_tilde_basis)
-                               if t.exact_s_tilde_basis is not None
-                               else int(t.s_tilde_basis.shape[0])),
+        "order_subspace_dim": int(t.s_tilde_basis.shape[0]),
     }
 
 
@@ -152,9 +150,7 @@ def kse_json(rep: KseReport | None) -> dict | None:
     }
 
 
-def verdict_json(v: AcbVerdict | None) -> dict | None:
-    if v is None:
-        return None
+def verdict_json(v: AcbVerdict) -> dict:
     return {
         "status": v.status,
         "justification": [{"rule": c.rule, "citation": c.statement}
@@ -163,9 +159,7 @@ def verdict_json(v: AcbVerdict | None) -> dict | None:
     }
 
 
-def poly_pl_balance_json(rep: PolyPlBalanceReport | None) -> dict | None:
-    if rep is None:
-        return None
+def poly_pl_balance_json(rep: PolyPlBalanceReport) -> dict:
     return {
         "pl_equilibrated": rep.pl_equilibrated,
         "pl_complex_balanced": rep.pl_complex_balanced,

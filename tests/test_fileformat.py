@@ -141,7 +141,7 @@ PARSE_ERRORS = {
     "number": (_TWO + "kinetics powerlaw\norder r1: A=x\n",
                ParseError, "expected a number, got 'x'", 4),
     "number-in-parentheses": (_TWO + "kinetics powerlaw\norder r1: A=(1, 2)\n",
-                              ParseError, "expected a number, got '(1'", 4),
+                              ParseError, "expected a number, got '(1, 2)'", 4),
     "rate-not-a-number": ("species A B\nr1: A -> B rate x\nkinetics massaction\n",
                           ParseError, "expected a number, got 'x'", 2),
     "empty-complex": ("species A B\nr1:  -> B rate 1\nkinetics massaction\n",
@@ -171,6 +171,9 @@ PARSE_ERRORS = {
                              UnknownSpeciesError, "unknown species 'C'", 4),
     "hill-entry-without-value": (_TWO + "kinetics hill\nhill r1: A\n",
                                  ParseError, "expected name=(f=..., d=...), got 'A'", 4),
+    # refused as on order and term lines
+    "hill-species-twice": (_TWO + "kinetics hill\nhill r1: A=(f=1, d=1), A=(f=2, d=3)\n",
+                           ParseError, "species A assigned twice", 4),
     "hill-unknown-species": (_TWO + "kinetics hill\nhill r1: C=(f=1, d=1)\n",
                              UnknownSpeciesError, "unknown species 'C'", 4),
     "hill-malformed-entry": (_TWO + "kinetics hill\nhill r1: A=(f=1)\n",
