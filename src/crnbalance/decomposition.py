@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rational
-from .network import (CrnError, ReactionNetwork, StructuralInvariants,
-                      build_network, structural_invariants)
+from .network import (Complex, CrnError, Reaction, ReactionNetwork,
+                      StructuralInvariants, structural_invariants)
 
 
 class EmptySelectionError(CrnError):
@@ -67,24 +67,30 @@ def subnetwork(net: ReactionNetwork, reactions) -> ReactionNetwork:
     """The subnetwork induced by a set of reaction indices.
 
     Keeps exactly the complexes and species the chosen reactions touch,
-    in their original index order; reaction labels are preserved.
+    in their original index order; reaction labels are preserved. Species,
+    complexes, Y, Ia and N are slices of the parent's and are not validated
+    again: a part of a valid network is valid, and the result equals what
+    `build_network` makes of the same lists.
     """
     idxs = sorted(set(int(q) for q in reactions))
     if not idxs:
         raise EmptySelectionError("no reactions selected")
     if idxs[0] < 0 or idxs[-1] >= net.num_reactions:
         raise CrnError("reaction index out of range")
-    touched_cpx = sorted({net.reactions[q].reactant for q in idxs}
-                         | {net.reactions[q].product for q in idxs})
+    rxns = [net.reactions[q] for q in idxs]
+    touched_cpx = sorted({rx.reactant for rx in rxns} | {rx.product for rx in rxns})
     cpx_map = {c: i for i, c in enumerate(touched_cpx)}
-    touched_sp = sorted({si for c in touched_cpx
-                         for si in range(net.num_species)
-                         if net.complexes[c].coeffs[si] != 0})
-    species = [net.species[si] for si in touched_sp]
-    complexes = [[net.complexes[c].coeffs[si] for si in touched_sp] for c in touched_cpx]
-    rxns = [(cpx_map[net.reactions[q].reactant], cpx_map[net.reactions[q].product],
-             net.reactions[q].label) for q in idxs]
-    return build_network(species, complexes, rxns)
+    touched_sp = [si for si, row in enumerate(net.y) if any(row[c] for c in touched_cpx)]
+    return ReactionNetwork(
+        species=tuple(net.species[si] for si in touched_sp),
+        complexes=tuple(Complex(tuple(net.complexes[c].coeffs[si] for si in touched_sp))
+                        for c in touched_cpx),
+        reactions=tuple(Reaction(cpx_map[rx.reactant], cpx_map[rx.product], rx.label)
+                        for rx in rxns),
+        y=tuple(tuple(net.y[si][c] for c in touched_cpx) for si in touched_sp),
+        ia=tuple(tuple(net.ia[c][q] for q in idxs) for c in touched_cpx),
+        n=tuple(tuple(net.n[si][q] for q in idxs) for si in touched_sp),
+    )
 
 
 def _validate_partition(net: ReactionNetwork, parts) -> list[tuple[int, ...]]:

@@ -20,11 +20,12 @@ Each species appears at most once per kinetics line; unlisted species
 default to order zero. Numbers may be integers, `p/q` rationals (kept exact)
 or decimals. Decimal stoichiometric coefficients are kept exact too (`0.5 A`
 is 1/2 A); decimal rates, orders, coefficients and Hill constants are stored
-as floats. `#` starts a comment.
+as floats, and one that overflows a float is refused. `#` starts a comment.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -66,7 +67,10 @@ def _parse_number(token: str, line: int):
     if "/" in token:
         return Fraction(token)
     if any(c in token for c in ".eE"):
-        return float(token)
+        value = float(token)
+        if math.isinf(value):
+            raise ParseError(f"number {token!r} overflows a float", line)
+        return value
     return Fraction(int(token))
 
 
@@ -185,13 +189,14 @@ def parse_crn(text: str) -> tuple[ReactionNetwork, Kinetics]:
             continue
         head = stmt.split(None, 1)[0]
         if head == "species":
-            for name in stmt.split()[1:]:
+            names = stmt.split()[1:]
+            if not names:
+                raise ParseError("species line declares no names", lineno)
+            for name in names:
                 if name in species_index:
                     raise ParseError(f"duplicate species {name!r}", lineno)
                 species_index[name] = len(species)
                 species.append(name)
-            if len(species) == 0:
-                raise ParseError("species line declares no names", lineno)
         elif head == "kinetics":
             tokens = stmt.split()
             if family is not None:

@@ -52,8 +52,11 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def _scaled(row) -> tuple[int, list[int]]:
     """The lcm of a row's denominators and the row times it, as integers."""
-    scale = lcm(*(v.denominator for v in row))
-    return scale, [v.numerator * (scale // v.denominator) for v in row]
+    dens = [v.denominator for v in row]
+    scale = lcm(*dens)
+    if scale == 1:
+        return 1, [v.numerator for v in row]
+    return scale, [v.numerator * (scale // d) for v, d in zip(row, dens)]
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
@@ -210,14 +213,20 @@ def _phase1_feasible(a: Matrix, b: Vector) -> Vector | None:
         enter = next((j for j in range(n_cols) if z[j] > 0), None)
         if enter is None:
             break
-        ratios = [
-            (Fraction(tab[i][total], tab[i][enter]), basis[i], i)
-            for i in range(n_rows)
-            if tab[i][enter] > 0
-        ]
-        if not ratios:
+        # min-ratio test, ties to the smaller basis label: x/p < y/q with
+        # p, q > 0 is x*q < y*p, so no ratio is formed
+        leave = None
+        for i, row in enumerate(tab):
+            p = row[enter]
+            if p > 0:
+                if leave is None:
+                    leave = i
+                else:
+                    lhs, rhs = row[total] * tab[leave][enter], tab[leave][total] * p
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave = i
+        if leave is None:
             return None  # unbounded phase-1 cannot happen, but stay safe
-        _, _, leave = min(ratios)
         prow = tab[leave]
         pv = prow[enter]
         for i in range(n_rows):
@@ -240,9 +249,11 @@ def _phase1_feasible(a: Matrix, b: Vector) -> Vector | None:
 def positive_kernel_vector(mat) -> Vector | None:
     """A strictly positive z with mat z = 0, or None if none exists.
 
-    Positivity is scale invariant, so it suffices to search z >= 1;
-    substituting z = 1 + u reduces the question to phase-1 feasibility of
-    A u = -A 1 with u >= 0.
+    No z > 0 is orthogonal to a nonzero row of a single sign, so such a row
+    answers None at once. Otherwise positivity is scale invariant, so it
+    suffices to search z >= 1; substituting z = 1 + u reduces the question
+    to phase-1 feasibility of A u = -A 1 with u >= 0. The right-hand side
+    and the check of the witness use the rows scaled to integers.
     """
     m = matrix(mat)
     if not m:
@@ -250,11 +261,14 @@ def positive_kernel_vector(mat) -> Vector | None:
     n_cols = len(m[0])
     if n_cols == 0:
         return None
-    b = [-sum(row) for row in m]
-    u = _phase1_feasible(m, b)
+    scaled = [_scaled(row) for row in m]
+    if any(any(row) and (min(row) >= 0 or max(row) <= 0) for _, row in scaled):
+        return None
+    u = _phase1_feasible(m, [Fraction(-sum(row), scale) for scale, row in scaled])
     if u is None:
         return None
     z = [v + 1 for v in u]
-    if any(sum(r * x for r, x in zip(row, z)) != 0 for row in m):
+    _, zi = _scaled(z)
+    if any(sum(r * x for r, x in zip(row, zi)) for _, row in scaled):
         raise ArithmeticError("phase-1 solution is not a kernel vector")
     return z

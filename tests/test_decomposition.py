@@ -1,5 +1,7 @@
 """Decompositions: subnetworks, independence verdicts, partition search."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,51 @@ def test_subnetwork_re1_parts(re1_net):
 
     full = cb.subnetwork(re1_net, range(8))
     assert cb.structural_invariants(full).delta == 2
+
+
+def oracle_subnetwork(net, reactions):
+    """`subnetwork` before it sliced the parent: the part's lists rebuilt and
+    validated again by `build_network`."""
+    idxs = sorted(set(int(q) for q in reactions))
+    touched_cpx = sorted({net.reactions[q].reactant for q in idxs}
+                         | {net.reactions[q].product for q in idxs})
+    cpx_map = {c: i for i, c in enumerate(touched_cpx)}
+    touched_sp = sorted({si for c in touched_cpx
+                         for si in range(net.num_species)
+                         if net.complexes[c].coeffs[si] != 0})
+    species = [net.species[si] for si in touched_sp]
+    complexes = [[net.complexes[c].coeffs[si] for si in touched_sp] for c in touched_cpx]
+    rxns = [(cpx_map[net.reactions[q].reactant], cpx_map[net.reactions[q].product],
+             net.reactions[q].label) for q in idxs]
+    return cb.build_network(species, complexes, rxns)
+
+
+def _rescaled(net, rng):
+    """`net` with each species' coefficients times its own p/q > 0: still a
+    valid network, now with non-integer Fraction entries."""
+    scale = [Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+             for _ in net.species]
+    complexes = [[v * f for v, f in zip(c.coeffs, scale)] for c in net.complexes]
+    rxns = [(rx.reactant, rx.product, rx.label) for rx in net.reactions]
+    return cb.build_network(net.species, complexes, rxns)
+
+
+def test_subnetwork_slices_equal_the_rebuilt_oracle():
+    rng = np.random.default_rng(1717)
+    checked = fractional = 0
+    while checked < 1200:
+        gen = random_network if checked % 2 else random_weakly_reversible_network
+        net = _rescaled(gen(rng), rng)
+        fractional += any(v.denominator > 1 for row in net.y for v in row)
+        r = net.num_reactions
+        parts = [range(r)] + [np.flatnonzero(rng.random(r) < rng.uniform(0.1, 0.9))
+                              for _ in range(7)]
+        for part in (p for p in parts if len(p)):
+            sub = cb.subnetwork(net, part)
+            assert sub == oracle_subnetwork(net, part)
+            assert hash(sub) == hash(oracle_subnetwork(net, part))
+            checked += 1
+    assert fractional > 50
 
 
 def test_subnetwork_errors(re1_net):

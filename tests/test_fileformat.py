@@ -182,6 +182,9 @@ PARSE_ERRORS = {
                                 ParseError, "expected a number, got 'x'", 4),
     "duplicate-species": ("species A A\n", ParseError, "duplicate species 'A'", 1),
     "species-without-names": ("species\n", ParseError, "species line declares no names", 1),
+    "second-species-line-without-names": (
+        "species A B\nspecies\nr1: A -> B rate 1\nkinetics massaction\n",
+        ParseError, "species line declares no names", 2),
     "second-kinetics-block": (_TWO + "kinetics massaction\nkinetics powerlaw\n",
                               ParseError, "second kinetics block", 4),
     "unknown-family": (_TWO + "kinetics foo\n", ParseError,
@@ -223,6 +226,10 @@ PARSE_ERRORS = {
                               ParseError, "reaction needs `rate <positive number>`", 2),
     "negative-rate": ("species A B\nr1: A -> B rate -1/2\nkinetics massaction\n",
                       NegativeRateError, "rate for r1 must be positive", 2),
+    "rate-overflows-a-float": ("species A B\nr1: A -> B rate 1e999\nkinetics massaction\n",
+                               ParseError, "number '1e999' overflows a float", 2),
+    "order-overflows-a-float": (_TWO + "kinetics powerlaw\norder r1: A=1e999\n",
+                                ParseError, "number '1e999' overflows a float", 4),
     "zero-decimal-rate": ("species A B\nr1: A -> B rate 0.0\nkinetics massaction\n",
                           NegativeRateError, "rate for r1 must be positive", 2),
     "no-species": ("# nothing\n", ParseError, "no species declared", None),

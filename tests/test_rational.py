@@ -99,6 +99,23 @@ def oracle_phase1_feasible(a: Matrix, b: Vector) -> Vector | None:
     return u
 
 
+def oracle_positive_kernel_vector(mat) -> Vector | None:
+    """`positive_kernel_vector` before the sign screen: Fraction sums and the
+    Fraction simplex for every matrix."""
+    m = rational.matrix(mat)
+    if not m:
+        raise ValueError("positive kernel of an empty matrix is ambiguous")
+    if not m[0]:
+        return None
+    u = oracle_phase1_feasible(m, [-sum(row) for row in m])
+    if u is None:
+        return None
+    z = [v + 1 for v in u]
+    if any(sum(r * x for r, x in zip(row, z)) != 0 for row in m):
+        raise ArithmeticError("phase-1 solution is not a kernel vector")
+    return z
+
+
 small_matrices = st.integers(1, 4).flatmap(
     lambda rows: st.integers(1, 4).flatmap(
         lambda cols: st.lists(
@@ -132,6 +149,32 @@ def rational_matrices(draw):
     return mat
 
 
+@st.composite
+def screened_matrices(draw):
+    """`rational_matrices` with single-sign rows (nonzero, all entries >= 0 or
+    all <= 0) and zero rows inserted at drawn positions."""
+    mat = draw(rational_matrices())
+    n_cols = len(mat[0])
+    for kind in draw(st.lists(st.sampled_from(["nonnegative", "nonpositive", "zero"]),
+                              min_size=1, max_size=3)):
+        if kind == "zero":
+            row = [Fraction(0)] * n_cols
+        else:
+            row = draw(st.lists(st.builds(Fraction, st.integers(0, 6), st.integers(1, 5)),
+                                min_size=n_cols, max_size=n_cols).filter(any))
+            row = [-v for v in row] if kind == "nonpositive" else row
+        mat.insert(draw(st.integers(0, len(mat))), row)
+    return mat
+
+
+# Found by search: here the ratio test ties between rows whose basis labels
+# are out of row order, so breaking the tie on the row index changes the witness.
+RATIO_TIES = [
+    [[-1, 1, 0, 1, -1], [2, 1, 1, -2, -2], [0, 2, -1, 2, -2]],
+    [[0, -1, 2, 0, -1], [2, -2, 1, -1, 0], [1, 1, 0, 0, -1]],
+]
+
+
 @given(rational_matrices())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_rref_matches_fraction_oracle(mat):
@@ -154,11 +197,39 @@ def test_rank_nullspace_row_basis_match_fraction_oracle(mat):
 @given(rational_matrices(), st.data())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_simplex_gives_the_fraction_oracle_witness(mat, data):
-    z = rational.positive_kernel_vector(mat)
-    with mock.patch.object(rational, "_phase1_feasible", oracle_phase1_feasible):
-        assert z == rational.positive_kernel_vector(mat)
+    assert rational.positive_kernel_vector(mat) == oracle_positive_kernel_vector(mat)
     b = data.draw(st.lists(_fractions, min_size=len(mat), max_size=len(mat)))
     assert rational._phase1_feasible(mat, b) == oracle_phase1_feasible(mat, b)
+
+
+@given(screened_matrices())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_sign_screen_matches_the_fraction_oracle(mat):
+    # a zero row leaves the simplex to decide; a single-sign row decides alone
+    single_sign = any(any(row) and (min(row) >= 0 or max(row) <= 0) for row in mat)
+    real, calls = rational._phase1_feasible, []
+
+    def counting(a, b):
+        calls.append(b)
+        return real(a, b)
+
+    with mock.patch.object(rational, "_phase1_feasible", counting):
+        z = rational.positive_kernel_vector(mat)
+    assert z == oracle_positive_kernel_vector(mat)
+    if single_sign:
+        assert z is None and not calls
+    else:
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mat", RATIO_TIES)
+def test_ratio_ties_break_on_the_basis_label(mat):
+    m = rational.matrix(mat)
+    b = [-sum(row) for row in m]
+    u = rational._phase1_feasible(m, b)
+    assert u == oracle_phase1_feasible(m, b)
+    z = rational.positive_kernel_vector(m)
+    assert z == oracle_positive_kernel_vector(m) == [v + 1 for v in u]
 
 
 def test_rank_examples():
