@@ -52,11 +52,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def _scaled(row) -> tuple[int, list[int]]:
     """The lcm of a row's denominators and the row times it, as integers."""
-    dens = [v.denominator for v in row]
-    scale = lcm(*dens)
-    if scale == 1:
-        return 1, [v.numerator for v in row]
-    return scale, [v.numerator * (scale // d) for v, d in zip(row, dens)]
+    scale = lcm(*(v.denominator for v in row))
+    return scale, [v.numerator * (scale // v.denominator) for v in row]
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
