@@ -87,9 +87,9 @@ def _verdict_lines(verdict: dict) -> list[str]:
 def _cmd_analyze(args, system, cfg, report):
     net, kin = system.network, system.kinetics
     inv, tmat, cls = system.invariants, system.t_matrices, system.classification
-    witness = inv.conservation_witness
+    conservative, witness = system.conservation
     report["network"] = rpt.network_json(net)
-    report["structural"] = rpt.structural_json(inv, witness)
+    report["structural"] = rpt.structural_json(inv, conservative, witness)
     report["kinetics"] = rpt.classification_json(cls, _family(kin))
     if tmat is not None:
         report["t_matrices"] = rpt.tmatrices_json(tmat)
@@ -99,7 +99,7 @@ def _cmd_analyze(args, system, cfg, report):
         f"rank S = {inv.s} (exact), deficiency = {inv.delta}",
         f"weakly reversible: {inv.weakly_reversible}, t-minimal: {inv.t_minimal}, "
         f"cycle terminal: {inv.cycle_terminal}",
-        f"conservative: {inv.conservative}"
+        f"conservative: {conservative}"
         + (f" (witness {[str(w) for w in witness]})" if witness else ""),
         f"kinetics family: {_family(kin)}, classification: "
         + ", ".join(f"{k}={v}" for k, v in rpt.classification_json(cls, _family(kin)).items()
@@ -244,9 +244,9 @@ def _cmd_equilibria(args, system, cfg, report):
         basis = _resolve_flux_basis(args.flux_space, system)
         ref = (z.points[0].x if z.points else e.points[0].x)
         samples = sample_coset_counts(system, basis, ref, cfg)
-        inv = system.invariants
-        e_exact = bool(args.assume_concordant and inv.conservative
-                       and inv.weakly_reversible and system.classification.pl_nik)
+        e_exact = bool(args.assume_concordant and system.conservation[0]
+                       and system.invariants.weakly_reversible
+                       and system.classification.pl_nik)
         report["coset_counts"] = rpt.coset_counts_json(samples, e_exact)
         lines.append(f"coset intersection counts over {len(samples)} sampled classes "
                      f"(E side exact: {e_exact}):")
@@ -266,7 +266,7 @@ def _cmd_acb(args, system, cfg, report):
     # CLP and PLP are checked on one flux space, so the two spaces coincide
     # whenever PLP was checked; the report keeps the key
     bilp = True if analysis.plp is not None else None
-    report["structural"] = rpt.structural_json(inv)
+    report["structural"] = rpt.structural_json(inv, system.conservation[0])
     report["kinetics"] = rpt.classification_json(system.classification, _family(kin))
     if system.t_matrices is not None:
         report["t_matrices"] = rpt.tmatrices_json(system.t_matrices)

@@ -19,6 +19,7 @@ classical theorems and records a citation chain for every rule it fires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -32,7 +33,7 @@ from .kinetics import (Kinetics, KineticsClassification, PolyPLKinetics,
 from .kinetic_matrices import TMatrices, is_pl_tik, t_matrices_or_none
 from .newton import (DEDUP_TOL, SolveConfig, _Chart, _dedup_logs, _newton,
                      _normalized_rows, _seed_outcome)
-from .network import (CrnError, ReactionNetwork, StructuralInvariants,
+from .network import (CrnError, ReactionNetwork, StructuralInvariants, is_conservative,
                       structural_invariants, stoichiometric_basis)
 
 
@@ -59,7 +60,8 @@ class KineticSystem:
     """A network with its kinetics, and the exact facts of the pair.
 
     Each fact is computed on first use and kept for the life of the system:
-    the network's structural `invariants`, the `t_matrices` (None unless the
+    the network's structural `invariants`, its `conservation` (whether it is
+    conservative, with the witness), the `t_matrices` (None unless the
     kinetics is reactant-determined power law), the kinetics
     `classification`, the `linkage_verdict` of the linkage-class
     decomposition, and the read-only float matrices `n_float` (N) and
@@ -72,6 +74,10 @@ class KineticSystem:
     @cached_property
     def invariants(self) -> StructuralInvariants:
         return structural_invariants(self.network)
+
+    @cached_property
+    def conservation(self) -> tuple[bool, tuple[Fraction, ...] | None]:
+        return is_conservative(self.network)
 
     @cached_property
     def t_matrices(self) -> TMatrices | None:

@@ -61,7 +61,8 @@ _NUMBER = re.compile(r"[+-]?(\d+/\d+|\d+\.\d*([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)
 
 
 def _parse_number(token: str, line: int):
-    """Exact Fraction for ints and p/q, float for decimals."""
+    """Exact Fraction for ints and p/q, float for decimals; a nonzero decimal
+    that a float cannot hold (overflow to inf, underflow to 0.0) is refused."""
     if not _NUMBER.match(token):
         raise ParseError(f"expected a number, got {token!r}", line)
     if "/" in token:
@@ -70,6 +71,8 @@ def _parse_number(token: str, line: int):
         value = float(token)
         if math.isinf(value):
             raise ParseError(f"number {token!r} overflows a float", line)
+        if value == 0 and any(c in "123456789" for c in token.lower().partition("e")[0]):
+            raise ParseError(f"number {token!r} underflows a float", line)
         return value
     return Fraction(int(token))
 

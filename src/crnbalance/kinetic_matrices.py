@@ -85,8 +85,10 @@ def build_t_matrices(net: ReactionNetwork, kin: PowerLawKinetics) -> TMatrices:
             for lc in range(l)
         ]
         exact_that = exact_t + indicator
-        q_tilde = rational.rank(exact_t)
-        q_hat = rational.rank(exact_that)
+        # T's rows come first, so one elimination of T_hat ranks both
+        pivots = rational.pivot_rows(exact_that)
+        q_tilde = sum(1 for i in pivots if i < m)
+        q_hat = len(pivots)
         exact_ytilde_cols = {
             ci: exact_cols.get(ci, [zero] * m) for ci in range(n)
         }

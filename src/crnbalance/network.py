@@ -127,10 +127,8 @@ class StructuralInvariants:
     weakly_reversible: bool
     t_minimal: bool
     cycle_terminal: bool
-    conservative: bool
     linkage_partition: tuple[tuple[int, ...], ...]   # reaction indices per class
     terminal_classes: tuple[tuple[int, ...], ...]    # complex indices per class
-    conservation_witness: tuple[Fraction, ...] | None  # z > 0 with N^T z = 0
 
 
 def build_network(species, complexes, reactions) -> ReactionNetwork:
@@ -315,7 +313,10 @@ def is_conservative(net: ReactionNetwork) -> tuple[bool, tuple[Fraction, ...] | 
 
 
 def structural_invariants(net: ReactionNetwork) -> StructuralInvariants:
-    """All scalar invariants and class partitions of the reaction graph."""
+    """All scalar invariants and class partitions of the reaction graph.
+
+    Conservativity needs a simplex, so it is left to `is_conservative`.
+    """
     m, n, r = net.num_species, net.num_complexes, net.num_reactions
     n_r = len(net.reactant_complexes)
 
@@ -344,17 +345,14 @@ def structural_invariants(net: ReactionNetwork) -> StructuralInvariants:
 
     s = rational.rank([list(row) for row in net.n])
     delta = n - l - s
-    conservative, witness = is_conservative(net)
 
     return StructuralInvariants(
         m=m, n=n, n_r=n_r, r=r, l=l, sl=sl, t=t, s=s, delta=delta,
         weakly_reversible=weakly_reversible,
         t_minimal=(t == l),
         cycle_terminal=(n - n_r == 0),
-        conservative=conservative,
         linkage_partition=linkage_partition,
         terminal_classes=terminal,
-        conservation_witness=witness,
     )
 
 

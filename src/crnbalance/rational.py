@@ -91,22 +91,36 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     return [[Fraction(v, prev) if v else _ZERO for v in row] for row in m], pivots
 
 
-def rank(mat) -> int:
-    """Exact rank over the rationals: the forward pass of Bareiss elimination."""
+def pivot_rows(mat) -> list[int]:
+    """Indices of the pivot rows of a forward Bareiss pass, in pivot order.
+
+    Column by column, the pivot is the first remaining row, in the given
+    order, that is nonzero there. Each pivot row is its original row plus a
+    combination of earlier pivot rows, and every other row ends at zero, so
+    the original rows at these indices are a basis of the row space. A row
+    is combined only with pivot rows above it, so the first k rows give
+    exactly rank(mat[:k]) of the pivots.
+    """
     rows = [_scaled(row)[1] for row in matrix(mat)]
-    found = 0
+    index = list(range(len(rows)))
+    found: list[int] = []
     prev = 1
     while rows and rows[0]:
         i = next((i for i, row in enumerate(rows) if row[0]), None)
         if i is None:
             rows = [row[1:] for row in rows]
             continue
+        found.append(index.pop(i))
         pv, *tail = rows.pop(i)
         rows = [[(pv * a - row[0] * b) // prev for a, b in zip(row[1:], tail)]
                 for row in rows]
         prev = pv
-        found += 1
     return found
+
+
+def rank(mat) -> int:
+    """Exact rank over the rationals: the number of pivot rows."""
+    return len(pivot_rows(mat))
 
 
 def nullspace(mat) -> list[Vector]:
@@ -138,12 +152,15 @@ def column_basis(mat) -> list[Vector]:
 
 
 def row_basis(mat) -> list[Vector]:
-    """Nonzero rows of the reduced row echelon form: a basis of the row space."""
+    """Nonzero rows of the reduced row echelon form: a basis of the row space.
+
+    Only the pivot rows are reduced; the reduced form of a row space is
+    unique, so the other rows would change nothing.
+    """
     m = matrix(mat)
     if not m:
         return []
-    red, pivots = rref(m)
-    return [red[i] for i in range(len(pivots))]
+    return rref([m[i] for i in pivot_rows(m)])[0]
 
 
 def in_span(vectors: list, v) -> bool:

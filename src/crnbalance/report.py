@@ -62,7 +62,7 @@ def network_json(net: ReactionNetwork) -> dict:
     }
 
 
-def structural_json(inv: StructuralInvariants, witness=None) -> dict:
+def structural_json(inv: StructuralInvariants, conservative: bool, witness=None) -> dict:
     out = {
         "species_count": inv.m,
         "complex_count": inv.n,
@@ -77,7 +77,7 @@ def structural_json(inv: StructuralInvariants, witness=None) -> dict:
         "weakly_reversible": inv.weakly_reversible,
         "t_minimal": inv.t_minimal,
         "cycle_terminal": inv.cycle_terminal,
-        "conservative": inv.conservative,
+        "conservative": conservative,
         "linkage_partition": [list(part) for part in inv.linkage_partition],
         "terminal_classes": [list(part) for part in inv.terminal_classes],
     }

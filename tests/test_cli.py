@@ -288,8 +288,7 @@ def test_subcommands_take_only_the_options_they_read():
     assert sum(map(len, taken.values())) == 37
 
 
-def test_analyze_reads_the_conservation_witness_from_the_invariants(monkeypatch):
-    # the conservativity simplex runs once, inside structural_invariants
+def _count_simplexes(monkeypatch):
     calls = []
     real = crnbalance.rational.positive_kernel_vector
 
@@ -298,10 +297,38 @@ def test_analyze_reads_the_conservation_witness_from_the_invariants(monkeypatch)
         return real(*args)
 
     monkeypatch.setattr(crnbalance.rational, "positive_kernel_vector", counted)
+    return calls
+
+
+def test_analyze_reads_the_conservation_witness_from_the_invariants(monkeypatch):
+    # the conservativity simplex runs once, in KineticSystem.conservation,
+    # which gives both the flag and the witness
+    calls = _count_simplexes(monkeypatch)
     report, _ = run_json(["analyze", data_path("counterexample.crn")])
     assert report["structural"]["conservative"] is True
     assert "conservation_witness" in report["structural"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, simplexes", [
+    # hill_single.crn has no acb verdict
+    *[(["acb", name], 1) for name in ("counterexample.crn", "mm_polypl.crn",
+                                      "re1_massaction.crn", "re1_powerlaw.crn")],
+    # equilibria reads conservativity only under --assume-concordant
+    (["equilibria", "re1_massaction.crn", "--seeds", "8", "--flux-space", "S"], 0),
+    (["equilibria", "re1_massaction.crn", "--seeds", "8", "--flux-space", "S",
+      "--assume-concordant"], 1),
+])
+def test_reports_run_the_conservativity_simplex_only_for_the_flag(monkeypatch, argv,
+                                                                    simplexes):
+    # neither structural_invariants nor the decomposition part summaries run it
+    calls = _count_simplexes(monkeypatch)
+    command, name, *options = argv
+    report, _ = run_json([command, data_path(name), *options])
+    assert len(calls) == simplexes
+    if command == "acb":
+        net, _ = parse_crn(data_path(name).read_text())
+        assert report["structural"]["conservative"] is crnbalance.is_conservative(net)[0]
 
 
 @pytest.mark.parametrize("option, value, field", [

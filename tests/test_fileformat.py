@@ -230,6 +230,13 @@ PARSE_ERRORS = {
                                ParseError, "number '1e999' overflows a float", 2),
     "order-overflows-a-float": (_TWO + "kinetics powerlaw\norder r1: A=1e999\n",
                                 ParseError, "number '1e999' overflows a float", 4),
+    "rate-underflows-a-float": ("species A B\nr1: A -> B rate 1e-999\nkinetics massaction\n",
+                                ParseError, "number '1e-999' underflows a float", 2),
+    "order-underflows-a-float": (_TWO + "kinetics powerlaw\norder r1: A=1e-999\n",
+                                 ParseError, "number '1e-999' underflows a float", 4),
+    # zeros written as decimals are zeros, not underflows
+    "zero-exponent-rate": ("species A B\nr1: A -> B rate 0e5\nkinetics massaction\n",
+                           NegativeRateError, "rate for r1 must be positive", 2),
     "zero-decimal-rate": ("species A B\nr1: A -> B rate 0.0\nkinetics massaction\n",
                           NegativeRateError, "rate for r1 must be positive", 2),
     "no-species": ("# nothing\n", ParseError, "no species declared", None),

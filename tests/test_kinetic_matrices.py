@@ -6,6 +6,8 @@ import pytest
 import crnbalance as cb
 from crnbalance import rational
 
+from conftest import bench_ladder
+
 THAT_PRINTED = [[0, -1, 0, 0], [-1, -1, -2, 0], [1, 1, 0, -2], [1, 1, 1, 1]]
 
 
@@ -89,6 +91,16 @@ def test_rank_bounds(re1_powerlaw, counterexample, toy_pl_tik):
         assert t.delta_hat >= 0
         assert t.q_hat <= t.q_tilde + inv.l
         assert t.q_hat <= inv.n_r
+
+
+def test_one_elimination_gives_the_ranks_of_t_and_t_hat(re1_powerlaw, re1_massaction,
+                                                       counterexample, toy_pl_tik):
+    systems = [re1_powerlaw, re1_massaction, counterexample, toy_pl_tik]
+    systems += [bench_ladder(seed, r) for seed, r in ((3, 12), (2, 24), (0, 60))]
+    for net, kin in systems:
+        t = cb.build_t_matrices(net, kin)
+        assert t.q_tilde == rational.rank(t.exact_t)
+        assert t.q_hat == rational.rank(t.exact_that)
 
 
 def test_order_subspace_mass_action_equals_stoichiometric(re1_massaction):

@@ -1,5 +1,6 @@
 """Network construction, structural invariants, conservativity."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 import crnbalance as cb
 from crnbalance import rational
+from crnbalance.fileformat import parse_crn
 
-from conftest import random_network
+from conftest import DATA, random_network, random_weakly_reversible_network
 
 Y_PRINTED = [[2, 1, 0, 2, 1, 0], [0, 1, 2, 0, 0, 0], [0, 0, 0, 1, 2, 3]]
 IA_PRINTED = [[-1, 1, 0, 0, 0, 0, 0, 0],
@@ -118,13 +120,15 @@ def test_weak_reversibility_kernel_criterion(re1_net, counterexample):
         assert inv.weakly_reversible == (kernel is not None)
 
 
-def _scalar_invariants(inv):
+def _scalar_invariants(net):
+    inv = cb.structural_invariants(net)
     return (inv.m, inv.n, inv.n_r, inv.r, inv.l, inv.sl, inv.t, inv.s, inv.delta,
-            inv.weakly_reversible, inv.t_minimal, inv.cycle_terminal, inv.conservative)
+            inv.weakly_reversible, inv.t_minimal, inv.cycle_terminal,
+            cb.is_conservative(net)[0])
 
 
 def test_permutation_invariance(re1_net):
-    base = _scalar_invariants(cb.structural_invariants(re1_net))
+    base = _scalar_invariants(re1_net)
     rng = np.random.default_rng(11)
     species = list(re1_net.species)
     complexes = [list(c.coeffs) for c in re1_net.complexes]
@@ -140,7 +144,7 @@ def test_permutation_invariance(re1_net):
             [(cp_inv[reactions[ri][0]], cp_inv[reactions[ri][1]], reactions[ri][2])
              for ri in rp],
         )
-        assert _scalar_invariants(cb.structural_invariants(net2)) == base
+        assert _scalar_invariants(net2) == base
 
 
 def test_stoichiometric_basis(re1_net):
@@ -174,3 +178,60 @@ def test_incidence_columns_sum_to_zero(re1_net, counterexample):
     for net in (re1_net, counterexample[0]):
         for col in zip(*net.ia):
             assert sum(col) == 0
+
+
+def oracle_structural_invariants(net) -> dict:
+    """`structural_invariants` as it was when it also decided conservativity,
+    kept as the oracle: its fields by name."""
+    from crnbalance.network import _strongly_connected_components
+
+    m, n, r = net.num_species, net.num_complexes, net.num_reactions
+    n_r = len(net.reactant_complexes)
+    linkage_partition = cb.linkage_class_parts(net)
+    l = len(linkage_partition)
+    succ = [[] for _ in range(n)]
+    for rx in net.reactions:
+        succ[rx.reactant].append(rx.product)
+    sccs = _strongly_connected_components(n, succ)
+    sl = len(sccs)
+    scc_of = {c: idx for idx, comp in enumerate(sccs) for c in comp}
+    outgoing = [False] * sl
+    for rx in net.reactions:
+        if scc_of[rx.reactant] != scc_of[rx.product]:
+            outgoing[scc_of[rx.reactant]] = True
+    terminal = tuple(tuple(sccs[i]) for i in range(sl) if not outgoing[i])
+    t = len(terminal)
+    s = rational.rank([list(row) for row in net.n])
+    z = rational.positive_kernel_vector(rational.transpose([list(row) for row in net.n]))
+    return dict(m=m, n=n, n_r=n_r, r=r, l=l, sl=sl, t=t, s=s, delta=n - l - s,
+                weakly_reversible=not any(outgoing), t_minimal=(t == l),
+                cycle_terminal=(n - n_r == 0), conservative=z is not None,
+                linkage_partition=linkage_partition, terminal_classes=terminal,
+                conservation_witness=None if z is None else tuple(z))
+
+
+def test_conservation_matches_the_old_invariant_fields(monkeypatch):
+    systems = [parse_crn((DATA / name).read_text())
+               for name in ("counterexample.crn", "hill_single.crn", "mm_polypl.crn",
+                            "re1_massaction.crn", "re1_powerlaw.crn")]
+    for seed in range(20):
+        for gen in (random_network, random_weakly_reversible_network):
+            net = gen(np.random.default_rng(seed))
+            systems.append((net, cb.mass_action_from(net, [1] * net.num_reactions)))
+    conservative = set()
+    for net, kin in systems:
+        old = oracle_structural_invariants(net)
+        expected = (old.pop("conservative"), old.pop("conservation_witness"))
+        conservative.add(expected[0])
+        calls = []
+        real = rational.positive_kernel_vector
+        monkeypatch.setattr(rational, "positive_kernel_vector",
+                            lambda mat: calls.append(mat) or real(mat))
+        assert dataclasses.asdict(cb.structural_invariants(net)) == old
+        assert not calls
+        system = cb.KineticSystem(net, kin)
+        assert system.conservation == system.conservation == expected
+        assert len(calls) == 1
+        assert cb.is_conservative(net) == expected
+        monkeypatch.undo()
+    assert conservative == {True, False}

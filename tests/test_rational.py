@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crnbalance import rational
@@ -230,6 +230,60 @@ def test_ratio_ties_break_on_the_basis_label(mat):
     assert u == oracle_phase1_feasible(m, b)
     z = rational.positive_kernel_vector(m)
     assert z == oracle_positive_kernel_vector(m) == [v + 1 for v in u]
+
+
+def oracle_row_basis(mat) -> list[Vector]:
+    """`row_basis` before it reduced only the pivot rows: the nonzero rows of
+    the reduced form of every row."""
+    m = rational.matrix(mat)
+    if not m:
+        return []
+    red, pivots = rational.rref(m)
+    return [red[i] for i in range(len(pivots))]
+
+
+@st.composite
+def t_and_linkage_rows(draw):
+    """A p/q matrix T (m x n_r) with drawn columns zeroed, and the rows of L^T:
+    one 0/1 row per class of a drawn partition of T's columns. A class row
+    pivots where T is zero, as in T_hat of a network whose orders vanish on
+    some reactant complexes."""
+    m, n_r = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), _fractions)
+    t = draw(st.lists(st.lists(entry, min_size=n_r, max_size=n_r), min_size=m, max_size=m))
+    for c in draw(st.sets(st.integers(0, n_r - 1))):
+        for row in t:
+            row[c] = Fraction(0)
+    labels = draw(st.lists(st.integers(0, n_r - 1), min_size=n_r, max_size=n_r))
+    return t, [[Fraction(int(lab == cls)) for lab in labels] for cls in sorted(set(labels))]
+
+
+@given(t_and_linkage_rows())
+@example(([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]],
+          [[Fraction(1), Fraction(1)]]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_one_pass_ranks_t_and_t_hat(blocks):
+    t, lt = blocks
+    pivots = rational.pivot_rows(t + lt)
+    assert sum(1 for i in pivots if i < len(t)) == rational.rank(t) == len(oracle_rref(t)[1])
+    assert len(pivots) == len(oracle_rref(t + lt)[1])
+    assert rational.rank([(t + lt)[i] for i in pivots]) == len(pivots)
+
+
+@st.composite
+def repeated_row_matrices(draw):
+    """`rational_matrices` with copies of its rows and zero rows inserted."""
+    mat = draw(rational_matrices())
+    for kind in draw(st.lists(st.sampled_from(["repeat", "zero"]), min_size=1, max_size=3)):
+        row = list(draw(st.sampled_from(mat))) if kind == "repeat" else [Fraction(0)] * len(mat[0])
+        mat.insert(draw(st.integers(0, len(mat))), row)
+    return mat
+
+
+@given(repeated_row_matrices())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_row_basis_reduces_only_the_pivot_rows(mat):
+    assert rational.row_basis(mat) == oracle_row_basis(mat)
 
 
 def test_rank_examples():
