@@ -9,6 +9,7 @@ import pytest
 import crnbalance as cb
 from crnbalance import rational
 from crnbalance.fileformat import parse_crn
+from crnbalance.network import _strongly_connected_components
 
 from conftest import DATA, random_network, random_weakly_reversible_network
 
@@ -183,8 +184,6 @@ def test_incidence_columns_sum_to_zero(re1_net, counterexample):
 def oracle_structural_invariants(net) -> dict:
     """`structural_invariants` as it was when it also decided conservativity,
     kept as the oracle: its fields by name."""
-    from crnbalance.network import _strongly_connected_components
-
     m, n, r = net.num_species, net.num_complexes, net.num_reactions
     n_r = len(net.reactant_complexes)
     linkage_partition = cb.linkage_class_parts(net)
