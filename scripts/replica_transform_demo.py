@@ -5,6 +5,8 @@ denominator-clearing association from its rational form.
 Run: python3 scripts/replica_transform_demo.py
 """
 
+import dataclasses
+
 import numpy as np
 
 import crnbalance as cb
@@ -55,8 +57,7 @@ def main():
 
     cfg = cb.SolveConfig()
     evidence = cb.star_msc_acb_evidence(star_system, cb.KineticSystem(net, kin), cfg)
-    analysis = cb.analyze_acb(star_system, cfg)
-    analysis.decomposition = evidence
+    analysis = dataclasses.replace(cb.analyze_acb(star_system, cfg), decomposition=evidence)
     acb = cb.acb_verdict(analysis, cfg)
     print(f"\ntransform verdict: {acb.status}")
     for c in acb.justification:

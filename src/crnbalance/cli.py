@@ -9,6 +9,7 @@ human-readable summary by default and the versioned JSON report with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -187,7 +188,8 @@ def _cmd_starmsc(args, system, cfg, report):
     verdict = star.system.linkage_verdict
     evidence = star_msc_acb_evidence(star.system, star.source, cfg)
     analysis = analyze_acb(star.system, cfg)
-    analysis.decomposition = evidence if evidence is not None else analysis.decomposition
+    if evidence is not None:
+        analysis = dataclasses.replace(analysis, decomposition=evidence)
     acb = acb_verdict(analysis, cfg)
     report["transform"] = {
         "shift": star.shift,

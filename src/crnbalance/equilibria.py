@@ -65,11 +65,20 @@ class KineticSystem:
     kinetics is reactant-determined power law), the kinetics
     `classification`, the `linkage_verdict` of the linkage-class
     decomposition, and the read-only float matrices `n_float` (N) and
-    `ia_float` (Ia). The pair is frozen, so the facts cannot go stale.
+    `ia_float` (Ia). The pair is frozen, so the facts cannot go stale. A
+    kinetics whose reaction or species count differs from the network's is
+    refused.
     """
 
     network: ReactionNetwork
     kinetics: Kinetics
+
+    def __post_init__(self):
+        net, kin = self.network, self.kinetics
+        if (kin.num_reactions, kin.num_species) != (net.num_reactions, net.num_species):
+            raise CrnError(
+                f"kinetics has {kin.num_reactions} reactions on {kin.num_species} species, "
+                f"the network {net.num_reactions} on {net.num_species}")
 
     @cached_property
     def invariants(self) -> StructuralInvariants:
@@ -170,10 +179,12 @@ def _multistart(pairs, chart: _Chart, seeds, cfg: SolveConfig):
     return logs, stops
 
 
-def _distinct_states(pairs, chart: _Chart, seeds, cfg: SolveConfig) -> list[np.ndarray]:
-    """The deduplicated states the multistart accepted."""
+def _verified_states(pairs, chart: _Chart, seeds, cfg: SolveConfig) -> list[np.ndarray]:
+    """The deduplicated states the multistart accepted whose residual on
+    `pairs` is at most `tol`."""
     logs, _ = _multistart(pairs, chart, seeds, cfg)
-    return [np.exp(u) for u in _dedup_logs(logs)]
+    states = [np.exp(u) for u in _dedup_logs(logs)]
+    return [x for x, res in zip(states, _residuals(pairs, states)) if res <= cfg.tol]
 
 
 def solve_equilibria(system: KineticSystem, mode: str = "positive",
@@ -408,11 +419,8 @@ def poly_pl_equilibrated_check(net: ReactionNetwork, kin: PolyPLKinetics,
     chart = _Chart.log(net.num_species)
     seeds = chart.seeds(cfg)
 
-    def solved(pairs) -> list[np.ndarray]:
-        states = _distinct_states(pairs, chart, seeds, cfg)
-        return [x for x, res in zip(states, _residuals(pairs, states)) if res <= cfg.tol]
-
-    joint_e, joint_z = solved(joint_e_pairs), solved(joint_z_pairs)
+    joint_e = _verified_states(joint_e_pairs, chart, seeds, cfg)
+    joint_z = _verified_states(joint_z_pairs, chart, seeds, cfg)
 
     def all_members(states, mats_kins) -> bool:
         return all(res <= LP_TOL for res in _residuals(mats_kins, states))
@@ -505,7 +513,7 @@ class DecompositionEvidence:
     note: str
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AcbAnalysis:
     """Evidence on `system` for `acb_verdict`; exact facts stay on `system`."""
 
@@ -638,10 +646,8 @@ def linkage_decomposition_evidence(system: KineticSystem,
                 continue
             mask = np.zeros(net.num_reactions)
             mask[list(part)] = 1.0
-            pairs = [(ia * mask, system.kinetics)]
-            states = _distinct_states(pairs, chart, seeds, cfg)
-            cb = any(res <= cfg.tol for res in _residuals(pairs, states))
-            part_statuses.append("ACB_certified" if cb else "Inconclusive")
+            balanced = _verified_states([(ia * mask, system.kinetics)], chart, seeds, cfg)
+            part_statuses.append("ACB_certified" if balanced else "Inconclusive")
     return DecompositionEvidence(
         parts_acb=tuple(part_statuses),
         intersection_certified=certified,

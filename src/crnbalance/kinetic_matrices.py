@@ -27,9 +27,7 @@ class NotRDKError(CrnError):
 
 @dataclass(eq=False)
 class TMatrices:
-    ytilde: np.ndarray                     # (m, n)
     t: np.ndarray                          # (m, n_r)
-    linkage_indicator: np.ndarray          # L, (n_r, l) 0/1
     that: np.ndarray                       # (m + l, n_r)
     reactant_complexes: tuple[int, ...]    # complex index per T column
     q_tilde: int
@@ -111,7 +109,7 @@ def build_t_matrices(net: ReactionNetwork, kin: PowerLawKinetics) -> TMatrices:
         ranks_exact = False
 
     return TMatrices(
-        ytilde=ytilde, t=t, linkage_indicator=lmat, that=that,
+        t=t, that=that,
         reactant_complexes=reactants,
         q_tilde=q_tilde, q_hat=q_hat, delta_hat=n_r - q_hat,
         ranks_exact=ranks_exact,

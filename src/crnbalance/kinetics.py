@@ -12,7 +12,9 @@ K_q(x) = sum_j (k_q a_qj) x^{F_qj} / prod_f sum_t c_ft x^{E_ft}, with one
 term over no factor per power-law reaction, h_q terms over no factor per
 poly-PL reaction and one term over its factors per rational reaction; Hill
 kinetics are tabled through `hill_as_rational`. All arrays of a kinetics
-object are read-only, so its table cannot go stale.
+object are read-only and its fields refuse assignment once the table is
+built, so the table cannot go stale. The base `_Kinetics` checks the rates
+of every family: one finite, strictly positive rate per reaction.
 
 Kinetic orders are kept as float arrays for evaluation, with an optional
 exact rational copy alongside; identity-of-rows classifications and all rank
@@ -21,7 +23,7 @@ work use the exact copy whenever it exists and a 1e-12 tolerance otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -78,11 +80,8 @@ def _coerce_matrix(rows, n_cols=None) -> tuple[np.ndarray, ExactMatrix | None]:
 
 
 def _coerce_rates(values) -> np.ndarray:
-    k = np.array([float(v) if isinstance(v, float) else float(rational.frac(v))
-                  for v in values], dtype=float)
-    if np.any(k <= 0):
-        raise InvalidKineticsError("rate constants must be strictly positive")
-    return k
+    return np.array([float(v) if isinstance(v, float) else float(rational.frac(v))
+                     for v in values], dtype=float)
 
 
 def _frozen(values) -> np.ndarray:
@@ -151,8 +150,40 @@ class _RateTable:
         return k, jac
 
 
+class _Kinetics:
+    """What the four families share: the reaction and species counts of the
+    rate table, one check of `rates` against it, and no assignment once the
+    table exists (the table is built from the fields, so a reassigned field
+    would leave it stale).
+    """
+
+    def _install(self, table: _RateTable) -> None:
+        """Check `rates` against `table` and keep the table; a family calls
+        this last in `__post_init__`, after its own checks."""
+        if self.rates.shape != table.starts.shape:
+            raise InvalidKineticsError(
+                f"one rate per reaction required: {table.starts.size} reactions, "
+                f"rates of shape {self.rates.shape}")
+        if not np.all((self.rates > 0) & (self.rates < np.inf)):
+            raise InvalidKineticsError("rate constants must be finite and strictly positive")
+        self._table = table
+
+    def __setattr__(self, name, value):
+        if "_table" in vars(self):
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    @property
+    def num_reactions(self) -> int:
+        return self._table.starts.size
+
+    @property
+    def num_species(self) -> int:
+        return self._table.orders.shape[1]
+
+
 @dataclass(eq=False)
-class PowerLawKinetics:
+class PowerLawKinetics(_Kinetics):
     orders: np.ndarray                    # (r, m) kinetic order rows
     rates: np.ndarray                     # (r,) strictly positive
     exact_orders: ExactMatrix | None = None
@@ -160,19 +191,7 @@ class PowerLawKinetics:
     def __post_init__(self):
         self.orders = _frozen(self.orders)
         self.rates = _frozen(self.rates)
-        if self.orders.shape[0] != self.rates.shape[0]:
-            raise InvalidKineticsError("one order row per reaction required")
-        if np.any(self.rates <= 0):
-            raise InvalidKineticsError("rate constants must be strictly positive")
-        self._table = _RateTable(self.rates, self.orders, [1] * self.num_reactions)
-
-    @property
-    def num_reactions(self) -> int:
-        return self.orders.shape[0]
-
-    @property
-    def num_species(self) -> int:
-        return self.orders.shape[1]
+        self._install(_RateTable(self.rates, self.orders, [1] * self.orders.shape[0]))
 
 
 def power_law(order_rows, rates) -> PowerLawKinetics:
@@ -182,13 +201,11 @@ def power_law(order_rows, rates) -> PowerLawKinetics:
 
 def mass_action_from(net: ReactionNetwork, rates) -> PowerLawKinetics:
     """Power-law kinetics whose order rows are the reactant stoichiometries."""
-    exact = tuple(net.complexes[rx.reactant].coeffs for rx in net.reactions)
-    orders = np.array([[float(c) for c in row] for row in exact])
-    return PowerLawKinetics(orders, _coerce_rates(rates), exact)
+    return power_law([net.complexes[rx.reactant].coeffs for rx in net.reactions], rates)
 
 
 @dataclass(eq=False)
-class PolyPLKinetics:
+class PolyPLKinetics(_Kinetics):
     """Per reaction q: K_q(x) = k_q * sum_j a_{q,j} x^{F_{q,j}}."""
 
     term_coeffs: tuple[np.ndarray, ...]   # per reaction, shape (h_q,), positive
@@ -201,7 +218,7 @@ class PolyPLKinetics:
         self.term_coeffs = tuple(_frozen(a) for a in self.term_coeffs)
         self.term_orders = tuple(_frozen(f) for f in self.term_orders)
         self.rates = _frozen(self.rates)
-        if len(self.term_coeffs) != self.rates.shape[0]:
+        if len(self.term_orders) != len(self.term_coeffs):
             raise InvalidKineticsError("one term list per reaction required")
         for a, f in zip(self.term_coeffs, self.term_orders):
             if a.shape[0] == 0:
@@ -210,17 +227,9 @@ class PolyPLKinetics:
                 raise InvalidKineticsError("poly-PL coefficients must be positive")
             if f.shape[0] != a.shape[0]:
                 raise InvalidKineticsError("coefficient/order count mismatch")
-        self._table = _RateTable(
+        self._install(_RateTable(
             np.concatenate([k * a for k, a in zip(self.rates, self.term_coeffs)]),
-            np.vstack(self.term_orders), [a.shape[0] for a in self.term_coeffs])
-
-    @property
-    def num_reactions(self) -> int:
-        return self.rates.shape[0]
-
-    @property
-    def num_species(self) -> int:
-        return self.term_orders[0].shape[1]
+            np.vstack(self.term_orders), [a.shape[0] for a in self.term_coeffs]))
 
     @property
     def length(self) -> int:
@@ -251,8 +260,6 @@ def poly_pl(terms, rates) -> PolyPLKinetics:
     exact_orders: list[ExactMatrix] = []
     exact_ok = True
     for term_list in terms:
-        if not term_list:
-            raise InvalidKineticsError("every reaction needs at least one term")
         a_arr, a_exact = _coerce_matrix([[c for c, _ in term_list]])
         f_arr, f_exact = _coerce_matrix([row for _, row in term_list])
         coeff_arrays.append(a_arr[0])
@@ -305,7 +312,7 @@ def normalize_poly_pl(kin: PolyPLKinetics) -> PolyPLKinetics:
 
 
 @dataclass(eq=False)
-class HillKinetics:
+class HillKinetics(_Kinetics):
     """K_q(x) = k_q * prod_i x_i^F_qi / (d_qi + x_i^F_qi) over supp F_q.
 
     The dissociation matrix D must have the same support as F row by row.
@@ -330,22 +337,12 @@ class HillKinetics:
                 "dissociation support must match kinetic order support row by row")
         # The rational rewrite is kept: clearing denominators reuses it.
         self._rational = hill_as_rational(self)
-        self._table = self._rational._table
-
-    @property
-    def num_reactions(self) -> int:
-        return self.orders.shape[0]
-
-    @property
-    def num_species(self) -> int:
-        return self.orders.shape[1]
+        self._install(self._rational._table)
 
 
 def hill(order_rows, dissoc_rows, rates) -> HillKinetics:
-    orders, _ = _coerce_matrix(order_rows)
-    dissoc = np.array([[float(v) if isinstance(v, float) else float(rational.frac(v))
-                        for v in row] for row in dissoc_rows], dtype=float)
-    return HillKinetics(orders, dissoc, _coerce_rates(rates))
+    return HillKinetics(_coerce_matrix(order_rows)[0], _coerce_matrix(dissoc_rows)[0],
+                        _coerce_rates(rates))
 
 
 @dataclass(eq=False)
@@ -367,7 +364,7 @@ class RationalFactor:
 
 
 @dataclass(eq=False)
-class RationalKinetics:
+class RationalKinetics(_Kinetics):
     """K_q(x) = k_q x^{f_q} / prod of denominator factors of reaction q."""
 
     numer_orders: np.ndarray                              # (r, m)
@@ -377,22 +374,14 @@ class RationalKinetics:
     def __post_init__(self):
         self.numer_orders = _frozen(self.numer_orders)
         self.rates = _frozen(self.rates)
-        if len(self.denominators) != self.rates.shape[0]:
+        if len(self.denominators) != self.numer_orders.shape[0]:
             raise InvalidKineticsError("one denominator list per reaction required")
         for factors in self.denominators:
             keys = [f.key() for f in factors]
             if len(keys) != len(set(keys)):
                 raise InvalidKineticsError("repeated factor within one reaction")
-        self._table = _RateTable(self.rates, self.numer_orders,
-                                 [1] * self.num_reactions, self.denominators)
-
-    @property
-    def num_reactions(self) -> int:
-        return self.numer_orders.shape[0]
-
-    @property
-    def num_species(self) -> int:
-        return self.numer_orders.shape[1]
+        self._install(_RateTable(self.rates, self.numer_orders,
+                                 [1] * self.numer_orders.shape[0], self.denominators))
 
 
 def hill_as_rational(kin: HillKinetics) -> RationalKinetics:

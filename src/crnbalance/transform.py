@@ -169,14 +169,10 @@ def pff_check(kin_a: Kinetics, kin_b: Kinetics, samples=None) -> PffCertificate:
 def _distinct_factors(kin: RationalKinetics):
     """Distinct denominator factors across the network, first-seen order."""
     seen = {}
-    order = []
     for factors in kin.denominators:
         for f in factors:
-            key = f.key()
-            if key not in seen:
-                seen[key] = f
-                order.append(key)
-    return [seen[k] for k in order], {k: i for i, k in enumerate(order)}
+            seen.setdefault(f.key(), f)
+    return list(seen.values())
 
 
 def hill_to_poly_pl(net: ReactionNetwork, kin: HillKinetics | RationalKinetics) -> PolyPLKinetics:
@@ -196,7 +192,7 @@ def hill_to_poly_pl(net: ReactionNetwork, kin: HillKinetics | RationalKinetics) 
     if kin.num_reactions != net.num_reactions:
         raise DimensionMismatchError("kinetics does not match the network")
     m = kin.num_species
-    distinct, _ = _distinct_factors(kin)
+    distinct = _distinct_factors(kin)
     terms = []
     for q in range(kin.num_reactions):
         own = {f.key() for f in kin.denominators[q]}

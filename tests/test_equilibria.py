@@ -341,8 +341,7 @@ def test_acb_star_replica_rule(mm_polypl):
     verdict = system.linkage_verdict
     assert verdict.incidence_independent and not verdict.bi_independent
     assert all(s == "ACB_certified" for s in evidence.parts_acb)
-    analysis = cb.analyze_acb(system, cfg)
-    analysis.decomposition = evidence
+    analysis = dataclasses.replace(cb.analyze_acb(system, cfg), decomposition=evidence)
     verdict = cb.acb_verdict(analysis, cfg)
     assert verdict.status == "ACB_certified"
     assert "acb-replica-decomposition" in [c.rule for c in verdict.justification]
@@ -502,11 +501,9 @@ def test_rule_cases_cover_the_table():
                          ids=[case[0] for case in _RULE_CASES])
 def test_rule_table_entry(monkeypatch, rule, system, evidence, fired, status):
     calls = _counting_multistart(monkeypatch)
-    analysis = cb.AcbAnalysis(
+    analysis = dataclasses.replace(cb.AcbAnalysis(
         system=_rule_system(system), complex_balanced=True,
-        cb_citations=(cb.equilibria.CB_BY_SOLVER,), e_points=[], z_points=[])
-    for name, value in evidence.items():
-        setattr(analysis, name, value)
+        cb_citations=(cb.equilibria.CB_BY_SOLVER,), e_points=[], z_points=[]), **evidence)
     verdict = cb.acb_verdict(analysis)
     rules = [c.rule for c in verdict.justification]
     assert rules == ["complex-balanced-point"] + fired
@@ -702,8 +699,7 @@ def test_gated_decomposition_evidence_matches_ungated_verdicts():
         if not (analysis.complex_balanced or analysis.z_points):
             continue
         new = cb.acb_verdict(analysis, cfg)
-        analysis.decomposition = oracle
-        old = cb.acb_verdict(analysis, cfg)
+        old = cb.acb_verdict(dataclasses.replace(analysis, decomposition=oracle), cfg)
         assert (new.status, new.justification) == (old.status, old.justification), name
         fired += "acb-decomposition" in [c.rule for c in new.justification]
     assert fired >= 5  # the rule fires often enough for the comparison to bite

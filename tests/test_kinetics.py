@@ -1,5 +1,6 @@
 """Kinetics evaluation, classification, normalization."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,8 @@ import crnbalance as cb
 from crnbalance.fileformat import parse_crn
 from crnbalance.kinetics import _is_mass_action
 
-from conftest import bench_workloads
+from conftest import (bench_ladder, bench_workloads, data_path, random_network,
+                      random_weakly_reversible_network)
 
 
 def test_evaluate_re1_at_ones(re1_powerlaw):
@@ -291,6 +293,104 @@ def test_kinetics_arrays_are_read_only(mm_rational):
     before = cb.evaluate(power, x)
     orders[0, 0] = 5.0
     assert np.array_equal(cb.evaluate(power, x), before)
+
+
+_PAIR = cb.build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1), (1, 0)])
+_FACTOR = cb.RationalFactor(np.array([0.5, 1.0]), np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+# Every way to build each family, on A <-> B with the rates given
+_CONSTRUCTORS = {
+    "PowerLawKinetics": lambda k: cb.PowerLawKinetics(np.eye(2), np.array(k, dtype=float)),
+    "PolyPLKinetics": lambda k: cb.PolyPLKinetics(
+        (np.array([1.0]), np.array([2.0, 1.0])),
+        (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 1.0]])),
+        np.array(k, dtype=float)),
+    "HillKinetics": lambda k: cb.HillKinetics(
+        np.array([[1.0, 0.0], [0.0, -2.0]]), np.array([[0.5, 0.0], [0.0, 2.0]]),
+        np.array(k, dtype=float)),
+    "RationalKinetics": lambda k: cb.RationalKinetics(
+        np.array([[1.0, 0.0], [0.0, 1.0]]), np.array(k, dtype=float), ((_FACTOR,), ())),
+    "power_law": lambda k: cb.power_law([[1, 0], [0, 1]], k),
+    "poly_pl": lambda k: cb.poly_pl([[(1, (1, 0))], [("1/2", (0, 1)), (2, (1, 1))]], k),
+    "hill": lambda k: cb.hill([[1, 0], [0, -2]], [[0.5, 0], [0, 2]], k),
+    "mass_action_from": lambda k: cb.mass_action_from(_PAIR, k),
+}
+_BAD_RATES = [
+    ([-1, 1], "finite and strictly positive"),
+    ([1, 0], "finite and strictly positive"),
+    ([float("nan"), 1], "finite and strictly positive"),
+    ([1, float("inf")], "finite and strictly positive"),
+    ([1, 1, 1], "one rate per reaction required: 2 reactions"),
+]
+
+
+@pytest.mark.parametrize("rates, message", _BAD_RATES,
+                         ids=["negative", "zero", "nan", "inf", "count"])
+@pytest.mark.parametrize("build", _CONSTRUCTORS.values(), ids=_CONSTRUCTORS)
+def test_every_constructor_refuses_bad_rates(build, rates, message):
+    with pytest.raises(cb.InvalidKineticsError, match=message):
+        build(rates)
+    kin = build([1, 1.5])
+    assert (kin.num_reactions, kin.num_species) == (2, 2)
+    assert np.all(cb.evaluate(kin, np.ones(2)) > 0)
+
+
+@pytest.mark.parametrize("build", _CONSTRUCTORS.values(), ids=_CONSTRUCTORS)
+def test_kinetics_refuse_reassignment(build):
+    kin = build([1, 1.5])
+    before = cb.evaluate(kin, np.array([0.7, 1.9]))
+    for name in ("rates", "_table"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(kin, name, np.array([5.0, 5.0]))
+    assert np.array_equal(cb.evaluate(kin, np.array([0.7, 1.9])), before)
+
+
+def test_kinetic_system_refuses_mismatched_counts():
+    with pytest.raises(cb.CrnError, match="kinetics has 3 reactions on 2 species, "
+                                          "the network 2 on 2"):
+        cb.KineticSystem(_PAIR, cb.power_law([[1, 0], [0, 1], [1, 1]], [1, 1, 1]))
+    with pytest.raises(cb.CrnError, match="kinetics has 2 reactions on 3 species"):
+        cb.KineticSystem(_PAIR, cb.power_law([[1, 0, 0], [0, 1, 0]], [1, 1]))
+    for build in _CONSTRUCTORS.values():
+        cb.KineticSystem(_PAIR, build([1, 1.5]))
+
+
+def test_poly_pl_needs_one_order_list_per_coefficient_list():
+    coeffs = (np.array([1.0]), np.array([1.0]))
+    with pytest.raises(cb.InvalidKineticsError, match="one term list per reaction"):
+        cb.PolyPLKinetics(coeffs, (np.array([[1.0, 0.0]]),), np.ones(2))
+
+
+def _old_counts(kin):
+    """(num_reactions, num_species) as each family computed them on its own."""
+    if isinstance(kin, cb.PolyPLKinetics):
+        return kin.rates.shape[0], kin.term_orders[0].shape[1]
+    if isinstance(kin, cb.RationalKinetics):
+        return kin.numer_orders.shape
+    return kin.orders.shape
+
+
+def test_counts_equal_the_per_family_counts(request):
+    kins = [request.getfixturevalue(name)[1] for name in (
+        "re1_powerlaw", "re1_massaction", "counterexample", "mm_polypl", "mm_rational",
+        "toy_pl_tik", "toy_polypl")]
+    kins += [parse_crn(data_path(f"{name}.crn").read_text())[1] for name in (
+        "counterexample", "hill_single", "mm_polypl", "re1_massaction", "re1_powerlaw")]
+    kins += [bench_ladder(seed, r)[1] for seed, r in ((0, 12), (1, 40))]
+    rng = np.random.default_rng(8)
+    for make in (random_network, random_weakly_reversible_network):
+        for _ in range(20):
+            net = make(rng)
+            r, m = net.num_reactions, net.num_species
+            orders = rng.integers(-1, 3, size=(r, m))
+            kins.append(cb.mass_action_from(net, [1] * r))
+            kins.append(cb.power_law(orders, rng.uniform(0.5, 2, r)))
+            kins.append(cb.poly_pl([[(1, tuple(row)), (2, tuple(row + 1))] for row in orders],
+                                   [1] * r))
+            hill = cb.hill(orders, np.abs(orders) * 0.5, [1] * r)
+            kins += [hill, cb.hill_as_rational(hill)]
+    for kin in kins:
+        assert (kin.num_reactions, kin.num_species) == _old_counts(kin)
 
 
 def test_rates_balancing_all_ones(re1_net):
