@@ -1,7 +1,10 @@
-"""Recorded CLI output: 24 ``--json`` commands on the fixtures, re-run
+"""Recorded CLI output: 27 ``--json`` commands on the fixtures, re-run
 in-process and compared with ``tests/data/cli_reports.json``, and the text
-output of those commands plus ``kinetics``, ``tmatrix`` and two ``pff``
-comparisons, compared with ``tests/data/cli_text.json``.
+output of those commands (``tmatrix`` once per fixture) plus ``kinetics``,
+``tmatrix`` and two ``pff`` comparisons, and ``tmatrix`` and ``analyze`` on
+the decimal-order fixture, compared with ``tests/data/cli_text.json``. The
+decimal fixture's ``--json`` is not recorded: its order subspace basis comes
+from an SVD, whose signs depend on the LAPACK build.
 
 Non-numeric fields must match exactly, key order included. Numbers, and
 strings that parse as numbers (coordinates, residuals), must agree within
@@ -36,10 +39,14 @@ COMMANDS = [[cmd, f"{name}.crn"] for name in FIXTURES
     ["starmsc", "mm_polypl.crn"],
     ["decompose", "re1_powerlaw.crn", "--max-parts", "8"],
 ]
+TMATRIX_JSON = [["tmatrix", f"{name}.crn"]
+                for name in ("counterexample", "re1_powerlaw", "re1_massaction")]
 TEXT_COMMANDS = COMMANDS + [[cmd, f"{name}.crn"] for name in FIXTURES
                             for cmd in ("kinetics", "tmatrix")] + [
     ["pff", "hill_single.crn", "hill_single.crn"],
     ["pff", "re1_powerlaw.crn", "re1_massaction.crn"],
+    ["tmatrix", "decimal_powerlaw.crn"],
+    ["analyze", "decimal_powerlaw.crn"],
 ]
 # a number literal: integer, decimal or exponent form
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -103,7 +110,7 @@ def _text_mismatch(new: str, old: str):
 
 def test_recorded_cli_reports():
     recorded = json.loads(RECORDED.read_text())
-    assert [r["argv"] for r in recorded] == COMMANDS
+    assert [r["argv"] for r in recorded] == COMMANDS + TMATRIX_JSON
     for old in recorded:
         new = _run(old["argv"])
         name = " ".join(old["argv"])
@@ -143,6 +150,7 @@ def test_tolerance_applies_to_numbers_only():
 
 
 if __name__ == "__main__":
-    RECORDED.write_text(json.dumps([_run(argv) for argv in COMMANDS], indent=1) + "\n")
+    RECORDED.write_text(json.dumps(
+        [_run(argv) for argv in COMMANDS + TMATRIX_JSON], indent=1) + "\n")
     TEXT_RECORDED.write_text(json.dumps(
         [_run(argv, as_json=False) for argv in TEXT_COMMANDS], indent=1) + "\n")
