@@ -53,6 +53,7 @@ LP_TOL = 1e-7           # log-parametrization membership tolerance
 LP_SAMPLES = 8          # sampled complement directions per LP check
 WITNESS_CFRF = 1e-4     # complex-balance violation for a witness ...
 WITNESS_SFRF = 1e-9     # ... at this equilibrium residual
+SAMPLE_WIDTH = 2.0      # sampled states drawn log-uniform in [e^-w, e^w]^m
 
 
 @dataclass(frozen=True, eq=False)
@@ -685,7 +686,7 @@ def default_flux_basis(system: KineticSystem) -> np.ndarray:
     mass action, the stoichiometric subspace otherwise."""
     t_matrices = system.t_matrices
     if (t_matrices is not None and not system.classification.mass_action
-            and t_matrices.exact_s_tilde_basis is not None):
+            and t_matrices.ranks_exact):
         return t_matrices.s_tilde_basis
     return np.array(stoichiometric_basis(system.network), dtype=float)
 
@@ -732,8 +733,7 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
     )
 
 
-def sample_positive_states(m: int, count: int = 20, rng_seed: int = 42,
-                           width: float = 2.0) -> list[np.ndarray]:
+def sample_positive_states(m: int, count: int = 20, rng_seed: int = 42) -> list[np.ndarray]:
     """Deterministic log-uniform positive states for sampled comparisons."""
     rng = np.random.default_rng(rng_seed)
-    return [np.exp(rng.uniform(-width, width, size=m)) for _ in range(count)]
+    return [np.exp(rng.uniform(-SAMPLE_WIDTH, SAMPLE_WIDTH, size=m)) for _ in range(count)]

@@ -25,8 +25,11 @@ class NotRDKError(CrnError):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TMatrices:
+    """The order matrices of one PL-RDK system and their ranks; the float
+    arrays are read-only, so no holder can change a cached fact."""
+
     t: np.ndarray                          # (m, n_r)
     that: np.ndarray                       # (m + l, n_r)
     reactant_complexes: tuple[int, ...]    # complex index per T column
@@ -39,83 +42,65 @@ class TMatrices:
     exact_that: rational.Matrix | None = None
     exact_s_tilde_basis: list[list[Fraction]] | None = None
 
+    def __post_init__(self):
+        for arr in (self.t, self.that, self.s_tilde_basis):
+            arr.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class KineticOrderSubspace:
     basis: np.ndarray         # rows spanning S~
-    perp_basis: np.ndarray    # rows spanning the orthogonal complement
     dim: int
     not_cycle_terminal: bool  # zero columns stood in for non-reactant complexes
     exact: bool
 
 
 def build_t_matrices(net: ReactionNetwork, kin: PowerLawKinetics) -> TMatrices:
-    """Assemble T, L and T_hat and their ranks for a PL-RDK kinetics."""
+    """Assemble T, L and T_hat, their ranks and the order subspace basis.
+
+    Index lists give every matrix: the order row of each T column, the linkage
+    class of each reactant complex, and the T column (from 1; 0 is the zero
+    column) of each reaction's product and reactant. Floats are gathered from
+    `kin.orders`, exact rows from `kin.exact_orders`, which also make the ranks
+    and basis exact; without them those come from singular values.
+    """
     if not _is_pl_rdk(kin, net):
         raise NotRDKError(
             "kinetic complexes are ill-defined: some reactant complex has "
             "reactions with differing kinetic order rows")
-    m, n = net.num_species, net.num_complexes
+    m = net.num_species
     reactants = net.reactant_complexes
-    n_r = len(reactants)
     by_reactant = net.reactions_by_reactant()
-
-    ytilde = np.zeros((m, n))
-    for ci in reactants:
-        ytilde[:, ci] = kin.orders[by_reactant[ci][0]]
-    t = ytilde[:, list(reactants)]
-
+    rows = [by_reactant[ci][0] for ci in reactants]
     comps = linkage_classes(net)
-    l = len(comps)
     comp_of = {c: idx for idx, comp in enumerate(comps) for c in comp}
-    lmat = np.zeros((n_r, l))
-    for col, ci in enumerate(reactants):
-        lmat[col, comp_of[ci]] = 1.0
-    that = np.vstack([t, lmat.T])
+    classes = [comp_of[ci] for ci in reactants]
+    col_of = {ci: col for col, ci in enumerate(reactants, 1)}
+    ends = [(col_of.get(rx.product, 0), col_of[rx.reactant]) for rx in net.reactions]
 
+    padded = np.vstack([np.zeros((1, m)), kin.orders[rows]])
+    t = padded[1:].T
+    that = np.vstack([t, np.eye(len(comps))[classes].T])
     exact_t = exact_that = exact_basis = None
     if kin.exact_orders is not None:
-        zero = Fraction(0)
-        exact_cols = {ci: list(kin.exact_orders[by_reactant[ci][0]]) for ci in reactants}
-        exact_t = [[exact_cols[ci][si] for ci in reactants] for si in range(m)]
-        indicator = [
-            [Fraction(1) if comp_of[ci] == lc else zero for ci in reactants]
-            for lc in range(l)
-        ]
-        exact_that = exact_t + indicator
+        zero, one = Fraction(0), Fraction(1)
+        cols = [(zero,) * m] + [kin.exact_orders[q] for q in rows]
+        exact_t = [list(row) for row in zip(*cols[1:])]
+        exact_that = exact_t + [[one if c == lc else zero for c in classes]
+                                for lc in range(len(comps))]
         # T's rows come first, so one elimination of T_hat ranks both
         pivots = rational.pivot_rows(exact_that)
-        q_tilde = sum(1 for i in pivots if i < m)
-        q_hat = len(pivots)
-        exact_ytilde_cols = {
-            ci: exact_cols.get(ci, [zero] * m) for ci in range(n)
-        }
-        diffs = [
-            [a - b for a, b in zip(exact_ytilde_cols[rx.product],
-                                   exact_ytilde_cols[rx.reactant])]
-            for rx in net.reactions
-        ]
-        exact_basis = rational.row_basis(diffs)
+        q_tilde, q_hat = sum(1 for i in pivots if i < m), len(pivots)
+        exact_basis = rational.row_basis(
+            [[a - b for a, b in zip(cols[p], cols[r])] for p, r in ends])
         basis = np.array(exact_basis, dtype=float) if exact_basis else np.zeros((0, m))
-        ranks_exact = True
     else:
-        q_tilde = linalg.numeric_rank(t)
-        q_hat = linalg.numeric_rank(that)
-        diffs_f = np.array([ytilde[:, rx.product] - ytilde[:, rx.reactant]
-                            for rx in net.reactions])
-        dim = linalg.numeric_rank(diffs_f)
-        _, _, vt = np.linalg.svd(diffs_f) if diffs_f.size else (None, None, np.zeros((0, m)))
-        basis = vt[:dim, :] if diffs_f.size else np.zeros((0, m))
-        ranks_exact = False
+        q_tilde, q_hat = linalg.numeric_rank(t), linalg.numeric_rank(that)
+        diffs = np.array([padded[p] - padded[r] for p, r in ends])
+        basis = np.linalg.svd(diffs)[2][:linalg.numeric_rank(diffs)]
 
-    return TMatrices(
-        t=t, that=that,
-        reactant_complexes=reactants,
-        q_tilde=q_tilde, q_hat=q_hat, delta_hat=n_r - q_hat,
-        ranks_exact=ranks_exact,
-        s_tilde_basis=basis,
-        exact_t=exact_t, exact_that=exact_that, exact_s_tilde_basis=exact_basis,
-    )
+    return TMatrices(t, that, reactants, q_tilde, q_hat, len(reactants) - q_hat,
+                     kin.exact_orders is not None, basis, exact_t, exact_that, exact_basis)
 
 
 def t_matrices_or_none(net: ReactionNetwork, kin) -> TMatrices | None:
@@ -134,27 +119,11 @@ def is_pl_tik(t: TMatrices) -> bool:
 
 
 def kinetic_order_subspace(t: TMatrices, net: ReactionNetwork) -> KineticOrderSubspace:
-    """Basis of the kinetic order subspace and of its orthogonal complement.
+    """The kinetic order subspace that `t` spans, as a basis of rows.
 
     Spanned by the differences of kinetic complexes across reactions, with
     zero columns standing in for non-reactant product complexes; the warning
     flag is set when such columns exist (network not cycle terminal).
     """
-    m = net.num_species
-    not_ct = len(net.reactant_complexes) < net.num_complexes
-    if t.exact_s_tilde_basis is not None:
-        basis = t.exact_s_tilde_basis
-        perp = rational.orthogonal_complement(basis, m)
-        return KineticOrderSubspace(
-            basis=np.array(basis, dtype=float) if basis else np.zeros((0, m)),
-            perp_basis=np.array(perp, dtype=float) if perp else np.zeros((0, m)),
-            dim=len(basis),
-            not_cycle_terminal=not_ct,
-            exact=True,
-        )
-    basis = t.s_tilde_basis
-    perp = linalg.complement_basis_rows(basis, m)
-    return KineticOrderSubspace(
-        basis=basis, perp_basis=perp, dim=basis.shape[0],
-        not_cycle_terminal=not_ct, exact=False,
-    )
+    return KineticOrderSubspace(t.s_tilde_basis, t.s_tilde_basis.shape[0],
+                                len(t.reactant_complexes) < net.num_complexes, t.ranks_exact)

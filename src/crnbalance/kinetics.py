@@ -13,8 +13,9 @@ term over no factor per power-law reaction, h_q terms over no factor per
 poly-PL reaction and one term over its factors per rational reaction; Hill
 kinetics are tabled through `hill_as_rational`. All arrays of a kinetics
 object are read-only and its fields refuse assignment once the table is
-built, so the table cannot go stale. The base `_Kinetics` checks the rates
-of every family: one finite, strictly positive rate per reaction.
+built, so the table cannot go stale. Every array a family keeps must have
+its number of axes and finite entries, and the base `_Kinetics` checks the
+rates of every family: one finite, strictly positive rate per reaction.
 
 Kinetic orders are kept as float arrays for evaluation, with an optional
 exact rational copy alongside; identity-of-rows classifications and all rank
@@ -88,6 +89,15 @@ def _frozen(values) -> np.ndarray:
     """A read-only float copy."""
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
+    return arr
+
+
+def _checked(values, ndim: int, what: str) -> np.ndarray:
+    """A read-only float copy that has `ndim` axes and finite entries."""
+    arr = _frozen(values)
+    if arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        raise InvalidKineticsError(
+            f"{what} must be a {ndim}-D array of finite numbers, got shape {arr.shape}")
     return arr
 
 
@@ -189,7 +199,7 @@ class PowerLawKinetics(_Kinetics):
     exact_orders: ExactMatrix | None = None
 
     def __post_init__(self):
-        self.orders = _frozen(self.orders)
+        self.orders = _checked(self.orders, 2, "kinetic orders")
         self.rates = _frozen(self.rates)
         self._install(_RateTable(self.rates, self.orders, [1] * self.orders.shape[0]))
 
@@ -215,15 +225,17 @@ class PolyPLKinetics(_Kinetics):
     exact_term_orders: tuple[ExactMatrix, ...] | None = None
 
     def __post_init__(self):
-        self.term_coeffs = tuple(_frozen(a) for a in self.term_coeffs)
-        self.term_orders = tuple(_frozen(f) for f in self.term_orders)
+        self.term_coeffs = tuple(_checked(a, 1, "poly-PL coefficients") for a in self.term_coeffs)
+        self.term_orders = tuple(_checked(f, 2, "kinetic orders") for f in self.term_orders)
         self.rates = _frozen(self.rates)
+        if not self.term_coeffs:
+            raise InvalidKineticsError("poly-PL kinetics need at least one reaction")
         if len(self.term_orders) != len(self.term_coeffs):
             raise InvalidKineticsError("one term list per reaction required")
         for a, f in zip(self.term_coeffs, self.term_orders):
             if a.shape[0] == 0:
                 raise InvalidKineticsError("every reaction needs at least one term")
-            if np.any(a <= 0):
+            if not np.all(a > 0):
                 raise InvalidKineticsError("poly-PL coefficients must be positive")
             if f.shape[0] != a.shape[0]:
                 raise InvalidKineticsError("coefficient/order count mismatch")
@@ -325,12 +337,12 @@ class HillKinetics(_Kinetics):
     rates: np.ndarray
 
     def __post_init__(self):
-        self.orders = _frozen(self.orders)
-        self.dissoc = _frozen(self.dissoc)
+        self.orders = _checked(self.orders, 2, "kinetic orders")
+        self.dissoc = _checked(self.dissoc, 2, "dissociation constants")
         self.rates = _frozen(self.rates)
         if self.orders.shape != self.dissoc.shape:
             raise InvalidKineticsError("order and dissociation shapes differ")
-        if np.any(self.dissoc < 0):
+        if not np.all(self.dissoc >= 0):
             raise InvalidKineticsError("dissociation constants must be nonnegative")
         if np.any((self.orders != 0) != (self.dissoc != 0)):
             raise InvalidKineticsError(
@@ -345,17 +357,18 @@ def hill(order_rows, dissoc_rows, rates) -> HillKinetics:
                         _coerce_rates(rates))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RationalFactor:
-    """A positive polynomial sum_j c_j x^{E_j} used as a denominator factor."""
+    """A positive polynomial sum_j c_j x^{E_j} used as a denominator factor;
+    frozen, as the rate tables built from it cannot follow a change."""
 
     coeffs: np.ndarray   # (t,) positive
     orders: np.ndarray   # (t, m)
 
     def __post_init__(self):
-        self.coeffs = _frozen(self.coeffs)
-        self.orders = _frozen(self.orders)
-        if np.any(self.coeffs <= 0):
+        object.__setattr__(self, "coeffs", _checked(self.coeffs, 1, "factor coefficients"))
+        object.__setattr__(self, "orders", _checked(self.orders, 2, "factor orders"))
+        if not np.all(self.coeffs > 0):
             raise InvalidKineticsError("factor coefficients must be positive")
 
     def key(self) -> tuple:
@@ -372,7 +385,7 @@ class RationalKinetics(_Kinetics):
     denominators: tuple[tuple[RationalFactor, ...], ...]  # per reaction
 
     def __post_init__(self):
-        self.numer_orders = _frozen(self.numer_orders)
+        self.numer_orders = _checked(self.numer_orders, 2, "kinetic orders")
         self.rates = _frozen(self.rates)
         if len(self.denominators) != self.numer_orders.shape[0]:
             raise InvalidKineticsError("one denominator list per reaction required")

@@ -183,16 +183,6 @@ def spans_equal(a: list, b: list) -> bool:
     return rank(ma + mb) == ra
 
 
-def orthogonal_complement(vectors: list, dim: int) -> list[Vector]:
-    """Basis of {w in Q^dim : w . v = 0 for every given row vector v}."""
-    if not vectors:
-        return [[_ONE if i == j else _ZERO for j in range(dim)] for i in range(dim)]
-    m = matrix(vectors)
-    if len(m[0]) != dim:
-        raise ValueError("dimension mismatch")
-    return nullspace(m)
-
-
 def _phase1_feasible(a: Matrix, b: Vector) -> Vector | None:
     """Solve A u = b with u >= 0 via a phase-1 simplex (Bland's rule).
 

@@ -194,57 +194,3 @@ def base_report(command: str, cfg: SolveConfig) -> dict:
 def dumps_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=False, allow_nan=False) + "\n"
 
-
-# JSON Schema (draft 2020-12) used by the test suite to validate reports.
-JSON_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema", "tool", "command", "config"],
-    "properties": {
-        "schema": {"const": SCHEMA_ID},
-        "tool": {
-            "type": "object",
-            "required": ["name", "version"],
-            "properties": {"name": {"type": "string"}, "version": {"type": "string"}},
-        },
-        "command": {"type": "string"},
-        "config": {
-            "type": "object",
-            "required": ["tol", "seeds", "rng_seed"],
-            "properties": {
-                "tol": {"type": "number"},
-                "seeds": {"type": "integer"},
-                "rng_seed": {"type": "integer"},
-            },
-        },
-        "structural": {
-            "type": "object",
-            "properties": {
-                "deficiency": {"type": "integer", "minimum": 0},
-                "weakly_reversible": {"type": "boolean"},
-                "rank_exact": {"type": "boolean"},
-            },
-        },
-        "equilibria": {
-            "type": "object",
-            "properties": {
-                "positive": {"type": "array", "items": {"$ref": "#/$defs/point"}},
-                "complex_balanced": {"type": "array",
-                                     "items": {"$ref": "#/$defs/point"}},
-            },
-        },
-        "verdicts": {"type": "object"},
-    },
-    "$defs": {
-        "point": {
-            "type": "object",
-            "required": ["x", "sfrf_residual", "cfrf_residual", "kind"],
-            "properties": {
-                "x": {"type": "array", "items": {"type": "string"}},
-                "sfrf_residual": {"type": "string"},
-                "cfrf_residual": {"type": "string"},
-                "kind": {"enum": ["positive", "complex_balanced"]},
-            },
-        },
-    },
-}

@@ -24,7 +24,7 @@ from .kinetics import (HillKinetics, Kinetics, PolyPLKinetics, PowerLawKinetics,
                        RationalKinetics, evaluate, normalize_poly_pl, poly_pl)
 from .network import CrnError, ReactionNetwork, build_network
 # Unused here since the systems compute their own invariants; the benchmark's
-# tracer test still expects this module to hold the name (ROADMAP item 8).
+# tracer test still expects this module to hold the name (ROADMAP item 5).
 from .network import structural_invariants  # noqa: F401
 
 

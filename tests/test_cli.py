@@ -14,9 +14,11 @@ import pytest
 import crnbalance
 from crnbalance.cli import build_parser, run_cli
 from crnbalance.fileformat import parse_crn
-from crnbalance.report import JSON_SCHEMA
 
 from conftest import data_path
+
+# JSON Schema (draft 2020-12) that every --json report must satisfy
+JSON_SCHEMA = json.loads(data_path("report_schema.json").read_text())
 
 
 def run(argv):

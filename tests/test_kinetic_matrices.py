@@ -1,12 +1,19 @@
 """T matrices, kinetic reactant deficiency, kinetic order subspace."""
 
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import crnbalance as cb
-from crnbalance import rational
+from crnbalance import linalg, rational
+from crnbalance.fileformat import parse_crn
+from crnbalance.kinetic_matrices import NotRDKError, TMatrices
+from crnbalance.kinetics import _is_pl_rdk
+from crnbalance.network import linkage_classes
 
-from conftest import bench_ladder
+from conftest import bench_ladder, data_path, random_network, random_weakly_reversible_network
 
 THAT_PRINTED = [[0, -1, 0, 0], [-1, -1, -2, 0], [1, 1, 0, -2], [1, 1, 1, 1]]
 
@@ -57,9 +64,10 @@ def test_repeated_that_column_not_tik():
 def test_not_rdk_raises():
     net = cb.build_network(["A", "B"], [[1, 0], [0, 1], [1, 1]],
                            [(0, 1), (0, 2)])
-    kin = cb.power_law([[1, 0], [2, 0]], [1, 1])
-    with pytest.raises(cb.NotRDKError):
-        cb.build_t_matrices(net, kin)
+    for orders in ([[1, 0], [2, 0]], [[0.5, 0], [0.25, 0]]):
+        kin = cb.power_law(orders, [1, 1])
+        with pytest.raises(cb.NotRDKError):
+            cb.build_t_matrices(net, kin)
 
 
 def test_t_matrices_or_none(monkeypatch, counterexample, mm_polypl, re1_massaction):
@@ -122,10 +130,6 @@ def test_order_subspace_counterexample(counterexample):
     assert sub.dim == 3
     assert inv.s == 1
     assert sub.dim != inv.s  # the dim S = dim S~ precondition fails here
-    # perp basis is orthogonal to every basis row
-    for perp in np.atleast_2d(sub.perp_basis):
-        for row in np.atleast_2d(sub.basis):
-            assert abs(float(np.dot(perp, row))) < 1e-12
 
 
 def test_order_subspace_zero_column_convention():
@@ -163,3 +167,136 @@ def test_t_invariant_under_reaction_permutation(re1_powerlaw):
     assert np.array_equal(t1.t, t2.t)
     assert np.array_equal(t1.that, t2.that)
     assert t1.reactant_complexes == t2.reactant_complexes
+
+
+def test_t_matrices_refuse_assignment():
+    net = cb.build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1), (1, 0)])
+    system = cb.KineticSystem(net, cb.mass_action_from(net, [1, 1]))
+    t = system.t_matrices
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.q_hat = 0
+    for arr in (t.t, t.that, t.s_tilde_basis):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 5.0
+    assert cb.is_pl_tik(system.t_matrices) and system.t_matrices.delta_hat == 0
+    assert np.array_equal(system.t_matrices.t, np.eye(2))
+
+
+def _parent_build_t_matrices(net, kin):
+    """`build_t_matrices` as it was before it gathered every matrix from one
+    set of index lists: the oracle of the differential test below."""
+    if not _is_pl_rdk(kin, net):
+        raise NotRDKError(
+            "kinetic complexes are ill-defined: some reactant complex has "
+            "reactions with differing kinetic order rows")
+    m, n = net.num_species, net.num_complexes
+    reactants = net.reactant_complexes
+    n_r = len(reactants)
+    by_reactant = net.reactions_by_reactant()
+
+    ytilde = np.zeros((m, n))
+    for ci in reactants:
+        ytilde[:, ci] = kin.orders[by_reactant[ci][0]]
+    t = ytilde[:, list(reactants)]
+
+    comps = linkage_classes(net)
+    l = len(comps)
+    comp_of = {c: idx for idx, comp in enumerate(comps) for c in comp}
+    lmat = np.zeros((n_r, l))
+    for col, ci in enumerate(reactants):
+        lmat[col, comp_of[ci]] = 1.0
+    that = np.vstack([t, lmat.T])
+
+    exact_t = exact_that = exact_basis = None
+    if kin.exact_orders is not None:
+        zero = Fraction(0)
+        exact_cols = {ci: list(kin.exact_orders[by_reactant[ci][0]]) for ci in reactants}
+        exact_t = [[exact_cols[ci][si] for ci in reactants] for si in range(m)]
+        indicator = [
+            [Fraction(1) if comp_of[ci] == lc else zero for ci in reactants]
+            for lc in range(l)
+        ]
+        exact_that = exact_t + indicator
+        # T's rows come first, so one elimination of T_hat ranks both
+        pivots = rational.pivot_rows(exact_that)
+        q_tilde = sum(1 for i in pivots if i < m)
+        q_hat = len(pivots)
+        exact_ytilde_cols = {
+            ci: exact_cols.get(ci, [zero] * m) for ci in range(n)
+        }
+        diffs = [
+            [a - b for a, b in zip(exact_ytilde_cols[rx.product],
+                                   exact_ytilde_cols[rx.reactant])]
+            for rx in net.reactions
+        ]
+        exact_basis = rational.row_basis(diffs)
+        basis = np.array(exact_basis, dtype=float) if exact_basis else np.zeros((0, m))
+        ranks_exact = True
+    else:
+        q_tilde = linalg.numeric_rank(t)
+        q_hat = linalg.numeric_rank(that)
+        diffs_f = np.array([ytilde[:, rx.product] - ytilde[:, rx.reactant]
+                            for rx in net.reactions])
+        dim = linalg.numeric_rank(diffs_f)
+        _, _, vt = np.linalg.svd(diffs_f) if diffs_f.size else (None, None, np.zeros((0, m)))
+        basis = vt[:dim, :] if diffs_f.size else np.zeros((0, m))
+        ranks_exact = False
+
+    return TMatrices(
+        t=t, that=that,
+        reactant_complexes=reactants,
+        q_tilde=q_tilde, q_hat=q_hat, delta_hat=n_r - q_hat,
+        ranks_exact=ranks_exact,
+        s_tilde_basis=basis,
+        exact_t=exact_t, exact_that=exact_that, exact_s_tilde_basis=exact_basis,
+    )
+
+
+def _rdk_orders(net, rng, kind):
+    """One order row per reactant complex, shared by its reactions: integers,
+    p/q Fractions or non-integral floats."""
+    rows = {}
+    for ci in net.reactant_complexes:
+        ints = rng.integers(-2, 4, size=net.num_species)
+        if kind == "int":
+            rows[ci] = [int(v) for v in ints]
+        elif kind == "frac":
+            rows[ci] = [Fraction(int(v), int(d))
+                        for v, d in zip(ints, rng.integers(1, 5, size=ints.size))]
+        else:
+            rows[ci] = [float(v) + 0.5 * float(f)
+                        for v, f in zip(ints, rng.uniform(-1, 1, size=ints.size))]
+    return [rows[rx.reactant] for rx in net.reactions]
+
+
+def test_t_matrices_equal_the_parent_build(request):
+    systems = [request.getfixturevalue(name) for name in (
+        "re1_powerlaw", "re1_massaction", "counterexample", "toy_pl_tik")]
+    systems += [parse_crn(data_path(f"{name}.crn").read_text()) for name in (
+        "counterexample", "re1_massaction", "re1_powerlaw", "decimal_powerlaw")]
+    systems += [bench_ladder(seed, r) for seed, r in
+                ((3, 12), (5, 12), (7, 12), (2, 24), (0, 40), (0, 60))]
+    rng = np.random.default_rng(20)
+    for make in (random_network, random_weakly_reversible_network):
+        for i in range(24):
+            net = make(rng)
+            kind = ("int", "frac", "float")[i % 3]
+            orders = _rdk_orders(net, rng, kind)
+            systems.append((net, cb.power_law(orders, rng.uniform(0.5, 2, net.num_reactions))))
+    zero_columns = numeric = 0
+    for net, kin in systems:
+        new, old = cb.build_t_matrices(net, kin), _parent_build_t_matrices(net, kin)
+        for name in ("t", "that", "s_tilde_basis"):
+            a, b = getattr(new, name), getattr(old, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
+        for name in ("q_tilde", "q_hat", "delta_hat", "ranks_exact", "reactant_complexes",
+                     "exact_t", "exact_that", "exact_s_tilde_basis"):
+            assert getattr(new, name) == getattr(old, name), name
+        sub = cb.kinetic_order_subspace(new, net)
+        assert sub.basis.tobytes() == old.s_tilde_basis.tobytes()
+        assert (sub.dim, sub.exact) == (old.s_tilde_basis.shape[0],
+                                        old.exact_s_tilde_basis is not None)
+        zero_columns += sub.not_cycle_terminal
+        numeric += not new.ranks_exact
+    assert len(systems) >= 60 and zero_columns >= 10 and numeric >= 10

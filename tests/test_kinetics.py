@@ -355,6 +355,57 @@ def test_kinetic_system_refuses_mismatched_counts():
         cb.KineticSystem(_PAIR, build([1, 1.5]))
 
 
+_NAN, _INF = float("nan"), float("inf")
+_ZERO_ROW = np.zeros((1, 2))
+# One row per number a kinetics keeps besides its rates, and per array rank
+_BAD_DATA = {
+    "power_law nan order": lambda: cb.power_law([[_NAN, 0], [0, 1]], [1, 1]),
+    "power_law inf order": lambda: cb.power_law([[1, 0], [0, -_INF]], [1, 1]),
+    "PowerLawKinetics 1-D orders": lambda: cb.PowerLawKinetics(
+        np.array([1.0, 2.0]), np.array([1.0, 1.0])),
+    "poly_pl nan coefficient": lambda: cb.poly_pl([[(_NAN, (1, 0))], [(1, (0, 1))]], [1, 1]),
+    "poly_pl inf coefficient": lambda: cb.poly_pl([[(_INF, (1, 0))], [(1, (0, 1))]], [1, 1]),
+    "poly_pl nan order": lambda: cb.poly_pl([[(1, (_NAN, 0))], [(1, (0, 1))]], [1, 1]),
+    "PolyPLKinetics 1-D coefficients": lambda: cb.PolyPLKinetics(
+        (np.array([[1.0]]),), (np.array([[1.0, 0.0]]),), np.ones(1)),
+    "PolyPLKinetics 1-D orders": lambda: cb.PolyPLKinetics(
+        (np.array([1.0]),), (np.array([1.0]),), np.ones(1)),
+    "poly_pl no reaction": lambda: cb.poly_pl([], []),
+    "hill nan dissociation": lambda: cb.hill([[1, 0], [0, 1]], [[_NAN, 0], [0, 1]], [1, 1]),
+    "hill inf dissociation": lambda: cb.hill([[1, 0], [0, 1]], [[_INF, 0], [0, 1]], [1, 1]),
+    "hill nan order": lambda: cb.hill([[_NAN, 0], [0, 1]], [[1, 0], [0, 1]], [1, 1]),
+    "HillKinetics 1-D orders": lambda: cb.HillKinetics(
+        np.array([1.0, 0.0]), np.array([0.5, 0.0]), np.ones(1)),
+    "RationalKinetics nan order": lambda: cb.RationalKinetics(
+        np.array([[_NAN, 0.0], [0.0, 1.0]]), np.ones(2), ((_FACTOR,), ())),
+    "RationalKinetics 1-D orders": lambda: cb.RationalKinetics(
+        np.array([1.0, 0.0]), np.ones(2), ((_FACTOR,), ())),
+    "RationalFactor nan coefficient": lambda: cb.RationalFactor(
+        np.array([_NAN, 1.0]), np.vstack([_ZERO_ROW, [[1.0, 0.0]]])),
+    "RationalFactor inf coefficient": lambda: cb.RationalFactor(
+        np.array([0.5, _INF]), np.vstack([_ZERO_ROW, [[1.0, 0.0]]])),
+    "RationalFactor nan order": lambda: cb.RationalFactor(
+        np.array([0.5, 1.0]), np.vstack([_ZERO_ROW, [[_NAN, 0.0]]])),
+    "RationalFactor 1-D orders": lambda: cb.RationalFactor(
+        np.array([0.5]), np.array([1.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("build", _BAD_DATA.values(), ids=_BAD_DATA)
+def test_every_constructor_refuses_bad_data(build):
+    with pytest.raises(cb.InvalidKineticsError):
+        build()
+
+
+def test_rational_factor_refuses_assignment():
+    kin = cb.hill([[1]], [[0.5]], [1])
+    factor = kin._rational.denominators[0][0]
+    key, rate = factor.key(), cb.evaluate(kin, np.array([1.0]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        factor.coeffs = np.array([5.0, 1.0])
+    assert factor.key() == key and np.array_equal(cb.evaluate(kin, np.array([1.0])), rate)
+
+
 def test_poly_pl_needs_one_order_list_per_coefficient_list():
     coeffs = (np.array([1.0]), np.array([1.0]))
     with pytest.raises(cb.InvalidKineticsError, match="one term list per reaction"):

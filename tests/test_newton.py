@@ -452,7 +452,7 @@ def test_seeds_stepped_together_match_the_sequential_iteration(monkeypatch):
     for net, kin in (parse_crn((DATA / "mm_polypl.crn").read_text()), work.ladder_poly_pl(1, 12)):
         cb.poly_pl_equilibrated_check(net, kin, cfg)
 
-    assert fixture_calls == 10
+    assert fixture_calls == 12  # six fixtures, two modes each
     stops = collections.Counter(s for call in checked for s in call)
     for reason in ("converged", "escaped", "left the chart", "line search collapsed",
                    "step below 1e-15"):
@@ -897,7 +897,7 @@ def test_rounds_match_the_masked_driver(monkeypatch):
         system = cb.KineticSystem(*parse_crn(path.read_text()))
         for mode in ("positive", "complex_balanced"):
             cb.solve_equilibria(system, mode, config=cfg)
-    assert len(checked) == 10
+    assert len(checked) == 12  # six fixtures, two modes each
     for name, space in (("re1_massaction.crn", "S"), ("counterexample.crn", "Stilde")):
         _coset_outcome(name, space, cfg)
     work = bench_workloads()

@@ -351,15 +351,6 @@ def test_in_span_and_spans_equal():
     assert not rational.in_span([], [1, 0])
 
 
-def test_orthogonal_complement():
-    comp = rational.orthogonal_complement([[1, 1, 1]], 3)
-    assert len(comp) == 2
-    for vec in comp:
-        assert sum(vec) == 0
-    full = rational.orthogonal_complement([], 2)
-    assert rational.spans_equal(full, [[1, 0], [0, 1]])
-
-
 def test_positive_kernel_examples():
     # A + B -> C, C -> A + B: N^T z = 0 admits z = (1, 1, 2)
     nt = [[-1, -1, 1], [1, 1, -1]]
