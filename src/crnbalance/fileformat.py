@@ -306,22 +306,19 @@ def _format_assignments(values, species) -> str:
 def render_crn(net: ReactionNetwork, kin: Kinetics) -> str:
     """Text that parses back to an equal network and kinetics."""
     lines = ["species " + " ".join(net.species)]
-    for rx, k in zip(net.reactions, kin.rates):
+    for rx, k in zip(net.reactions, kin.exact_rates or kin.rates):
         rate = _format_number(k if not float(k).is_integer() else Fraction(int(k)))
         lines.append(f"{rx.label}: {net.complexes[rx.reactant].format(net.species)}"
                      f" -> {net.complexes[rx.product].format(net.species)} rate {rate}")
     if isinstance(kin, PowerLawKinetics):
         lines.append("kinetics powerlaw")
-        orders = kin.exact_orders if kin.exact_orders is not None else kin.orders
-        for rx, row in zip(net.reactions, orders):
+        for rx, row in zip(net.reactions, kin.exact_orders or kin.orders):
             lines.append(f"order {rx.label}: {_format_assignments(row, net.species)}")
     elif isinstance(kin, PolyPLKinetics):
         lines.append("kinetics polypl")
-        coeffs = (kin.exact_term_coeffs if kin.exact_term_coeffs is not None
-                  else kin.term_coeffs)
-        orders = (kin.exact_term_orders if kin.exact_term_orders is not None
-                  else kin.term_orders)
-        for rx, rx_coeffs, rx_orders in zip(net.reactions, coeffs, orders):
+        for rx, rx_coeffs, rx_orders in zip(net.reactions,
+                                            kin.exact_term_coeffs or kin.term_coeffs,
+                                            kin.exact_term_orders or kin.term_orders):
             for coeff, row in zip(rx_coeffs, rx_orders):
                 lines.append(f"term {rx.label} coeff {_format_number(coeff)}: "
                              f"{_format_assignments(row, net.species)}")

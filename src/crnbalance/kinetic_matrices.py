@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, rational
-from .kinetics import PowerLawKinetics, _is_pl_rdk
+from .kinetics import ExactMatrix, PowerLawKinetics, _is_pl_rdk
 from .network import CrnError, ReactionNetwork, linkage_classes
 
 
@@ -28,7 +28,8 @@ class NotRDKError(CrnError):
 @dataclass(frozen=True, eq=False)
 class TMatrices:
     """The order matrices of one PL-RDK system and their ranks; the float
-    arrays are read-only, so no holder can change a cached fact."""
+    arrays are read-only and the exact ones tuples of tuples, so no holder
+    can change a cached fact."""
 
     t: np.ndarray                          # (m, n_r)
     that: np.ndarray                       # (m + l, n_r)
@@ -38,9 +39,9 @@ class TMatrices:
     delta_hat: int
     ranks_exact: bool
     s_tilde_basis: np.ndarray              # rows spanning the order subspace
-    exact_t: rational.Matrix | None = None
-    exact_that: rational.Matrix | None = None
-    exact_s_tilde_basis: list[list[Fraction]] | None = None
+    exact_t: ExactMatrix | None = None
+    exact_that: ExactMatrix | None = None
+    exact_s_tilde_basis: ExactMatrix | None = None
 
     def __post_init__(self):
         for arr in (self.t, self.that, self.s_tilde_basis):
@@ -85,14 +86,14 @@ def build_t_matrices(net: ReactionNetwork, kin: PowerLawKinetics) -> TMatrices:
     if kin.exact_orders is not None:
         zero, one = Fraction(0), Fraction(1)
         cols = [(zero,) * m] + [kin.exact_orders[q] for q in rows]
-        exact_t = [list(row) for row in zip(*cols[1:])]
-        exact_that = exact_t + [[one if c == lc else zero for c in classes]
-                                for lc in range(len(comps))]
+        exact_t = tuple(zip(*cols[1:]))
+        exact_that = exact_t + tuple(tuple(one if c == lc else zero for c in classes)
+                                     for lc in range(len(comps)))
         # T's rows come first, so one elimination of T_hat ranks both
         pivots = rational.pivot_rows(exact_that)
         q_tilde, q_hat = sum(1 for i in pivots if i < m), len(pivots)
-        exact_basis = rational.row_basis(
-            [[a - b for a, b in zip(cols[p], cols[r])] for p, r in ends])
+        exact_basis = tuple(map(tuple, rational.row_basis(
+            [[a - b for a, b in zip(cols[p], cols[r])] for p, r in ends])))
         basis = np.array(exact_basis, dtype=float) if exact_basis else np.zeros((0, m))
     else:
         q_tilde, q_hat = linalg.numeric_rank(t), linalg.numeric_rank(that)

@@ -17,14 +17,20 @@ built, so the table cannot go stale. Every array a family keeps must have
 its number of axes and finite entries, and the base `_Kinetics` checks the
 rates of every family: one finite, strictly positive rate per reaction.
 
-Kinetic orders are kept as float arrays for evaluation, with an optional
-exact rational copy alongside; identity-of-rows classifications and all rank
+Every constructor takes what the builders take: ints, Fractions, `p/q`
+strings, floats or numpy arrays. Each array is read once into a float array
+for evaluation, and the exact arrays also into a copy of nested tuples of
+Fractions: the `exact_rates` of every family, the `exact_orders` of power-law
+kinetics and the `exact_term_coeffs` and `exact_term_orders` of poly-PL
+kinetics (both or neither). A copy is None when some entry is a non-integral
+float (an integral float counts as exact), so where it exists it converts to
+its float array bit for bit. Identity-of-rows classifications and all rank
 work use the exact copy whenever it exists and a 1e-12 tolerance otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -49,40 +55,34 @@ class InvalidKineticsError(CrnError):
     pass
 
 
-def _coerce_matrix(rows, n_cols=None) -> tuple[np.ndarray, ExactMatrix | None]:
-    """Float matrix plus an exact copy when no entry was a float."""
-    exact_rows = []
-    exact_ok = True
-    float_rows = []
-    for row in rows:
-        frow = []
-        erow = []
-        for v in row:
-            if isinstance(v, float) and not float(v).is_integer():
-                exact_ok = False
-                frow.append(float(v))
-            elif isinstance(v, float):
-                # Integral floats are safe to treat exactly.
-                erow.append(Fraction(int(v)))
-                frow.append(float(v))
-            else:
-                ev = rational.frac(v)
-                erow.append(ev)
-                frow.append(float(ev))
-        float_rows.append(frow)
-        exact_rows.append(tuple(erow))
-    arr = np.array(float_rows, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(len(float_rows), 0)
-    if n_cols is not None and arr.shape[1] != n_cols:
-        raise InvalidKineticsError(f"expected {n_cols} columns, got {arr.shape[1]}")
-    exact = tuple(exact_rows) if exact_ok else None
-    return arr, exact
-
-
-def _coerce_rates(values) -> np.ndarray:
-    return np.array([float(v) if isinstance(v, float) else float(rational.frac(v))
-                     for v in values], dtype=float)
+def _read(values, ndim: int, what: str) -> tuple[np.ndarray, tuple | None]:
+    """`values`, nested `ndim` deep (1 or 2), read entry by entry into a
+    read-only float array and into nested tuples of Fractions; the Fractions
+    are None when some entry is a non-integral float."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    floats, exact, ok = [], [], True
+    try:
+        for row in values if ndim == 2 else (values,):
+            frow, erow = [], []
+            for v in row:
+                if isinstance(v, float):
+                    ok = ok and v.is_integer()
+                    if ok:
+                        erow.append(Fraction(int(v)))
+                    frow.append(v)
+                else:
+                    e = rational.frac(v)
+                    erow.append(e)
+                    frow.append(float(e))
+            floats.append(frow)
+            exact.append(tuple(erow))
+        arr = _frozen(floats if ndim == 2 else floats[0])  # ragged rows raise here
+    except (TypeError, ValueError) as exc:
+        raise InvalidKineticsError(f"{what} must be a {ndim}-D array of numbers") from exc
+    if ndim == 1:
+        return arr, exact[0] if ok else None
+    return arr, tuple(exact) if ok else None
 
 
 def _frozen(values) -> np.ndarray:
@@ -94,7 +94,10 @@ def _frozen(values) -> np.ndarray:
 
 def _checked(values, ndim: int, what: str) -> np.ndarray:
     """A read-only float copy that has `ndim` axes and finite entries."""
-    arr = _frozen(values)
+    try:
+        arr = _frozen(values)
+    except (TypeError, ValueError):  # `p/q` strings or ragged rows
+        arr = _read(values, ndim, what)[0]
     if arr.ndim != ndim or not np.all(np.isfinite(arr)):
         raise InvalidKineticsError(
             f"{what} must be a {ndim}-D array of finite numbers, got shape {arr.shape}")
@@ -161,15 +164,17 @@ class _RateTable:
 
 
 class _Kinetics:
-    """What the four families share: the reaction and species counts of the
-    rate table, one check of `rates` against it, and no assignment once the
-    table exists (the table is built from the fields, so a reassigned field
-    would leave it stale).
+    """What the four families share: the rates, read with their exact copy
+    `exact_rates`, one check of them against the rate table that the family
+    builds from its own fields in `_rate_table`, and no assignment once the
+    table exists (a reassigned field would leave it stale).
     """
 
-    def _install(self, table: _RateTable) -> None:
-        """Check `rates` against `table` and keep the table; a family calls
-        this last in `__post_init__`, after its own checks."""
+    exact_rates: tuple[Fraction, ...] | None   # set from `rates`, never passed in
+
+    def __post_init__(self):
+        self.rates, self.exact_rates = _read(self.rates, 1, "rate constants")
+        table = self._rate_table()
         if self.rates.shape != table.starts.shape:
             raise InvalidKineticsError(
                 f"one rate per reaction required: {table.starts.size} reactions, "
@@ -196,17 +201,16 @@ class _Kinetics:
 class PowerLawKinetics(_Kinetics):
     orders: np.ndarray                    # (r, m) kinetic order rows
     rates: np.ndarray                     # (r,) strictly positive
-    exact_orders: ExactMatrix | None = None
+    exact_orders: ExactMatrix | None = field(init=False)
 
-    def __post_init__(self):
-        self.orders = _checked(self.orders, 2, "kinetic orders")
-        self.rates = _frozen(self.rates)
-        self._install(_RateTable(self.rates, self.orders, [1] * self.orders.shape[0]))
+    def _rate_table(self) -> _RateTable:
+        orders, self.exact_orders = _read(self.orders, 2, "kinetic orders")
+        self.orders = _checked(orders, 2, "kinetic orders")
+        return _RateTable(self.rates, self.orders, [1] * self.orders.shape[0])
 
 
 def power_law(order_rows, rates) -> PowerLawKinetics:
-    orders, exact = _coerce_matrix(order_rows)
-    return PowerLawKinetics(orders, _coerce_rates(rates), exact)
+    return PowerLawKinetics(order_rows, rates)
 
 
 def mass_action_from(net: ReactionNetwork, rates) -> PowerLawKinetics:
@@ -221,27 +225,32 @@ class PolyPLKinetics(_Kinetics):
     term_coeffs: tuple[np.ndarray, ...]   # per reaction, shape (h_q,), positive
     term_orders: tuple[np.ndarray, ...]   # per reaction, shape (h_q, m)
     rates: np.ndarray
-    exact_term_coeffs: tuple[tuple[Fraction, ...], ...] | None = None
-    exact_term_orders: tuple[ExactMatrix, ...] | None = None
+    exact_term_coeffs: tuple[tuple[Fraction, ...], ...] | None = field(init=False)
+    exact_term_orders: tuple[ExactMatrix, ...] | None = field(init=False)
 
-    def __post_init__(self):
-        self.term_coeffs = tuple(_checked(a, 1, "poly-PL coefficients") for a in self.term_coeffs)
-        self.term_orders = tuple(_checked(f, 2, "kinetic orders") for f in self.term_orders)
-        self.rates = _frozen(self.rates)
-        if not self.term_coeffs:
+    def _rate_table(self) -> _RateTable:
+        if len(self.term_coeffs) == 0:
             raise InvalidKineticsError("poly-PL kinetics need at least one reaction")
         if len(self.term_orders) != len(self.term_coeffs):
             raise InvalidKineticsError("one term list per reaction required")
+        coeffs, exact_coeffs = zip(*[_read(a, 1, "poly-PL coefficients")
+                                     for a in self.term_coeffs])
+        orders, exact_orders = zip(*[_read(f, 2, "kinetic orders") for f in self.term_orders])
+        exact = None not in exact_coeffs + exact_orders
+        self.exact_term_coeffs = exact_coeffs if exact else None
+        self.exact_term_orders = exact_orders if exact else None
+        self.term_coeffs = tuple(_checked(a, 1, "poly-PL coefficients") for a in coeffs)
+        self.term_orders = tuple(_checked(f, 2, "kinetic orders") for f in orders)
+        if len({f.shape[1] for f in self.term_orders}) > 1:
+            raise InvalidKineticsError("term orders of different species counts")
         for a, f in zip(self.term_coeffs, self.term_orders):
-            if a.shape[0] == 0:
-                raise InvalidKineticsError("every reaction needs at least one term")
             if not np.all(a > 0):
                 raise InvalidKineticsError("poly-PL coefficients must be positive")
             if f.shape[0] != a.shape[0]:
                 raise InvalidKineticsError("coefficient/order count mismatch")
-        self._install(_RateTable(
+        return _RateTable(
             np.concatenate([k * a for k, a in zip(self.rates, self.term_coeffs)]),
-            np.vstack(self.term_orders), [a.shape[0] for a in self.term_coeffs]))
+            np.vstack(self.term_orders), [a.shape[0] for a in self.term_coeffs])
 
     @property
     def length(self) -> int:
@@ -256,36 +265,16 @@ class PolyPLKinetics(_Kinetics):
         """The j-th power-law system of the normalized representation."""
         if not self.is_normalized:
             raise InvalidKineticsError("normalize before taking term systems")
-        orders = np.array([f[j] for f in self.term_orders])
-        rates = self.rates * np.array([a[j] for a in self.term_coeffs])
-        exact = None
-        if self.exact_term_orders is not None:
-            exact = tuple(rows[j] for rows in self.exact_term_orders)
-        return PowerLawKinetics(orders, rates, exact)
+        orders = self.exact_term_orders or self.term_orders
+        coeffs = self.exact_term_coeffs or self.term_coeffs
+        return PowerLawKinetics([f[j] for f in orders],
+                                [k * a[j] for k, a in zip(self.exact_rates or self.rates, coeffs)])
 
 
 def poly_pl(terms, rates) -> PolyPLKinetics:
     """Build poly-PL kinetics from per-reaction [(coeff, order_row), ...] lists."""
-    coeff_arrays = []
-    order_arrays = []
-    exact_coeffs: list[tuple[Fraction, ...]] = []
-    exact_orders: list[ExactMatrix] = []
-    exact_ok = True
-    for term_list in terms:
-        a_arr, a_exact = _coerce_matrix([[c for c, _ in term_list]])
-        f_arr, f_exact = _coerce_matrix([row for _, row in term_list])
-        coeff_arrays.append(a_arr[0])
-        order_arrays.append(f_arr)
-        if a_exact is None or f_exact is None:
-            exact_ok = False
-        else:
-            exact_coeffs.append(a_exact[0])
-            exact_orders.append(f_exact)
-    return PolyPLKinetics(
-        tuple(coeff_arrays), tuple(order_arrays), _coerce_rates(rates),
-        tuple(exact_coeffs) if exact_ok else None,
-        tuple(exact_orders) if exact_ok else None,
-    )
+    return PolyPLKinetics([[c for c, _ in t] for t in terms], [[f for _, f in t] for t in terms],
+                          rates)
 
 
 def normalize_poly_pl(kin: PolyPLKinetics) -> PolyPLKinetics:
@@ -298,29 +287,13 @@ def normalize_poly_pl(kin: PolyPLKinetics) -> PolyPLKinetics:
     h = kin.length
     if kin.is_normalized:
         return kin
-    coeffs = []
-    orders = []
-    e_coeffs = []
-    e_orders = []
-    exact = kin.exact_term_coeffs is not None and kin.exact_term_orders is not None
-    for q in range(kin.num_reactions):
-        a = kin.term_coeffs[q]
-        f = kin.term_orders[q]
-        pad = h - a.shape[0] + 1
-        new_a = np.concatenate([a[:-1], np.full(pad, a[-1] / pad)])
-        new_f = np.vstack([f[:-1], np.repeat(f[-1:], pad, axis=0)])
-        coeffs.append(new_a)
-        orders.append(new_f)
-        if exact:
-            ea = kin.exact_term_coeffs[q]
-            ef = kin.exact_term_orders[q]
-            e_coeffs.append(ea[:-1] + (ea[-1] / pad,) * pad)
-            e_orders.append(ef[:-1] + (ef[-1],) * pad)
-    return PolyPLKinetics(
-        tuple(coeffs), tuple(orders), kin.rates,
-        tuple(e_coeffs) if exact else None,
-        tuple(e_orders) if exact else None,
-    )
+    coeffs, orders = [], []
+    for a, f in zip(kin.exact_term_coeffs or kin.term_coeffs,
+                    kin.exact_term_orders or kin.term_orders):
+        pad = h - len(a) + 1
+        coeffs.append([*a[:-1], *[a[-1] / pad] * pad])
+        orders.append([*f[:-1], *[f[-1]] * pad])
+    return PolyPLKinetics(coeffs, orders, kin.exact_rates or kin.rates)
 
 
 @dataclass(eq=False)
@@ -336,10 +309,9 @@ class HillKinetics(_Kinetics):
     dissoc: np.ndarray   # (r, m) nonnegative
     rates: np.ndarray
 
-    def __post_init__(self):
+    def _rate_table(self) -> _RateTable:
         self.orders = _checked(self.orders, 2, "kinetic orders")
         self.dissoc = _checked(self.dissoc, 2, "dissociation constants")
-        self.rates = _frozen(self.rates)
         if self.orders.shape != self.dissoc.shape:
             raise InvalidKineticsError("order and dissociation shapes differ")
         if not np.all(self.dissoc >= 0):
@@ -349,12 +321,11 @@ class HillKinetics(_Kinetics):
                 "dissociation support must match kinetic order support row by row")
         # The rational rewrite is kept: clearing denominators reuses it.
         self._rational = hill_as_rational(self)
-        self._install(self._rational._table)
+        return self._rational._table
 
 
 def hill(order_rows, dissoc_rows, rates) -> HillKinetics:
-    return HillKinetics(_coerce_matrix(order_rows)[0], _coerce_matrix(dissoc_rows)[0],
-                        _coerce_rates(rates))
+    return HillKinetics(order_rows, dissoc_rows, rates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,6 +341,8 @@ class RationalFactor:
         object.__setattr__(self, "orders", _checked(self.orders, 2, "factor orders"))
         if not np.all(self.coeffs > 0):
             raise InvalidKineticsError("factor coefficients must be positive")
+        if self.coeffs.shape[0] != self.orders.shape[0]:
+            raise InvalidKineticsError("one factor coefficient per order row required")
 
     def key(self) -> tuple:
         terms = sorted((tuple(row), c) for row, c in zip(self.orders, self.coeffs))
@@ -384,17 +357,18 @@ class RationalKinetics(_Kinetics):
     rates: np.ndarray
     denominators: tuple[tuple[RationalFactor, ...], ...]  # per reaction
 
-    def __post_init__(self):
+    def _rate_table(self) -> _RateTable:
         self.numer_orders = _checked(self.numer_orders, 2, "kinetic orders")
-        self.rates = _frozen(self.rates)
         if len(self.denominators) != self.numer_orders.shape[0]:
             raise InvalidKineticsError("one denominator list per reaction required")
         for factors in self.denominators:
             keys = [f.key() for f in factors]
             if len(keys) != len(set(keys)):
                 raise InvalidKineticsError("repeated factor within one reaction")
-        self._install(_RateTable(self.rates, self.numer_orders,
-                                 [1] * self.numer_orders.shape[0], self.denominators))
+            if any(f.orders.shape[1] != self.numer_orders.shape[1] for f in factors):
+                raise InvalidKineticsError("factor orders of a different species count")
+        return _RateTable(self.rates, self.numer_orders,
+                          [1] * self.numer_orders.shape[0], self.denominators)
 
 
 def hill_as_rational(kin: HillKinetics) -> RationalKinetics:
@@ -425,7 +399,7 @@ def hill_as_rational(kin: HillKinetics) -> RationalKinetics:
                 factors.append(RationalFactor(np.array([1.0, d]),
                                               np.vstack([np.zeros(m), row_pos])))
         dens.append(tuple(factors))
-    return RationalKinetics(numer, kin.rates, tuple(dens))
+    return RationalKinetics(numer, kin.exact_rates or kin.rates, tuple(dens))
 
 
 Kinetics = PowerLawKinetics | PolyPLKinetics | HillKinetics | RationalKinetics

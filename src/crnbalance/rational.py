@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Integral
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -27,6 +28,9 @@ def frac(value) -> Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
+    if isinstance(value, Integral):
+        # a numpy integer would stay the numerator, and wrap in elimination
+        return Fraction(int(value))
     return Fraction(value)
 
 

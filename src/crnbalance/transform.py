@@ -88,25 +88,18 @@ def star_msc(net: ReactionNetwork, kin: PolyPLKinetics) -> StarMscResult:
 
     reactions = []
     replica_map = []
-    order_rows = []
-    exact_rows: list[tuple[Fraction, ...]] | None = (
-        [] if kin.exact_term_orders is not None else None)
-    rates = []
     for j in range(1, h + 1):
         base = (j - 1) * n
         for q, rx in enumerate(net.reactions):
             label = rx.label if j == 1 else f"{rx.label}_rep{j}"
             reactions.append((base + rx.reactant, base + rx.product, label))
             replica_map.append((q, j))
-            order_rows.append(kin.term_orders[q][j - 1])
-            rates.append(kin.rates[q] * kin.term_coeffs[q][j - 1])
-            if exact_rows is not None:
-                exact_rows.append(kin.exact_term_orders[q][j - 1])
 
     star_net = build_network(net.species, complexes, reactions)
-    star_kin = PowerLawKinetics(
-        np.array(order_rows), np.array(rates),
-        tuple(exact_rows) if exact_rows is not None else None)
+    # the replicas j of all reactions carry the order rows and rates of term system j
+    terms = [kin.term_system(j) for j in range(h)]
+    star_kin = PowerLawKinetics([row for t in terms for row in t.exact_orders or t.orders],
+                                [k for t in terms for k in t.exact_rates or t.rates])
     system = KineticSystem(star_net, star_kin)
     return StarMscResult(source, system, shift, h, tuple(replica_map),
                          predicted, system.invariants.delta)
@@ -206,4 +199,4 @@ def hill_to_poly_pl(net: ReactionNetwork, kin: HillKinetics | RationalKinetics) 
                     expanded, zip(factor.coeffs, factor.orders))
             ]
         terms.append([(c, tuple(row)) for c, row in expanded])
-    return poly_pl(terms, kin.rates)
+    return poly_pl(terms, kin.exact_rates or kin.rates)

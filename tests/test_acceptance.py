@@ -138,10 +138,9 @@ def test_criterion_3_kse_span_equality(counterexample, ce_pipeline):
         ("K_2(x) = K_3(x) at sampled states",
          all(cb.evaluate(kin, x)[p] == cb.evaluate(kin, x)[q] for x in states)),
     ]
-    # v_2/k_2 - v_3/k_3 = 0; a float rate is a binary rational, so Fraction
-    # converts it exactly
+    # v_2/k_2 - v_3/k_3 = 0, over the rates exactly as the fixture states them
     tie = [Fraction(0)] * net.num_reactions
-    tie[p], tie[q] = 1 / Fraction(kin.rates[p]), -1 / Fraction(kin.rates[q])
+    tie[p], tie[q] = 1 / kin.exact_rates[p], -1 / kin.exact_rates[q]
     upper = net.num_reactions - rational.rank([list(row) for row in net.n] + [tie])
     checks = premise + [
         ("exact upper bound = 3", upper == 3),

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crnbalance as cb
 from crnbalance.fileformat import (MissingKineticsRowError, NegativeRateError,
@@ -273,7 +275,7 @@ PARSED = {
          "rates": [1.5, 2.0],
          "orders": [[0.5, 0.0], [1.0, -2 / 3]],
          "exact_orders": ((F(1, 2), F(0)), (F(1), F(-2, 3)))},
-        "species A B\nr1: A -> B rate 1.5\nr2: B -> A rate 2\nkinetics powerlaw\n"
+        "species A B\nr1: A -> B rate 3/2\nr2: B -> A rate 2\nkinetics powerlaw\n"
         "order r1: A=1/2\norder r2: A=1, B=-2/3\n"),
     "powerlaw-decimal-orders-and-stoichiometry": (
         "# decimal orders leave no exact copy\n"
@@ -315,7 +317,7 @@ PARSED = {
          "rates": [1.0, 0.5],
          "orders": [[1.0, 2.0], [0.0, 1.0]],
          "dissoc": [[0.5, 1.5], [0.0, 1.0]]},
-        "species A B\nr1: A + B -> 2 B rate 1\nr2: B -> A rate 0.5\nkinetics hill\n"
+        "species A B\nr1: A + B -> 2 B rate 1\nr2: B -> A rate 1/2\nkinetics hill\n"
         "hill r1: A=(f=1.0, d=0.5), B=(f=2.0, d=1.5)\nhill r2: B=(f=1.0, d=1.0)\n"),
     "massaction": (
         "species X Y   # comment\nr1: 2 X -> Y rate 3\nr2: Y -> 0 rate 1/4\n"
@@ -324,7 +326,7 @@ PARSED = {
          "rates": [3.0, 0.25],
          "orders": [[2.0, 0.0], [0.0, 1.0]],
          "exact_orders": ((F(2), F(0)), (F(0), F(1)))},
-        "species X Y\nr1: 2 X -> Y rate 3\nr2: Y -> 0 rate 0.25\nkinetics powerlaw\n"
+        "species X Y\nr1: 2 X -> Y rate 3\nr2: Y -> 0 rate 1/4\nkinetics powerlaw\n"
         "order r1: X=2\norder r2: Y=1\n"),
 }
 
@@ -369,3 +371,48 @@ def test_render_refuses_rational_kinetics():
     net, kin = parse_crn(data_path("hill_single.crn").read_text())
     with pytest.raises(ValueError, match="power-law, poly-PL and hill"):
         render_crn(net, cb.hill_as_rational(kin))
+
+
+# Entries of the three kinds a kinetics reads: exact Fractions, integral
+# floats (which count as exact) and decimals (which leave no exact copy).
+_POSITIVE = st.one_of(
+    st.fractions(Fraction(1, 12), Fraction(20), max_denominator=12),
+    st.integers(1, 9).map(float),
+    st.floats(0.05, 20).filter(lambda v: not v.is_integer()))
+_ORDER = st.one_of(_POSITIVE, _POSITIVE.map(lambda v: -v), st.just(0))
+_ROUND_TRIP_NET = cb.build_network(["A", "B"], [[1, 0], [0, 1], [1, 1]],
+                                   [(0, 1), (1, 2), (2, 0)])
+
+
+def _copies(kin) -> dict:
+    """Every float array of `kin` as bytes, and every exact copy."""
+    fields = {"rates": kin.rates.tobytes(), "exact_rates": kin.exact_rates}
+    if isinstance(kin, cb.PolyPLKinetics):
+        fields.update(term_coeffs=[a.tobytes() for a in kin.term_coeffs],
+                      term_orders=[f.tobytes() for f in kin.term_orders],
+                      exact_term_coeffs=kin.exact_term_coeffs,
+                      exact_term_orders=kin.exact_term_orders)
+    elif isinstance(kin, cb.HillKinetics):
+        fields.update(orders=kin.orders.tobytes(), dissoc=kin.dissoc.tobytes())
+    else:
+        fields.update(orders=kin.orders.tobytes(), exact_orders=kin.exact_orders)
+    return fields
+
+
+@given(family=st.sampled_from(["powerlaw", "polypl", "hill"]), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_render_round_trip_keeps_floats_and_exact_copies(family, data):
+    rates = data.draw(st.lists(_POSITIVE, min_size=3, max_size=3))
+    row = st.lists(_ORDER, min_size=2, max_size=2)
+    if family == "powerlaw":
+        kin = cb.power_law(data.draw(st.lists(row, min_size=3, max_size=3)), rates)
+    elif family == "polypl":
+        terms = st.lists(st.tuples(_POSITIVE, row), min_size=1, max_size=3)
+        kin = cb.poly_pl(data.draw(st.lists(terms, min_size=3, max_size=3)), rates)
+    else:
+        orders = data.draw(st.lists(row, min_size=3, max_size=3))
+        dissoc = [[data.draw(_POSITIVE) if f else 0 for f in r] for r in orders]
+        kin = cb.hill(orders, dissoc, rates)
+    net, again = parse_crn(render_crn(_ROUND_TRIP_NET, kin))
+    assert net.y == _ROUND_TRIP_NET.y and type(again) is type(kin)
+    assert _copies(again) == _copies(kin)

@@ -412,6 +412,127 @@ def test_poly_pl_needs_one_order_list_per_coefficient_list():
         cb.PolyPLKinetics(coeffs, (np.array([[1.0, 0.0]]),), np.ones(2))
 
 
+_FACTOR_3 = cb.RationalFactor(np.array([0.5, 1.0]), np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+# Arrays of one kinetics whose shapes disagree
+_MISMATCHED = {
+    "power_law flat rows": lambda: cb.power_law([1, 2], [1]),
+    "power_law ragged rows": lambda: cb.power_law([[1, 0], [1]], [1, 1]),
+    "hill ragged rows": lambda: cb.hill([[1, 0], [1]], [[0.5, 0], [1]], [1, 1]),
+    "RationalFactor 2 coefficients, 3 order rows": lambda: cb.RationalFactor(
+        np.array([0.5, 1.0]), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+    "poly_pl reactions on 2 and 3 species": lambda: cb.poly_pl(
+        [[(1, (1, 0))], [(1, (0, 1, 0))]], [1, 1]),
+    "poly_pl terms on 2 and 3 species": lambda: cb.poly_pl(
+        [[(1, (1, 0)), (1, (0, 1, 0))], [(1, (0, 1))]], [1, 1]),
+    "RationalKinetics numerators on 2 species, factor on 3": lambda: cb.RationalKinetics(
+        np.eye(2), np.ones(2), ((_FACTOR_3,), ())),
+}
+
+
+@pytest.mark.parametrize("build", _MISMATCHED.values(), ids=_MISMATCHED)
+def test_mismatched_arrays_are_refused(build):
+    with pytest.raises(cb.InvalidKineticsError):
+        build()
+
+
+def _assert_copies_agree(kin) -> int:
+    """Check that every exact copy `kin` keeps holds Fractions that convert to
+    its float array bit for bit; return how many copies it keeps."""
+    pairs = [(kin.rates, kin.exact_rates)]
+    if isinstance(kin, cb.PowerLawKinetics):
+        pairs.append((kin.orders, kin.exact_orders))
+    elif isinstance(kin, cb.PolyPLKinetics):
+        assert (kin.exact_term_coeffs is None) == (kin.exact_term_orders is None)
+        if kin.exact_term_coeffs is not None:
+            pairs += zip(kin.term_coeffs + kin.term_orders,
+                         kin.exact_term_coeffs + kin.exact_term_orders)
+    kept = 0
+    for arr, exact in pairs:
+        if exact is not None:
+            assert all(type(v) is Fraction for v in np.array(exact, dtype=object).ravel())
+            want = np.array(exact, dtype=float)
+            assert want.shape == arr.shape and want.tobytes() == arr.tobytes()
+            kept += 1
+    return kept
+
+
+def test_exact_copies_are_derived_not_passed_in():
+    """The orders given are the orders evaluated, classified and rendered:
+    on 2A <-> B, first-order kinetics in A cannot claim mass action."""
+    with pytest.raises(TypeError):
+        cb.PowerLawKinetics(np.eye(2), [1, 1], ((2, 0), (0, 1)))
+    with pytest.raises(TypeError):
+        cb.PowerLawKinetics(np.eye(2), [1, 1], exact_orders=((2, 0), (0, 1)))
+    for name in ("exact_term_coeffs", "exact_term_orders"):
+        with pytest.raises(TypeError):
+            cb.PolyPLKinetics([[1]], [[[1, 0]]], [1], **{name: None})
+    net = cb.build_network(["A", "B"], [[2, 0], [0, 1]], [(0, 1), (1, 0)])
+    kin = cb.PowerLawKinetics(np.eye(2), [1, 1])
+    assert kin.exact_orders == ((1, 0), (0, 1))
+    assert cb.classify(kin, net).mass_action is False
+    assert cb.KineticSystem(net, kin).t_matrices.exact_t == ((1, 0), (0, 1))
+    assert np.array_equal(cb.evaluate(kin, [2.0, 1.0]), [2.0, 1.0])
+
+
+def test_exact_copies_convert_to_the_float_arrays(mm_polypl, mm_rational):
+    """Every way to build a kinetics: the four dataclasses, the builders,
+    normalization, term systems, the replica transform and the parser."""
+    rng = np.random.default_rng(12)
+    net, poly = mm_polypl
+    hill = cb.hill([[1, 0], [0, -2]], [["1/2", 0], [0, 2.0]], ["1/3", 1.5])
+    kins = [
+        cb.PowerLawKinetics(np.eye(2), [1, "3/2"]),
+        cb.PowerLawKinetics(rng.integers(-2, 3, size=(3, 2)), np.array([1.0, 2.0, 3.0])),
+        cb.PolyPLKinetics([[1, "1/2"], [2.0]], [[[1, 0], [0, 1]], [[1, 1]]], ["1/3", 2]),
+        cb.HillKinetics([[1, 0], [0, 2]], [[0.5, 0], [0, Fraction(3, 2)]], ["1/3", 1]),
+        cb.RationalKinetics(np.eye(2), ["1/3", 2.0], ((_FACTOR,), ())),
+        cb.power_law([[Fraction(1, 2), 2.0], ["-2/3", 0]], [Fraction(5, 7), "2"]),
+        cb.power_law(rng.uniform(-1, 1, (2, 2)), rng.uniform(0.5, 2, 2)),
+        cb.mass_action_from(net, ["1/3", 1, 2.0, Fraction(7, 5)]),
+        cb.poly_pl([[("1/3", (1, 0)), (2.0, (0, "1/2"))], [(1, (1, 1))]], [0.25, 1]),
+        hill, cb.hill_as_rational(hill), cb.hill_to_poly_pl(_PAIR, hill),
+        poly, mm_rational[1], cb.star_msc(net, poly).system.kinetics,
+    ]
+    for source in (poly, kins[2], kins[8], cb.poly_pl([[(0.5, (1, 0))], [(1, (0, 1)),
+                                                       (2, (1, 0))]], ["1/3", 1])):
+        norm = cb.normalize_poly_pl(source)
+        kins += [norm, *(norm.term_system(j) for j in range(norm.length))]
+    for name in ("counterexample", "hill_single", "mm_polypl", "re1_massaction",
+                 "re1_powerlaw", "decimal_powerlaw"):
+        kins.append(parse_crn(data_path(f"{name}.crn").read_text())[1])
+    kept = [_assert_copies_agree(kin) for kin in kins]
+    assert sum(k > 0 for k in kept) >= 25 and 0 in kept
+
+
+def test_exact_rates():
+    assert cb.power_law([[1]], ["1/3"]).exact_rates == (Fraction(1, 3),)
+    assert cb.power_law([[1], [0]], [2.0, Fraction(1, 3)]).exact_rates == (2, Fraction(1, 3))
+    assert cb.power_law([[1], [0]], [0.25, 1]).exact_rates is None  # a decimal rate
+    _, kin = parse_crn("species A\nr1: A -> 0 rate 1/3\nkinetics massaction\n")
+    assert kin.exact_rates == (Fraction(1, 3),) and kin.rates.tolist() == [1 / 3]
+    hill = cb.hill([[1]], [[0.5]], ["1/3"])
+    assert hill.exact_rates == cb.hill_as_rational(hill).exact_rates == (Fraction(1, 3),)
+    poly = cb.poly_pl([[(1, (1, 0)), (2, (0, 1))], [(1, (0, 1))]], ["1/3", 3])
+    assert cb.normalize_poly_pl(poly).exact_rates == (Fraction(1, 3), 3)
+    # term 2 of reaction 1 is 2 x_B; reaction 2 splits its one term into two halves
+    assert cb.normalize_poly_pl(poly).term_system(1).exact_rates == (Fraction(2, 3),
+                                                                     Fraction(3, 2))
+
+
+def test_normalized_coefficients_are_the_exact_quotients():
+    """A last term a split into pad copies gets float(a / pad) of the exact
+    a, which can differ in the last bit from float(a) / pad."""
+    rows = [(0, 1), (0, 2), (1, 1), (2, 0), (1, 2)]
+    assert float(Fraction(5, 3)) / 5 != float(Fraction(1, 3))
+    norm = cb.normalize_poly_pl(cb.poly_pl([[("5/3", (1, 0))], [(1, r) for r in rows]], [1, 1]))
+    assert norm.exact_term_coeffs[0] == (Fraction(1, 3),) * 5
+    assert norm.term_coeffs[0].tolist() == [float(Fraction(1, 3))] * 5
+    decimal = cb.normalize_poly_pl(cb.poly_pl([[(5 / 3, (1, 0))], [(1, r) for r in rows]],
+                                              [1, 1]))
+    assert decimal.exact_term_coeffs is None
+    assert decimal.term_coeffs[0].tolist() == [5 / 3 / 5] * 5
+
+
 def _old_counts(kin):
     """(num_reactions, num_species) as each family computed them on its own."""
     if isinstance(kin, cb.PolyPLKinetics):

@@ -303,6 +303,14 @@ def test_frac_rejects_floats():
         rational.frac(0.5)
 
 
+def test_numpy_integers_rank_as_python_integers():
+    """A numpy integer numerator would wrap in the integer elimination:
+    diag(2^32, 2^32) has rank 2, not 1."""
+    big = np.int64(2 ** 32)
+    assert type(rational.frac(big).numerator) is int
+    assert rational.rank([[big, np.int64(0)], [np.int64(0), big]]) == 2
+
+
 @given(small_matrices)
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_transpose_and_numpy(mat):
