@@ -70,7 +70,9 @@ def subnetwork(net: ReactionNetwork, reactions) -> ReactionNetwork:
     in their original index order; reaction labels are preserved. Species,
     complexes, Y, Ia and N are slices of the parent's and are not validated
     again: a part of a valid network is valid, and the result equals what
-    `build_network` makes of the same lists.
+    `build_network` makes of the same lists. The part's integer rows of N
+    are sliced from the parent's: each is a positive multiple of the part's
+    row, which changes no rank.
     """
     idxs = sorted(set(int(q) for q in reactions))
     if not idxs:
@@ -80,17 +82,24 @@ def subnetwork(net: ReactionNetwork, reactions) -> ReactionNetwork:
     rxns = [net.reactions[q] for q in idxs]
     touched_cpx = sorted({rx.reactant for rx in rxns} | {rx.product for rx in rxns})
     cpx_map = {c: i for i, c in enumerate(touched_cpx)}
-    touched_sp = [si for si, row in enumerate(net.y) if any(row[c] for c in touched_cpx)]
-    return ReactionNetwork(
+    touched_sp = [si for si, row in enumerate(net.y) if any(map(row.__getitem__, touched_cpx))]
+    y = _block(net.y, touched_sp, touched_cpx)
+    part = ReactionNetwork(
         species=tuple(net.species[si] for si in touched_sp),
-        complexes=tuple(Complex(tuple(net.complexes[c].coeffs[si] for si in touched_sp))
-                        for c in touched_cpx),
+        complexes=tuple(map(Complex, zip(*y))),
         reactions=tuple(Reaction(cpx_map[rx.reactant], cpx_map[rx.product], rx.label)
                         for rx in rxns),
-        y=tuple(tuple(net.y[si][c] for c in touched_cpx) for si in touched_sp),
-        ia=tuple(tuple(net.ia[c][q] for q in idxs) for c in touched_cpx),
-        n=tuple(tuple(net.n[si][q] for q in idxs) for si in touched_sp),
+        y=y,
+        ia=_block(net.ia, touched_cpx, idxs),
+        n=_block(net.n, touched_sp, idxs),
     )
+    vars(part)["n_int"] = _block(net.n_int, touched_sp, idxs)
+    return part
+
+
+def _block(mat, rows, cols) -> tuple[tuple, ...]:
+    """The entries of `mat` in the given rows and columns."""
+    return tuple(tuple(map(mat[i].__getitem__, cols)) for i in rows)
 
 
 def _validate_partition(net: ReactionNetwork, parts) -> list[tuple[int, ...]]:
@@ -155,10 +164,10 @@ def _separator_classes(net: ReactionNetwork, predicate: str) -> list[list[int]]:
     by smallest reaction. Row i of the rref holds pivot i and every column
     whose fundamental circuit contains it, so merging row supports joins them."""
     classes = [{q} for q in range(net.num_reactions)]
-    for mat in {"independent": [net.n], "incidence_independent": [net.ia],
-                "bi_independent": [net.n, net.ia]}[predicate]:
-        red, pivots = rational.rref([list(row) for row in mat])
-        for support in ({q for q, v in enumerate(row) if v != 0} for row in red[:len(pivots)]):
+    for rows in {"independent": [net.n_int], "incidence_independent": [net.ia_int],
+                 "bi_independent": [net.n_int, net.ia_int]}[predicate]:
+        red, pivots, _ = rational.rref_int(rows)
+        for support in ({q for q, v in enumerate(row) if v} for row in red[:len(pivots)]):
             joined = [c for c in classes if c & support]
             classes = [c for c in classes if not c & support] + [set().union(*joined)]
     return sorted(sorted(c) for c in classes)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -63,7 +64,9 @@ def build_t_matrices(net: ReactionNetwork, kin: PowerLawKinetics) -> TMatrices:
     class of each reactant complex, and the T column (from 1; 0 is the zero
     column) of each reaction's product and reactant. Floats are gathered from
     `kin.orders`, exact rows from `kin.exact_orders`, which also make the ranks
-    and basis exact; without them those come from singular values.
+    and basis exact; without them those come from singular values. The exact
+    ranks and basis are eliminated from integer rows, cleared of
+    denominators once per build.
     """
     if not _is_pl_rdk(kin, net):
         raise NotRDKError(
@@ -87,12 +90,16 @@ def build_t_matrices(net: ReactionNetwork, kin: PowerLawKinetics) -> TMatrices:
         zero, one = Fraction(0), Fraction(1)
         cols = [(zero,) * m] + [kin.exact_orders[q] for q in rows]
         exact_t = tuple(zip(*cols[1:]))
-        exact_that = exact_t + tuple(tuple(one if c == lc else zero for c in classes)
-                                     for lc in range(len(comps)))
+        lt = [[int(c == lc) for c in classes] for lc in range(len(comps))]
+        exact_that = exact_t + tuple(tuple(one if v else zero for v in row) for row in lt)
+        # the order rows times one common denominator are integer rows of
+        # T, and their differences integer rows of the order subspace
+        d = lcm(*(v.denominator for col in cols for v in col))
+        cols = [[v.numerator * (d // v.denominator) for v in col] for col in cols]
         # T's rows come first, so one elimination of T_hat ranks both
-        pivots = rational.pivot_rows(exact_that)
+        pivots = rational.pivot_rows_int([*zip(*cols[1:]), *lt])
         q_tilde, q_hat = sum(1 for i in pivots if i < m), len(pivots)
-        exact_basis = tuple(map(tuple, rational.row_basis(
+        exact_basis = tuple(map(tuple, rational.row_basis_int(
             [[a - b for a, b in zip(cols[p], cols[r])] for p, r in ends])))
         basis = np.array(exact_basis, dtype=float) if exact_basis else np.zeros((0, m))
     else:

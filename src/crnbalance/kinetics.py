@@ -503,16 +503,18 @@ def _is_mass_action(kin: Kinetics, net: ReactionNetwork, reactions) -> bool:
 
 def _poly_pl_is_cf(kin: PolyPLKinetics, net: ReactionNetwork) -> bool:
     """Complex factorizability: shared-reactant reactions must agree term by
-    term in both exponent rows and positive coefficients."""
+    term in both exponent rows and positive coefficients, exactly when the
+    normalized kinetics has exact copies."""
     norm = normalize_poly_pl(kin)
-    for _, qs in net.reactions_by_reactant().items():
-        q0 = qs[0]
-        for q in qs[1:]:
-            if np.max(np.abs(norm.term_coeffs[q0] - norm.term_coeffs[q])) > _ROW_TOL:
-                return False
-            if np.max(np.abs(norm.term_orders[q0] - norm.term_orders[q])) > _ROW_TOL:
-                return False
-    return True
+    coeffs, orders = norm.exact_term_coeffs, norm.exact_term_orders
+
+    def same(q0: int, q: int) -> bool:
+        if coeffs is not None:
+            return coeffs[q0] == coeffs[q] and orders[q0] == orders[q]
+        return (np.max(np.abs(norm.term_coeffs[q0] - norm.term_coeffs[q])) <= _ROW_TOL
+                and np.max(np.abs(norm.term_orders[q0] - norm.term_orders[q])) <= _ROW_TOL)
+
+    return all(same(qs[0], q) for qs in net.reactions_by_reactant().values() for q in qs[1:])
 
 
 def _distinct_columns(cols: np.ndarray, exact: rational.Matrix | None) -> bool:
@@ -571,7 +573,7 @@ def rates_balancing_all_ones(net: ReactionNetwork) -> tuple[Fraction, ...]:
     is a strictly positive element of ker Ia; one exists iff the network is
     weakly reversible.
     """
-    v = rational.positive_kernel_vector([list(row) for row in net.ia])
+    v = rational.positive_kernel_vector_int(net.ia_int)
     if v is None:
         raise CrnError("no positive incidence kernel: network is not weakly reversible")
     return tuple(v)

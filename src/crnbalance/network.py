@@ -3,14 +3,18 @@
 Networks are stored with exact rational stoichiometry: the complex matrix Y,
 the incidence matrix Ia and the stoichiometric matrix N = Y @ Ia are nested
 tuples of Fractions, so every rank-derived quantity (dim S, deficiency,
-independence of decompositions) is an exact integer. Float copies are only
-produced on demand for the numeric solvers.
+independence of decompositions) is an exact integer. The exact eliminations
+read N and Ia as integer rows, each row times the lcm of its denominators,
+which a network scales once, on first use (`n_int`, `ia_int`); a positive
+multiple of a row changes no rank, pivot or reduced form. Float copies are
+only produced on demand for the numeric solvers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -97,14 +101,21 @@ class ReactionNetwork:
         """Indices of complexes that appear as a reactant, in index order."""
         return tuple(sorted({r.reactant for r in self.reactions}))
 
-    def y_array(self) -> np.ndarray:
-        return np.array(self.y, dtype=float)
-
     def ia_array(self) -> np.ndarray:
         return np.array(self.ia, dtype=float)
 
     def n_array(self) -> np.ndarray:
         return np.array(self.n, dtype=float)
+
+    @cached_property
+    def n_int(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of N as integer rows, for the exact eliminations."""
+        return tuple(map(tuple, rational.integer_rows(self.n)))
+
+    @cached_property
+    def ia_int(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of Ia as integers (its entries are -1, 0 and 1)."""
+        return tuple(map(tuple, rational.integer_rows(self.ia)))
 
     def reactions_by_reactant(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
@@ -343,7 +354,7 @@ def structural_invariants(net: ReactionNetwork) -> StructuralInvariants:
     # strong linkage class
     weakly_reversible = not any(outgoing)
 
-    s = rational.rank([list(row) for row in net.n])
+    s = rational.rank_int(net.n_int)
     delta = n - l - s
 
     return StructuralInvariants(
@@ -357,6 +368,7 @@ def structural_invariants(net: ReactionNetwork) -> StructuralInvariants:
 
 
 def stoichiometric_basis(net: ReactionNetwork) -> list[list[Fraction]]:
-    """Exact basis of the stoichiometric subspace S (as row vectors)."""
-    cols = rational.column_basis([list(row) for row in net.n])
-    return [list(v) for v in cols]
+    """Exact basis of the stoichiometric subspace S (as row vectors): the
+    columns of N at the pivots of its reduced form."""
+    pivots = rational.rref_int(net.n_int)[1]
+    return [[row[c] for row in net.n] for c in pivots]

@@ -2,11 +2,20 @@
 
 Ranks, kernels and positivity feasibility here back integer-valued claims
 (deficiencies, independence of decompositions, conservativity), where a
-floating-point tolerance could flip a verdict. All routines therefore work
-on `fractions.Fraction` entries and refuse floats outright; callers that
-hold float data must decide for themselves how to rationalize it.
-Elimination and the simplex scale rows to integers and pivot fraction-free,
-so no gcd is normalized until the Fractions they return are formed.
+floating-point tolerance could flip a verdict. Entries are Python ints or
+`fractions.Fraction`s; floats are refused outright, and callers that hold
+float data must decide for themselves how to rationalize it.
+
+Elimination and the simplex pivot fraction-free on integer rows, so no gcd
+is normalized until the Fractions they return are formed. An integer row is
+a row times the lcm of its denominators (`integer_rows`). A positive
+multiple of a row changes no rank, pivot or reduced form, so `pivot_rows`,
+`rank`, `rref` and `row_basis` each have a form that takes integer rows as
+they are (`pivot_rows_int`, `rank_int`, `rref_int`, `row_basis_int`), and
+the Fraction form scales its rows once and calls it. A caller that keeps
+its matrix as integer rows scales it once: a network its N and Ia, a
+T-matrix build its order rows. `positive_kernel_vector_int` reads its rows
+as the matrix itself, since its witness depends on the scale of each row.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ _ONE = Fraction(1)
 
 def frac(value) -> Fraction:
     """Coerce ints, Fractions, or strings like '3/2' to Fraction."""
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -60,17 +71,33 @@ def _scaled(row) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in row]
 
 
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (on a copy) and the pivot column indices.
+def integer_rows(mat) -> list[list[int]]:
+    """Each row of `mat` times the lcm of its denominators, as Python ints."""
+    return [_scaled(row)[1] for row in matrix(mat)]
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) on the rows scaled to
-    integers: every update pv*a - f*b is divided exactly by the previous
-    pivot, so each entry stays an integer minor and all pivot rows share the
-    last pivot d as their leading entry. Only the final entries become
-    Fractions, v/d. The reduced form is unique, so scaling rows changes
-    nothing in the result.
+
+def _fractions(rows, d: int) -> Matrix:
+    return [[Fraction(v, d) if v else _ZERO for v in row] for row in rows]
+
+
+def rref(mat) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form (on a copy) and the pivot column indices."""
+    red, pivots, d = rref_int(integer_rows(mat))
+    return _fractions(red, d), pivots
+
+
+def rref_int(rows) -> tuple[list[list[int]], list[int], int]:
+    """The reduced row echelon form of integer rows, times d, with the pivot
+    columns and d, the last pivot (1 when there is none).
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every update pv*a - f*b
+    is divided exactly by the previous pivot, so each entry stays an integer
+    minor and all pivot rows share the last pivot d as their leading entry;
+    the reduced form is the result divided by d. The reduced form is unique,
+    so scaling rows changes nothing in it. `rows` is not modified; a row it
+    returns may be one of them.
     """
-    m = [_scaled(row)[1] for row in mat]
+    m = list(rows)
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
     pivots: list[int] = []
@@ -92,7 +119,7 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
         r += 1
         if r == n_rows:
             break
-    return [[Fraction(v, prev) if v else _ZERO for v in row] for row in m], pivots
+    return m, pivots, prev
 
 
 def pivot_rows(mat) -> list[int]:
@@ -105,7 +132,12 @@ def pivot_rows(mat) -> list[int]:
     is combined only with pivot rows above it, so the first k rows give
     exactly rank(mat[:k]) of the pivots.
     """
-    rows = [_scaled(row)[1] for row in matrix(mat)]
+    return pivot_rows_int(integer_rows(mat))
+
+
+def pivot_rows_int(rows) -> list[int]:
+    """`pivot_rows` of integer rows, which it does not modify."""
+    rows = list(rows)
     index = list(range(len(rows)))
     found: list[int] = []
     prev = 1
@@ -116,8 +148,7 @@ def pivot_rows(mat) -> list[int]:
             continue
         found.append(index.pop(i))
         pv, *tail = rows.pop(i)
-        rows = [[(pv * a - row[0] * b) // prev for a, b in zip(row[1:], tail)]
-                for row in rows]
+        rows = [[(pv * a - f * b) // prev for a, b in zip(rest, tail)] for f, *rest in rows]
         prev = pv
     return found
 
@@ -125,6 +156,11 @@ def pivot_rows(mat) -> list[int]:
 def rank(mat) -> int:
     """Exact rank over the rationals: the number of pivot rows."""
     return len(pivot_rows(mat))
+
+
+def rank_int(rows) -> int:
+    """`rank` of integer rows."""
+    return len(pivot_rows_int(rows))
 
 
 def nullspace(mat) -> list[Vector]:
@@ -150,41 +186,22 @@ def column_basis(mat) -> list[Vector]:
     m = matrix(mat)
     if not m:
         return []
-    _, pivots = rref(m)
-    cols = transpose(m)
-    return [cols[c] for c in pivots]
+    pivots = rref_int([_scaled(row)[1] for row in m])[1]
+    return [[row[c] for row in m] for c in pivots]
 
 
 def row_basis(mat) -> list[Vector]:
-    """Nonzero rows of the reduced row echelon form: a basis of the row space.
-
-    Only the pivot rows are reduced; the reduced form of a row space is
-    unique, so the other rows would change nothing.
-    """
-    m = matrix(mat)
-    if not m:
-        return []
-    return rref([m[i] for i in pivot_rows(m)])[0]
+    """Nonzero rows of the reduced row echelon form: a basis of the row space."""
+    return row_basis_int(integer_rows(mat))
 
 
-def in_span(vectors: list, v) -> bool:
-    """Whether v lies in the span of the given vectors (all as rows)."""
-    base = matrix(vectors) if vectors else []
-    vec = [frac(x) for x in v]
-    if not base:
-        return all(x == 0 for x in vec)
-    return rank(base) == rank(base + [vec])
-
-
-def spans_equal(a: list, b: list) -> bool:
-    """Whether two row-vector lists span the same subspace."""
-    ma = matrix(a) if a else []
-    mb = matrix(b) if b else []
-    ra = rank(ma) if ma else 0
-    rb = rank(mb) if mb else 0
-    if ra != rb:
-        return False
-    return rank(ma + mb) == ra
+def row_basis_int(rows) -> list[Vector]:
+    """`row_basis` of integer rows. Only the pivot rows are reduced; the
+    reduced form of a row space is unique, so the other rows would change
+    nothing."""
+    rows = list(rows)
+    red, _, d = rref_int([rows[i] for i in pivot_rows_int(rows)])
+    return _fractions(red, d)
 
 
 def _phase1_feasible(a: Matrix, b: Vector) -> Vector | None:
@@ -266,10 +283,27 @@ def positive_kernel_vector(mat) -> Vector | None:
     m = matrix(mat)
     if not m:
         raise ValueError("positive kernel of an empty matrix is ambiguous")
-    n_cols = len(m[0])
-    if n_cols == 0:
+    return _positive_kernel(m, [_scaled(row) for row in m])
+
+
+def positive_kernel_vector_int(rows) -> Vector | None:
+    """`positive_kernel_vector` of the integer matrix `rows` itself.
+
+    Phase 1 minimizes the sum of the artificial variables of the rows as
+    given, so scaling a row can change the witness: pass the matrix whose
+    witness is meant (the incidence matrix Ia is one), not rows cleared of
+    denominators.
+    """
+    rows = list(rows)
+    if not rows:
+        raise ValueError("positive kernel of an empty matrix is ambiguous")
+    return _positive_kernel(rows, [(1, row) for row in rows])
+
+
+def _positive_kernel(m, scaled: list[tuple[int, list[int]]]) -> Vector | None:
+    """`positive_kernel_vector` of `m`, given each row's scale and integer row."""
+    if not m[0]:
         return None
-    scaled = [_scaled(row) for row in m]
     if any(any(row) and (min(row) >= 0 or max(row) <= 0) for _, row in scaled):
         return None
     u = _phase1_feasible(m, [Fraction(-sum(row), scale) for scale, row in scaled])

@@ -121,29 +121,40 @@ _RATE_TOL = 1e-12
 def pff_check(kin_a: Kinetics, kin_b: Kinetics, samples=None) -> PffCertificate:
     """Positive-function-factor comparison of two kinetics on one network.
 
-    Power-law pairs get the exact structural test: all rows of the order
+    Power-law pairs get the structural test: all rows of the order
     difference must coincide and the rate ratio must be constant, in which
     case the factor is the monomial (k_a/k_b) x^(common difference row).
-    Any other pair is compared on sample states: the per-reaction ratios at
-    each state must agree to relative spread 1e-9. Each kinetics is
-    evaluated once, on the stack of sample states.
+    It is exact when both kinetics carry exact orders and rates, and at a
+    1e-12 tolerance otherwise. Any other pair is compared on sample states:
+    the per-reaction ratios at each state must agree to relative spread
+    1e-9. Each kinetics is evaluated once, on the stack of sample states.
     """
     if kin_a.num_reactions != kin_b.num_reactions:
         raise DimensionMismatchError("kinetics have different reaction counts")
+    if kin_a.num_species != kin_b.num_species:
+        raise DimensionMismatchError("kinetics have different species counts")
     if isinstance(kin_a, PowerLawKinetics) and isinstance(kin_b, PowerLawKinetics):
-        diff = kin_a.orders - kin_b.orders
-        rows_match = bool(np.max(np.abs(diff - diff[0]), initial=0.0) <= _RATE_TOL)
-        ratios = kin_a.rates / kin_b.rates
-        ratio_const = bool(np.max(np.abs(ratios - ratios[0])) <=
-                           _RATE_TOL * max(1.0, abs(ratios[0])))
-        shift = diff[0]
-        kind = "constant" if np.max(np.abs(shift)) <= _RATE_TOL else "monomial"
+        if None not in (kin_a.exact_orders, kin_a.exact_rates,
+                        kin_b.exact_orders, kin_b.exact_rates):
+            diff = [[a - b for a, b in zip(fa, fb)]
+                    for fa, fb in zip(kin_a.exact_orders, kin_b.exact_orders)]
+            ratios = [a / b for a, b in zip(kin_a.exact_rates, kin_b.exact_rates)]
+            rows_match = all(row == diff[0] for row in diff)
+            ratio_const = all(v == ratios[0] for v in ratios)
+            constant = not any(diff[0])
+        else:
+            diff = kin_a.orders - kin_b.orders
+            ratios = kin_a.rates / kin_b.rates
+            rows_match = bool(np.max(np.abs(diff - diff[0]), initial=0.0) <= _RATE_TOL)
+            ratio_const = bool(np.max(np.abs(ratios - ratios[0])) <=
+                               _RATE_TOL * max(1.0, abs(ratios[0])))
+            constant = np.max(np.abs(diff[0])) <= _RATE_TOL
         return PffCertificate(
             equivalent=rows_match and ratio_const,
-            factor_kind=kind,
+            factor_kind="constant" if constant else "monomial",
             sampled_max_spread=0.0,
             rate_ratio=float(ratios[0]) if ratio_const else None,
-            order_shift=tuple(float(v) for v in shift) if rows_match else None,
+            order_shift=tuple(float(v) for v in diff[0]) if rows_match else None,
         )
     if not samples:
         raise DimensionMismatchError(

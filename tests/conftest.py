@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import crnbalance as cb
+from crnbalance import rational
 
 DATA = Path(__file__).parent / "data"
 
@@ -30,6 +31,31 @@ def bench_ladder(seed: int, r: int):
     """(network, power-law kinetics) of the benchmark's ladder generator,
     `bench/workloads.py` `ladder_power_law`, balanced at x = 1."""
     return bench_workloads().ladder_power_law(seed, r)
+
+
+def y_array(net: cb.ReactionNetwork) -> np.ndarray:
+    """The complex matrix Y as floats."""
+    return np.array(net.y, dtype=float)
+
+
+def in_span(vectors: list, v) -> bool:
+    """Whether v lies in the span of the given vectors (all as rows), exactly."""
+    base = rational.matrix(vectors) if vectors else []
+    vec = [rational.frac(x) for x in v]
+    if not base:
+        return all(x == 0 for x in vec)
+    return rational.rank(base) == rational.rank(base + [vec])
+
+
+def spans_equal(a: list, b: list) -> bool:
+    """Whether two row-vector lists span the same subspace, exactly."""
+    ma = rational.matrix(a) if a else []
+    mb = rational.matrix(b) if b else []
+    ra = rational.rank(ma) if ma else 0
+    rb = rational.rank(mb) if mb else 0
+    if ra != rb:
+        return False
+    return rational.rank(ma + mb) == ra
 
 
 @pytest.fixture(scope="session")

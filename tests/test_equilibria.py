@@ -12,7 +12,8 @@ import pytest
 import crnbalance as cb
 from crnbalance.fileformat import parse_crn
 
-from conftest import DATA, bench_ladder, bench_workloads, random_weakly_reversible_network
+from conftest import (DATA, bench_ladder, bench_workloads, random_weakly_reversible_network,
+                      y_array)
 
 CB_POINT = np.array([2.0, 2 ** 0.5 * 1.5 ** -0.25, 2 ** 0.5 * 1.5 ** 0.25])
 
@@ -63,7 +64,7 @@ def test_z_subset_e_residual_implication(ce_solutions, ma_system, ce_system):
     cfg = cb.SolveConfig()
     for system in (ce_system, ma_system):
         z = cb.solve_equilibria(system, "complex_balanced", config=cfg)
-        y_norm = float(np.max(np.sum(np.abs(system.network.y_array()), axis=1)))
+        y_norm = float(np.max(np.sum(np.abs(y_array(system.network)), axis=1)))
         for p in z.points:
             assert p.cfrf_residual <= cfg.tol
             assert p.sfrf_residual <= y_norm * cfg.tol

@@ -626,6 +626,22 @@ def test_poly_pl_cf_compares_term_orders(order, cf):
     assert cb.classify(kin, net).cf is cf
 
 
+def test_poly_pl_cf_compares_exact_coefficients():
+    # A's two reactions differ in their coefficient by 1e-13, inside the
+    # float tolerance; the exact copies tell them apart
+    net = cb.build_network(["A", "B"], [[1, 0], [0, 1], [0, 2]], [(0, 1), (0, 2), (1, 0)])
+    close = Fraction(10 ** 13 + 1, 10 ** 13)
+    kin = cb.poly_pl([[(1, (1, 0))], [(close, (1, 0))], [(1, (0, 1))]], [1, 1, 1])
+    assert kin.exact_term_coeffs is not None
+    assert cb.classify(kin, net).cf is False
+    same = cb.poly_pl([[(1, (1, 0))], [(1, (1, 0))], [(1, (0, 1))]], [1, 1, 1])
+    assert cb.classify(same, net).cf is True
+    # without exact copies the tolerance decides
+    decimal = cb.poly_pl([[(0.1, (1, 0))], [(0.1 + 1e-13, (1, 0))], [(1, (0, 1))]], [1, 1, 1])
+    assert decimal.exact_term_coeffs is None
+    assert cb.classify(decimal, net).cf is True
+
+
 @pytest.mark.parametrize("order, surjective", [("0.5", False), ("0.25", True)])
 def test_factor_span_compares_decimal_kinetic_complexes(order, surjective):
     net, kin = parse_crn("species A B\nr1: A -> B rate 1\nr2: B -> A rate 1\n"

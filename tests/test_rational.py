@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from crnbalance import rational
 from crnbalance.rational import Matrix, Vector
 
+from conftest import in_span, spans_equal
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -286,6 +288,50 @@ def test_row_basis_reduces_only_the_pivot_rows(mat):
     assert rational.row_basis(mat) == oracle_row_basis(mat)
 
 
+@st.composite
+def multiplied_integer_rows(draw):
+    """A `rational_matrices` matrix and its integer rows, each row then
+    multiplied by a drawn positive integer."""
+    mat = draw(rational_matrices())
+    factors = draw(st.lists(st.one_of(st.integers(1, 12), st.integers(1, 10 ** 30)),
+                            min_size=len(mat), max_size=len(mat)))
+    return mat, [[f * v for v in row] for f, row in zip(factors, rational.integer_rows(mat))]
+
+
+@given(multiplied_integer_rows())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_integer_paths_match_the_fraction_path(pair):
+    mat, rows = pair
+    given_rows = [row[:] for row in rows]
+    red, pivots = rational.rref(mat)
+    assert (red, pivots) == oracle_rref(rational.matrix(mat))
+    red_int, pivots_int, d = rational.rref_int(rows)
+    assert pivots_int == pivots
+    assert [[Fraction(v, d) for v in row] for row in red_int] == red
+    assert rational.pivot_rows_int(rows) == rational.pivot_rows(mat)
+    assert rational.rank_int(rows) == rational.rank(mat) == len(pivots)
+    assert rational.row_basis_int(rows) == rational.row_basis(mat)
+    assert rational.column_basis(mat) == [[row[c] for row in rational.matrix(mat)]
+                                          for c in pivots_int]
+    assert rows == given_rows
+
+
+@given(small_matrices)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_integer_kernel_path_matches_the_fraction_path(mat):
+    z = rational.positive_kernel_vector_int(tuple(map(tuple, mat)))
+    assert z == rational.positive_kernel_vector(mat) == oracle_positive_kernel_vector(mat)
+
+
+def test_integer_rows_clear_each_row_once():
+    rows = rational.integer_rows([[Fraction(1, 2), Fraction(2, 3), 0], [3, "5/7", 1], [0, 0, 0]])
+    assert rows == [[3, 4, 0], [21, 5, 7], [0, 0, 0]]
+    assert all(type(v) is int for row in rows for v in row)
+    assert type(rational.frac(7)) is Fraction and rational.frac(True) == 1
+    with pytest.raises(TypeError):
+        rational.integer_rows([[1, 0.5]])
+
+
 def test_rank_examples():
     n_re1 = [[-1, 1, -1, 1, -1, 1, -1, 1],
              [1, -1, 1, -1, 0, 0, 0, 0],
@@ -347,16 +393,16 @@ def test_column_and_row_basis_span():
     cols = rational.column_basis(m)
     assert len(cols) == rational.rank(m) == 2
     rows = rational.row_basis(m)
-    assert rational.spans_equal(rows, [[1, 2, 3], [0, 1, 1]])
+    assert spans_equal(rows, [[1, 2, 3], [0, 1, 1]])
 
 
 def test_in_span_and_spans_equal():
-    assert rational.in_span([[1, 0, 0], [0, 1, 0]], [3, -2, 0])
-    assert not rational.in_span([[1, 0, 0]], [0, 1, 0])
-    assert rational.spans_equal([[1, 1]], [[2, 2]])
-    assert not rational.spans_equal([[1, 1]], [[1, 0]])
-    assert rational.in_span([], [0, 0])
-    assert not rational.in_span([], [1, 0])
+    assert in_span([[1, 0, 0], [0, 1, 0]], [3, -2, 0])
+    assert not in_span([[1, 0, 0]], [0, 1, 0])
+    assert spans_equal([[1, 1]], [[2, 2]])
+    assert not spans_equal([[1, 1]], [[1, 0]])
+    assert in_span([], [0, 0])
+    assert not in_span([], [1, 0])
 
 
 def test_positive_kernel_examples():

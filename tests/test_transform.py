@@ -1,5 +1,7 @@
 """Replica transform, PFF comparison, denominator-clearing association."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,29 @@ def test_pff_rejects_non_equivalent(counterexample):
     bent = kin.orders.copy()
     bent[0, 0] += 1
     assert not cb.pff_check(cb.power_law(bent, kin.rates), kin).equivalent
+
+
+def test_pff_compares_exact_rates_and_orders():
+    # the third rates differ by 1e-13, inside the float tolerance
+    orders = [[1, 0], [0, 1], [1, 1]]
+    a = cb.power_law(orders, [1, 1, 1])
+    b = cb.power_law(orders, [1, 1, Fraction(10 ** 13 + 1, 10 ** 13)])
+    cert = cb.pff_check(a, b)
+    assert not cert.equivalent and cert.rate_ratio is None
+    assert cert.order_shift == (0.0, 0.0)
+    # the orders differ by 1e-13 in one row only
+    bent = cb.power_law([[1, 0], [0, 1], [1, Fraction(10 ** 13 + 1, 10 ** 13)]], [1, 1, 1])
+    cert = cb.pff_check(a, bent)
+    assert cert.rate_ratio == 1.0 and cert.order_shift is None and not cert.equivalent
+    shifted = cb.power_law([[2, Fraction(-1, 3)], [1, Fraction(2, 3)], [2, Fraction(2, 3)]],
+                           [Fraction(1, 3)] * 3)
+    cert = cb.pff_check(shifted, a)
+    assert cert.equivalent and cert.factor_kind == "monomial"
+    assert cert.rate_ratio == float(Fraction(1, 3))
+    assert cert.order_shift == (1.0, float(Fraction(-1, 3)))
+    # exact rows of different lengths are refused, not compared up to the shorter
+    with pytest.raises(cb.DimensionMismatchError):
+        cb.pff_check(a, cb.power_law([[1, 0, 0], [0, 1, 0], [1, 1, 0]], [1, 1, 1]))
 
 
 def test_pff_is_equivalence_relation(counterexample):
