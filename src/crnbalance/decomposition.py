@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rational
-from .network import (Complex, CrnError, Reaction, ReactionNetwork,
-                      StructuralInvariants, structural_invariants)
+from .network import Complex, CrnError, Reaction, ReactionNetwork, structural_invariants
 
 
 class EmptySelectionError(CrnError):
@@ -126,15 +125,10 @@ def decompose(net: ReactionNetwork, parts) -> Decomposition:
     return Decomposition(cleaned, _summaries(net, cleaned, {}))
 
 
-def check_decomposition(net: ReactionNetwork, parts,
-                        inv: StructuralInvariants | None = None) -> IndependenceVerdict:
-    """Independence / incidence independence / bi-independence, exactly.
-
-    `inv` is the structural invariants of `net`, if already known.
-    """
+def check_decomposition(net: ReactionNetwork, parts) -> IndependenceVerdict:
+    """Independence / incidence independence / bi-independence, exactly."""
     deco = decompose(net, parts)
-    if inv is None:
-        inv = structural_invariants(net)
+    inv = structural_invariants(net)
     s_sum = sum(p.s for p in deco.summaries)
     im_sum = sum(p.n - p.l for p in deco.summaries)
     independent = (inv.s == s_sum)

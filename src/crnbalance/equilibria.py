@@ -99,8 +99,7 @@ class KineticSystem:
 
     @cached_property
     def linkage_verdict(self) -> IndependenceVerdict:
-        inv = self.invariants
-        return check_decomposition(self.network, inv.linkage_partition, inv)
+        return check_decomposition(self.network, self.invariants.linkage_partition)
 
     @cached_property
     def n_float(self) -> np.ndarray:

@@ -7,6 +7,12 @@ give the kinetic reactant rank and the kinetic reactant deficiency
 delta_hat = n_r - rank(T_hat); delta_hat = 0 is the maximal-rank property
 that guarantees unconditional complex balancing on weakly reversible
 networks. Ranks are exact whenever the kinetic orders are rational.
+
+Exact ranks and the kinetic order subspace S~ come from one elimination of
+n_r rows. The differences t_c - t_first of the columns of T within each
+linkage class span T(ker L^T), so rank T_hat = l + their rank; S~ is
+T(ker L^T) plus the columns t_c of the classes with a reaction into a
+non-reactant complex, whose zero column makes each such t_c a difference.
 """
 
 from __future__ import annotations
@@ -64,9 +70,17 @@ def build_t_matrices(net: ReactionNetwork, kin: PowerLawKinetics) -> TMatrices:
     class of each reactant complex, and the T column (from 1; 0 is the zero
     column) of each reaction's product and reactant. Floats are gathered from
     `kin.orders`, exact rows from `kin.exact_orders`, which also make the ranks
-    and basis exact; without them those come from singular values. The exact
-    ranks and basis are eliminated from integer rows, cleared of
-    denominators once per build.
+    and basis exact; without them those come from singular values.
+
+    The exact facts come from one `pivot_rows_int` pass over n_r integer
+    rows (the order rows times one common denominator), stacked as: t_c -
+    t_first for every column that is not the first of its linkage class;
+    t_first of each class with a reaction into a non-reactant complex;
+    t_first of each other class. The pivots among the first k rows are a
+    basis of those rows, so q_hat = l + the pivots in the first block,
+    q_tilde = all pivots, and the reduced form of the pivot rows of the
+    first two blocks is the basis of S~. On cycle-terminal networks the
+    second block is empty and delta_hat = n - l - dim S~.
     """
     if not _is_pl_rdk(kin, net):
         raise NotRDKError(
@@ -88,19 +102,31 @@ def build_t_matrices(net: ReactionNetwork, kin: PowerLawKinetics) -> TMatrices:
     exact_t = exact_that = exact_basis = None
     if kin.exact_orders is not None:
         zero, one = Fraction(0), Fraction(1)
-        cols = [(zero,) * m] + [kin.exact_orders[q] for q in rows]
-        exact_t = tuple(zip(*cols[1:]))
-        lt = [[int(c == lc) for c in classes] for lc in range(len(comps))]
-        exact_that = exact_t + tuple(tuple(one if v else zero for v in row) for row in lt)
-        # the order rows times one common denominator are integer rows of
-        # T, and their differences integer rows of the order subspace
-        d = lcm(*(v.denominator for col in cols for v in col))
-        cols = [[v.numerator * (d // v.denominator) for v in col] for col in cols]
-        # T's rows come first, so one elimination of T_hat ranks both
-        pivots = rational.pivot_rows_int([*zip(*cols[1:]), *lt])
-        q_tilde, q_hat = sum(1 for i in pivots if i < m), len(pivots)
-        exact_basis = tuple(map(tuple, rational.row_basis_int(
-            [[a - b for a, b in zip(cols[p], cols[r])] for p, r in ends])))
+        exact_t = tuple(zip(*(kin.exact_orders[q] for q in rows)))
+        exact_that = exact_t + tuple(tuple(one if c == lc else zero for c in classes)
+                                     for lc in range(len(comps)))
+        # the order rows times one common denominator are integer rows of T
+        d = lcm(*(v.denominator for q in rows for v in kin.exact_orders[q]))
+        cols = [[v.numerator * (d // v.denominator) for v in kin.exact_orders[q]]
+                for q in rows]
+        # one row per reactant column: t_c - t_first for each column that is
+        # not the first of its class, then t_first of each class with a
+        # reaction into a non-reactant complex, then the other firsts
+        first = {}
+        for col, lc in enumerate(classes):
+            first.setdefault(lc, col)
+        draining = {classes[r - 1] for p, r in ends if not p}
+        stack = [[a - b for a, b in zip(cols[col], cols[first[lc]])]
+                 for col, lc in enumerate(classes) if first[lc] != col]
+        block1, block2 = len(stack), len(stack) + len(draining)
+        stack += [cols[col] for lc, col in first.items() if lc in draining]
+        stack += [cols[col] for lc, col in first.items() if lc not in draining]
+        # every pivot row is a row plus earlier pivot rows, so the pivots
+        # among the first k rows are a basis of those rows
+        pivots = rational.pivot_rows_int(stack)
+        q_tilde, q_hat = len(pivots), len(comps) + sum(1 for i in pivots if i < block1)
+        red, _, den = rational.rref_int([stack[i] for i in pivots if i < block2])
+        exact_basis = tuple(tuple(Fraction(v, den) if v else zero for v in row) for row in red)
         basis = np.array(exact_basis, dtype=float) if exact_basis else np.zeros((0, m))
     else:
         q_tilde, q_hat = linalg.numeric_rank(t), linalg.numeric_rank(that)

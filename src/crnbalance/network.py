@@ -326,8 +326,13 @@ def is_conservative(net: ReactionNetwork) -> tuple[bool, tuple[Fraction, ...] | 
 def structural_invariants(net: ReactionNetwork) -> StructuralInvariants:
     """All scalar invariants and class partitions of the reaction graph.
 
-    Conservativity needs a simplex, so it is left to `is_conservative`.
+    Conservativity needs a simplex, so it is left to `is_conservative`. The
+    result is kept on the network, as its integer rows are, so a later call
+    on the same network returns it without ranking N again.
     """
+    kept = vars(net).get("invariants")
+    if kept is not None:
+        return kept
     m, n, r = net.num_species, net.num_complexes, net.num_reactions
     n_r = len(net.reactant_complexes)
 
@@ -357,7 +362,7 @@ def structural_invariants(net: ReactionNetwork) -> StructuralInvariants:
     s = rational.rank_int(net.n_int)
     delta = n - l - s
 
-    return StructuralInvariants(
+    vars(net)["invariants"] = inv = StructuralInvariants(
         m=m, n=n, n_r=n_r, r=r, l=l, sl=sl, t=t, s=s, delta=delta,
         weakly_reversible=weakly_reversible,
         t_minimal=(t == l),
@@ -365,6 +370,7 @@ def structural_invariants(net: ReactionNetwork) -> StructuralInvariants:
         linkage_partition=linkage_partition,
         terminal_classes=terminal,
     )
+    return inv
 
 
 def stoichiometric_basis(net: ReactionNetwork) -> list[list[Fraction]]:

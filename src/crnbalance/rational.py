@@ -28,7 +28,6 @@ Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def frac(value) -> Fraction:
@@ -56,13 +55,6 @@ def matrix(rows) -> Matrix:
 
 def transpose(mat: Matrix) -> Matrix:
     return [list(col) for col in zip(*mat)] if mat else []
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def _scaled(row) -> tuple[int, list[int]]:
@@ -163,33 +155,6 @@ def rank_int(rows) -> int:
     return len(pivot_rows_int(rows))
 
 
-def nullspace(mat) -> list[Vector]:
-    """Basis of the right kernel {v : mat v = 0}."""
-    m = matrix(mat)
-    if not m:
-        raise ValueError("nullspace of an empty matrix is ambiguous")
-    n_cols = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [_ZERO] * n_cols
-        v[fc] = _ONE
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -red[row_idx][fc]
-        basis.append(v)
-    return basis
-
-
-def column_basis(mat) -> list[Vector]:
-    """Columns of `mat` at the pivot positions: a basis of the column space."""
-    m = matrix(mat)
-    if not m:
-        return []
-    pivots = rref_int([_scaled(row)[1] for row in m])[1]
-    return [[row[c] for row in m] for c in pivots]
-
-
 def row_basis(mat) -> list[Vector]:
     """Nonzero rows of the reduced row echelon form: a basis of the row space."""
     return row_basis_int(integer_rows(mat))
@@ -204,31 +169,28 @@ def row_basis_int(rows) -> list[Vector]:
     return _fractions(red, d)
 
 
-def _phase1_feasible(a: Matrix, b: Vector) -> Vector | None:
-    """Solve A u = b with u >= 0 via a phase-1 simplex (Bland's rule).
+def _phase1_feasible(scaled: list[tuple[int, list[int]]]) -> Vector | None:
+    """Solve A u = b with u >= 0 via a phase-1 simplex (Bland's rule), given
+    each row of [A | b] as its scale L_i, the lcm of its denominators, and
+    the row times L_i as integers.
 
     Returns one feasible u, or None. Bland's pivoting rule guarantees
-    termination. The tableau is pivoted in integers (Edmonds): row i of
-    [A | b] is scaled by the lcm L_i of its denominators, and each update
-    pv*x - f*y is divided exactly by the previous pivot `det`, the
-    determinant of the current basis, so the exact tableau is T / det with
-    row i scaled by L_i while artificial i is basic. Row scaling leaves every
-    ratio and sign unchanged, and the reduced-cost row starts as
-    sum_i (L / L_i) T_i, L = lcm(L_i): L times the unscaled one. So the pivot
-    sequence and the solution are those of the simplex over Fractions. The
-    artificial columns are not stored: no pivot and no entry of u reads them.
+    termination. The tableau is pivoted in integers (Edmonds): row i is
+    [A | b] times L_i, and each update pv*x - f*y is divided exactly by the
+    previous pivot `det`, the determinant of the current basis, so the exact
+    tableau is T / det with row i scaled by L_i while artificial i is basic.
+    Row scaling leaves every ratio and sign unchanged, and the reduced-cost
+    row starts as sum_i (L / L_i) T_i, L = lcm(L_i): L times the unscaled
+    one. So the pivot sequence and the solution are those of the simplex
+    over Fractions. The artificial columns are not stored: no pivot and no
+    entry of u reads them.
     """
-    n_rows = len(a)
-    n_cols = len(a[0]) if n_rows else 0
-    if n_rows == 0:
+    if not scaled:
         return []
+    n_rows, n_cols = len(scaled), len(scaled[0][1]) - 1
     # Tableau [A | b] with b >= 0; artificial variable i has basis label n_cols+i.
-    scales: list[int] = []
-    tab: list[list[int]] = []
-    for row_a, rhs in zip(a, b):
-        scale, row = _scaled(list(row_a) + [rhs])
-        scales.append(scale)
-        tab.append([-v for v in row] if rhs < 0 else row)
+    scales = [scale for scale, _ in scaled]
+    tab = [[-v for v in row] if row[-1] < 0 else row for _, row in scaled]
     basis = [n_cols + i for i in range(n_rows)]
     total = n_cols
     common = lcm(*scales)
@@ -277,13 +239,14 @@ def positive_kernel_vector(mat) -> Vector | None:
     No z > 0 is orthogonal to a nonzero row of a single sign, so such a row
     answers None at once. Otherwise positivity is scale invariant, so it
     suffices to search z >= 1; substituting z = 1 + u reduces the question
-    to phase-1 feasibility of A u = -A 1 with u >= 0. The right-hand side
-    and the check of the witness use the rows scaled to integers.
+    to phase-1 feasibility of A u = -A 1 with u >= 0. Each row is scaled
+    to integers once; the sign screen, the simplex tableau and the check of
+    the witness all read those rows.
     """
     m = matrix(mat)
     if not m:
         raise ValueError("positive kernel of an empty matrix is ambiguous")
-    return _positive_kernel(m, [_scaled(row) for row in m])
+    return _positive_kernel([_scaled(row) for row in m])
 
 
 def positive_kernel_vector_int(rows) -> Vector | None:
@@ -297,16 +260,18 @@ def positive_kernel_vector_int(rows) -> Vector | None:
     rows = list(rows)
     if not rows:
         raise ValueError("positive kernel of an empty matrix is ambiguous")
-    return _positive_kernel(rows, [(1, row) for row in rows])
+    return _positive_kernel([(1, row) for row in rows])
 
 
-def _positive_kernel(m, scaled: list[tuple[int, list[int]]]) -> Vector | None:
-    """`positive_kernel_vector` of `m`, given each row's scale and integer row."""
-    if not m[0]:
+def _positive_kernel(scaled: list[tuple[int, list[int]]]) -> Vector | None:
+    """`positive_kernel_vector` of a matrix given as each row's scale and
+    integer row."""
+    if not scaled[0][1]:
         return None
     if any(any(row) and (min(row) >= 0 or max(row) <= 0) for _, row in scaled):
         return None
-    u = _phase1_feasible(m, [Fraction(-sum(row), scale) for scale, row in scaled])
+    # b = -A 1, so row i of [A | b] times L_i is the integer row and minus its sum
+    u = _phase1_feasible([(scale, [*row, -sum(row)]) for scale, row in scaled])
     if u is None:
         return None
     z = [v + 1 for v in u]

@@ -1,6 +1,7 @@
 """Shared fixtures: the worked example systems and random network generators."""
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,40 @@ def spans_equal(a: list, b: list) -> bool:
     if ra != rb:
         return False
     return rational.rank(ma + mb) == ra
+
+
+def matmul(a: list, b: list) -> list:
+    """The product of two exact matrices, as lists of rows."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("dimension mismatch")
+    bt = rational.transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def nullspace(mat) -> list:
+    """Basis of the right kernel {v : mat v = 0}, exactly."""
+    m = rational.matrix(mat)
+    if not m:
+        raise ValueError("nullspace of an empty matrix is ambiguous")
+    n_cols = len(m[0])
+    red, pivots = rational.rref(m)
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        v = [Fraction(0)] * n_cols
+        v[fc] = Fraction(1)
+        for row_idx, pc in enumerate(pivots):
+            v[pc] = -red[row_idx][fc]
+        basis.append(v)
+    return basis
+
+
+def column_basis(mat) -> list:
+    """Columns of `mat` at the pivot positions: a basis of the column space."""
+    m = rational.matrix(mat)
+    if not m:
+        return []
+    pivots = rational.rref_int(rational.integer_rows(m))[1]
+    return [[row[c] for row in m] for c in pivots]
 
 
 @pytest.fixture(scope="session")

@@ -347,20 +347,27 @@ def test_solver_settings_out_of_range_are_analysis_errors(option, value, field):
 
 
 def test_starmsc_computes_each_networks_invariants_once(monkeypatch):
-    calls = []
-    real = crnbalance.network.structural_invariants
+    calls, ranked = [], []
+    real, real_rank = crnbalance.network.structural_invariants, crnbalance.rational.rank_int
 
     def counted(net):
         calls.append(net)
         return real(net)
 
+    def counted_rank(rows):
+        ranked.append(rows)
+        return real_rank(rows)
+
     for module in (crnbalance.network, crnbalance.equilibria, crnbalance.decomposition):
         monkeypatch.setattr(module, "structural_invariants", counted)
+    monkeypatch.setattr(crnbalance.rational, "rank_int", counted_rank)
     report, _ = run_json(["starmsc", data_path("mm_polypl.crn")])
     assert report["transform"]["computed_deficiency"] == 4
-    # the source, the replica and the three parts of the replica decomposition
-    assert len(calls) == 5
+    # the source, the replica and the three parts of the replica decomposition;
+    # the replica's decomposition check reads the invariants kept on it
     assert len({id(net) for net in calls}) == 5
+    assert len(calls) == 6
+    assert len(ranked) == 5
 
 
 def test_starmsc_deviation_matches_the_per_state_loop(monkeypatch):

@@ -744,19 +744,27 @@ def test_analyze_acb_computes_invariants_and_classification_once(monkeypatch, ce
 
 def test_ladder_analysis_computes_network_invariants_once(monkeypatch):
     net, kin = bench_ladder(3, 12)
-    calls = []
-    real = cb.network.structural_invariants
+    calls, ranked = [], []
+    real, real_rank = cb.network.structural_invariants, cb.rational.rank_int
 
     def counted(arg):
         calls.append(arg is net)
         return real(arg)
 
+    def counted_rank(rows):
+        ranked.append(rows is net.n_int)
+        return real_rank(rows)
+
     for module in (cb.network, cb.equilibria, cb.decomposition):
         monkeypatch.setattr(module, "structural_invariants", counted)
+    monkeypatch.setattr(cb.rational, "rank_int", counted_rank)
     analysis = cb.analyze_acb(cb.KineticSystem(net, kin), cb.SolveConfig(seeds=16))
     assert len(analysis.system.invariants.linkage_partition) >= 2
     assert analysis.decomposition is not None
-    assert calls.count(True) == 1
+    # the system asks once and its linkage check once more, which reads the
+    # invariants kept on the network: N is ranked once
+    assert calls.count(True) == 2
+    assert ranked.count(True) == 1
 
 
 def test_decomposition_evidence_decomposes_once(monkeypatch, re1_massaction):
@@ -778,9 +786,9 @@ def test_decomposition_evidence_decomposes_once(monkeypatch, re1_massaction):
 
 def test_check_decomposition_returns_the_part_summaries(re1_net):
     parts = cb.linkage_class_parts(re1_net)
-    verdict = cb.check_decomposition(re1_net, parts, cb.structural_invariants(re1_net))
+    verdict = cb.check_decomposition(re1_net, parts)
     assert verdict.summaries == cb.decompose(re1_net, parts).summaries
-    assert verdict == cb.check_decomposition(re1_net, parts)
+    assert verdict.deficiency == cb.structural_invariants(re1_net).delta
 
 
 def test_hill_parts_are_solved():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crnbalance as cb
 from crnbalance import linalg, rational
@@ -104,12 +106,20 @@ def test_rank_bounds(re1_powerlaw, counterexample, toy_pl_tik):
 
 def test_one_elimination_gives_the_ranks_of_t_and_t_hat(re1_powerlaw, re1_massaction,
                                                        counterexample, toy_pl_tik):
+    """One pass over the row stack (the within-class differences t_c -
+    t_first, then the first column of each class with a reaction into a
+    non-reactant complex, then the other first columns) ranks T by all its
+    pivots and T_hat = [T; L^T] by l plus the pivots among the differences;
+    on cycle-terminal networks delta_hat = n - l - dim S~."""
     systems = [re1_powerlaw, re1_massaction, counterexample, toy_pl_tik]
     systems += [bench_ladder(seed, r) for seed, r in ((3, 12), (2, 24), (0, 60))]
     for net, kin in systems:
         t = cb.build_t_matrices(net, kin)
         assert t.q_tilde == rational.rank(t.exact_t)
         assert t.q_hat == rational.rank(t.exact_that)
+        inv = cb.structural_invariants(net)
+        assert inv.cycle_terminal
+        assert t.delta_hat == inv.n - inv.l - len(t.exact_s_tilde_basis)
 
 
 def test_order_subspace_mass_action_equals_stoichiometric(re1_massaction):
@@ -293,9 +303,37 @@ def _rdk_orders(net, rng, kind):
     return [rows[rx.reactant] for rx in net.reactions]
 
 
+# (complexes over X, Y, Z; reactions), one for each block of the row stack
+STACK_NETWORKS = {
+    # the class {X, Y, Z} has one reactant complex, which reacts only into
+    # non-reactant complexes; the class {X + Y, 2Z} has no such reaction
+    "drain-only": ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, 2]],
+                   [(0, 1), (0, 2), (3, 4), (4, 3)]),
+    # X -> Y <- Z: two reactant complexes joined only through a product
+    "joined-by-product": ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [(0, 1), (2, 1)]),
+    # several reactions on one reactant complex, one cycle-terminal class
+    "star": ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1]],
+             [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)]),
+    # a single linkage class that drains into 2Z
+    "single-class": ([[2, 0, 0], [1, 1, 0], [0, 2, 0], [0, 0, 2]],
+                     [(0, 1), (1, 2), (2, 0), (2, 3)]),
+}
+
+
+def _stack_systems(rng):
+    """Each of `STACK_NETWORKS` with integer, p/q and float orders, and with
+    one order row on every reaction, so that every difference is zero."""
+    for complexes, reactions in STACK_NETWORKS.values():
+        net = cb.build_network(["X", "Y", "Z"], complexes, reactions)
+        for kind in ("int", "frac", "float"):
+            yield net, cb.power_law(_rdk_orders(net, rng, kind), [1] * net.num_reactions)
+        yield net, cb.power_law([["1/2", 1, 0]] * net.num_reactions, [1] * net.num_reactions)
+
+
 def test_t_matrices_equal_the_parent_build(request):
     systems = [request.getfixturevalue(name) for name in (
         "re1_powerlaw", "re1_massaction", "counterexample", "toy_pl_tik")]
+    systems += _stack_systems(np.random.default_rng(24))
     systems += [parse_crn(data_path(f"{name}.crn").read_text()) for name in (
         "counterexample", "re1_massaction", "re1_powerlaw", "decimal_powerlaw")]
     systems += [bench_ladder(seed, r) for seed, r in
@@ -327,3 +365,54 @@ def test_t_matrices_equal_the_parent_build(request):
         zero_columns += sub.not_cycle_terminal
         numeric += not new.ranks_exact
     assert len(systems) >= 60 and zero_columns >= 10 and numeric >= 10
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["int", "frac"]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_row_stack_matches_the_parent_build_on_random_networks(seed, kind):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng)
+    kin = cb.power_law(_rdk_orders(net, rng, kind), [1] * net.num_reactions)
+    new, old = cb.build_t_matrices(net, kin), _parent_build_t_matrices(net, kin)
+    for name in ("q_tilde", "q_hat", "delta_hat"):
+        assert getattr(new, name) == getattr(old, name), name
+    assert new.exact_s_tilde_basis == tuple(map(tuple, old.exact_s_tilde_basis))
+    assert new.s_tilde_basis.tobytes() == old.s_tilde_basis.tobytes()
+    inv = cb.structural_invariants(net)
+    assert new.q_hat <= new.q_tilde + inv.l
+    if inv.cycle_terminal:
+        assert new.delta_hat == inv.n - inv.l - len(new.exact_s_tilde_basis)
+
+
+def test_an_exact_build_runs_one_elimination(monkeypatch, re1_powerlaw, counterexample):
+    calls = {"pivot_rows_int": 0, "rref_int": 0}
+    for name in calls:
+        real = getattr(rational, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(rational, name, counted)
+    for net, kin in (re1_powerlaw, counterexample, bench_ladder(0, 40)):
+        calls.update(pivot_rows_int=0, rref_int=0)
+        cb.build_t_matrices(net, kin)
+        assert calls == {"pivot_rows_int": 1, "rref_int": 1}
+
+
+def test_structural_invariants_are_kept_on_the_network(monkeypatch):
+    net = cb.build_network(["X", "Y", "Z"], *STACK_NETWORKS["drain-only"])
+    ranked = []
+    real = rational.rank_int
+
+    def counted(rows):
+        ranked.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(rational, "rank_int", counted)
+    assert cb.structural_invariants(net) is cb.structural_invariants(net)
+    parts = cb.linkage_class_parts(net)
+    verdict = cb.check_decomposition(net, parts)
+    assert verdict.deficiency == cb.structural_invariants(net).delta
+    # N of the network is ranked once; each part ranks its own rows
+    assert [rows is net.n_int for rows in ranked] == [True] + [False] * len(parts)

@@ -11,7 +11,8 @@ from crnbalance import rational
 from crnbalance.fileformat import parse_crn
 from crnbalance.network import _strongly_connected_components
 
-from conftest import DATA, random_network, random_weakly_reversible_network, spans_equal
+from conftest import (DATA, matmul, nullspace, random_network, random_weakly_reversible_network,
+                      spans_equal)
 
 Y_PRINTED = [[2, 1, 0, 2, 1, 0], [0, 1, 2, 0, 0, 0], [0, 0, 0, 1, 2, 3]]
 IA_PRINTED = [[-1, 1, 0, 0, 0, 0, 0, 0],
@@ -25,7 +26,7 @@ IA_PRINTED = [[-1, 1, 0, 0, 0, 0, 0, 0],
 def test_re1_matrices_exact(re1_net):
     assert [[int(v) for v in row] for row in re1_net.y] == Y_PRINTED
     assert [[int(v) for v in row] for row in re1_net.ia] == IA_PRINTED
-    n_mat = rational.matmul([list(r) for r in re1_net.y], [list(r) for r in re1_net.ia])
+    n_mat = matmul([list(r) for r in re1_net.y], [list(r) for r in re1_net.ia])
     assert n_mat == [list(r) for r in re1_net.n]
 
 
@@ -104,8 +105,8 @@ def test_conservativity_examples(counterexample):
 def test_kernel_dimension_identities(re1_net, counterexample):
     for net in (re1_net, counterexample[0]):
         inv = cb.structural_invariants(net)
-        ker_ia = len(rational.nullspace([list(r) for r in net.ia]))
-        ker_n = len(rational.nullspace([list(r) for r in net.n]))
+        ker_ia = len(nullspace([list(r) for r in net.ia]))
+        ker_n = len(nullspace([list(r) for r in net.n]))
         assert ker_ia == inv.r - (inv.n - inv.l)
         assert ker_n == ker_ia + inv.delta
 
@@ -234,3 +235,13 @@ def test_conservation_matches_the_old_invariant_fields(monkeypatch):
         assert cb.is_conservative(net) == expected
         monkeypatch.undo()
     assert conservative == {True, False}
+
+
+def test_conservativity_scales_each_row_once(monkeypatch, re1_net):
+    calls = []
+    real = rational._scaled
+    monkeypatch.setattr(rational, "_scaled", lambda row: calls.append(row) or real(row))
+    conservative, witness = cb.is_conservative(re1_net)
+    assert conservative and witness is not None
+    # each of the r rows of N^T for the screen and the tableau, then the witness
+    assert len(calls) == re1_net.num_reactions + 1

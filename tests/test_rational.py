@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from crnbalance import rational
 from crnbalance.rational import Matrix, Vector
 
-from conftest import in_span, spans_equal
+from conftest import column_basis, in_span, nullspace, spans_equal
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -188,12 +188,17 @@ def test_rref_matches_fraction_oracle(mat):
 @given(rational_matrices())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_rank_nullspace_row_basis_match_fraction_oracle(mat):
-    rank, nullspace, row_basis = (rational.rank(mat), rational.nullspace(mat),
-                                  rational.row_basis(mat))
+    rank, kernel, row_basis = rational.rank(mat), nullspace(mat), rational.row_basis(mat)
     with mock.patch.object(rational, "rref", oracle_rref):
         assert rank == len(oracle_rref(mat)[1])
-        assert nullspace == rational.nullspace(mat)
+        assert kernel == nullspace(mat)
         assert row_basis == rational.row_basis(mat)
+
+
+def phase1_rows(a, b) -> list[tuple[int, list[int]]]:
+    """[A | b] as `rational._phase1_feasible` takes it: each row's lcm of
+    denominators and the row times it, as integers."""
+    return [rational._scaled([*row, rhs]) for row, rhs in zip(rational.matrix(a), b)]
 
 
 @given(rational_matrices(), st.data())
@@ -201,7 +206,7 @@ def test_rank_nullspace_row_basis_match_fraction_oracle(mat):
 def test_simplex_gives_the_fraction_oracle_witness(mat, data):
     assert rational.positive_kernel_vector(mat) == oracle_positive_kernel_vector(mat)
     b = data.draw(st.lists(_fractions, min_size=len(mat), max_size=len(mat)))
-    assert rational._phase1_feasible(mat, b) == oracle_phase1_feasible(mat, b)
+    assert rational._phase1_feasible(phase1_rows(mat, b)) == oracle_phase1_feasible(mat, b)
 
 
 @given(screened_matrices())
@@ -211,9 +216,9 @@ def test_sign_screen_matches_the_fraction_oracle(mat):
     single_sign = any(any(row) and (min(row) >= 0 or max(row) <= 0) for row in mat)
     real, calls = rational._phase1_feasible, []
 
-    def counting(a, b):
-        calls.append(b)
-        return real(a, b)
+    def counting(scaled):
+        calls.append([(scale, row[:]) for scale, row in scaled])
+        return real(scaled)
 
     with mock.patch.object(rational, "_phase1_feasible", counting):
         z = rational.positive_kernel_vector(mat)
@@ -221,14 +226,16 @@ def test_sign_screen_matches_the_fraction_oracle(mat):
     if single_sign:
         assert z is None and not calls
     else:
-        assert len(calls) == 1
+        # the rows scaled once for the screen are the tableau of [A | -A 1]
+        m = rational.matrix(mat)
+        assert calls == [phase1_rows(m, [-sum(row) for row in m])]
 
 
 @pytest.mark.parametrize("mat", RATIO_TIES)
 def test_ratio_ties_break_on_the_basis_label(mat):
     m = rational.matrix(mat)
     b = [-sum(row) for row in m]
-    u = rational._phase1_feasible(m, b)
+    u = rational._phase1_feasible(phase1_rows(m, b))
     assert u == oracle_phase1_feasible(m, b)
     z = rational.positive_kernel_vector(m)
     assert z == oracle_positive_kernel_vector(m) == [v + 1 for v in u]
@@ -311,7 +318,7 @@ def test_integer_paths_match_the_fraction_path(pair):
     assert rational.pivot_rows_int(rows) == rational.pivot_rows(mat)
     assert rational.rank_int(rows) == rational.rank(mat) == len(pivots)
     assert rational.row_basis_int(rows) == rational.row_basis(mat)
-    assert rational.column_basis(mat) == [[row[c] for row in rational.matrix(mat)]
+    assert column_basis(mat) == [[row[c] for row in rational.matrix(mat)]
                                           for c in pivots_int]
     assert rows == given_rows
 
@@ -380,7 +387,7 @@ def test_rank_unchanged_by_dependent_row(mat, weights):
 @settings(max_examples=150, deadline=None)
 def test_nullspace_is_a_kernel_basis(mat):
     m = rational.matrix(mat)
-    basis = rational.nullspace(m)
+    basis = nullspace(m)
     assert len(basis) == len(m[0]) - rational.rank(m)
     for vec in basis:
         assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m)
@@ -390,7 +397,7 @@ def test_nullspace_is_a_kernel_basis(mat):
 
 def test_column_and_row_basis_span():
     m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    cols = rational.column_basis(m)
+    cols = column_basis(m)
     assert len(cols) == rational.rank(m) == 2
     rows = rational.row_basis(m)
     assert spans_equal(rows, [[1, 2, 3], [0, 1, 1]])
@@ -418,7 +425,7 @@ def test_positive_kernel_examples():
 
 def test_positive_kernel_rejects_a_bad_certificate(monkeypatch):
     # a phase-1 answer that is not a kernel vector must not be returned
-    monkeypatch.setattr(rational, "_phase1_feasible", lambda a, b: [Fraction(0)] * 3)
+    monkeypatch.setattr(rational, "_phase1_feasible", lambda scaled: [Fraction(0)] * 3)
     with pytest.raises(ArithmeticError):
         rational.positive_kernel_vector([[-1, -1, 1], [1, 1, -1]])
 
