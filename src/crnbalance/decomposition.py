@@ -184,6 +184,8 @@ def search_decompositions(net: ReactionNetwork, predicate: str,
     if r > _SEARCH_GUARD:
         raise TooLargeError(f"{r} reactions exceed the desk-scale guard of {_SEARCH_GUARD}")
     max_parts = r if max_parts is None else max_parts
+    if max_parts < 1:
+        raise CrnError(f"max_parts must be at least 1, got {max_parts}")
     partitions: list[list[list[int]]] = [[]]
     for cls in _separator_classes(net, predicate):
         # the class joins block b; b == len(blocks) opens a new block

@@ -30,7 +30,7 @@ from .decomposition import IndependenceVerdict, check_decomposition
 from .kinetics import (Kinetics, KineticsClassification, PolyPLKinetics,
                        _frozen, _is_mass_action, _residuals, classify, evaluate,
                        log_jacobian, normalize_poly_pl)
-from .kinetic_matrices import TMatrices, is_pl_tik, t_matrices_or_none
+from .kinetic_matrices import TMatrices, build_t_matrices, is_pl_tik
 from .newton import (DEDUP_TOL, SolveConfig, _Chart, _dedup_logs, _newton,
                      _normalized_rows, _seed_outcome)
 from .network import (CrnError, ReactionNetwork, StructuralInvariants, is_conservative,
@@ -62,10 +62,10 @@ class KineticSystem:
 
     Each fact is computed on first use and kept for the life of the system:
     the network's structural `invariants`, its `conservation` (whether it is
-    conservative, with the witness), the `t_matrices` (None unless the
-    kinetics is reactant-determined power law), the kinetics
-    `classification`, the `linkage_verdict` of the linkage-class
-    decomposition, and the read-only float matrices `n_float` (N) and
+    conservative, with the witness), the kinetics `classification`, read
+    from the order rows alone, the `t_matrices` (built only when the
+    classification says PL-RDK, else None), the `linkage_verdict` of the
+    linkage-class decomposition, and the read-only float matrices `n_float` (N) and
     `ia_float` (Ia). The pair is frozen, so the facts cannot go stale. A
     kinetics whose reaction or species count differs from the network's is
     refused.
@@ -90,12 +90,14 @@ class KineticSystem:
         return is_conservative(self.network)
 
     @cached_property
-    def t_matrices(self) -> TMatrices | None:
-        return t_matrices_or_none(self.network, self.kinetics)
+    def classification(self) -> KineticsClassification:
+        return classify(self.kinetics, self.network)
 
     @cached_property
-    def classification(self) -> KineticsClassification:
-        return classify(self.kinetics, self.network, self.t_matrices)
+    def t_matrices(self) -> TMatrices | None:
+        if self.classification.pl_rdk:
+            return build_t_matrices(self.network, self.kinetics)
+        return None
 
     @cached_property
     def linkage_verdict(self) -> IndependenceVerdict:
@@ -108,9 +110,6 @@ class KineticSystem:
     @cached_property
     def ia_float(self) -> np.ndarray:
         return _frozen(self.network.ia_array())
-
-    def sfrf_residual(self, x) -> float:
-        return _residuals([(self.n_float, self.kinetics)], [x])[0]
 
     def cfrf_residual(self, x) -> float:
         return _residuals([(self.ia_float, self.kinetics)], [x])[0]

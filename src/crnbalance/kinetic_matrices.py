@@ -46,8 +46,6 @@ class TMatrices:
     delta_hat: int
     ranks_exact: bool
     s_tilde_basis: np.ndarray              # rows spanning the order subspace
-    exact_t: ExactMatrix | None = None
-    exact_that: ExactMatrix | None = None
     exact_s_tilde_basis: ExactMatrix | None = None
 
     def __post_init__(self):
@@ -99,12 +97,9 @@ def build_t_matrices(net: ReactionNetwork, kin: PowerLawKinetics) -> TMatrices:
     padded = np.vstack([np.zeros((1, m)), kin.orders[rows]])
     t = padded[1:].T
     that = np.vstack([t, np.eye(len(comps))[classes].T])
-    exact_t = exact_that = exact_basis = None
+    exact_basis = None
     if kin.exact_orders is not None:
-        zero, one = Fraction(0), Fraction(1)
-        exact_t = tuple(zip(*(kin.exact_orders[q] for q in rows)))
-        exact_that = exact_t + tuple(tuple(one if c == lc else zero for c in classes)
-                                     for lc in range(len(comps)))
+        zero = Fraction(0)
         # the order rows times one common denominator are integer rows of T
         d = lcm(*(v.denominator for q in rows for v in kin.exact_orders[q]))
         cols = [[v.numerator * (d // v.denominator) for v in kin.exact_orders[q]]
@@ -134,17 +129,7 @@ def build_t_matrices(net: ReactionNetwork, kin: PowerLawKinetics) -> TMatrices:
         basis = np.linalg.svd(diffs)[2][:linalg.numeric_rank(diffs)]
 
     return TMatrices(t, that, reactants, q_tilde, q_hat, len(reactants) - q_hat,
-                     kin.exact_orders is not None, basis, exact_t, exact_that, exact_basis)
-
-
-def t_matrices_or_none(net: ReactionNetwork, kin) -> TMatrices | None:
-    """The T matrices of a reactant-determined power-law kinetics, else None."""
-    if not isinstance(kin, PowerLawKinetics):
-        return None
-    try:
-        return build_t_matrices(net, kin)
-    except NotRDKError:
-        return None
+                     kin.exact_orders is not None, basis, exact_basis)
 
 
 def is_pl_tik(t: TMatrices) -> bool:

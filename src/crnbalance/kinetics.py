@@ -24,14 +24,17 @@ Fractions: the `exact_rates` of every family, the `exact_orders` of power-law
 kinetics and the `exact_term_coeffs` and `exact_term_orders` of poly-PL
 kinetics (both or neither). A copy is None when some entry is a non-integral
 float (an integral float counts as exact), so where it exists it converts to
-its float array bit for bit. Identity-of-rows classifications and all rank
-work use the exact copy whenever it exists and a 1e-12 tolerance otherwise.
+its float array bit for bit. `classify` reads its flags from these rows
+alone, with no T matrices: each row comparison is exact when both rows have
+an exact copy and within 1e-12 otherwise. All rank work uses the exact copy
+whenever it exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -470,18 +473,22 @@ class KineticsClassification:
         return value
 
 
-def _rows_equal(kin, q1: int, q2: int) -> bool:
-    if isinstance(kin, PowerLawKinetics) and kin.exact_orders is not None:
-        return kin.exact_orders[q1] == kin.exact_orders[q2]
-    return bool(np.max(np.abs(kin.orders[q1] - kin.orders[q2])) <= _ROW_TOL)
+def _same(a, b, exact_a, exact_b) -> bool:
+    """Whether two kinetic rows, or two stacks of rows, are equal: exactly
+    when both have an exact copy, else entrywise within `_ROW_TOL`."""
+    if exact_a is not None and exact_b is not None:
+        return exact_a == exact_b
+    return bool(np.max(np.abs(a - b)) <= _ROW_TOL)
+
+
+def _rows_equal(kin: PowerLawKinetics, q1: int, q2: int) -> bool:
+    exact = kin.exact_orders
+    return _same(kin.orders[q1], kin.orders[q2], exact and exact[q1], exact and exact[q2])
 
 
 def _is_pl_rdk(kin: PowerLawKinetics, net: ReactionNetwork) -> bool:
-    for _, qs in net.reactions_by_reactant().items():
-        for other in qs[1:]:
-            if not _rows_equal(kin, qs[0], other):
-                return False
-    return True
+    return all(_rows_equal(kin, qs[0], q)
+               for qs in net.reactions_by_reactant().values() for q in qs[1:])
 
 
 def _is_mass_action(kin: Kinetics, net: ReactionNetwork, reactions) -> bool:
@@ -489,15 +496,11 @@ def _is_mass_action(kin: Kinetics, net: ReactionNetwork, reactions) -> bool:
     reactant complex (mass action on those reactions)."""
     if not isinstance(kin, PowerLawKinetics):
         return False
+    exact = kin.exact_orders
     for q in reactions:
         target = net.complexes[net.reactions[q].reactant].coeffs
-        if kin.exact_orders is not None:
-            if kin.exact_orders[q] != target:
-                return False
-        else:
-            row = np.array([float(c) for c in target])
-            if np.max(np.abs(kin.orders[q] - row)) > _ROW_TOL:
-                return False
+        if not _same(kin.orders[q], np.array(target, dtype=float), exact and exact[q], target):
+            return False
     return True
 
 
@@ -506,46 +509,37 @@ def _poly_pl_is_cf(kin: PolyPLKinetics, net: ReactionNetwork) -> bool:
     term in both exponent rows and positive coefficients, exactly when the
     normalized kinetics has exact copies."""
     norm = normalize_poly_pl(kin)
-    coeffs, orders = norm.exact_term_coeffs, norm.exact_term_orders
 
     def same(q0: int, q: int) -> bool:
-        if coeffs is not None:
-            return coeffs[q0] == coeffs[q] and orders[q0] == orders[q]
-        return (np.max(np.abs(norm.term_coeffs[q0] - norm.term_coeffs[q])) <= _ROW_TOL
-                and np.max(np.abs(norm.term_orders[q0] - norm.term_orders[q])) <= _ROW_TOL)
+        return all(_same(rows[q0], rows[q], exact and exact[q0], exact and exact[q])
+                   for rows, exact in ((norm.term_coeffs, norm.exact_term_coeffs),
+                                       (norm.term_orders, norm.exact_term_orders)))
 
     return all(same(qs[0], q) for qs in net.reactions_by_reactant().values() for q in qs[1:])
 
 
-def _distinct_columns(cols: np.ndarray, exact: rational.Matrix | None) -> bool:
-    n = cols.shape[1]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if exact is not None:
-                equal = all(row[i] == row[j] for row in exact)
-            else:
-                equal = bool(np.max(np.abs(cols[:, i] - cols[:, j])) <= _ROW_TOL)
-            if equal:
-                return False
-    return True
+def _is_factor_span_surjective(kin: PowerLawKinetics, net: ReactionNetwork) -> bool:
+    """Whether the kinetic complexes of a PL-RDK kinetics are pairwise
+    distinct: the order rows of the first reactions of any two reactant
+    complexes differ."""
+    firsts = [qs[0] for qs in net.reactions_by_reactant().values()]
+    return not any(_rows_equal(kin, a, b) for a, b in combinations(firsts, 2))
 
 
-def classify(kin: Kinetics, net: ReactionNetwork, t=None) -> KineticsClassification:
-    """Structure flags for the kinetics on this network.
+def classify(kin: Kinetics, net: ReactionNetwork) -> KineticsClassification:
+    """Structure flags for the kinetics on this network, read from its own
+    order rows.
 
-    `t` is an optional TMatrices bundle; factor span surjectivity is decided
-    from pairwise distinctness of its kinetic complexes (monomials with
-    distinct exponent vectors are independent on the positive orthant).
+    Factor span surjectivity is decided for PL-RDK kinetics only, by
+    pairwise distinctness of the kinetic complexes (monomials with distinct
+    exponent vectors are independent on the positive orthant).
     """
     if isinstance(kin, PowerLawKinetics):
         orders = kin.orders
         rdk = _is_pl_rdk(kin, net)
-        fss = None
-        if t is not None and rdk:
-            fss = _distinct_columns(t.t, t.exact_t)
         return KineticsClassification(
             pl_rdk=rdk,
-            factor_span_surjective=fss,
+            factor_span_surjective=_is_factor_span_surjective(kin, net) if rdk else None,
             pl_nik=bool(np.all(orders >= 0)),
             por=bool(np.all(np.any(orders < 0, axis=0))),
             cf=rdk,

@@ -9,12 +9,12 @@ float data must decide for themselves how to rationalize it.
 Elimination and the simplex pivot fraction-free on integer rows, so no gcd
 is normalized until the Fractions they return are formed. An integer row is
 a row times the lcm of its denominators (`integer_rows`). A positive
-multiple of a row changes no rank, pivot or reduced form, so `pivot_rows`,
-`rank`, `rref` and `row_basis` each have a form that takes integer rows as
-they are (`pivot_rows_int`, `rank_int`, `rref_int`, `row_basis_int`), and
-the Fraction form scales its rows once and calls it. A caller that keeps
-its matrix as integer rows scales it once: a network its N and Ia, a
-T-matrix build its order rows. `positive_kernel_vector_int` reads its rows
+multiple of a row changes no rank, pivot or reduced form, so `rank` and
+`rref` each have a form that takes integer rows as they are (`rank_int`,
+`rref_int`), and the Fraction form scales its rows once and calls it;
+`pivot_rows_int` takes integer rows only. A caller that keeps its matrix
+as integer rows scales it once: a network its N and Ia, a T-matrix build
+its order rows. `positive_kernel_vector_int` reads its rows
 as the matrix itself, since its witness depends on the scale of each row.
 """
 
@@ -114,21 +114,17 @@ def rref_int(rows) -> tuple[list[list[int]], list[int], int]:
     return m, pivots, prev
 
 
-def pivot_rows(mat) -> list[int]:
-    """Indices of the pivot rows of a forward Bareiss pass, in pivot order.
+def pivot_rows_int(rows) -> list[int]:
+    """Indices of the pivot rows of a forward Bareiss pass over integer rows,
+    in pivot order; `rows` is not modified.
 
     Column by column, the pivot is the first remaining row, in the given
     order, that is nonzero there. Each pivot row is its original row plus a
     combination of earlier pivot rows, and every other row ends at zero, so
     the original rows at these indices are a basis of the row space. A row
     is combined only with pivot rows above it, so the first k rows give
-    exactly rank(mat[:k]) of the pivots.
+    exactly rank(rows[:k]) of the pivots.
     """
-    return pivot_rows_int(integer_rows(mat))
-
-
-def pivot_rows_int(rows) -> list[int]:
-    """`pivot_rows` of integer rows, which it does not modify."""
     rows = list(rows)
     index = list(range(len(rows)))
     found: list[int] = []
@@ -147,26 +143,12 @@ def pivot_rows_int(rows) -> list[int]:
 
 def rank(mat) -> int:
     """Exact rank over the rationals: the number of pivot rows."""
-    return len(pivot_rows(mat))
+    return len(pivot_rows_int(integer_rows(mat)))
 
 
 def rank_int(rows) -> int:
     """`rank` of integer rows."""
     return len(pivot_rows_int(rows))
-
-
-def row_basis(mat) -> list[Vector]:
-    """Nonzero rows of the reduced row echelon form: a basis of the row space."""
-    return row_basis_int(integer_rows(mat))
-
-
-def row_basis_int(rows) -> list[Vector]:
-    """`row_basis` of integer rows. Only the pivot rows are reduced; the
-    reduced form of a row space is unique, so the other rows would change
-    nothing."""
-    rows = list(rows)
-    red, _, d = rref_int([rows[i] for i in pivot_rows_int(rows)])
-    return _fractions(red, d)
 
 
 def _phase1_feasible(scaled: list[tuple[int, list[int]]]) -> Vector | None:

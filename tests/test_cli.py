@@ -186,6 +186,15 @@ def test_decompose_with_search():
     assert [[0, 1, 2, 3], [4, 5, 6, 7]] in report["search"]["found"]
 
 
+@pytest.mark.parametrize("max_parts", ["0", "-3"])
+def test_decompose_refuses_fewer_than_one_part(max_parts):
+    for extra in ([], ["--json"]):
+        code, out, err = run(["decompose", data_path("re1_powerlaw.crn"),
+                              "--max-parts", max_parts, *extra])
+        assert (code, out) == (1, "")
+        assert err.startswith("analysis error:") and "at least 1" in err
+
+
 def test_pff_subcommand(tmp_path):
     doubled = tmp_path / "doubled.crn"
     text = data_path("re1_powerlaw.crn").read_text()

@@ -180,6 +180,15 @@ def test_search_is_deterministic(counterexample):
     assert [d.parts for d in a] == [d.parts for d in b]
 
 
+def test_search_refuses_fewer_than_one_part(re1_net):
+    # the one-part decomposition always qualifies, so one part is the least
+    assert [d.parts for d in cb.search_decompositions(re1_net, "bi_independent", 1)] \
+        == [(tuple(range(8)),)]
+    for max_parts in (0, -3):
+        with pytest.raises(cb.CrnError, match="max_parts must be at least 1"):
+            cb.search_decompositions(re1_net, "bi_independent", max_parts)
+
+
 def test_search_guard():
     reactions = [(i, i + 1) for i in range(13)]
     net = cb.build_network(["A"], [[i + 1] for i in range(14)], reactions)

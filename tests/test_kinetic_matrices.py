@@ -73,26 +73,28 @@ def test_not_rdk_raises():
             cb.build_t_matrices(net, kin)
 
 
-def test_t_matrices_or_none(monkeypatch, counterexample, mm_polypl, re1_massaction):
-    from crnbalance import kinetic_matrices
+def test_system_builds_t_matrices_only_for_pl_rdk(monkeypatch, counterexample, mm_polypl,
+                                                  re1_massaction):
+    from crnbalance import equilibria
     calls = []
-    real = kinetic_matrices.build_t_matrices
+    real = equilibria.build_t_matrices
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
     # the module global is looked up at each call, so a tracer that patches
-    # it counts the calls made through t_matrices_or_none
-    monkeypatch.setattr(kinetic_matrices, "build_t_matrices", counted)
-    assert kinetic_matrices.t_matrices_or_none(*counterexample).q_hat == 4
-    assert kinetic_matrices.t_matrices_or_none(*mm_polypl) is None
+    # it counts the calls made through `KineticSystem.t_matrices`
+    monkeypatch.setattr(equilibria, "build_t_matrices", counted)
+    assert cb.KineticSystem(*counterexample).t_matrices.q_hat == 4
+    assert cb.KineticSystem(*mm_polypl).t_matrices is None
     assert len(calls) == 1
+    # a power law that is not reactant determined is not built at all
     net = cb.build_network(["A", "B"], [[1, 0], [0, 1], [1, 1]], [(0, 1), (0, 2)])
-    assert kinetic_matrices.t_matrices_or_none(
-        net, cb.power_law([[1, 0], [2, 0]], [1, 1])) is None
+    assert cb.KineticSystem(net, cb.power_law([[1, 0], [2, 0]], [1, 1])).t_matrices is None
+    assert len(calls) == 1
     cb.analyze_acb(cb.KineticSystem(*re1_massaction), cb.SolveConfig(seeds=4))
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_rank_bounds(re1_powerlaw, counterexample, toy_pl_tik):
@@ -115,8 +117,9 @@ def test_one_elimination_gives_the_ranks_of_t_and_t_hat(re1_powerlaw, re1_massac
     systems += [bench_ladder(seed, r) for seed, r in ((3, 12), (2, 24), (0, 60))]
     for net, kin in systems:
         t = cb.build_t_matrices(net, kin)
-        assert t.q_tilde == rational.rank(t.exact_t)
-        assert t.q_hat == rational.rank(t.exact_that)
+        exact_t, exact_that = _exact_t_and_that(net, kin)
+        assert t.q_tilde == rational.rank(exact_t)
+        assert t.q_hat == rational.rank(exact_that)
         inv = cb.structural_invariants(net)
         assert inv.cycle_terminal
         assert t.delta_hat == inv.n - inv.l - len(t.exact_s_tilde_basis)
@@ -201,19 +204,30 @@ def test_t_matrices_refuse_assignment():
 
 
 def test_t_matrices_exact_fields_are_tuples():
-    """Writing into an exact field would flip the classification the system
-    cached (factor span surjectivity reads `exact_t`)."""
+    """Writing into the exact basis would change the order subspace that the
+    system cached."""
     net = cb.build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1), (1, 0)])
     system = cb.KineticSystem(net, cb.mass_action_from(net, [1, 1]))
-    t = system.t_matrices
-    for name in ("exact_t", "exact_that", "exact_s_tilde_basis"):
-        field = getattr(t, name)
-        assert type(field) is tuple and all(type(row) is tuple for row in field), name
+    basis = system.t_matrices.exact_s_tilde_basis
+    assert type(basis) is tuple and all(type(row) is tuple for row in basis)
     with pytest.raises(TypeError):
-        t.exact_t[0][1] = Fraction(1)
+        basis[0][1] = Fraction(1)
     with pytest.raises(TypeError):
-        t.exact_that[0] = (Fraction(0), Fraction(0))
-    assert cb.classify(system.kinetics, net, t).factor_span_surjective is True
+        basis[0] = (Fraction(0), Fraction(0))
+    assert basis == ((1, -1),)
+
+
+def _exact_t_and_that(net, kin):
+    """T and T_hat = [T; L^T] over the rationals, rebuilt from the exact
+    order rows: one column per reactant complex, from its first reaction."""
+    by_reactant = net.reactions_by_reactant()
+    reactants = net.reactant_complexes
+    comp_of = {c: idx for idx, comp in enumerate(linkage_classes(net)) for c in comp}
+    cols = [kin.exact_orders[by_reactant[ci][0]] for ci in reactants]
+    exact_t = [list(row) for row in zip(*cols)]
+    indicator = [[Fraction(int(comp_of[ci] == lc)) for ci in reactants]
+                 for lc in range(len(set(comp_of.values())))]
+    return exact_t, exact_t + indicator
 
 
 def _parent_build_t_matrices(net, kin):
@@ -252,7 +266,7 @@ def _parent_build_t_matrices(net, kin):
         ]
         exact_that = exact_t + indicator
         # T's rows come first, so one elimination of T_hat ranks both
-        pivots = rational.pivot_rows(exact_that)
+        pivots = rational.pivot_rows_int(rational.integer_rows(exact_that))
         q_tilde = sum(1 for i in pivots if i < m)
         q_hat = len(pivots)
         exact_ytilde_cols = {
@@ -263,7 +277,8 @@ def _parent_build_t_matrices(net, kin):
                                    exact_ytilde_cols[rx.reactant])]
             for rx in net.reactions
         ]
-        exact_basis = rational.row_basis(diffs)
+        red, pivots = rational.rref(diffs)
+        exact_basis = red[:len(pivots)]
         basis = np.array(exact_basis, dtype=float) if exact_basis else np.zeros((0, m))
         ranks_exact = True
     else:
@@ -282,7 +297,7 @@ def _parent_build_t_matrices(net, kin):
         q_tilde=q_tilde, q_hat=q_hat, delta_hat=n_r - q_hat,
         ranks_exact=ranks_exact,
         s_tilde_basis=basis,
-        exact_t=exact_t, exact_that=exact_that, exact_s_tilde_basis=exact_basis,
+        exact_s_tilde_basis=exact_basis,
     )
 
 
@@ -353,7 +368,7 @@ def test_t_matrices_equal_the_parent_build(request):
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
         for name in ("q_tilde", "q_hat", "delta_hat", "ranks_exact", "reactant_complexes",
-                     "exact_t", "exact_that", "exact_s_tilde_basis"):
+                     "exact_s_tilde_basis"):
             want = getattr(old, name)
             if name.startswith("exact_") and want is not None:
                 want = tuple(map(tuple, want))

@@ -188,11 +188,11 @@ def test_rref_matches_fraction_oracle(mat):
 @given(rational_matrices())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_rank_nullspace_row_basis_match_fraction_oracle(mat):
-    rank, kernel, row_basis = rational.rank(mat), nullspace(mat), rational.row_basis(mat)
+    rank, kernel, row_basis = rational.rank(mat), nullspace(mat), nonzero_rref_rows(mat)
     with mock.patch.object(rational, "rref", oracle_rref):
         assert rank == len(oracle_rref(mat)[1])
         assert kernel == nullspace(mat)
-        assert row_basis == rational.row_basis(mat)
+        assert row_basis == nonzero_rref_rows(mat)
 
 
 def phase1_rows(a, b) -> list[tuple[int, list[int]]]:
@@ -241,14 +241,14 @@ def test_ratio_ties_break_on_the_basis_label(mat):
     assert z == oracle_positive_kernel_vector(m) == [v + 1 for v in u]
 
 
-def oracle_row_basis(mat) -> list[Vector]:
-    """`row_basis` before it reduced only the pivot rows: the nonzero rows of
-    the reduced form of every row."""
+def nonzero_rref_rows(mat) -> list[Vector]:
+    """The nonzero rows of the reduced form of every row of `mat`: a basis of
+    its row space."""
     m = rational.matrix(mat)
     if not m:
         return []
     red, pivots = rational.rref(m)
-    return [red[i] for i in range(len(pivots))]
+    return red[:len(pivots)]
 
 
 @st.composite
@@ -273,7 +273,7 @@ def t_and_linkage_rows(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_one_pass_ranks_t_and_t_hat(blocks):
     t, lt = blocks
-    pivots = rational.pivot_rows(t + lt)
+    pivots = rational.pivot_rows_int(rational.integer_rows(t + lt))
     assert sum(1 for i in pivots if i < len(t)) == rational.rank(t) == len(oracle_rref(t)[1])
     assert len(pivots) == len(oracle_rref(t + lt)[1])
     assert rational.rank([(t + lt)[i] for i in pivots]) == len(pivots)
@@ -292,7 +292,11 @@ def repeated_row_matrices(draw):
 @given(repeated_row_matrices())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_row_basis_reduces_only_the_pivot_rows(mat):
-    assert rational.row_basis(mat) == oracle_row_basis(mat)
+    """The reduced form of the pivot rows alone, as `build_t_matrices` forms
+    the basis of S~, is the nonzero part of the reduced form of every row."""
+    rows = rational.integer_rows(mat)
+    red, _, d = rational.rref_int([rows[i] for i in rational.pivot_rows_int(rows)])
+    assert [[Fraction(v, d) for v in row] for row in red] == nonzero_rref_rows(mat)
 
 
 @st.composite
@@ -315,9 +319,8 @@ def test_integer_paths_match_the_fraction_path(pair):
     red_int, pivots_int, d = rational.rref_int(rows)
     assert pivots_int == pivots
     assert [[Fraction(v, d) for v in row] for row in red_int] == red
-    assert rational.pivot_rows_int(rows) == rational.pivot_rows(mat)
+    assert rational.pivot_rows_int(rows) == rational.pivot_rows_int(rational.integer_rows(mat))
     assert rational.rank_int(rows) == rational.rank(mat) == len(pivots)
-    assert rational.row_basis_int(rows) == rational.row_basis(mat)
     assert column_basis(mat) == [[row[c] for row in rational.matrix(mat)]
                                           for c in pivots_int]
     assert rows == given_rows
@@ -399,7 +402,7 @@ def test_column_and_row_basis_span():
     m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     cols = column_basis(m)
     assert len(cols) == rational.rank(m) == 2
-    rows = rational.row_basis(m)
+    rows = nonzero_rref_rows(m)
     assert spans_equal(rows, [[1, 2, 3], [0, 1, 1]])
 
 

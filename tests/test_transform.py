@@ -71,8 +71,7 @@ def test_star_msc_rdk_transform_not_factor_span_surjective(toy_polypl):
     # duplicated term rows across replicas duplicate kinetic complexes
     net, kin = toy_polypl
     star = cb.star_msc(net, kin)
-    t = cb.build_t_matrices(star.network, star.kinetics)
-    cls = cb.classify(star.kinetics, star.network, t)
+    cls = cb.classify(star.kinetics, star.network)
     assert cls.pl_rdk is True
     assert cls.factor_span_surjective is False
     assert star.computed_delta == 1  # 0 + (2 - 1)(2 - 1)
