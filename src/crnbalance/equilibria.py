@@ -65,10 +65,10 @@ class KineticSystem:
     conservative, with the witness), the kinetics `classification`, read
     from the order rows alone, the `t_matrices` (built only when the
     classification says PL-RDK, else None), the `linkage_verdict` of the
-    linkage-class decomposition, and the read-only float matrices `n_float` (N) and
-    `ia_float` (Ia). The pair is frozen, so the facts cannot go stale. A
-    kinetics whose reaction or species count differs from the network's is
-    refused.
+    linkage-class decomposition, and the read-only float matrices
+    `n_float` (N) and `ia_float` (Ia). The pair is frozen, so the facts
+    cannot go stale. A kinetics whose reaction or species count differs
+    from the network's is refused.
     """
 
     network: ReactionNetwork

@@ -14,8 +14,8 @@ multiple of a row changes no rank, pivot or reduced form, so `rank` and
 `rref_int`), and the Fraction form scales its rows once and calls it;
 `pivot_rows_int` takes integer rows only. A caller that keeps its matrix
 as integer rows scales it once: a network its N and Ia, a T-matrix build
-its order rows. `positive_kernel_vector_int` reads its rows
-as the matrix itself, since its witness depends on the scale of each row.
+its order rows. `positive_kernel_vector_int` reads its rows as the matrix
+itself, since its witness depends on the scale of each row.
 """
 
 from __future__ import annotations
