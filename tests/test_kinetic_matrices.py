@@ -222,11 +222,12 @@ def _exact_t_and_that(net, kin):
     order rows: one column per reactant complex, from its first reaction."""
     by_reactant = net.reactions_by_reactant()
     reactants = net.reactant_complexes
-    comp_of = {c: idx for idx, comp in enumerate(linkage_classes(net)) for c in comp}
+    comps = linkage_classes(net)
+    comp_of = {c: idx for idx, comp in enumerate(comps) for c in comp}
     cols = [kin.exact_orders[by_reactant[ci][0]] for ci in reactants]
     exact_t = [list(row) for row in zip(*cols)]
     indicator = [[Fraction(int(comp_of[ci] == lc)) for ci in reactants]
-                 for lc in range(len(set(comp_of.values())))]
+                 for lc in range(len(comps))]
     return exact_t, exact_t + indicator
 
 
