@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .kinetic_matrices import build_t_matrices, kinetic_order_subspace
 from .kinetics import (HillKinetics, PolyPLKinetics, PowerLawKinetics,
                        RationalKinetics, evaluate)
 from .network import CrnError, stoichiometric_basis
+from .rational import frac
 from .transform import pff_check, star_msc
 
 
@@ -37,9 +37,13 @@ def _family(kin) -> str:
     return _FAMILIES.get(type(kin), type(kin).__name__)
 
 
-def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_crn(fh.read())
+def _read_text(path: str) -> str:
+    """The text of a file; one that is not UTF-8 is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8 text (byte {exc.start})") from None
 
 
 def _resolve_flux_basis(value, system: KineticSystem) -> np.ndarray:
@@ -52,20 +56,19 @@ def _resolve_flux_basis(value, system: KineticSystem) -> np.ndarray:
             raise CrnError("Stilde flux space needs reactant-determined power-law kinetics")
         return system.t_matrices.s_tilde_basis
     rows = []
-    with open(value, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                row = [Fraction(tok) for tok in line.split()]
-            except (ValueError, ZeroDivisionError):
-                raise CrnError(f"flux-space file {value!r} line {number}: "
-                               f"not a row of numbers: {line!r}") from None
-            if len(row) != net.num_species:
-                raise CrnError(f"flux-space file {value!r} line {number}: {len(row)} "
-                               f"entries, expected one per species ({net.num_species})")
-            rows.append(row)
+    for number, line in enumerate(_read_text(value).splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            row = [frac(tok) for tok in line.split()]
+        except ValueError:
+            raise CrnError(f"flux-space file {value!r} line {number}: "
+                           f"not a row of numbers: {line!r}") from None
+        if len(row) != net.num_species:
+            raise CrnError(f"flux-space file {value!r} line {number}: {len(row)} "
+                           f"entries, expected one per species ({net.num_species})")
+        rows.append(row)
     if not rows:
         raise CrnError(f"flux-space file {value!r} contains no rows")
     return np.array([[float(v) for v in row] for row in rows])
@@ -305,7 +308,7 @@ def _cmd_acb(args, system, cfg, report):
 
 def _cmd_pff(args, system, cfg, report):
     net_a, kin_a = system.network, system.kinetics
-    net_b, kin_b = _load(args.file_b)
+    net_b, kin_b = parse_crn(_read_text(args.file_b))
     if net_a.num_reactions != net_b.num_reactions:
         raise CrnError("the two files define different reaction counts")
     states = sample_positive_states(net_a.num_species, 20, cfg.rng_seed)
@@ -327,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="crnbalance",
         description="Reaction network structure, kinetics and complex-balancing analysis")
     sub = parser.add_subparsers(dest="command", required=True)
+    cfg = SolveConfig()  # the option defaults
 
     def add(name, fn, help_text, two_files=False, max_parts=False, flux_space=False):
         p = sub.add_parser(name, help=help_text)
@@ -334,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
         if two_files:
             p.add_argument("file_b", help="second kinetics file on the same network")
         p.add_argument("--json", action="store_true", help="emit the JSON report")
-        p.add_argument("--tol", type=float, default=1e-9, help="solver residual tolerance")
-        p.add_argument("--seeds", type=int, default=64, help="multistart seed count")
-        p.add_argument("--rng", type=int, default=42, help="random seed")
+        p.add_argument("--tol", type=float, default=cfg.tol, help="solver residual tolerance")
+        p.add_argument("--seeds", type=int, default=cfg.seeds, help="multistart seed count")
+        p.add_argument("--rng", type=int, default=cfg.rng_seed, help="random seed")
         if max_parts:
             p.add_argument("--max-parts", type=int, default=None, dest="max_parts",
                            help="search decompositions up to this many parts")
@@ -371,7 +375,7 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        net, kin = _load(args.file)
+        net, kin = parse_crn(_read_text(args.file))
         cfg = SolveConfig(seeds=args.seeds, rng_seed=args.rng, tol=args.tol)
         report = rpt.base_report(args.command, cfg)
         lines = args.handler(args, KineticSystem(net, kin), cfg, report)

@@ -17,31 +17,28 @@ optional, nonnegative rational). The kinetics block is one of:
     kinetics hill         followed by `hill <label>: S=(f=<val>, d=<val>), ...`
 
 Each species appears at most once per kinetics line; unlisted species
-default to order zero. Numbers may be integers, `p/q` rationals (kept exact)
-or decimals. Decimal stoichiometric coefficients are kept exact too (`0.5 A`
-is 1/2 A); decimal rates, orders, coefficients and Hill constants are stored
-as floats, and one that overflows a float is refused. `#` starts a comment.
+default to order zero. Every number is read by `rational.frac`: integers,
+`p/q` rationals (kept exact) and decimals, not `1_000` or `Infinity`; a zero
+denominator and a nonzero number a float cannot hold are refused. Decimal
+stoichiometric coefficients are kept exact (`0.5 A` is 1/2 A); decimal rates,
+orders, coefficients and Hill constants are floats. `#` starts a comment.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .kinetics import (HillKinetics, Kinetics, PolyPLKinetics, PowerLawKinetics,
                        hill, mass_action_from, poly_pl, power_law)
 from .network import ReactionNetwork, build_network
+from .rational import frac
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.column = column
-        where = "" if line is None else f" (line {line}" + (
-            f", column {column})" if column is not None else ")")
-        super().__init__(message + where)
+        super().__init__(message + ("" if line is None else f" (line {line})"))
 
 
 class UnknownSpeciesError(ParseError):
@@ -56,29 +53,13 @@ class NegativeRateError(ParseError):
     pass
 
 
-_NUMBER = re.compile(r"[+-]?(\d+/\d+|\d+\.\d*([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?"
-                     r"|\d+[eE][+-]?\d+|\d+)$")
-
-
 def _parse_number(token: str, line: int):
-    """Exact Fraction for ints and p/q, float for decimals; a nonzero decimal
-    that a float cannot hold (overflow to inf, underflow to 0.0) is refused."""
-    if not _NUMBER.match(token):
-        raise ParseError(f"expected a number, got {token!r}", line)
-    if "/" in token:
-        return Fraction(token)
-    if any(c in token for c in ".eE"):
-        value = float(token)
-        if math.isinf(value):
-            raise ParseError(f"number {token!r} overflows a float", line)
-        if value == 0 and any(c in "123456789" for c in token.lower().partition("e")[0]):
-            raise ParseError(f"number {token!r} underflows a float", line)
-        return value
-    return Fraction(int(token))
-
-
-def _strip_comment(raw: str) -> str:
-    return raw.split("#", 1)[0].rstrip()
+    """`frac(token)`, as a float when the token is written as a decimal."""
+    try:
+        value = frac(token)
+    except ValueError as exc:
+        raise ParseError(str(exc), line) from None
+    return float(token) if any(c in token for c in ".eE") else value
 
 
 def _parse_complex(text: str, species_index: dict[str, int], line: int):
@@ -87,29 +68,22 @@ def _parse_complex(text: str, species_index: dict[str, int], line: int):
         raise ParseError("empty complex", line)
     coeffs = [Fraction(0)] * len(species_index)
     if text == "0":
-        return coeffs
+        return tuple(coeffs)
     for part in text.split("+"):
         tokens = part.split()
-        if len(tokens) == 1:
-            coeff, name = Fraction(1), tokens[0]
-        elif len(tokens) == 2:
-            # Stoichiometry must stay exact; decimal literals convert via
-            # Decimal so e.g. 0.5 really means 1/2.
-            token = tokens[0]
-            try:
-                coeff = Fraction(token) if "/" in token or token.lstrip("+-").isdigit() \
-                    else Fraction(Decimal(token))
-            except (ValueError, InvalidOperation, ZeroDivisionError):
-                raise ParseError(f"bad stoichiometric coefficient {token!r}", line)
-            name = tokens[1]
-        else:
+        if len(tokens) not in (1, 2):
             raise ParseError(f"malformed complex term {part.strip()!r}", line)
+        *token, name = tokens
+        try:  # stoichiometry stays exact: 0.5 A is 1/2 A
+            coeff = frac(token[0]) if token else Fraction(1)
+        except ValueError:
+            raise ParseError(f"bad stoichiometric coefficient {token[0]!r}", line) from None
         if name not in species_index:
             raise UnknownSpeciesError(f"unknown species {name!r}", line)
         if coeff < 0:
             raise ParseError(f"negative stoichiometric coefficient for {name}", line)
         coeffs[species_index[name]] += coeff
-    return coeffs
+    return tuple(coeffs)
 
 
 _HILL_ENTRY = re.compile(r"^\(\s*f\s*=\s*(?P<f>[^,\s]+)\s*,\s*d\s*=\s*(?P<d>[^)\s]+)\s*\)$")
@@ -170,8 +144,7 @@ def parse_crn(text: str) -> tuple[ReactionNetwork, Kinetics]:
     """Parse the text format into a validated network and kinetics."""
     species: list[str] = []
     species_index: dict[str, int] = {}
-    complexes: list[list[Fraction]] = []
-    complex_index: dict[tuple, int] = {}
+    complex_index: dict[tuple, int] = {}  # each distinct complex, by first appearance
     reactions: list[tuple[int, int, str]] = []
     rates: list[object] = []
     labels: dict[str, int] = {}
@@ -179,15 +152,8 @@ def parse_crn(text: str) -> tuple[ReactionNetwork, Kinetics]:
     # reaction label -> [(term coefficient or None, {species index: value}), ...]
     rows: dict[str, list[tuple[object, dict[int, object]]]] = {}
 
-    def intern_complex(coeffs: list[Fraction]) -> int:
-        key = tuple(coeffs)
-        if key not in complex_index:
-            complex_index[key] = len(complexes)
-            complexes.append(coeffs)
-        return complex_index[key]
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stmt = _strip_comment(raw).strip()
+        stmt = raw.split("#", 1)[0].strip()
         if not stmt:
             continue
         head = stmt.split(None, 1)[0]
@@ -252,8 +218,8 @@ def parse_crn(text: str) -> tuple[ReactionNetwork, Kinetics]:
             rate = _parse_number(rate_part.strip(), lineno)
             if rate <= 0:
                 raise NegativeRateError(f"rate for {label} must be positive", lineno)
-            reactant = intern_complex(_parse_complex(lhs, species_index, lineno))
-            product = intern_complex(_parse_complex(rhs, species_index, lineno))
+            ends = [_parse_complex(side, species_index, lineno) for side in (lhs, rhs)]
+            reactant, product = (complex_index.setdefault(c, len(complex_index)) for c in ends)
             reactions.append((reactant, product, label))
             labels[label] = len(rates)
             rates.append(rate)
@@ -265,7 +231,7 @@ def parse_crn(text: str) -> tuple[ReactionNetwork, Kinetics]:
     if family is None:
         raise ParseError("no kinetics block")
 
-    net = build_network(species, complexes, reactions)
+    net = build_network(species, list(complex_index), reactions)
     if family == "massaction":
         return net, mass_action_from(net, rates)
     keyword = next(k for k, (f, _, _) in _KINETICS_LINES.items() if f == family)
@@ -292,9 +258,7 @@ def parse_crn(text: str) -> tuple[ReactionNetwork, Kinetics]:
 
 
 def _format_number(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    return repr(float(value))
+    return str(value) if isinstance(value, Fraction) else repr(float(value))
 
 
 def _format_assignments(values, species) -> str:

@@ -17,17 +17,17 @@ built, so the table cannot go stale. Every array a family keeps must have
 its number of axes and finite entries, and the base `_Kinetics` checks the
 rates of every family: one finite, strictly positive rate per reaction.
 
-Every constructor takes what the builders take: ints, Fractions, `p/q`
-strings, floats or numpy arrays. Each array is read once into a float array
-for evaluation, and the exact arrays also into a copy of nested tuples of
-Fractions: the `exact_rates` of every family, the `exact_orders` of power-law
-kinetics and the `exact_term_coeffs` and `exact_term_orders` of poly-PL
-kinetics (both or neither). A copy is None when some entry is a non-integral
-float (an integral float counts as exact), so where it exists it converts to
-its float array bit for bit. `classify` reads its flags from these rows
-alone, with no T matrices: each row comparison is exact when both rows have
-an exact copy and within 1e-12 otherwise. All rank work uses the exact copy
-whenever it exists.
+Every constructor takes what the builders take: ints, Fractions, number
+strings, floats or numpy arrays, of values a float can hold. Each array is
+read once into a float array for evaluation, and the exact arrays also into
+a copy of nested tuples of Fractions: the `exact_rates` of every family, the
+`exact_orders` of power-law kinetics and the `exact_term_coeffs` and
+`exact_term_orders` of poly-PL kinetics (both or neither). A copy is None
+when some entry is a non-integral float (an integral float counts as
+exact), so where it exists it converts to its float array bit for bit.
+`classify` reads its flags from these rows alone, with no T matrices: each
+row comparison is exact when both rows have an exact copy and within 1e-12
+otherwise. All rank work uses the exact copy whenever it exists.
 """
 
 from __future__ import annotations
@@ -77,12 +77,13 @@ def _read(values, ndim: int, what: str) -> tuple[np.ndarray, tuple | None]:
                 else:
                     e = rational.frac(v)
                     erow.append(e)
-                    frow.append(float(e))
+                    frow.append(rational.to_float(e))
             floats.append(frow)
             exact.append(tuple(erow))
         arr = _frozen(floats if ndim == 2 else floats[0])  # ragged rows raise here
     except (TypeError, ValueError) as exc:
-        raise InvalidKineticsError(f"{what} must be a {ndim}-D array of numbers") from exc
+        raise InvalidKineticsError(
+            f"{what} must be a {ndim}-D array of numbers a float can hold") from exc
     if ndim == 1:
         return arr, exact[0] if ok else None
     return arr, tuple(exact) if ok else None
@@ -99,7 +100,7 @@ def _checked(values, ndim: int, what: str) -> np.ndarray:
     """A read-only float copy that has `ndim` axes and finite entries."""
     try:
         arr = _frozen(values)
-    except (TypeError, ValueError):  # `p/q` strings or ragged rows
+    except (TypeError, ValueError, OverflowError):  # `p/q` strings, ragged rows, 10**400
         arr = _read(values, ndim, what)[0]
     if arr.ndim != ndim or not np.all(np.isfinite(arr)):
         raise InvalidKineticsError(

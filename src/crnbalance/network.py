@@ -146,8 +146,8 @@ def build_network(species, complexes, reactions) -> ReactionNetwork:
     """Assemble a validated network from raw lists.
 
     species: list of unique names. complexes: list of coefficient vectors
-    (ints, Fractions or 'p/q' strings; floats rejected). reactions: list of
-    (reactant_index, product_index) or (reactant_index, product_index, label).
+    (ints, Fractions or number strings a float can hold; floats rejected).
+    reactions: (reactant_index, product_index[, label]) tuples.
     """
     species = tuple(species)
     seen: dict[str, int] = {}
@@ -168,6 +168,10 @@ def build_network(species, complexes, reactions) -> ReactionNetwork:
             if c < 0:
                 raise NegativeCoefficientError(
                     f"complex {ci} has negative coefficient {c} for {name}")
+            try:
+                rational.to_float(c)
+            except ValueError as exc:
+                raise CrnError(f"complex {ci}, coefficient of {name}: {exc}") from None
         cpx = Complex(vec)
         if cpx in built:
             raise DuplicateComplexError(

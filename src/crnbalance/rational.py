@@ -4,24 +4,25 @@ Ranks, kernels and positivity feasibility here back integer-valued claims
 (deficiencies, independence of decompositions, conservativity), where a
 floating-point tolerance could flip a verdict. Entries are Python ints or
 `fractions.Fraction`s; floats are refused outright, and callers that hold
-float data must decide for themselves how to rationalize it.
+float data must decide for themselves how to rationalize it. `frac` reads
+every number of a network file and of a flux-space file.
 
 Elimination and the simplex pivot fraction-free on integer rows, so no gcd
 is normalized until the Fractions they return are formed. An integer row is
 a row times the lcm of its denominators (`integer_rows`). A positive
-multiple of a row changes no rank, pivot or reduced form, so `rank` and
-`rref` each have a form that takes integer rows as they are (`rank_int`,
-`rref_int`), and the Fraction form scales its rows once and calls it;
-`pivot_rows_int` takes integer rows only. A caller that keeps its matrix
-as integer rows scales it once: a network its N and Ia, a T-matrix build
-its order rows. `positive_kernel_vector_int` reads its rows as the matrix
+multiple of a row changes no rank, pivot or reduced form, so `rref` has a
+form that takes integer rows as they are (`rref_int`), and the Fraction
+form scales its rows once and calls it; `rank_int` and `pivot_rows_int`
+take integer rows only. A caller that keeps its matrix as integer rows
+scales it once: a network its N and Ia, a T-matrix build its order rows. `positive_kernel_vector_int` reads its rows as the matrix
 itself, since its witness depends on the scale of each row.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import lcm
+from math import isinf, lcm
 from numbers import Integral
 
 Matrix = list[list[Fraction]]
@@ -29,9 +30,19 @@ Vector = list[Fraction]
 
 _ZERO = Fraction(0)
 
+_NUMBER = re.compile(r"[+-]?(\d+/\d+|\d+\.\d*([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?"
+                     r"|\d+[eE][+-]?\d+|\d+)")
+
 
 def frac(value) -> Fraction:
-    """Coerce ints, Fractions, or strings like '3/2' to Fraction."""
+    """Coerce ints, Fractions, or number strings like '3/2' to Fraction.
+
+    A string is an integer, `p/q` or a decimal with an optional exponent,
+    optionally signed (not `1_000`, `inf` or `nan`). A ValueError naming it
+    refuses a zero denominator, digits that `int()` refuses and a nonzero
+    value that overflows a float or underflows to 0.0, decided before any
+    Fraction is built (from `float()` of the string or `int(p) / int(q)`).
+    """
     if type(value) is int:
         return Fraction(value)
     if isinstance(value, Fraction):
@@ -41,7 +52,34 @@ def frac(value) -> Fraction:
     if isinstance(value, Integral):
         # a numpy integer would stay the numerator, and wrap in elimination
         return Fraction(int(value))
-    return Fraction(value)
+    if not _NUMBER.fullmatch(value):
+        raise ValueError(f"expected a number, got {value!r}")
+    num, _, den = value.partition("/")
+    try:
+        approx = int(num) / int(den) if den else float(value)
+        if isinf(approx):
+            raise OverflowError
+        exact = Fraction(value) if approx else _ZERO
+    except ZeroDivisionError:
+        raise ValueError(f"number {value!r} has a zero denominator") from None
+    except OverflowError:
+        raise ValueError(f"number {value!r} overflows a float") from None
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits()
+        raise ValueError(f"number {value!r} has too many digits") from None
+    if not approx and any(c in "123456789" for c in num.lower().partition("e")[0]):
+        raise ValueError(f"number {value!r} underflows a float")
+    return exact
+
+
+def to_float(value) -> float:
+    """`float(value)`; a ValueError if it is nonzero and overflows or rounds to 0.0."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = 0.0
+    if value and not out:
+        raise ValueError(f"{value} does not fit a float")
+    return out
 
 
 def matrix(rows) -> Matrix:
@@ -141,13 +179,8 @@ def pivot_rows_int(rows) -> list[int]:
     return found
 
 
-def rank(mat) -> int:
-    """Exact rank over the rationals: the number of pivot rows."""
-    return len(pivot_rows_int(integer_rows(mat)))
-
-
 def rank_int(rows) -> int:
-    """`rank` of integer rows."""
+    """Exact rank over the rationals of integer rows: the number of pivot rows."""
     return len(pivot_rows_int(rows))
 
 

@@ -9,7 +9,6 @@ the same configuration and rng seed produce byte-identical output.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import __version__
 from .equilibria import (DEDUP_TOL, LP_TOL, AcbVerdict, EquilibriumPoint, KseReport,
@@ -27,12 +26,6 @@ def sig12(value: float) -> str:
 
 def residual_str(value: float) -> str:
     return format(float(value), ".6e")
-
-
-def _frac_str(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    return sig12(value)
 
 
 def config_json(cfg: SolveConfig) -> dict:
@@ -57,8 +50,8 @@ def network_json(net: ReactionNetwork) -> dict:
              "product": net.complexes[rx.product].format(net.species)}
             for rx in net.reactions
         ],
-        "y": [[_frac_str(v) for v in row] for row in net.y],
-        "incidence": [[_frac_str(v) for v in row] for row in net.ia],
+        "y": [[str(v) for v in row] for row in net.y],
+        "incidence": [[str(v) for v in row] for row in net.ia],
     }
 
 
@@ -82,7 +75,7 @@ def structural_json(inv: StructuralInvariants, conservative: bool, witness=None)
         "terminal_classes": [list(part) for part in inv.terminal_classes],
     }
     if witness is not None:
-        out["conservation_witness"] = [_frac_str(v) for v in witness]
+        out["conservation_witness"] = [str(v) for v in witness]
     return out
 
 

@@ -34,6 +34,11 @@ def bench_ladder(seed: int, r: int):
     return bench_workloads().ladder_power_law(seed, r)
 
 
+def exact_rank(mat) -> int:
+    """The rank of a matrix over the rationals, through its integer rows."""
+    return rational.rank_int(rational.integer_rows(mat))
+
+
 def y_array(net: cb.ReactionNetwork) -> np.ndarray:
     """The complex matrix Y as floats."""
     return np.array(net.y, dtype=float)
@@ -45,18 +50,18 @@ def in_span(vectors: list, v) -> bool:
     vec = [rational.frac(x) for x in v]
     if not base:
         return all(x == 0 for x in vec)
-    return rational.rank(base) == rational.rank(base + [vec])
+    return exact_rank(base) == exact_rank(base + [vec])
 
 
 def spans_equal(a: list, b: list) -> bool:
     """Whether two row-vector lists span the same subspace, exactly."""
     ma = rational.matrix(a) if a else []
     mb = rational.matrix(b) if b else []
-    ra = rational.rank(ma) if ma else 0
-    rb = rational.rank(mb) if mb else 0
+    ra = exact_rank(ma) if ma else 0
+    rb = exact_rank(mb) if mb else 0
     if ra != rb:
         return False
-    return rational.rank(ma + mb) == ra
+    return exact_rank(ma + mb) == ra
 
 
 def matmul(a: list, b: list) -> list:

@@ -20,7 +20,7 @@ import pytest
 
 import crnbalance as cb
 from crnbalance import rational
-from conftest import matmul, random_network, random_weakly_reversible_network, y_array
+from conftest import exact_rank, matmul, random_network, random_weakly_reversible_network, y_array
 
 
 def _verdict(name: str, checks: list[tuple[str, bool]]):
@@ -141,7 +141,7 @@ def test_criterion_3_kse_span_equality(counterexample, ce_pipeline):
     # v_2/k_2 - v_3/k_3 = 0, over the rates exactly as the fixture states them
     tie = [Fraction(0)] * net.num_reactions
     tie[p], tie[q] = 1 / kin.exact_rates[p], -1 / kin.exact_rates[q]
-    upper = net.num_reactions - rational.rank([list(row) for row in net.n] + [tie])
+    upper = net.num_reactions - exact_rank([list(row) for row in net.n] + [tie])
     checks = premise + [
         ("exact upper bound = 3", upper == 3),
         ("sampled span = exact upper bound", rep.sampled_span_dim == upper),

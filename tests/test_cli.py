@@ -103,6 +103,25 @@ def test_bad_rate_exit_2(tmp_path):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("role", ["file", "pff second file", "flux-space file"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, role):
+    undecodable = tmp_path / "undecodable"
+    undecodable.write_bytes(b"\xd0\x00")
+    fixture = data_path("re1_massaction.crn")
+    argv = {"file": ["analyze", undecodable],
+            "pff second file": ["pff", fixture, undecodable],
+            "flux-space file": ["acb", fixture, "--seeds", "4", "--flux-space", undecodable]}
+    code, out, err = run(argv[role])
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {str(undecodable)!r} is not UTF-8 text (byte 0)\n"
+
+
+def test_option_defaults_are_the_solver_defaults():
+    args = build_parser().parse_args(["acb", "network.crn"])
+    cfg = crnbalance.SolveConfig()
+    assert (args.tol, args.seeds, args.rng) == (cfg.tol, cfg.seeds, cfg.rng_seed)
+
+
 def test_analysis_error_exit_1():
     code, _, err = run(["tmatrix", data_path("mm_polypl.crn")])
     assert code == 1
@@ -245,6 +264,19 @@ def test_flux_space_rows_need_one_entry_per_species(tmp_path):
                         "--flux-space", garbled])
     assert code == 1
     assert "line 2: not a row of numbers" in err
+
+
+@pytest.mark.parametrize("token", ["1e400", "1e-400", "1_0", "1/0"])
+def test_flux_space_rows_read_numbers_as_the_network_file_does(tmp_path, token):
+    """A row entry that the number grammar refuses is refused here too: an
+    overflow or underflow, `1_0` and a zero denominator."""
+    rows = tmp_path / "rows.txt"
+    rows.write_text(f"1 -1 0\n{token} 0 1\n")
+    code, out, err = run(["acb", data_path("re1_massaction.crn"), "--seeds", "4",
+                          "--flux-space", rows])
+    assert (code, out) == (1, "")
+    assert err == (f"analysis error: flux-space file {str(rows)!r} line 2: "
+                   f"not a row of numbers: {token + ' 0 1'!r}\n")
 
 
 def test_json_round_trips_losslessly():

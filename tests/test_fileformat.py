@@ -136,6 +136,8 @@ def test_round_trip_massaction_becomes_powerlaw():
 
 
 _TWO = "species A B\nr1: A -> B rate 1\n"
+_DIGITS = "1" * 5000
+_PADDED_ONE = "0" * 5000 + "1"  # 1 as a float, but more digits than int() reads
 
 # One malformed input per `raise` of the parser, plus the order of the checks
 # within one kinetics line: (text, exception class, message, line).
@@ -236,6 +238,25 @@ PARSE_ERRORS = {
                                 ParseError, "number '1e-999' underflows a float", 2),
     "order-underflows-a-float": (_TWO + "kinetics powerlaw\norder r1: A=1e-999\n",
                                  ParseError, "number '1e-999' underflows a float", 4),
+    # one grammar for every number: rates, orders, term coefficients, Hill
+    # constants and stoichiometric coefficients
+    "rate-zero-denominator": ("species A B\nr1: A -> B rate 3/0\nkinetics massaction\n",
+                              ParseError, "number '3/0' has a zero denominator", 2),
+    "order-zero-denominator": (_TWO + "kinetics powerlaw\norder r1: A=3/0\n",
+                               ParseError, "number '3/0' has a zero denominator", 4),
+    "term-coefficient-zero-denominator": (_TWO + "kinetics polypl\nterm r1 coeff 3/0: A=1\n",
+                                          ParseError, "number '3/0' has a zero denominator", 4),
+    "hill-constant-zero-denominator": (_TWO + "kinetics hill\nhill r1: A=(f=1, d=3/0)\n",
+                                       ParseError, "number '3/0' has a zero denominator", 4),
+    "rate-5000-digits": (f"species A B\nr1: A -> B rate {_DIGITS}\nkinetics massaction\n",
+                         ParseError, f"number {_DIGITS!r} overflows a float", 2),
+    "rate-more-digits-than-int-reads": (
+        f"species A B\nr1: A -> B rate {_PADDED_ONE}\nkinetics massaction\n",
+        ParseError, f"number {_PADDED_ONE!r} has too many digits", 2),
+    **{f"stoichiometry-{name}": (f"species A B\nr1: {token} A -> B rate 1\nkinetics massaction\n",
+                                 ParseError, f"bad stoichiometric coefficient {token!r}", 2)
+       for name, token in (("infinity", "Infinity"), ("underscore", "1_000"),
+                           ("overflow", "1e400"), ("underflow", "1e-400"))},
     # zeros written as decimals are zeros, not underflows
     "zero-exponent-rate": ("species A B\nr1: A -> B rate 0e5\nkinetics massaction\n",
                            NegativeRateError, "rate for r1 must be positive", 2),
@@ -416,3 +437,105 @@ def test_render_round_trip_keeps_floats_and_exact_copies(family, data):
     net, again = parse_crn(render_crn(_ROUND_TRIP_NET, kin))
     assert net.y == _ROUND_TRIP_NET.y and type(again) is type(kin)
     assert _copies(again) == _copies(kin)
+
+
+# Tokens of the number grammar: an integer, p/q, or a decimal with an
+# optional exponent, optionally signed; up to 40 digits, exponents within 300.
+_DIGITS_40 = st.text("0123456789", min_size=1, max_size=40)
+_EXPONENT = st.builds("{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                      st.integers(0, 300))
+_UNSIGNED = st.one_of(
+    _DIGITS_40,
+    st.builds("{}/{}".format, _DIGITS_40, _DIGITS_40),
+    st.builds("{}.{}{}".format, _DIGITS_40, st.text("0123456789", max_size=40),
+              st.one_of(st.just(""), _EXPONENT)),
+    st.builds(".{}{}".format, _DIGITS_40, st.one_of(st.just(""), _EXPONENT)),
+    st.builds("{}{}".format, _DIGITS_40, _EXPONENT))
+_GRAMMAR_TOKEN = st.builds("{}{}".format, st.sampled_from(["", "+", "-"]), _UNSIGNED)
+
+
+def _meant(token: str) -> Fraction | None:
+    """The value `token` means, or None when it must be refused: a zero
+    denominator, or a nonzero value that a float cannot hold."""
+    try:
+        value = Fraction(token)
+    except ZeroDivisionError:
+        return None
+    try:
+        return value if value == 0 or float(value) != 0 else None
+    except OverflowError:
+        return None
+
+
+_FLUX_SYSTEM = cb.KineticSystem(*parse_crn(data_path("re1_massaction.crn").read_text()))
+
+
+@given(token=_GRAMMAR_TOKEN)
+@settings(max_examples=300, deadline=None)
+def test_every_reader_takes_a_grammar_token_as_written(token, tmp_path_factory):
+    """Rates, orders, stoichiometric coefficients and --flux-space rows read
+    one token to the same value: the Fraction it writes, or for a decimal
+    rate or order the correctly rounded float of it."""
+    from crnbalance.cli import _resolve_flux_basis
+    meant = _meant(token)
+    decimal = any(c in token for c in ".eE")
+    readings = {
+        "rate": (f"species A B\nr1: A -> B rate {token}\nkinetics massaction\n",
+                 lambda net, kin: kin.rates[0] if decimal else kin.exact_rates[0]),
+        "order": (_TWO + f"kinetics powerlaw\norder r1: A={token}\n",
+                  lambda net, kin: kin.orders[0, 0] if decimal else kin.exact_orders[0][0]),
+        "coefficient": (f"species A B\nr1: {token} A -> B rate 1\nr2: B -> A rate 1\n"
+                        "kinetics massaction\n",
+                        lambda net, kin: net.complexes[0].coeffs[0]),
+    }
+    for what, (text, read) in readings.items():
+        if what == "coefficient" and "+" in token:
+            continue  # `+` separates the terms of a complex
+        if meant is not None and ((what == "rate" and meant <= 0)
+                                  or (what == "coefficient" and meant < 0)):
+            continue  # refused for its sign, not its spelling
+        if meant is None:
+            with pytest.raises(ParseError):
+                parse_crn(text)
+            continue
+        expected = float(meant) if decimal and what != "coefficient" else meant
+        got = read(*parse_crn(text))
+        assert got == expected and type(got) in (float, np.float64, Fraction), what
+    path = tmp_path_factory.mktemp("flux") / "row.txt"
+    path.write_text(f"{token} 1 0\n")
+    if meant is None:
+        with pytest.raises(cb.CrnError, match="line 1: not a row of numbers"):
+            _resolve_flux_basis(str(path), _FLUX_SYSTEM)
+    else:
+        assert _resolve_flux_basis(str(path), _FLUX_SYSTEM)[0, 0] == float(meant)
+
+
+# Pieces of malformed and well-formed network files; the spellings the number
+# grammar refuses are among the tokens.
+_FUZZ_TOKEN = st.one_of(
+    _GRAMMAR_TOKEN,
+    st.sampled_from(["Infinity", "inf", "nan", "1_000", "3/0", "0/0", "1e400", "1e-400",
+                     "1e999999999", "-1e-999999999", "0e999999999", "1" * 5000,
+                     "0" * 5000 + "1", "٣", "½", "0x10", "1,5", "1/", "/2", ".",
+                     "e5", "-", "(", ")", "=", "", "A", "B"]),
+    st.text(" 0123456789./eE+-_=(),:#AB", max_size=12))
+_FUZZ_LINE = st.one_of(
+    st.sampled_from(["species A B", "species A", "species", "kinetics massaction",
+                     "kinetics powerlaw", "kinetics polypl", "kinetics hill", "kinetics"]),
+    st.builds("r{}: {} A + {} B -> {} B rate {}".format, st.integers(1, 3),
+              *[_FUZZ_TOKEN] * 4),
+    st.builds("r{}: {} -> {} rate {}".format, st.integers(1, 3),
+              *[st.sampled_from(["0", "A", "B", "2 A", "A + B", "1/2 B"])] * 2, _FUZZ_TOKEN),
+    st.builds("order r{}: A={}, B={}".format, st.integers(1, 3), _FUZZ_TOKEN, _FUZZ_TOKEN),
+    st.builds("term r{} coeff {}: A={}".format, st.integers(1, 3), _FUZZ_TOKEN, _FUZZ_TOKEN),
+    st.builds("hill r{}: A=(f={}, d={})".format, st.integers(1, 3), _FUZZ_TOKEN, _FUZZ_TOKEN),
+    st.text(" 0123456789./eE+-_=(),:#ABr>", max_size=30))
+
+
+@given(lines=st.lists(_FUZZ_LINE, max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_parse_crn_raises_only_its_own_errors(lines):
+    try:
+        parse_crn("\n".join(lines))
+    except (ParseError, cb.CrnError):
+        pass

@@ -390,6 +390,17 @@ _BAD_DATA = {
 }
 
 
+@pytest.mark.parametrize("build", [
+    lambda: cb.power_law([[1, 0], [0, 1]], [10 ** 400, 1]),
+    lambda: cb.power_law([[Fraction(10 ** 400), 0], [0, 1]], [1, 1]),
+    lambda: cb.power_law([[Fraction(1, 10 ** 400), 0], [0, 1]], [1, 1]),
+    lambda: cb.hill([[1, 0], [0, 1]], [[Fraction(10 ** 400), 0], [0, 1]], [1, 1]),
+], ids=["rate", "order", "tiny order", "hill dissociation"])
+def test_constructors_refuse_values_a_float_cannot_hold(build):
+    with pytest.raises(cb.InvalidKineticsError, match="numbers a float can hold"):
+        build()
+
+
 @pytest.mark.parametrize("build", _BAD_DATA.values(), ids=_BAD_DATA)
 def test_every_constructor_refuses_bad_data(build):
     with pytest.raises(cb.InvalidKineticsError):

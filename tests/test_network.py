@@ -11,8 +11,8 @@ from crnbalance import rational
 from crnbalance.fileformat import parse_crn
 from crnbalance.network import _strongly_connected_components
 
-from conftest import (DATA, matmul, nullspace, random_network, random_weakly_reversible_network,
-                      spans_equal)
+from conftest import (DATA, exact_rank, matmul, nullspace, random_network,
+                      random_weakly_reversible_network, spans_equal)
 
 Y_PRINTED = [[2, 1, 0, 2, 1, 0], [0, 1, 2, 0, 0, 0], [0, 0, 0, 1, 2, 3]]
 IA_PRINTED = [[-1, 1, 0, 0, 0, 0, 0, 0],
@@ -52,6 +52,14 @@ def test_build_errors():
         cb.build_network(["A", "B"], [[1, 0], [2, 0]], [(0, 1)])
     with pytest.raises(cb.NegativeCoefficientError):
         cb.build_network(["A"], [[-1], [1]], [(0, 1)])
+
+
+def test_build_refuses_a_coefficient_a_float_cannot_hold():
+    """The float N of such a network would overflow, or read 0 where the
+    exact N does not."""
+    for big in (10 ** 400, Fraction(1, 10 ** 400)):
+        with pytest.raises(cb.CrnError, match="coefficient of A: .* does not fit a float"):
+            cb.build_network(["A", "B"], [[big, 0], [0, 1]], [(0, 1), (1, 0)])
 
 
 def test_rational_coefficients_accepted():
@@ -201,7 +209,7 @@ def oracle_structural_invariants(net) -> dict:
             outgoing[scc_of[rx.reactant]] = True
     terminal = tuple(tuple(sccs[i]) for i in range(sl) if not outgoing[i])
     t = len(terminal)
-    s = rational.rank([list(row) for row in net.n])
+    s = exact_rank([list(row) for row in net.n])
     z = rational.positive_kernel_vector(rational.transpose([list(row) for row in net.n]))
     return dict(m=m, n=n, n_r=n_r, r=r, l=l, sl=sl, t=t, s=s, delta=n - l - s,
                 weakly_reversible=not any(outgoing), t_minimal=(t == l),

@@ -1,5 +1,7 @@
 """Exact rational linear algebra: ranks, kernels, positivity feasibility."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from crnbalance import rational
 from crnbalance.rational import Matrix, Vector
 
-from conftest import column_basis, in_span, nullspace, spans_equal
+from conftest import column_basis, exact_rank, in_span, nullspace, spans_equal
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -188,7 +190,7 @@ def test_rref_matches_fraction_oracle(mat):
 @given(rational_matrices())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_rank_nullspace_row_basis_match_fraction_oracle(mat):
-    rank, kernel, row_basis = rational.rank(mat), nullspace(mat), nonzero_rref_rows(mat)
+    rank, kernel, row_basis = exact_rank(mat), nullspace(mat), nonzero_rref_rows(mat)
     with mock.patch.object(rational, "rref", oracle_rref):
         assert rank == len(oracle_rref(mat)[1])
         assert kernel == nullspace(mat)
@@ -274,9 +276,9 @@ def t_and_linkage_rows(draw):
 def test_one_pass_ranks_t_and_t_hat(blocks):
     t, lt = blocks
     pivots = rational.pivot_rows_int(rational.integer_rows(t + lt))
-    assert sum(1 for i in pivots if i < len(t)) == rational.rank(t) == len(oracle_rref(t)[1])
+    assert sum(1 for i in pivots if i < len(t)) == exact_rank(t) == len(oracle_rref(t)[1])
     assert len(pivots) == len(oracle_rref(t + lt)[1])
-    assert rational.rank([(t + lt)[i] for i in pivots]) == len(pivots)
+    assert exact_rank([(t + lt)[i] for i in pivots]) == len(pivots)
 
 
 @st.composite
@@ -320,7 +322,7 @@ def test_integer_paths_match_the_fraction_path(pair):
     assert pivots_int == pivots
     assert [[Fraction(v, d) for v in row] for row in red_int] == red
     assert rational.pivot_rows_int(rows) == rational.pivot_rows_int(rational.integer_rows(mat))
-    assert rational.rank_int(rows) == rational.rank(mat) == len(pivots)
+    assert rational.rank_int(rows) == exact_rank(mat) == len(pivots)
     assert column_basis(mat) == [[row[c] for row in rational.matrix(mat)]
                                           for c in pivots_int]
     assert rows == given_rows
@@ -346,11 +348,11 @@ def test_rank_examples():
     n_re1 = [[-1, 1, -1, 1, -1, 1, -1, 1],
              [1, -1, 1, -1, 0, 0, 0, 0],
              [0, 0, 0, 0, 1, -1, 1, -1]]
-    assert rational.rank(n_re1) == 2
-    assert rational.rank([[0, 0], [0, 0]]) == 0
+    assert exact_rank(n_re1) == 2
+    assert exact_rank([[0, 0], [0, 0]]) == 0
     that = [[0, -1, 0, 0], [-1, -1, -2, 0], [1, 1, 0, -2], [1, 1, 1, 1]]
-    assert rational.rank(that) == 4
-    assert rational.rank([]) == rational.rank([[]]) == 0
+    assert exact_rank(that) == 4
+    assert exact_rank([]) == exact_rank([[]]) == 0
     assert rational.rref([]) == oracle_rref([]) == ([], [])
 
 
@@ -359,19 +361,75 @@ def test_frac_rejects_floats():
         rational.frac(0.5)
 
 
+# Each string `frac` reads: its value, or the message that refuses it.
+FRAC_STRINGS = {
+    "7": Fraction(7), "-3/4": Fraction(-3, 4), "+6/4": Fraction(3, 2),
+    "0.5": Fraction(1, 2), "-.25": Fraction(-1, 4), "5.": Fraction(5),
+    "1.5e3": Fraction(1500), "2E-3": Fraction(1, 500), "0e999999999": Fraction(0),
+    "-0.0": Fraction(0), "0/5": Fraction(0), "4.9e-324": Fraction(49, 10 ** 325),
+    "3/0": "number '3/0' has a zero denominator",
+    "0/0": "number '0/0' has a zero denominator",
+    "1e400": "number '1e400' overflows a float",
+    "1e-400": "number '1e-400' underflows a float",
+    "1/" + "1" * 400: f"number {'1/' + '1' * 400!r} underflows a float",
+    "1" * 400 + "/3": f"number {'1' * 400 + '/3'!r} overflows a float",
+    "0" * 5000 + "1": f"number {'0' * 5000 + '1'!r} has too many digits",
+    "Infinity": "expected a number, got 'Infinity'",
+    "nan": "expected a number, got 'nan'",
+    "1_000": "expected a number, got '1_000'",
+    " 1": "expected a number, got ' 1'",
+    "1/2/3": "expected a number, got '1/2/3'",
+    "1.5/2": "expected a number, got '1.5/2'",
+    "": "expected a number, got ''",
+}
+
+
+@pytest.mark.parametrize("text", sorted(FRAC_STRINGS))
+def test_frac_reads_one_grammar(text):
+    want = FRAC_STRINGS[text]
+    if isinstance(want, Fraction):
+        assert rational.frac(text) == want and type(rational.frac(text)) is Fraction
+    else:
+        with pytest.raises(ValueError) as info:
+            rational.frac(text)
+        assert str(info.value) == want
+
+
+def test_frac_refuses_a_huge_exponent_at_once():
+    """Building 10**999999999 would take minutes; the float check refuses
+    both signs of the exponent before any Fraction is built."""
+    code = ("from crnbalance.rational import frac\n"
+            "for text in ('1e999999999', '1e-999999999'):\n"
+            "    try:\n"
+            "        frac(text)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=10, check=True).stdout
+    assert out == ("number '1e999999999' overflows a float\n"
+                   "number '1e-999999999' underflows a float\n")
+
+
+def test_to_float_refuses_what_a_float_cannot_hold():
+    assert rational.to_float(Fraction(1, 3)) == 1 / 3 and rational.to_float(0) == 0.0
+    for value in (10 ** 400, Fraction(-(10 ** 400), 3), Fraction(1, 10 ** 400)):
+        with pytest.raises(ValueError, match="does not fit a float"):
+            rational.to_float(value)
+
+
 def test_numpy_integers_rank_as_python_integers():
     """A numpy integer numerator would wrap in the integer elimination:
     diag(2^32, 2^32) has rank 2, not 1."""
     big = np.int64(2 ** 32)
     assert type(rational.frac(big).numerator) is int
-    assert rational.rank([[big, np.int64(0)], [np.int64(0), big]]) == 2
+    assert exact_rank([[big, np.int64(0)], [np.int64(0), big]]) == 2
 
 
 @given(small_matrices)
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_transpose_and_numpy(mat):
-    r = rational.rank(mat)
-    assert r == rational.rank(rational.transpose(rational.matrix(mat)))
+    r = exact_rank(mat)
+    assert r == exact_rank(rational.transpose(rational.matrix(mat)))
     assert r == np.linalg.matrix_rank(np.array(mat, dtype=float))
     assert r <= min(len(mat), len(mat[0]))
 
@@ -383,7 +441,7 @@ def test_rank_unchanged_by_dependent_row(mat, weights):
     weights = (weights * len(m))[:len(m)]
     combo = [sum(Fraction(w) * row[j] for w, row in zip(weights, m))
              for j in range(len(m[0]))]
-    assert rational.rank(m + [combo]) == rational.rank(m)
+    assert exact_rank(m + [combo]) == exact_rank(m)
 
 
 @given(small_matrices)
@@ -391,17 +449,17 @@ def test_rank_unchanged_by_dependent_row(mat, weights):
 def test_nullspace_is_a_kernel_basis(mat):
     m = rational.matrix(mat)
     basis = nullspace(m)
-    assert len(basis) == len(m[0]) - rational.rank(m)
+    assert len(basis) == len(m[0]) - exact_rank(m)
     for vec in basis:
         assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m)
     if basis:
-        assert rational.rank(basis) == len(basis)
+        assert exact_rank(basis) == len(basis)
 
 
 def test_column_and_row_basis_span():
     m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     cols = column_basis(m)
-    assert len(cols) == rational.rank(m) == 2
+    assert len(cols) == exact_rank(m) == 2
     rows = nonzero_rref_rows(m)
     assert spans_equal(rows, [[1, 2, 3], [0, 1, 1]])
 
