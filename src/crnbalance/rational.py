@@ -14,8 +14,9 @@ multiple of a row changes no rank, pivot or reduced form, so `rref` has a
 form that takes integer rows as they are (`rref_int`), and the Fraction
 form scales its rows once and calls it; `rank_int` and `pivot_rows_int`
 take integer rows only. A caller that keeps its matrix as integer rows
-scales it once: a network its N and Ia, a T-matrix build its order rows. `positive_kernel_vector_int` reads its rows as the matrix
-itself, since its witness depends on the scale of each row.
+scales it once: a network its N and Ia, a T-matrix build its order rows.
+`positive_kernel_vector_int` reads its rows as the matrix itself, since
+its witness depends on the scale of each row.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ def frac(value) -> Fraction:
     A string is an integer, `p/q` or a decimal with an optional exponent,
     optionally signed (not `1_000`, `inf` or `nan`). A ValueError naming it
     refuses a zero denominator, digits that `int()` refuses and a nonzero
-    value that overflows a float or underflows to 0.0, decided before any
-    Fraction is built (from `float()` of the string or `int(p) / int(q)`).
+    value that a float cannot hold, decided before any Fraction is built.
     """
     if type(value) is int:
         return Fraction(value)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crnbalance as cb
+from crnbalance.cli import _resolve_flux_basis
 from crnbalance.fileformat import (MissingKineticsRowError, NegativeRateError,
                                    ParseError, UnknownSpeciesError, parse_crn,
                                    render_crn)
@@ -476,7 +477,6 @@ def test_every_reader_takes_a_grammar_token_as_written(token, tmp_path_factory):
     """Rates, orders, stoichiometric coefficients and --flux-space rows read
     one token to the same value: the Fraction it writes, or for a decimal
     rate or order the correctly rounded float of it."""
-    from crnbalance.cli import _resolve_flux_basis
     meant = _meant(token)
     decimal = any(c in token for c in ".eE")
     readings = {
@@ -501,7 +501,7 @@ def test_every_reader_takes_a_grammar_token_as_written(token, tmp_path_factory):
         expected = float(meant) if decimal and what != "coefficient" else meant
         got = read(*parse_crn(text))
         assert got == expected and type(got) in (float, np.float64, Fraction), what
-    path = tmp_path_factory.mktemp("flux") / "row.txt"
+    path = tmp_path_factory.getbasetemp() / "flux-row.txt"
     path.write_text(f"{token} 1 0\n")
     if meant is None:
         with pytest.raises(cb.CrnError, match="line 1: not a row of numbers"):
@@ -511,13 +511,14 @@ def test_every_reader_takes_a_grammar_token_as_written(token, tmp_path_factory):
 
 
 # Pieces of malformed and well-formed network files; the spellings the number
-# grammar refuses are among the tokens.
+# grammar refuses are among the tokens. Huge exponents are left to the
+# subprocess test in test_rational.py, so that a regression there fails
+# instead of hanging this one.
 _FUZZ_TOKEN = st.one_of(
     _GRAMMAR_TOKEN,
     st.sampled_from(["Infinity", "inf", "nan", "1_000", "3/0", "0/0", "1e400", "1e-400",
-                     "1e999999999", "-1e-999999999", "0e999999999", "1" * 5000,
-                     "0" * 5000 + "1", "٣", "½", "0x10", "1,5", "1/", "/2", ".",
-                     "e5", "-", "(", ")", "=", "", "A", "B"]),
+                     "0e999999999", "1" * 5000, "0" * 5000 + "1", "٣", "½", "0x10", "1,5",
+                     "1/", "/2", ".", "e5", "-", "(", ")", "=", "", "A", "B"]),
     st.text(" 0123456789./eE+-_=(),:#AB", max_size=12))
 _FUZZ_LINE = st.one_of(
     st.sampled_from(["species A B", "species A", "species", "kinetics massaction",

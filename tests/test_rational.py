@@ -384,7 +384,8 @@ FRAC_STRINGS = {
 }
 
 
-@pytest.mark.parametrize("text", sorted(FRAC_STRINGS))
+@pytest.mark.parametrize("text", sorted(FRAC_STRINGS),
+                         ids=lambda t: repr(t) if len(t) < 20 else f"{t[:6]}...{len(t)}-chars")
 def test_frac_reads_one_grammar(text):
     want = FRAC_STRINGS[text]
     if isinstance(want, Fraction):
