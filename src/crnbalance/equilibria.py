@@ -32,7 +32,7 @@ from .kinetics import (Kinetics, KineticsClassification, PolyPLKinetics,
                        log_jacobian, normalize_poly_pl)
 from .kinetic_matrices import TMatrices, build_t_matrices, is_pl_tik
 from .newton import (DEDUP_TOL, SolveConfig, _Chart, _dedup_logs, _newton,
-                     _normalized_rows, _seed_outcome)
+                     _normalized_jacobian, _normalized_rows, _seed_outcome)
 from .network import (CrnError, ReactionNetwork, StructuralInvariants, is_conservative,
                       structural_invariants, stoichiometric_basis)
 
@@ -156,17 +156,22 @@ def _multistart(pairs, chart: _Chart, seeds, cfg: SolveConfig):
 
     def resjac(p):
         on, x = chart.to_x(p)
-        gs, js, raw = [], [], np.zeros(x.shape[0])
+        gs, parts, raw = [], [], 0.0
         for a, abs_a, kin in mats:
             k, jk = log_jacobian(kin, x)
-            g, jg, raw_inf = _normalized_rows(a, abs_a, k, chart.param_jac(jk, x))
+            g, div, raw_inf = _normalized_rows(a, abs_a, k)
             gs.append(g)
-            js.append(jg)
+            parts.append((a, abs_a, g, div, jk))
             # fmax, like max() from 0.0, passes over a NaN residual
             raw = np.fmax(raw, raw_inf)
-        if len(mats) == 1:
-            return on, gs[0], js[0], raw
-        return on, np.concatenate(gs, axis=-1), np.concatenate(js, axis=-2), raw
+
+        def jacobian(rows):
+            js = [_normalized_jacobian(a, abs_a, g[rows], div[rows],
+                                       chart.param_jac(jk[rows], x[rows]))
+                  for a, abs_a, g, div, jk in parts]
+            return js[0] if len(js) == 1 else np.concatenate(js, axis=-2)
+
+        return on, gs[0] if len(gs) == 1 else np.concatenate(gs, axis=-1), jacobian, raw
 
     logs: list[np.ndarray] = []
     stops: list[str] = []

@@ -9,7 +9,9 @@
     order r2: X1=1, X2=1
 
 A complex is `0` or a `+`-separated list of `coeff name` terms (coefficient
-optional, nonnegative rational). The kinetics block is one of:
+optional, nonnegative rational); a `+` that signs a coefficient or its
+exponent, as in `+2 A` or `1e+2 A`, is part of the number. The kinetics
+block is one of:
 
     kinetics massaction
     kinetics powerlaw     followed by one `order <label>: S=val, ...` per reaction
@@ -62,6 +64,30 @@ def _parse_number(token: str, line: int):
     return float(token) if any(c in token for c in ".eE") else value
 
 
+_EXPONENT_HEAD = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)[eE]")
+
+
+def _terms(text: str, species_index: dict[str, int]) -> list[str]:
+    """`text` split at each `+` that separates the terms of a complex.
+
+    A `+` before a digit or `.` belongs to a number instead where it signs
+    a term's coefficient (only whitespace before it in the term) or the
+    exponent of one such as `1e+2` (right after a token like `1e` that
+    names no species). A split there leaves an empty term or an unknown
+    species, so every complex that a split at every `+` reads, reads the same.
+    """
+    terms, start = [], 0
+    for i in [i for i, c in enumerate(text) if c == "+"]:
+        head = text[start:i].split()
+        if text[i + 1:i + 2] in tuple("0123456789.") and (
+                not head or (not text[i - 1].isspace() and _EXPONENT_HEAD.fullmatch(head[-1])
+                             and head[-1] not in species_index)):
+            continue
+        terms.append(text[start:i])
+        start = i + 1
+    return terms + [text[start:]]
+
+
 def _parse_complex(text: str, species_index: dict[str, int], line: int):
     text = text.strip()
     if not text:
@@ -69,7 +95,7 @@ def _parse_complex(text: str, species_index: dict[str, int], line: int):
     coeffs = [Fraction(0)] * len(species_index)
     if text == "0":
         return tuple(coeffs)
-    for part in text.split("+"):
+    for part in _terms(text, species_index):
         tokens = part.split()
         if len(tokens) not in (1, 2):
             raise ParseError(f"malformed complex term {part.strip()!r}", line)

@@ -97,10 +97,15 @@ def _frozen(values) -> np.ndarray:
 
 
 def _checked(values, ndim: int, what: str) -> np.ndarray:
-    """A read-only float copy that has `ndim` axes and finite entries."""
-    try:
+    """A read-only float copy that has `ndim` axes and finite entries.
+
+    A float array is copied as it is; anything else is read entry by entry
+    by `_read`, which refuses a value a float cannot hold (`10**400`, or a
+    `Fraction(1, 10**400)` that a float conversion would read as 0.0).
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         arr = _frozen(values)
-    except (TypeError, ValueError, OverflowError):  # `p/q` strings, ragged rows, 10**400
+    else:
         arr = _read(values, ndim, what)[0]
     if arr.ndim != ndim or not np.all(np.isfinite(arr)):
         raise InvalidKineticsError(
@@ -144,11 +149,12 @@ class _RateTable:
         the same arithmetic, in the same order, as when evaluated alone.
         """
         monos = _monomials(self.weights, self.orders, x)
-        k = np.add.reduceat(monos, self.starts, axis=-1)
+        several = self.starts.size < self.weights.size  # some reaction has several terms
+        k = np.add.reduceat(monos, self.starts, axis=-1) if several else monos
         jac = None
         if jacobian:
             jac = monos[..., None] * self.orders
-            if self.starts.size < self.weights.size:  # some reaction has several terms
+            if several:
                 jac = np.add.reduceat(jac, self.starts, axis=-2)
         if self.factor_rows.size:
             fmonos = _monomials(self.factor_coeffs, self.factor_orders, x)
@@ -522,8 +528,11 @@ def _poly_pl_is_cf(kin: PolyPLKinetics, net: ReactionNetwork) -> bool:
 def _is_factor_span_surjective(kin: PowerLawKinetics, net: ReactionNetwork) -> bool:
     """Whether the kinetic complexes of a PL-RDK kinetics are pairwise
     distinct: the order rows of the first reactions of any two reactant
-    complexes differ."""
+    complexes differ. Exact rows are told apart in one pass, by a set;
+    float rows pair by pair, within `_ROW_TOL`."""
     firsts = [qs[0] for qs in net.reactions_by_reactant().values()]
+    if kin.exact_orders is not None:
+        return len({kin.exact_orders[q] for q in firsts}) == len(firsts)
     return not any(_rows_equal(kin, a, b) for a, b in combinations(firsts, 2))
 
 

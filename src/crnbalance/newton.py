@@ -1,9 +1,11 @@
 """The numeric parts of the multistart solver: its settings, the damped
-Newton iteration, its charts, the flux-normalized residual rows, the test
-that accepts a run's point and the deduplication of accepted points.
+Newton iteration, its charts, the flux-normalized residual rows and their
+Jacobian, the test that accepts a run's point and the deduplication of
+accepted points.
 
 `_newton` steps every seed of a multistart together over a `_Chart`;
-`equilibria._multistart` assembles the residual from the caller's pairs.
+`equilibria._multistart` assembles the residual from the caller's pairs,
+at every trial point, and its Jacobian only at the points a seed steps from.
 """
 
 from __future__ import annotations
@@ -68,20 +70,23 @@ def _newton(resjac, p0: np.ndarray, cfg: SolveConfig,
     """Damped Gauss-Newton on the residual `resjac` returns, from every row
     of `p0` (seeds, d) at once.
 
-    `resjac(P)` evaluates a stack of points (n, d) and returns (on, G, J,
-    raw): the mask of the rows on the chart, and the residual rows (k, q),
-    their Jacobians (k, q, d) and raw residuals (k,) of those k rows. Each
-    line-search round makes one such call, on the trial points of every
-    seed still searching. Points, steps and residuals are numpy stacks;
-    each seed's lambda, counters, residual norms and stop reason are Python
-    scalars, and one pass over the seeds makes a round's choices. A round
-    tries lambda, lambda/2, ... of a seed, as many as its last step needed
-    and twice that after a round that refused them all, but at most n // s
-    with s of n seeds searching; the seed takes the largest length whose
-    squared residual falls. A seed's iterates are those of the seed run
-    alone: each length is an exact power of two, above 2^-MAX_HALVINGS,
-    each row gets the same arithmetic, and each Newton step is one
-    least-squares solve of that seed's Jacobian.
+    `resjac(P)` evaluates a stack of points (n, d) and returns (on, G,
+    jacobian, raw): the mask of the rows on the chart, the residual rows
+    (k, q) and raw residuals (k,) of those k rows, and a callable that
+    forms the Jacobians (len(js), q, d) of the rows js among them. Each
+    line-search round makes one `resjac` call, on the trial points of every
+    seed still searching, and at most one `jacobian` call, on the rows that
+    a seed steps from; a length the line search refuses needs no Jacobian.
+    Points, steps and residuals are numpy stacks; each seed's lambda,
+    counters, residual norms and stop reason are Python scalars, and one
+    pass over the seeds makes a round's choices. A round tries lambda,
+    lambda/2, ... of a seed, as many as its last step needed and twice that
+    after a round that refused them all, but at most 2 (n // s) with s of n
+    seeds searching, so at most 2n trial points and n Jacobians; the seed
+    takes the largest length whose squared residual falls. A seed's iterates
+    are those of the seed run alone: each length is an exact power of two,
+    above 2^-MAX_HALVINGS, each row gets the same arithmetic, and each
+    Newton step is one least-squares solve of that seed's Jacobian.
 
     Steps are clamped in the max norm (exponential charts make the linear
     model wildly optimistic far from a root) and damped on the 2-norm, which
@@ -104,23 +109,22 @@ def _newton(resjac, p0: np.ndarray, cfg: SolveConfig,
     def residuals(points):
         """resjac at `points`; per point its residual row (None off the
         chart) and g . g (inf off the chart), per row max|g| and raw."""
-        on, g, jac, raw_on = resjac(points)
+        on, g, jacobian, raw_on = resjac(points)
         at, sq = [None] * len(points), [math.inf] * len(points)
         # g . g of each row, as the dot product of that row alone computes it
         squares = np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0].tolist()
         for j, (t, s) in enumerate(zip(np.flatnonzero(on).tolist(), squares)):
             at[t], sq[t] = j, s
-        return at, sq, np.max(np.abs(g), axis=1, initial=0.0).tolist(), raw_on.tolist(), g, jac
+        gmax = np.maximum.reduce(np.abs(g), axis=1, initial=0.0).tolist()
+        return at, sq, gmax, raw_on.tolist(), g, jacobian
 
-    def newton_steps(took, points, g, jac):
+    def newton_steps(took, points, g, jacobian):
         """The top of a Newton iteration for each (seed, t, j) of `took`, the
-        seed being at points[t] with residual g[j] and Jacobian jac[j]: the
-        stop tests, then a clamped step at lambda = 1. Returns the seeds
+        seed being at points[t] with residual g[j] and Jacobian jacobian([j]):
+        the stop tests, then a clamped step at lambda = 1. Returns the seeds
         that go on to search a line."""
-        umax = np.max(np.abs(points), axis=1, initial=0.0).tolist()
-        # lstsq raises on a non-finite Jacobian, so test it first
-        finite = np.all(np.isfinite(jac), axis=(1, 2)).tolist()
-        solved = []
+        umax = np.maximum.reduce(np.abs(points), axis=1, initial=0.0).tolist()
+        live = []
         for i, t, j in took:
             if iters[i] >= cfg.max_iter:
                 stops[i] = "converged" if gnorm[i] <= target else "max_iter"
@@ -128,15 +132,25 @@ def _newton(resjac, p0: np.ndarray, cfg: SolveConfig,
                 stops[i] = "converged"
             elif escape_bound is not None and umax[t] > escape_bound:
                 stops[i] = "escaped"
-            elif not finite[j]:
+            else:
+                live.append((i, t, j))
+        if not live:  # an empty list index would page in numpy code
+            return []
+        jac = jacobian([j for _, _, j in live])
+        # lstsq raises on a non-finite Jacobian, so test it first
+        finite = np.logical_and.reduce(np.isfinite(jac), axis=(1, 2)).tolist()
+        solved = []
+        for (i, t, j), jac_j, ok in zip(live, jac, finite):
+            if not ok:
                 stops[i] = "non-finite step"
             else:
-                step[i] = np.linalg.lstsq(jac[j], -g[j], rcond=None)[0]
+                step[i] = np.linalg.lstsq(jac_j, -g[j], rcond=None)[0]
                 solved.append((i, t))
-        if not solved:  # an empty list index would page in numpy code
+        if not solved:
             return []
         # NaN or inf where the step is not finite, 0 on a zero-width chart
-        biggest = np.max(np.abs(step[[i for i, _ in solved]]), axis=1, initial=0.0).tolist()
+        biggest = np.maximum.reduce(np.abs(step[[i for i, _ in solved]]), axis=1,
+                                    initial=0.0).tolist()
         going = []
         for (i, t), b in zip(solved, biggest):
             if not math.isfinite(b):
@@ -150,22 +164,23 @@ def _newton(resjac, p0: np.ndarray, cfg: SolveConfig,
                 going.append(i)
         return going
 
-    at, gsq, gmax, raws, g, jac = residuals(u)
+    at, gsq, gmax, raws, g, jacobian = residuals(u)
     gnorm = [math.inf if j is None else gmax[j] for j in at]
     raw = [math.inf if j is None else raws[j] for j in at]
     stops = ["left the chart" if j is None else None for j in at]
-    searching = newton_steps([(i, i, j) for i, j in enumerate(at) if j is not None], u, g, jac)
-    # Jacobians are needed only for the steps just taken; dropping them keeps
-    # one stack of them alive at a time.
-    del g, jac
+    searching = newton_steps([(i, i, j) for i, j in enumerate(at) if j is not None], u, g,
+                             jacobian)
+    # The residuals are needed only for the steps just taken; dropping them
+    # keeps one stack of them alive at a time.
+    del g, jacobian
     while searching:
         # seed i tries lam[i] * 2^-c for c < k, after halved[i] + c halvings
-        width = min(n // len(searching), MAX_HALVINGS)
+        width = min(2 * (n // len(searching)), MAX_HALVINGS)
         counts = [min(tries[i], width, MAX_HALVINGS - halved[i]) for i in searching]
         rows = [i for i, k in zip(searching, counts) for _ in range(k)]
         lams = [lam[i] * h for i, k in zip(searching, counts) for h in _HALVES[:k]]
         trial = u[rows] + np.array(lams)[:, None] * step[rows]
-        at, sq, gmax, raws, g, jac = residuals(trial)
+        at, sq, gmax, raws, g, jacobian = residuals(trial)
         moved, took, kept, t = [], [], [], 0
         for i, k in zip(searching, counts):
             # the first, so the largest, length whose squared residual fell
@@ -190,33 +205,41 @@ def _newton(resjac, p0: np.ndarray, cfg: SolveConfig,
             t += k
         if moved:
             u[[i for i, _ in moved]] = trial[[t for _, t in moved]]
-            kept += newton_steps(took, trial, g, jac)
-        del g, jac
+            kept += newton_steps(took, trial, g, jacobian)
+        del g, jacobian
         searching = sorted(kept)  # in seed order
     return [_Run(u[i], gnorm[i], raw[i], stops[i]) for i in range(n)]
 
 
-def _normalized_rows(a, abs_a, k, jk_param):
-    """Flux-normalized residual rows G = (A K) / (|A| K) and their Jacobian.
+def _normalized_rows(a, abs_a, k):
+    """Flux-normalized residual rows G = (A K) / (|A| K), the flux divisor
+    and the raw residual max|A K| of each state.
 
     Each row of A K is divided by the total kinetic flux through that row,
     which makes the residual scale invariant: shrinking or inflating the
     whole state cannot fake progress, and rows whose kinetics run at tiny
     magnitudes still count at full weight. Rows with no flux (all-zero rows
-    of A) are identically zero and stay zero. `k` is a stack (..., r) and
-    `jk_param` (..., r, d); A K is formed one matrix-vector product per
-    state, as for a single state.
+    of A) are identically zero and stay zero. `k` is a stack (..., r); A K
+    is formed one matrix-vector product per state, as for a single state.
+    The Jacobian of G is `_normalized_jacobian`, formed apart so that the
+    solver forms it only at the points it steps from.
     """
     raw = np.matmul(a, k[..., None])[..., 0]
     flux = np.matmul(abs_a, k[..., None])[..., 0]
     div = np.where(flux > 0, flux, 1.0)
-    g = raw / div
-    # jg = (A dK - g |A| dK) / div, in place to hold fewer stacks at once
+    return raw / div, div, np.maximum.reduce(np.abs(raw), axis=-1, initial=0.0)
+
+
+def _normalized_jacobian(a, abs_a, g, div, jk_param):
+    """dG/dp = (A dK - G |A| dK) / div, from the rows G and divisors of
+    `_normalized_rows` and dK/dp (..., r, d); each state gets the same
+    arithmetic as when formed alone."""
+    # in place to hold fewer stacks at once
     jg = np.matmul(abs_a, jk_param)
     jg *= g[..., None]
     np.subtract(np.matmul(a, jk_param), jg, out=jg)
     jg /= div[..., None]
-    return g, jg, np.max(np.abs(raw), axis=-1, initial=0.0)
+    return jg
 
 
 def _seed_outcome(run: _Run, to_log, cfg):
@@ -282,7 +305,7 @@ class _Chart:
     def log(cls, m: int) -> "_Chart":
         """The positive orthant in u = log x."""
         def to_x(u):
-            on = ~(np.max(np.abs(u), axis=-1) > _U_BOUND)
+            on = ~(np.maximum.reduce(np.abs(u), axis=-1) > _U_BOUND)
             return on, np.exp(u[on])
 
         def seeds(cfg):
@@ -309,7 +332,7 @@ class _Chart:
 
         def to_x(alpha):
             x = state(alpha)
-            on = ~(np.any(x <= 0, axis=-1) | np.any(x > 1e18, axis=-1))
+            on = ~(np.logical_or.reduce(x <= 0, axis=-1) | np.logical_or.reduce(x > 1e18, axis=-1))
             return on, x[on]
 
         def to_log(alpha):

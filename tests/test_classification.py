@@ -2,6 +2,7 @@
 classification it replaced, and no T-matrix build behind them."""
 
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ import crnbalance as cb
 from crnbalance import equilibria, kinetic_matrices
 from crnbalance.fileformat import parse_crn
 from crnbalance.kinetics import (KineticsClassification, HillKinetics, PolyPLKinetics,
-                                 PowerLawKinetics, _ROW_TOL, normalize_poly_pl)
+                                 PowerLawKinetics, _ROW_TOL, _rows_equal, normalize_poly_pl)
 
 from conftest import (bench_ladder, bench_workloads, data_path, random_network,
                       random_weakly_reversible_network)
@@ -120,14 +121,24 @@ def _parent_t_matrices(net, kin):
     return SimpleNamespace(t=t.t, exact_t=exact_t)
 
 
+# -- the oracle of the set-based test of exact rows: factor span
+# surjectivity as `classify` read it from its order rows, pair by pair
+
+def _pairwise_factor_span_surjective(kin, net) -> bool:
+    firsts = [qs[0] for qs in net.reactions_by_reactant().values()]
+    return not any(_rows_equal(kin, a, b) for a, b in combinations(firsts, 2))
+
+
 def _check(net, kin) -> KineticsClassification:
-    """`classify` equals the T-backed oracle, flag for flag and type for
-    type, and a system builds T matrices exactly for PL-RDK kinetics."""
+    """`classify` equals the T-backed oracle and the pairwise reading of its
+    own rows, flag for flag and type for type, and a system builds T
+    matrices exactly for PL-RDK kinetics."""
     new = cb.classify(kin, net)
     old = _parent_classify(kin, net, _parent_t_matrices(net, kin))
     assert new == old and repr(new) == repr(old), (new, old)
     if new.pl_rdk:
         assert type(new.factor_span_surjective) is bool
+        assert new.factor_span_surjective is _pairwise_factor_span_surjective(kin, net)
     system = cb.KineticSystem(net, kin)
     assert system.classification == new
     assert (system.t_matrices is None) == (new.pl_rdk is not True)
@@ -232,6 +243,38 @@ def test_float_rows_1e13_apart_are_one_kinetic_complex():
     assert cb.classify(exact, net).factor_span_surjective is True
     assert cb.classify(cb.power_law([[0.5, 0], [0.75, 0]], [1, 1]),
                        net).factor_span_surjective is True
+
+
+def test_float_rows_are_compared_pair_by_pair_and_exact_rows_in_one_pass(monkeypatch):
+    """On a ladder of 40 reactions, exact rows need no pairwise compare past
+    the PL-RDK test; the same rows as floats (no exact copy) are told apart
+    pair by pair within the tolerance, as the pairwise oracle does."""
+    net, kin = bench_ladder(0, 40)
+    by_reactant = net.reactions_by_reactant()
+    firsts = [qs[0] for qs in by_reactant.values()]
+    assert kin.exact_orders is not None and len(firsts) > 20
+    pl_rdk_calls = net.num_reactions - len(firsts)
+    calls = []
+    real = cb.kinetics._rows_equal
+
+    def counted(kin, q1, q2):
+        calls.append((q1, q2))
+        return real(kin, q1, q2)
+
+    monkeypatch.setattr(cb.kinetics, "_rows_equal", counted)
+    assert cb.classify(kin, net).factor_span_surjective is True
+    assert len(calls) == pl_rdk_calls
+    # two reactant complexes' rows 1e-13 apart are one kinetic complex
+    first, second = list(by_reactant.values())[:2]
+    for shift, fss in ((None, True), (1e-13, False)):
+        rows = kin.orders + 0.5
+        if shift is not None:
+            rows[second] = rows[first[0]] + shift
+        floats = cb.power_law(rows.tolist(), [1] * net.num_reactions)
+        assert floats.exact_orders is None
+        calls.clear()
+        assert _check(net, floats).factor_span_surjective is fss
+        assert len(calls) > 2 * pl_rdk_calls  # `classify` runs twice in `_check`
 
 
 def test_classify_takes_only_the_kinetics_and_the_network(re1_powerlaw):

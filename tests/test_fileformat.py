@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import crnbalance as cb
 from crnbalance.cli import _resolve_flux_basis
 from crnbalance.fileformat import (MissingKineticsRowError, NegativeRateError,
-                                   ParseError, UnknownSpeciesError, parse_crn,
-                                   render_crn)
+                                   ParseError, UnknownSpeciesError, _parse_complex,
+                                   parse_crn, render_crn)
 
 from conftest import data_path
 
@@ -489,8 +489,6 @@ def test_every_reader_takes_a_grammar_token_as_written(token, tmp_path_factory):
                         lambda net, kin: net.complexes[0].coeffs[0]),
     }
     for what, (text, read) in readings.items():
-        if what == "coefficient" and "+" in token:
-            continue  # `+` separates the terms of a complex
         if meant is not None and ((what == "rate" and meant <= 0)
                                   or (what == "coefficient" and meant < 0)):
             continue  # refused for its sign, not its spelling
@@ -508,6 +506,67 @@ def test_every_reader_takes_a_grammar_token_as_written(token, tmp_path_factory):
             _resolve_flux_basis(str(path), _FLUX_SYSTEM)
     else:
         assert _resolve_flux_basis(str(path), _FLUX_SYSTEM)[0, 0] == float(meant)
+
+
+_COMPLEX_SPECIES = {"A": 0, "B": 1, "1e": 2, "2": 3}
+
+
+@pytest.mark.parametrize("text, names, want", [
+    ("1e+2 A", "A B", {"A": 100}), ("+2 A", "A B", {"A": 2}),
+    ("+1E+1 B + A", "A B", {"A": 1, "B": 10}), (".5e+1 B", "A B", {"B": 5}),
+    ("A + +2 B", "A B", {"A": 1, "B": 2}), ("A+B", "A B", {"A": 1, "B": 1}),
+    ("2 A + B", "A B", {"A": 2, "B": 1}), ("A +2 B", "A B", {"A": 1, "B": 2}),
+    # a species named like a number, or like the head of an exponent, keeps
+    # the `+` after it a separator, as a split at every `+` reads it
+    ("1 +2 B", "A B 1", {"1": 1, "B": 2}), ("1e+2 A", "A 1e", {"1e": 1, "A": 2}),
+    ("2 1e+2 A", "A 1e", {"1e": 2, "A": 2}),
+])
+def test_a_plus_that_signs_a_coefficient_or_its_exponent_is_part_of_it(text, names, want):
+    names = names.split()
+    got = _parse_complex(text, {name: i for i, name in enumerate(names)}, 1)
+    assert got == tuple(Fraction(want.get(name, 0)) for name in names)
+
+
+def _split_reading(text, species_index):
+    """A complex read by a split at every `+`, as the parser read it before
+    a `+` could sign a coefficient or its exponent; None where refused."""
+    coeffs = [Fraction(0)] * len(species_index)
+    if text.strip() == "0":
+        return tuple(coeffs)
+    for part in text.split("+"):
+        tokens = part.split()
+        if len(tokens) not in (1, 2) or tokens[-1] not in species_index:
+            return None
+        try:
+            coeff = cb.rational.frac(tokens[0]) if len(tokens) == 2 else Fraction(1)
+        except ValueError:
+            return None
+        if coeff < 0:
+            return None
+        coeffs[species_index[tokens[-1]]] += coeff
+    return tuple(coeffs)
+
+
+_COMPLEX_PIECE = st.sampled_from(["A", "B", "1e", "2", "+", " + ", " ", "+2", "2 ", "1e+2",
+                                  "1E", "3/2 ", "0.5", "+.5e+1", "e", "-"])
+
+
+@given(pieces=st.lists(_COMPLEX_PIECE, min_size=1, max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_complexes_that_a_split_at_every_plus_reads_read_the_same(pieces):
+    """Species named `1e` and `2` make the split and the number grammar
+    compete for a `+`: wherever the split reads a complex, the parser reads
+    the same coefficients."""
+    text = "".join(pieces)
+    if not text.strip():
+        return
+    old = _split_reading(text, _COMPLEX_SPECIES)
+    try:
+        new = _parse_complex(text, _COMPLEX_SPECIES, 1)
+    except ParseError:
+        new = None
+    if old is not None:
+        assert new == old
 
 
 # Pieces of malformed and well-formed network files; the spellings the number

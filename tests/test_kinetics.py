@@ -395,10 +395,40 @@ _BAD_DATA = {
     lambda: cb.power_law([[Fraction(10 ** 400), 0], [0, 1]], [1, 1]),
     lambda: cb.power_law([[Fraction(1, 10 ** 400), 0], [0, 1]], [1, 1]),
     lambda: cb.hill([[1, 0], [0, 1]], [[Fraction(10 ** 400), 0], [0, 1]], [1, 1]),
-], ids=["rate", "order", "tiny order", "hill dissociation"])
+    # a float conversion reads these as 0.0, and 0.0 as a Hill entry is off the support
+    lambda: cb.hill([[Fraction(1, 10 ** 400), 0], [0, 1]], [[1, 0], [0, 1]], [1, 1]),
+    lambda: cb.hill([[1, 0], [0, 1]], [[Fraction(1, 10 ** 400), 0], [0, 1]], [1, 1]),
+    lambda: cb.hill([["1e-400", 0], [0, 1]], [[1, 0], [0, 1]], [1, 1]),
+    lambda: cb.RationalKinetics([[Fraction(1, 10 ** 400), 0], [0, 1]], [1, 1], ((), ())),
+    lambda: cb.RationalKinetics(np.array([[Fraction(10 ** 400), 0], [0, 1]], dtype=object),
+                                [1, 1], ((), ())),
+    lambda: cb.RationalFactor([Fraction(1, 10 ** 400), 1], [[0, 0], [1, 0]]),
+    lambda: cb.RationalFactor([1, 1], [[0, 0], [Fraction(1, 10 ** 400), 0]]),
+], ids=["rate", "order", "tiny order", "hill dissociation", "hill tiny order",
+        "hill tiny dissociation", "hill tiny order string", "rational tiny order",
+        "rational huge order object array", "factor tiny coefficient", "factor tiny order"])
 def test_constructors_refuse_values_a_float_cannot_hold(build):
     with pytest.raises(cb.InvalidKineticsError, match="numbers a float can hold"):
         build()
+
+
+def test_float_arrays_skip_the_entry_by_entry_reading(monkeypatch):
+    """Hill and rational-kinetics arrays given as float arrays are copied by
+    numpy; only the rates, which keep an exact copy, are read entry by entry."""
+    read = []
+    real = cb.kinetics._read
+
+    def counted(values, ndim, what):
+        read.append(what)
+        return real(values, ndim, what)
+
+    monkeypatch.setattr(cb.kinetics, "_read", counted)
+    cb.HillKinetics(np.array([[1.0, 0.0], [0.0, -2.0]]), np.array([[0.5, 0.0], [0.0, 2.0]]),
+                    np.ones(2))
+    cb.RationalKinetics(np.eye(2), np.ones(2), ((_FACTOR,), ()))
+    assert set(read) == {"rate constants"}
+    cb.hill([[1, 0], [0, -2]], [[0.5, 0], [0, 2]], [1, 1])
+    assert {"kinetic orders", "dissociation constants"} <= set(read)
 
 
 @pytest.mark.parametrize("build", _BAD_DATA.values(), ids=_BAD_DATA)

@@ -63,14 +63,18 @@ class _Creeping:
 
 def _stacked(resjac):
     """The stacked residual of a single-point one: the mask of the rows at
-    which `resjac` gives a state, and the stacked states of those rows."""
+    which `resjac` gives a state, the residual rows of those rows, a
+    callable that picks the Jacobians of some of them, and their raw
+    residuals."""
     def stacked(p):
         states = [resjac(row) for row in p]
         on = np.array([state is not None for state in states], dtype=bool)
         kept = [state for state in states if state is not None]
         if not kept:
-            return on, np.zeros((0, 1)), np.zeros((0, 1, p.shape[1])), np.zeros(0)
-        return on, *(np.array([state[i] for state in kept]) for i in range(3))
+            jac = np.zeros((0, 1, p.shape[1]))
+            return on, np.zeros((0, 1)), lambda rows: jac[rows], np.zeros(0)
+        g, jac, raw = (np.array([state[i] for state in kept]) for i in range(3))
+        return on, g, lambda rows: jac[rows], raw
     return stacked
 
 
@@ -533,21 +537,22 @@ def _counting(resjac, rows):
 
 _ROUND_CASES = {
     # the exhausted seed searches alone for most of its 40 trials, at most
-    # 4 per round, and never moves
+    # 2 (4 // 1) = 8 per round, and never moves
     "exhausted": ([lambda: _out_of_reach, _converging, _converging, _off_chart],
-                  ["line search exhausted", "converged", "converged", "left the chart"], 0.0),
-    # two seeds stopping early leave the rows for three trials per seed; the
-    # seed of `_holes` goes to u = 1, then 5, then on by MAX_STEP per step
+                  ["line search exhausted", "converged", "converged", "left the chart"], 0.0, 8),
+    # two seeds stopping early leave the rows for up to 2 (6 // 2) = 6
+    # trials per seed; the seed of `_holes` goes to u = 1, then 5 (three
+    # trials, as many as its first step needed), then on by MAX_STEP per step
     "trials past the taken one": (
         [lambda: _holes, _converging, _converging, lambda: _drifting, _off_chart, _off_chart],
         ["max_iter", "converged", "converged", "max_iter", "left the chart", "left the chart"],
-        5.0 + 4 * MAX_STEP),
+        5.0 + 4 * MAX_STEP, 6),
 }
 
 
 @pytest.mark.parametrize("case", list(_ROUND_CASES))
 def test_rounds_of_several_lengths_match_the_sequential_iteration(case):
-    makers, want, end = _ROUND_CASES[case]
+    makers, want, end, most = _ROUND_CASES[case]
     cfg = cb.SolveConfig(max_iter=6)
     seeds = np.array([[0.0, label] for label in range(len(makers))])
     rows = []
@@ -557,16 +562,16 @@ def test_rounds_of_several_lengths_match_the_sequential_iteration(case):
         alone = _sequential_newton(_labelled_single(makers), seed, cfg, ACCEPT_BOUND)
         assert _same_run(run, alone), run.stop
     assert runs[0].u[0] == end
-    assert max(rows) == rows[0] == len(seeds)
+    assert rows[0] == len(seeds) and max(rows) == most
 
 
 @pytest.mark.parametrize("h, rounds", [(0, 5), (3, 3 + 4), (11, 4 + 4)])
 def test_steps_needing_h_halvings_take_one_round_after_the_first(h, rounds):
     """Every step of the first seed needs h halvings, and the 15 other seeds
-    are off the chart, so a round may try up to 16 lengths. The first step
-    takes rounds of 1, 2, 4, ... lengths until it reaches the (h+1)-th; each
-    later step tries h + 1 lengths in a single round. Halving one length at
-    a time, each of the five steps took h + 1 rounds."""
+    are off the chart, so a round may try up to 2 (16 // 1) = 32 lengths.
+    The first step takes rounds of 1, 2, 4, ... lengths until it reaches the
+    (h+1)-th; each later step tries h + 1 lengths in a single round. Halving
+    one length at a time, each of the five steps took h + 1 rounds."""
     cfg = cb.SolveConfig(max_iter=5)
     makers = [lambda: _Creeping(reach=MAX_STEP * 0.5 ** h)] + [_off_chart] * 15
     seeds = np.array([[0.0, label] for label in range(16)])
@@ -579,16 +584,27 @@ def test_steps_needing_h_halvings_take_one_round_after_the_first(h, rounds):
     assert max(rows) == rows[0] == 16
 
 
-def test_no_round_has_more_rows_than_the_seeds(monkeypatch):
-    """On the fixtures and the ladders, no `resjac` call of a multistart
-    gets more rows than its first, the seeds themselves."""
+def test_no_round_forms_more_jacobians_than_seeds_or_tries_twice_as_many_rows(monkeypatch):
+    """On the fixtures and the ladders, the first `resjac` call of a
+    multistart gets the seeds themselves, no later one more than twice as
+    many rows, and no round forms more Jacobians than there are seeds."""
     real = cb.equilibria._newton
     multistarts = []
 
     def newton(resjac, p0, cfg, escape_bound=None):
-        rows = []
-        multistarts.append((p0.shape[0], rows))
-        return real(_counting(resjac, rows), p0, cfg, escape_bound)
+        rows, formed = [], []
+
+        def counted(p):
+            rows.append(p.shape[0])
+            on, g, jacobian, raw = resjac(p)
+
+            def counted_jacobian(js):
+                formed.append(len(js))
+                return jacobian(js)
+            return on, g, counted_jacobian, raw
+
+        multistarts.append((p0.shape[0], rows, formed))
+        return real(counted, p0, cfg, escape_bound)
 
     monkeypatch.setattr(cb.equilibria, "_newton", newton)
     cfg = cb.SolveConfig(seeds=16)
@@ -598,8 +614,16 @@ def test_no_round_has_more_rows_than_the_seeds(monkeypatch):
         cb.analyze_acb(cb.KineticSystem(*bench_ladder(seed, 12)), cfg)
     cb.analyze_acb(cb.KineticSystem(*bench_ladder(2, 24)), cfg)
     assert len(multistarts) > 20
-    for n, rows in multistarts:
-        assert max(rows) == rows[0] == n
+    for n, rows, formed in multistarts:
+        assert rows[0] == n and max(rows) <= 2 * n
+        # at most one Jacobian call per round, none for an empty set of rows
+        assert len(formed) <= len(rows) and 0 < min(formed, default=1)
+        assert max(formed, default=0) <= n
+    # the bounds bite: some round tries more rows than seeds, and fewer
+    # Jacobians are formed than trial rows evaluated
+    assert any(max(rows) > n for n, rows, _ in multistarts)
+    assert sum(sum(formed) for *_, formed in multistarts) < sum(
+        sum(rows) for _, rows, _ in multistarts)
 
 
 # --- differential check against the iteration without the early stops ---
@@ -760,11 +784,13 @@ def _masked_newton(resjac, p0: np.ndarray, cfg,
                    escape_bound: float | None = None) -> list[_Run]:
     """The stacked driver with each seed's lambda, counters and residual
     norms kept in numpy arrays and updated through masks, as `_newton` was
-    written before its per-seed scalars became Python values."""
+    written before its per-seed scalars became Python values; its window
+    and its Jacobians, formed only where a seed steps, are those of
+    `_newton` now."""
     n = p0.shape[0]
     stops: list[str | None] = [None] * n
     u = p0.copy()
-    on, g_on, j_on, raw_on = resjac(u)
+    on, g_on, jacobian, raw_on = resjac(u)
     g = np.zeros((n,) + g_on.shape[1:])
     raw, gnorm, gsq = np.full(n, np.inf), np.full(n, np.inf), np.zeros(n)
     g[on], raw[on], gsq[on] = g_on, raw_on, _squares(g_on)
@@ -782,10 +808,10 @@ def _masked_newton(resjac, p0: np.ndarray, cfg,
         for i in rows:
             stops[i] = why
 
-    def newton_steps(rows: np.ndarray, jacs: np.ndarray, at: np.ndarray) -> np.ndarray:
+    def newton_steps(rows: np.ndarray, jacobian, at: np.ndarray) -> np.ndarray:
         """The top of a Newton iteration for `rows`, the Jacobian of rows[j]
-        being jacs[at[j]]: the stop tests, then a clamped step at lambda = 1.
-        Returns the rows that go on to search a line."""
+        being jacobian([at[j]]): the stop tests, then a clamped step at
+        lambda = 1. Returns the rows that go on to search a line."""
         live = np.ones(rows.size, dtype=bool)
 
         def stop_where(mask, why):
@@ -798,10 +824,15 @@ def _masked_newton(resjac, p0: np.ndarray, cfg,
         stop_where(gnorm[rows] <= target, "converged")
         if escape_bound is not None:
             stop_where(np.max(np.abs(u[rows]), axis=1, initial=0.0) > escape_bound, "escaped")
+        # Jacobians only for the rows still live, none when there are none
+        formed = np.flatnonzero(live)
+        jacs = jacobian(at[formed].tolist()) if formed.size else np.zeros((0, 0, 0))
         # lstsq raises on a non-finite Jacobian, so test it first
-        stop_where(~np.all(np.isfinite(jacs), axis=(1, 2))[at], "non-finite step")
-        for i, j in zip(rows[live], at[live]):
-            step[i] = np.linalg.lstsq(jacs[j], -g[i], rcond=None)[0]
+        finite = np.zeros(rows.size, dtype=bool)
+        finite[formed] = np.all(np.isfinite(jacs), axis=(1, 2))
+        stop_where(~finite, "non-finite step")
+        for i, jac in zip(rows[live], jacs[finite[formed]]):
+            step[i] = np.linalg.lstsq(jac, -g[i], rcond=None)[0]
         stop_where(~np.all(np.isfinite(step[rows]), axis=1), "non-finite step")
         # a zero-width chart (no coordinates) has an empty step
         biggest = np.max(np.abs(step[rows]), axis=1, initial=0.0)
@@ -814,18 +845,16 @@ def _masked_newton(resjac, p0: np.ndarray, cfg,
         return rows
 
     stop(np.flatnonzero(~on), "left the chart")
-    searching = newton_steps(np.flatnonzero(on), j_on, np.arange(np.count_nonzero(on)))
-    # Jacobians are needed only for the steps just taken; dropping them keeps
-    # one stack of them alive at a time.
-    del j_on
+    searching = newton_steps(np.flatnonzero(on), jacobian, np.arange(np.count_nonzero(on)))
+    del jacobian
     while searching.size:
         # column c: the length lam * 2^-c, after halved + c halvings
-        width = min(n // searching.size, MAX_HALVINGS)
+        width = min(2 * (n // searching.size), MAX_HALVINGS)
         counts = halved[searching, None] + _COUNTS[:width]
         lams = lam[searching, None] * _HALVES[:width]
         grid = (_COUNTS[:width] < tries[searching, None]) & (counts < MAX_HALVINGS)
         trial = (u[searching, None] + lams[..., None] * step[searching, None])[grid]
-        on, g_on, j_on, raw_on = resjac(trial)
+        on, g_on, jacobian, raw_on = resjac(trial)
         sq = np.full(trial.shape[0], np.inf)
         sq[on] = _squares(g_on)
         sqs = np.full(grid.shape, np.inf)
@@ -847,8 +876,8 @@ def _masked_newton(resjac, p0: np.ndarray, cfg,
             short_steps[acc] = np.where(lam[acc] <= _COLLAPSE_LAMBDA, short_steps[acc] + 1, 0)
             creeping = (short_steps[acc] >= _COLLAPSE_STEPS) & (gnorm[acc] > _COLLAPSE_RESIDUAL)
             stop(acc[creeping], "line search collapsed")
-            acc = newton_steps(acc[~creeping], j_on, at[~creeping])
-        del j_on
+            acc = newton_steps(acc[~creeping], jacobian, at[~creeping])
+        del jacobian
         if refused.size:
             # go on past the last length tried, with twice as many
             last = np.max(np.where(grid, counts, 0.0), axis=1)
@@ -866,18 +895,25 @@ def _masked_newton(resjac, p0: np.ndarray, cfg,
 
 
 def _recorded(resjac, stacks):
-    """`resjac`, appending the shape and bytes of each input stack to `stacks`."""
+    """`resjac`, appending the shape and bytes of each input stack to
+    `stacks`, and the rows of each Jacobian call after it."""
     def recorded(p):
         stacks.append((p.shape, p.tobytes()))
-        return resjac(p)
+        on, g, jacobian, raw = resjac(p)
+
+        def recorded_jacobian(rows):
+            stacks.append(list(rows))
+            return jacobian(rows)
+        return on, g, recorded_jacobian, raw
     return recorded
 
 
 def test_rounds_match_the_masked_driver(monkeypatch):
     """Every `_newton` call of the fixtures, both coset charts and the
     ladders also runs `_masked_newton`: both must hand `resjac` the same
-    stacks in the same order, which fixes the per-layer call counts, and
-    return bit-identical runs."""
+    stacks in the same order, ask for the Jacobians of the same rows after
+    each, which fixes the per-layer call counts, and return bit-identical
+    runs."""
     real = cb.equilibria._newton
     checked = []
 
@@ -888,7 +924,8 @@ def test_rounds_match_the_masked_driver(monkeypatch):
         assert stacks == masked_stacks
         assert len(runs) == len(masked)
         assert all(_same_run(a, b) for a, b in zip(runs, masked))
-        checked.append((len(stacks), [run.stop for run in runs]))
+        rounds = sum(isinstance(call, tuple) for call in stacks)
+        checked.append((rounds, [run.stop for run in runs]))
         return runs
 
     monkeypatch.setattr(cb.equilibria, "_newton", newton)
