@@ -584,7 +584,7 @@ def test_steps_needing_h_halvings_take_one_round_after_the_first(h, rounds):
     assert max(rows) == rows[0] == 16
 
 
-def test_no_round_forms_more_jacobians_than_seeds_or_tries_twice_as_many_rows(monkeypatch):
+def test_rounds_form_at_most_n_jacobians_and_try_at_most_2n_rows(monkeypatch):
     """On the fixtures and the ladders, the first `resjac` call of a
     multistart gets the seeds themselves, no later one more than twice as
     many rows, and no round forms more Jacobians than there are seeds."""
