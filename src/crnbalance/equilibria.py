@@ -7,13 +7,14 @@ stoichiometric coset x = x0 + B a and ends a run once x leaves the positive
 orthant. The seeds of a multistart are stepped together (`newton._newton`):
 states are stacks (seeds, d), and each line-search round evaluates the
 kinetics once on the trial points of all seeds still running, while every
-seed keeps the iterates it would have alone. The positive equilibria solve N K(x) = 0 and
-the complex balanced ones Ia K(x) = 0. Found points are deduplicated,
-re-verified and reported with both residuals. Counts derived from such
-searches are certified lower bounds only; set-level claims (absolute
-complex balancing, log parametrization, kernel-spanning images) are
-rendered by the verdict engine, which combines numeric evidence with the
-classical theorems and records a citation chain for every rule it fires.
+seed keeps the iterates it would have alone. The positive equilibria solve
+N K(x) = 0 and the complex balanced ones Ia K(x) = 0. A point is accepted
+once, by `newton._seed_outcome`; accepted points are deduplicated and
+reported with both residuals. Counts derived from such searches are
+certified lower bounds only; set-level claims (absolute complex balancing,
+log parametrization, kernel-spanning images) are rendered by the verdict
+engine, which combines numeric evidence with the classical theorems and
+records a citation chain for every rule it fires.
 """
 
 from __future__ import annotations
@@ -183,23 +184,16 @@ def _multistart(pairs, chart: _Chart, seeds, cfg: SolveConfig):
     return logs, stops
 
 
-def _verified_states(pairs, chart: _Chart, seeds, cfg: SolveConfig) -> list[np.ndarray]:
-    """The deduplicated states the multistart accepted whose residual on
-    `pairs` is at most `tol`."""
-    logs, _ = _multistart(pairs, chart, seeds, cfg)
-    states = [np.exp(u) for u in _dedup_logs(logs)]
-    return [x for x, res in zip(states, _residuals(pairs, states)) if res <= cfg.tol]
-
-
 def solve_equilibria(system: KineticSystem, mode: str = "positive",
                      constraint: CosetConstraint | None = None,
                      config: SolveConfig | None = None) -> SolveResult:
     """Multistart search for positive or complex balanced equilibria.
 
     Deterministic for a fixed rng_seed; the all-ones state (or the coset
-    anchor) is always the first seed. Points are deduplicated at distance
-    `DEDUP_TOL` in log coordinates and re-verified against `tol`; an empty
-    result with diagnostics, not an exception, signals no convergence.
+    anchor) is always the first seed. A point is accepted once, by
+    `newton._seed_outcome` at `tol`, and points are deduplicated at distance
+    `DEDUP_TOL` in log coordinates; an empty result with diagnostics, not an
+    exception, signals no convergence.
     `diagnostics["stops"]` lists each seed's stop reason in seed order.
     """
     cfg = config or SolveConfig()
@@ -213,16 +207,13 @@ def solve_equilibria(system: KineticSystem, mode: str = "positive",
     chart = (_Chart.log(net.num_species) if constraint is None
              else _Chart.coset(net.num_species, constraint.x0, constraint.basis))
     logs, stops = _multistart([(a, system.kinetics)], chart, chart.seeds(cfg), cfg)
-    kept = _dedup_logs(logs)
-    states = [np.exp(u) for u in kept]
+    states = [np.exp(u) for u in _dedup_logs(logs)]
     sfrfs = _residuals([(system.n_float, system.kinetics)], states)
     cfrfs = _residuals([(system.ia_float, system.kinetics)], states)
-    points = []
-    for x, sfrf, cfrf in zip(states, sfrfs, cfrfs):
-        if (sfrf if mode == "positive" else cfrf) <= cfg.tol:
-            kind = "complex_balanced" if cfrf <= cfg.tol else "positive"
-            points.append(EquilibriumPoint(x, sfrf, cfrf, kind))
-    diagnostics = {"attempts": len(stops), "converged": len(logs), "distinct": len(kept),
+    points = [EquilibriumPoint(x, sfrf, cfrf,
+                               "complex_balanced" if cfrf <= cfg.tol else "positive")
+              for x, sfrf, cfrf in zip(states, sfrfs, cfrfs)]
+    diagnostics = {"attempts": len(stops), "converged": len(logs), "distinct": len(points),
                    "stops": stops, "mode": mode, "accepted": len(points)}
     return SolveResult(points, diagnostics)
 
@@ -240,7 +231,8 @@ def coset_intersection_count(system: KineticSystem, w_basis, x0,
     """Found |E+ ∩ Q| and |Z+ ∩ Q| for Q = (x0 + span W) ∩ positives.
 
     Counts are certified lower bounds: the solver may miss equilibria, it
-    can never fabricate one (every point is re-verified against `tol`).
+    can never fabricate one (`newton._seed_outcome` accepts a point only
+    when its residual is at most `tol`).
     """
     cfg = config or SolveConfig()
     constraint = CosetConstraint(np.asarray(x0, dtype=float),
@@ -266,20 +258,32 @@ def sample_coset_counts(system: KineticSystem, w_basis, x_ref,
 
 @dataclass(frozen=True, eq=False)
 class LPSetSpec:
-    """A flux subspace (as basis rows) with a positive reference state."""
+    """A flux subspace (as basis rows) with a positive reference state.
+
+    One full SVD of the k basis rows checks that they are independent (by
+    `linalg.RANK_RTOL`) and splits R^m into orthonormal rows: the first k
+    rows of its V^T, `span_rows`, span the flux space and the other m - k,
+    `complement_rows`, its orthogonal complement.
+    """
 
     flux_basis: np.ndarray
     reference: np.ndarray
+    span_rows: np.ndarray = field(init=False, repr=False)
+    complement_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.flux_basis, dtype=float))
         object.__setattr__(self, "flux_basis", basis)
         object.__setattr__(self, "reference", np.asarray(self.reference, dtype=float))
-        if basis.shape[1] != self.reference.size:
-            raise CrnError(f"flux basis rows have {basis.shape[1]} entries, the "
+        k, m = basis.shape
+        if m != self.reference.size:
+            raise CrnError(f"flux basis rows have {m} entries, the "
                            f"reference state {self.reference.size}")
-        if linalg.numeric_rank(basis) != basis.shape[0]:
+        _, sv, vt = np.linalg.svd(basis, full_matrices=True)
+        if k and np.sum(sv > linalg.RANK_RTOL * sv[0]) != k:  # numeric rank below k
             raise CrnError("flux basis rows must be linearly independent")
+        object.__setattr__(self, "span_rows", vt[:k])
+        object.__setattr__(self, "complement_rows", vt[k:])
 
 
 @dataclass(frozen=True)
@@ -318,14 +322,12 @@ def check_lp_property(system: KineticSystem, which: str, spec: LPSetSpec,
 
     if points is None:
         points = solve_equilibria(system, mode, config=cfg).points
-    onto = linalg.orthonormal_columns(spec.flux_basis)
-    max_proj = 0.0
-    for p in points:
-        v = np.log(p.x) - np.log(ref)
-        max_proj = max(max_proj, linalg.projection_norm(v, onto))
+    # the norm of log x - log x* inside the flux space, over orthonormal rows
+    max_proj = max([0.0, *(float(np.linalg.norm(spec.span_rows @ (np.log(p.x) - np.log(ref))))
+                           for p in points)])
     found_ok = max_proj <= LP_TOL
 
-    perp = linalg.complement_basis_rows(spec.flux_basis, ref.size)
+    perp = spec.complement_rows
     rng = np.random.default_rng(cfg.rng_seed + 2)
     # A flux space filling R^m leaves no direction to sample.
     n_sampled = LP_SAMPLES if perp.shape[0] else 0
@@ -423,8 +425,8 @@ def poly_pl_equilibrated_check(net: ReactionNetwork, kin: PolyPLKinetics,
     chart = _Chart.log(net.num_species)
     seeds = chart.seeds(cfg)
 
-    joint_e = _verified_states(joint_e_pairs, chart, seeds, cfg)
-    joint_z = _verified_states(joint_z_pairs, chart, seeds, cfg)
+    joint_e, joint_z = ([np.exp(u) for u in _dedup_logs(_multistart(pairs, chart, seeds, cfg)[0])]
+                        for pairs in (joint_e_pairs, joint_z_pairs))
 
     def all_members(states, mats_kins) -> bool:
         return all(res <= LP_TOL for res in _residuals(mats_kins, states))
@@ -455,6 +457,8 @@ class Citation:
     statement: str
 
 
+# "re-verified" in these statements means accepted by `newton._seed_outcome`;
+# the recorded reports hold their bytes, so the wording stays.
 CB_BY_SOLVER = Citation(
     "complex-balanced-point",
     "A complex balanced equilibrium was found numerically and re-verified.")
@@ -650,7 +654,7 @@ def linkage_decomposition_evidence(system: KineticSystem,
                 continue
             mask = np.zeros(net.num_reactions)
             mask[list(part)] = 1.0
-            balanced = _verified_states([(ia * mask, system.kinetics)], chart, seeds, cfg)
+            balanced, _ = _multistart([(ia * mask, system.kinetics)], chart, seeds, cfg)
             part_statuses.append("ACB_certified" if balanced else "Inconclusive")
     return DecompositionEvidence(
         parts_acb=tuple(part_statuses),

@@ -10,8 +10,9 @@
 
 A complex is `0` or a `+`-separated list of `coeff name` terms (coefficient
 optional, nonnegative rational); a `+` that signs a coefficient or its
-exponent, as in `+2 A` or `1e+2 A`, is part of the number. The kinetics
-block is one of:
+exponent, as in `+2 A` or `1e+2 A`, is part of the number. A species name
+holds no `+` and does not read as a number or an exponent head such as `1e`.
+The kinetics block is one of:
 
     kinetics massaction
     kinetics powerlaw     followed by one `order <label>: S=val, ...` per reaction
@@ -34,7 +35,7 @@ from fractions import Fraction
 from .kinetics import (HillKinetics, Kinetics, PolyPLKinetics, PowerLawKinetics,
                        hill, mass_action_from, poly_pl, power_law)
 from .network import ReactionNetwork, build_network
-from .rational import frac
+from .rational import _NUMBER, frac
 
 
 class ParseError(Exception):
@@ -67,21 +68,21 @@ def _parse_number(token: str, line: int):
 _EXPONENT_HEAD = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)[eE]")
 
 
-def _terms(text: str, species_index: dict[str, int]) -> list[str]:
+def _terms(text: str) -> list[str]:
     """`text` split at each `+` that separates the terms of a complex.
 
     A `+` before a digit or `.` belongs to a number instead where it signs
     a term's coefficient (only whitespace before it in the term) or the
-    exponent of one such as `1e+2` (right after a token like `1e` that
-    names no species). A split there leaves an empty term or an unknown
-    species, so every complex that a split at every `+` reads, reads the same.
+    exponent of one such as `1e+2` (right after a token like `1e`, which
+    `parse_crn` refuses as a species name). A split there leaves an empty
+    term or an unknown species, so every complex that a split at every `+`
+    reads, reads the same.
     """
     terms, start = [], 0
     for i in [i for i, c in enumerate(text) if c == "+"]:
         head = text[start:i].split()
         if text[i + 1:i + 2] in tuple("0123456789.") and (
-                not head or (not text[i - 1].isspace() and _EXPONENT_HEAD.fullmatch(head[-1])
-                             and head[-1] not in species_index)):
+                not head or (not text[i - 1].isspace() and _EXPONENT_HEAD.fullmatch(head[-1]))):
             continue
         terms.append(text[start:i])
         start = i + 1
@@ -95,7 +96,7 @@ def _parse_complex(text: str, species_index: dict[str, int], line: int):
     coeffs = [Fraction(0)] * len(species_index)
     if text == "0":
         return tuple(coeffs)
-    for part in _terms(text, species_index):
+    for part in _terms(text):
         tokens = part.split()
         if len(tokens) not in (1, 2):
             raise ParseError(f"malformed complex term {part.strip()!r}", line)
@@ -188,6 +189,10 @@ def parse_crn(text: str) -> tuple[ReactionNetwork, Kinetics]:
             if not names:
                 raise ParseError("species line declares no names", lineno)
             for name in names:
+                # a complex reads such a name as a number or a term separator
+                if "+" in name or _NUMBER.fullmatch(name) or _EXPONENT_HEAD.fullmatch(name):
+                    raise ParseError(f"species name {name!r} reads as a number or contains +",
+                                     lineno)
                 if name in species_index:
                     raise ParseError(f"duplicate species {name!r}", lineno)
                 species_index[name] = len(species)

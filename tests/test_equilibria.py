@@ -368,8 +368,47 @@ def test_lp_uniqueness_in_sampled_flux_classes(ma_system):
 
 
 def test_lp_spec_requires_independent_basis():
-    with pytest.raises(cb.CrnError):
-        cb.LPSetSpec(np.array([[1.0, 0.0], [2.0, 0.0]]), np.ones(2))
+    for rows in ([[1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                 [[1.0, 1.0], [1.0, 1.0 + 1e-12]]):
+        with pytest.raises(cb.CrnError, match="must be linearly independent"):
+            cb.LPSetSpec(np.array(rows), np.ones(2))
+
+
+def _flux_bases():
+    """Flux bases (k, m): the default and the stoichiometric one of the
+    fixtures and two ladders, and random rows of widely spread scales."""
+    cases = [parse_crn(path.read_text()) for path in sorted(DATA.glob("*.crn"))]
+    cases += [bench_ladder(seed, 12) for seed in (3, 5)]
+    for net, kin in cases:
+        system = cb.KineticSystem(net, kin)
+        yield cb.equilibria.default_flux_basis(system)
+        yield np.array(cb.stoichiometric_basis(net), dtype=float)
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 5, 9):
+        for k in range(m + 1):
+            yield rng.normal(size=(k, m)) * np.exp(rng.uniform(-8, 8, size=(k, 1)))
+
+
+def test_lp_spec_splits_r_m_into_the_flux_space_and_its_complement():
+    checked = 0
+    for basis in _flux_bases():
+        k, m = basis.shape
+        spec = cb.LPSetSpec(basis, np.ones(m))
+        span, perp = spec.span_rows, spec.complement_rows
+        assert span.shape == (k, m) and perp.shape == (m - k, m)
+        rows = np.vstack([span, perp])
+        assert np.allclose(rows @ rows.T, np.eye(m), rtol=0, atol=1e-12)
+        # the basis has no component in the complement, and span_rows spans it
+        scale = max(1.0, float(np.max(np.abs(basis), initial=0.0)))
+        assert np.allclose(basis @ perp.T, 0.0, rtol=0, atol=1e-12 * scale)
+        assert np.allclose((basis @ span.T) @ span, basis, rtol=0, atol=1e-12 * scale)
+        checked += 1
+    assert checked > 30
+    # a zero flux space leaves all of R^m, a full one nothing
+    spec = cb.LPSetSpec(_zero_order_subspace().t_matrices.s_tilde_basis, np.ones(2))
+    assert spec.span_rows.shape == (0, 2) and np.array_equal(spec.complement_rows, np.eye(2))
+    spec = cb.LPSetSpec(np.array([[1.0, 2.0], [0.0, 3.0]]), np.ones(2))
+    assert spec.complement_rows.shape == (0, 2)
 
 
 def test_acb_rule_feinberg_on_enzyme_mass_action(mm_polypl):
@@ -401,7 +440,8 @@ def test_constrained_solver_respects_coset(ce_system, counterexample):
     x0 = np.array([1.3, 0.9, 1.1])
     constraint = cb.CosetConstraint(x0, s_basis)
     res = cb.solve_equilibria(ce_system, "positive", constraint, cfg)
-    perp = cb.linalg.complement_basis_rows(s_basis, 3)
+    perp = cb.LPSetSpec(s_basis, x0).complement_rows
+    assert perp.shape == (3 - len(s_basis), 3) and len(perp) and len(res)
     for p in res.points:
         # x - x0 must lie in span(S): its complement component vanishes
         assert np.max(np.abs(perp @ (p.x - x0))) < 1e-7
@@ -820,7 +860,8 @@ def test_zero_kinetic_order_subspace_is_a_flux_space(fast_cfg):
     system = _zero_order_subspace()
     t = cb.build_t_matrices(system.network, system.kinetics)
     assert t.exact_s_tilde_basis == () and t.s_tilde_basis.shape == (0, 2)
-    assert cb.linalg.orthonormal_columns(t.s_tilde_basis).shape == (2, 0)
+    spec = cb.LPSetSpec(t.s_tilde_basis, np.ones(2))
+    assert spec.span_rows.shape == (0, 2) and np.array_equal(spec.complement_rows, np.eye(2))
     analysis = cb.analyze_acb(system, fast_cfg)
     assert analysis.clp.holds and analysis.plp.holds
     verdict = cb.acb_verdict(analysis, fast_cfg)
@@ -930,3 +971,50 @@ def test_stacked_residuals_are_those_of_each_point():
         solved += len(points)
     assert checked > 200 and solved > 50
     assert cb.kinetics._residuals([(system.n_float, kin)], []) == []
+
+
+def test_every_reported_point_passed_the_acceptance_test(monkeypatch):
+    """`newton._seed_outcome` is the only test that makes a solver state an
+    equilibrium. Every point `solve_equilibria` reports has an own-mode
+    residual at most `tol`; on the log chart it is, bit for bit, the raw
+    residual its run was accepted at. The coset chart measures the point
+    again at exp(log x), one rounding away, so there only the bound holds.
+    The Hill pair's cleared system has seeds that meet the normalized test
+    and fail the raw one, so acceptance without the raw test fails here."""
+    accepted = []
+    seed_outcome = cb.equilibria._seed_outcome
+
+    def recorded(run, to_log, cfg):
+        stop, log_x = seed_outcome(run, to_log, cfg)
+        if log_x is not None:
+            accepted.append((np.exp(log_x), run.raw))
+        return stop, log_x
+
+    monkeypatch.setattr(cb.equilibria, "_seed_outcome", recorded)
+    fixtures = {path.stem: parse_crn(path.read_text()) for path in sorted(DATA.glob("*.crn"))}
+    hill_net, hill_kin = bench_workloads().ladder_hill(0, 8)
+    cases = list(fixtures.values()) + [bench_ladder(seed, 12) for seed in (3, 5, 7)] + [
+        bench_ladder(2, 24), (hill_net, hill_kin),
+        (hill_net, cb.hill_to_poly_pl(hill_net, hill_kin))]
+    cfg = cb.SolveConfig()
+    checked = 0
+    for net, kin in cases:
+        system = cb.KineticSystem(net, kin)
+        for mode, own in (("positive", "sfrf_residual"), ("complex_balanced", "cfrf_residual")):
+            accepted.clear()
+            points = cb.solve_equilibria(system, mode, config=cfg).points
+            raw_at = {tuple(x): raw for x, raw in accepted}
+            for p in points:
+                assert getattr(p, own) <= cfg.tol
+                assert getattr(p, own) == raw_at[tuple(p.x)]
+            checked += len(points)
+    on_cosets = 0
+    for name in ("re1_massaction", "counterexample"):
+        system = cb.KineticSystem(*fixtures[name])
+        s_basis = np.array(cb.stoichiometric_basis(system.network), dtype=float)
+        m = system.network.num_species
+        for _, counts in cb.sample_coset_counts(system, s_basis, np.ones(m), cfg):
+            assert all(p.sfrf_residual <= cfg.tol for p in counts.e_points)
+            assert all(p.cfrf_residual <= cfg.tol for p in counts.z_points)
+            on_cosets += counts.e_found + counts.z_found
+    assert checked > 50 and on_cosets > 16

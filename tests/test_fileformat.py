@@ -186,6 +186,13 @@ PARSE_ERRORS = {
     "hill-entry-not-a-number": (_TWO + "kinetics hill\nhill r1: A=(f=x, d=1)\n",
                                 ParseError, "expected a number, got 'x'", 4),
     "duplicate-species": ("species A A\n", ParseError, "duplicate species 'A'", 1),
+    # a complex would read such a name as a number or split it at its `+`
+    **{f"species-named-{name}": (f"species A {token}\n", ParseError,
+                                 f"species name {token!r} reads as a number or contains +", 1)
+       for name, token in (("integer", "2"), ("decimal", ".5"), ("exponent-head", "1e"),
+                           ("signed-exponent-head", "-2.5E"), ("rational", "3/2"),
+                           ("zero-denominator", "1/0"), ("exponent", "1e5"),
+                           ("plus", "A+B"), ("signed", "+2"), ("lone-plus", "+"))},
     "species-without-names": ("species\n", ParseError, "species line declares no names", 1),
     "second-species-line-without-names": (
         "species A B\nspecies\nr1: A -> B rate 1\nkinetics massaction\n",
@@ -508,7 +515,7 @@ def test_every_reader_takes_a_grammar_token_as_written(token, tmp_path_factory):
         assert _resolve_flux_basis(str(path), _FLUX_SYSTEM)[0, 0] == float(meant)
 
 
-_COMPLEX_SPECIES = {"A": 0, "B": 1, "1e": 2, "2": 3}
+_COMPLEX_SPECIES = {"A": 0, "B": 1}
 
 
 @pytest.mark.parametrize("text, names, want", [
@@ -516,12 +523,15 @@ _COMPLEX_SPECIES = {"A": 0, "B": 1, "1e": 2, "2": 3}
     ("+1E+1 B + A", "A B", {"A": 1, "B": 10}), (".5e+1 B", "A B", {"B": 5}),
     ("A + +2 B", "A B", {"A": 1, "B": 2}), ("A+B", "A B", {"A": 1, "B": 1}),
     ("2 A + B", "A B", {"A": 2, "B": 1}), ("A +2 B", "A B", {"A": 1, "B": 2}),
-    # a species named like a number, or like the head of an exponent, keeps
-    # the `+` after it a separator, as a split at every `+` reads it
-    ("1 +2 B", "A B 1", {"1": 1, "B": 2}), ("1e+2 A", "A 1e", {"1e": 1, "A": 2}),
-    ("2 1e+2 A", "A 1e", {"1e": 2, "A": 2}),
+    # a species named like a number, or like the head of an exponent, would
+    # make the reading depend on the names; the species line refuses it
+    ("1 +2 B", "A B 1", None), ("1e+2 A", "A 1e", None), ("2 1e+2 A", "A 1e", None),
 ])
 def test_a_plus_that_signs_a_coefficient_or_its_exponent_is_part_of_it(text, names, want):
+    if want is None:
+        with pytest.raises(ParseError, match=r"^species name .* \(line 1\)$"):
+            parse_crn(f"species {names}\nr1: {text} -> 0 rate 1\nkinetics massaction\n")
+        return
     names = names.split()
     got = _parse_complex(text, {name: i for i, name in enumerate(names)}, 1)
     assert got == tuple(Fraction(want.get(name, 0)) for name in names)
@@ -554,9 +564,12 @@ _COMPLEX_PIECE = st.sampled_from(["A", "B", "1e", "2", "+", " + ", " ", "+2", "2
 @given(pieces=st.lists(_COMPLEX_PIECE, min_size=1, max_size=8))
 @settings(max_examples=400, deadline=None)
 def test_complexes_that_a_split_at_every_plus_reads_read_the_same(pieces):
-    """Species named `1e` and `2` make the split and the number grammar
+    """Tokens such as `1e` and `2` make the split and the number grammar
     compete for a `+`: wherever the split reads a complex, the parser reads
-    the same coefficients."""
+    the same coefficients. Species of those names, which would make the
+    reading depend on the names, are refused."""
+    with pytest.raises(ParseError, match=r"^species name '1e' .* \(line 1\)$"):
+        parse_crn("species A B 1e 2\n")
     text = "".join(pieces)
     if not text.strip():
         return
