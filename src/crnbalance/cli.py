@@ -311,6 +311,11 @@ def _cmd_pff(args, system, cfg, report):
     net_b, kin_b = parse_crn(_read_text(args.file_b))
     if net_a.num_reactions != net_b.num_reactions:
         raise CrnError("the two files define different reaction counts")
+    # PFF keeps the equilibria sets only of kinetics on one network
+    sides = [(net.species, [(net.complexes[rx.reactant], net.complexes[rx.product])
+                            for rx in net.reactions]) for net in (net_a, net_b)]
+    if sides[0] != sides[1]:
+        raise CrnError("the two files define different networks")
     states = sample_positive_states(net_a.num_species, 20, cfg.rng_seed)
     cert = pff_check(kin_a, kin_b, states)
     report["pff"] = {

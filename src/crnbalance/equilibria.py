@@ -113,7 +113,7 @@ class KineticSystem:
         return _frozen(self.network.ia_array())
 
     def cfrf_residual(self, x) -> float:
-        return _residuals([(self.ia_float, self.kinetics)], [x])[0]
+        return _residuals(self.ia_float, evaluate(self.kinetics, [x]))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,37 +142,32 @@ class SolveResult:
         return len(self.points)
 
 
-def _multistart(pairs, chart: _Chart, seeds, cfg: SolveConfig):
-    """Damped Newton from every seed on the stacked residuals A K over `chart`.
+def _multistart(a, kin: Kinetics, chart: _Chart, seeds, cfg: SolveConfig):
+    """Damped Newton from every seed on the residual A K over `chart`.
 
-    `pairs` lists (A, kinetics); each block of rows is flux-normalized on its
-    own. The seeds are stepped together (`_newton`): each line-search round
-    evaluates the kinetics once per pair, on the stack of trial points.
-    Returns the accepted log points in seed order and the stop reason of
-    every seed.
+    A acts on each block of its column count in K, one block except for
+    stacked poly-PL term kinetics; each block of rows is flux-normalized on
+    its own. The seeds are stepped together (`_newton`): each line-search
+    round evaluates the kinetics once, on the stack of trial points. Returns
+    the accepted log points in seed order and the stop reason of every seed.
     """
     if not len(seeds):
         return [], []
-    mats = [(a, np.abs(a), kin) for a, kin in pairs]
+    abs_a, (q, c) = np.abs(a), a.shape
+    h = kin.num_reactions // c
 
     def resjac(p):
         on, x = chart.to_x(p)
-        gs, parts, raw = [], [], 0.0
-        for a, abs_a, kin in mats:
-            k, jk = log_jacobian(kin, x)
-            g, div, raw_inf = _normalized_rows(a, abs_a, k)
-            gs.append(g)
-            parts.append((a, abs_a, g, div, jk))
-            # fmax, like max() from 0.0, passes over a NaN residual
-            raw = np.fmax(raw, raw_inf)
+        k, jk = log_jacobian(kin, x)
+        g, div, raw = _normalized_rows(a, abs_a, k.reshape(len(x), h, c))
 
-        def jacobian(rows):
-            js = [_normalized_jacobian(a, abs_a, g[rows], div[rows],
-                                       chart.param_jac(jk[rows], x[rows]))
-                  for a, abs_a, g, div, jk in parts]
-            return js[0] if len(js) == 1 else np.concatenate(js, axis=-2)
+        def jacobian(js):
+            jp = chart.param_jac(jk[js], x[js])
+            d = jp.shape[-1]
+            return _normalized_jacobian(a, abs_a, g[js], div[js],
+                                        jp.reshape(len(js), h, c, d)).reshape(len(js), h * q, d)
 
-        return on, gs[0] if len(gs) == 1 else np.concatenate(gs, axis=-1), jacobian, raw
+        return on, g.reshape(len(x), h * q), jacobian, raw
 
     logs: list[np.ndarray] = []
     stops: list[str] = []
@@ -206,10 +201,10 @@ def solve_equilibria(system: KineticSystem, mode: str = "positive",
         raise ValueError(f"unknown mode {mode!r}")
     chart = (_Chart.log(net.num_species) if constraint is None
              else _Chart.coset(net.num_species, constraint.x0, constraint.basis))
-    logs, stops = _multistart([(a, system.kinetics)], chart, chart.seeds(cfg), cfg)
+    logs, stops = _multistart(a, system.kinetics, chart, chart.seeds(cfg), cfg)
     states = [np.exp(u) for u in _dedup_logs(logs)]
-    sfrfs = _residuals([(system.n_float, system.kinetics)], states)
-    cfrfs = _residuals([(system.ia_float, system.kinetics)], states)
+    k = evaluate(system.kinetics, np.array(states)) if states else []  # for both residuals
+    sfrfs, cfrfs = _residuals(system.n_float, k), _residuals(system.ia_float, k)
     points = [EquilibriumPoint(x, sfrf, cfrf,
                                "complex_balanced" if cfrf <= cfg.tol else "positive")
               for x, sfrf, cfrf in zip(states, sfrfs, cfrfs)]
@@ -313,9 +308,9 @@ def check_lp_property(system: KineticSystem, which: str, spec: LPSetSpec,
     if which not in ("E", "Z"):
         raise ValueError("which must be 'E' or 'Z'")
     mode = "positive" if which == "E" else "complex_balanced"
-    pairs = [(system.n_float if which == "E" else system.ia_float, system.kinetics)]
+    a = system.n_float if which == "E" else system.ia_float
     ref = spec.reference
-    ref_res = _residuals(pairs, [ref])[0]
+    ref_res = _residuals(a, evaluate(system.kinetics, [ref]))[0]
     if ref_res > cfg.tol:
         raise ReferenceNotEquilibriumError(
             f"reference state has {which} residual {ref_res:.3e} above {cfg.tol:.1e}")
@@ -333,7 +328,8 @@ def check_lp_property(system: KineticSystem, which: str, spec: LPSetSpec,
     n_sampled = LP_SAMPLES if perp.shape[0] else 0
     samples = [ref * np.exp(perp.T @ rng.uniform(-1.0, 1.0, size=perp.shape[0]))
                for _ in range(n_sampled)]
-    max_res = max([0.0, *_residuals(pairs, samples)])
+    k = evaluate(system.kinetics, np.array(samples)) if samples else []
+    max_res = max([0.0, *_residuals(a, k)])
     member_ok = max_res <= LP_TOL
 
     return LpPropertyReport(
@@ -372,7 +368,7 @@ def kse_check(system: KineticSystem, found_equilibria: list[EquilibriumPoint],
     rng = np.random.default_rng(cfg.rng_seed + 3)
     logs = [np.log(p.x) for p in found_equilibria]
     seeds = [base + rng.uniform(-0.8, 0.8, base.size) for base in logs[:8] for _ in range(3)]
-    solved, _ = _multistart([(system.n_float, kin)], _Chart.log(net.num_species), seeds, cfg)
+    solved, _ = _multistart(system.n_float, kin, _Chart.log(net.num_species), seeds, cfg)
     logs = _dedup_logs(logs + solved)
     columns = evaluate(kin, np.array([np.exp(u) for u in logs])).T
     # unit-norm columns: the rank must not depend on the scale of each state
@@ -406,40 +402,38 @@ def poly_pl_equilibrated_check(net: ReactionNetwork, kin: PolyPLKinetics,
     """Sampled comparison of the poly-PL equilibria sets with the
     intersections over its power-law term systems.
 
+    The intersections are one solve each over `PolyPLKinetics.term_kinetics`.
     Membership is decided by residuals of the other side's defining maps at
     `LP_TOL`, which is sturdier than matching solver point lists; flags are
     None when a side produced no sample points.
     """
     cfg = config or SolveConfig()
     norm = normalize_poly_pl(kin)
-    terms = [norm.term_system(j) for j in range(norm.length)]
+    terms = norm.term_kinetics()
     system = KineticSystem(net, norm)
     n_mat, ia_mat = system.n_float, system.ia_float
 
     full_e = solve_equilibria(system, "positive", config=cfg).points
     full_z = solve_equilibria(system, "complex_balanced", config=cfg).points
 
-    joint_e_pairs = [(n_mat, tk) for tk in terms]
-    joint_z_pairs = [(ia_mat, tk) for tk in terms]
-
     chart = _Chart.log(net.num_species)
     seeds = chart.seeds(cfg)
+    joint_e, joint_z = ([np.exp(u) for u in _dedup_logs(
+        _multistart(a, terms, chart, seeds, cfg)[0])] for a in (n_mat, ia_mat))
 
-    joint_e, joint_z = ([np.exp(u) for u in _dedup_logs(_multistart(pairs, chart, seeds, cfg)[0])]
-                        for pairs in (joint_e_pairs, joint_z_pairs))
-
-    def all_members(states, mats_kins) -> bool:
-        return all(res <= LP_TOL for res in _residuals(mats_kins, states))
+    def all_members(states, a) -> bool:
+        k = evaluate(terms, np.array(states)) if states else []
+        return all(res <= LP_TOL for res in _residuals(a, k))
 
     pl_equilibrated = None
     if full_e or joint_e:
-        pl_equilibrated = all_members([p.x for p in full_e], joint_e_pairs)
+        pl_equilibrated = all_members([p.x for p in full_e], n_mat)
     pl_cb = None
     if full_z or joint_z:
-        pl_cb = all_members([p.x for p in full_z], joint_z_pairs)
+        pl_cb = all_members([p.x for p in full_z], ia_mat)
     abs_pl_cb = None
     if joint_z:
-        abs_pl_cb = all_members(joint_e, joint_z_pairs)
+        abs_pl_cb = all_members(joint_e, ia_mat)
     return PolyPlBalanceReport(
         pl_equilibrated=pl_equilibrated,
         pl_complex_balanced=pl_cb,
@@ -654,7 +648,7 @@ def linkage_decomposition_evidence(system: KineticSystem,
                 continue
             mask = np.zeros(net.num_reactions)
             mask[list(part)] = 1.0
-            balanced, _ = _multistart([(ia * mask, system.kinetics)], chart, seeds, cfg)
+            balanced, _ = _multistart(ia * mask, system.kinetics, chart, seeds, cfg)
             part_statuses.append("ACB_certified" if balanced else "Inconclusive")
     return DecompositionEvidence(
         parts_acb=tuple(part_statuses),

@@ -271,14 +271,15 @@ class PolyPLKinetics(_Kinetics):
         h = self.length
         return all(a.shape[0] == h for a in self.term_coeffs)
 
-    def term_system(self, j: int) -> PowerLawKinetics:
-        """The j-th power-law system of the normalized representation."""
+    def term_kinetics(self) -> PowerLawKinetics:
+        """The normalized term systems stacked term-major: rate j r + q is term j of q."""
         if not self.is_normalized:
             raise InvalidKineticsError("normalize before taking term systems")
         orders = self.exact_term_orders or self.term_orders
         coeffs = self.exact_term_coeffs or self.term_coeffs
-        return PowerLawKinetics([f[j] for f in orders],
-                                [k * a[j] for k, a in zip(self.exact_rates or self.rates, coeffs)])
+        h, rates = self.length, self.exact_rates or self.rates
+        return PowerLawKinetics([f[j] for j in range(h) for f in orders],
+                                [k * a[j] for j in range(h) for k, a in zip(rates, coeffs)])
 
 
 def poly_pl(terms, rates) -> PolyPLKinetics:
@@ -448,18 +449,14 @@ def species_formation_rate(net: ReactionNetwork, kin: Kinetics, x) -> np.ndarray
     return net.n_array() @ evaluate(kin, x)
 
 
-def _residuals(pairs, states) -> list[float]:
-    """Max of |A K(x)| over the (A, kinetics) blocks of `pairs` at each of
-    the `states`, one `evaluate` per pair; each value is the state's own
-    (one matrix-vector product per state, blocks folded as max() does)."""
-    if not len(states):
+def _residuals(a, k) -> list[float]:
+    """Max of |A K| at each state of the rate stack `k` (n, h c), A acting on
+    each of the h blocks of its column count c; each value is the state's own
+    (one matrix-vector product per state and block), and no states give none."""
+    if not len(k):
         return []
-    x = np.array(states, dtype=float)
-    out = None
-    for a, kin in pairs:
-        res = np.max(np.abs(np.matmul(a, evaluate(kin, x)[..., None])[..., 0]), axis=-1)
-        out = res if out is None else np.where(res > out, res, out)
-    return out.tolist()
+    blocks = k.reshape(len(k), k.shape[-1] // a.shape[1], a.shape[1], 1)
+    return np.max(np.abs(np.matmul(a, blocks)), axis=(1, 2, 3)).tolist()
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Jacobian, the test that accepts a run's point and the deduplication of
 accepted points.
 
 `_newton` steps every seed of a multistart together over a `_Chart`;
-`equilibria._multistart` assembles the residual from the caller's pairs,
-at every trial point, and its Jacobian only at the points a seed steps from.
+`equilibria._multistart` assembles the residual, block by block, at every
+trial point, and its Jacobian only at the points a seed steps from.
 """
 
 from __future__ import annotations
@@ -219,21 +219,24 @@ def _normalized_rows(a, abs_a, k):
     which makes the residual scale invariant: shrinking or inflating the
     whole state cannot fake progress, and rows whose kinetics run at tiny
     magnitudes still count at full weight. Rows with no flux (all-zero rows
-    of A) are identically zero and stay zero. `k` is a stack (..., r); A K
-    is formed one matrix-vector product per state, as for a single state.
-    The Jacobian of G is `_normalized_jacobian`, formed apart so that the
-    solver forms it only at the points it steps from.
+    of A) are identically zero and stay zero. `k` is a stack (..., h, c) of h
+    blocks of A's column count c; A K is formed one matrix-vector product per
+    state and block, as for one. The Jacobian of G is `_normalized_jacobian`,
+    formed apart so that the solver forms it only at the points it steps from.
     """
     raw = np.matmul(a, k[..., None])[..., 0]
     flux = np.matmul(abs_a, k[..., None])[..., 0]
     div = np.where(flux > 0, flux, 1.0)
-    return raw / div, div, np.maximum.reduce(np.abs(raw), axis=-1, initial=0.0)
+    # over the blocks fmax, like max() from 0.0, passes over a NaN residual
+    raw_inf = np.fmax.reduce(np.maximum.reduce(np.abs(raw), axis=-1, initial=0.0),
+                             axis=-1, initial=0.0)
+    return raw / div, div, raw_inf
 
 
 def _normalized_jacobian(a, abs_a, g, div, jk_param):
     """dG/dp = (A dK - G |A| dK) / div, from the rows G and divisors of
-    `_normalized_rows` and dK/dp (..., r, d); each state gets the same
-    arithmetic as when formed alone."""
+    `_normalized_rows` and dK/dp (..., h, c, d) in the same blocks; each
+    state and block gets the same arithmetic as when formed alone."""
     # in place to hold fewer stacks at once
     jg = np.matmul(abs_a, jk_param)
     jg *= g[..., None]

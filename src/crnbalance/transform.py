@@ -64,8 +64,9 @@ def star_msc(net: ReactionNetwork, kin: PolyPLKinetics) -> StarMscResult:
     Replica j (j = 1..h) shifts every complex by (j-1)*M on every species,
     with M = 1 + the largest stoichiometric coefficient, so replica
     complexes never collide with existing ones. Replica j of reaction q
-    carries the j-th term of q's normalized kinetics; summing replicas
-    reproduces the original species formation rate at every positive state.
+    carries the j-th term of q's normalized kinetics, in the stacked layout
+    of `PolyPLKinetics.term_kinetics`; summing replicas reproduces the
+    original species formation rate at every positive state.
     """
     source = KineticSystem(net, kin)
     kin = normalize_poly_pl(kin)
@@ -96,11 +97,8 @@ def star_msc(net: ReactionNetwork, kin: PolyPLKinetics) -> StarMscResult:
             replica_map.append((q, j))
 
     star_net = build_network(net.species, complexes, reactions)
-    # the replicas j of all reactions carry the order rows and rates of term system j
-    terms = [kin.term_system(j) for j in range(h)]
-    star_kin = PowerLawKinetics([row for t in terms for row in t.exact_orders or t.orders],
-                                [k for t in terms for k in t.exact_rates or t.rates])
-    system = KineticSystem(star_net, star_kin)
+    # reaction j r + q, replica j + 1 of reaction q, carries term j of q
+    system = KineticSystem(star_net, kin.term_kinetics())
     return StarMscResult(source, system, shift, h, tuple(replica_map),
                          predicted, system.invariants.delta)
 

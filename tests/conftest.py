@@ -34,6 +34,16 @@ def bench_ladder(seed: int, r: int):
     return bench_workloads().ladder_power_law(seed, r)
 
 
+def term_system(norm: cb.PolyPLKinetics, j: int) -> cb.PowerLawKinetics:
+    """Term system j of normalized poly-PL kinetics as its own kinetics:
+    per reaction q the order row and rate k_q a_qj of its term j, exact
+    where the kinetics has exact copies."""
+    orders = norm.exact_term_orders or norm.term_orders
+    coeffs = norm.exact_term_coeffs or norm.term_coeffs
+    return cb.PowerLawKinetics([f[j] for f in orders],
+                               [k * a[j] for k, a in zip(norm.exact_rates or norm.rates, coeffs)])
+
+
 def exact_rank(mat) -> int:
     """The rank of a matrix over the rationals, through its integer rows."""
     return rational.rank_int(rational.integer_rows(mat))

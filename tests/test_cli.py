@@ -448,6 +448,11 @@ def test_pff_evaluates_each_kinetics_once(monkeypatch):
 def test_cli_input_checks_are_analysis_errors(tmp_path):
     comments = tmp_path / "comments.txt"
     comments.write_text("# only comments\n\n   # and blank lines\n")
+    # one reaction each, with equal orders and rates, on two networks
+    one, two = tmp_path / "one.crn", tmp_path / "two.crn"
+    for path, reactant in ((one, "A"), (two, "2 A")):
+        path.write_text(f"species A B\nr1: {reactant} -> B rate 1\n"
+                        "kinetics powerlaw\norder r1: A=1\n")
     cases = [
         (["acb", data_path("mm_polypl.crn"), "--seeds", "4", "--flux-space", "Stilde"],
          "Stilde flux space needs reactant-determined power-law kinetics"),
@@ -457,6 +462,7 @@ def test_cli_input_checks_are_analysis_errors(tmp_path):
          "the replica transform needs poly-PL kinetics"),
         (["pff", data_path("re1_powerlaw.crn"), data_path("hill_single.crn")],
          "the two files define different reaction counts"),
+        (["pff", one, two], "the two files define different networks"),
     ]
     for argv, message in cases:
         code, out, err = run(argv)

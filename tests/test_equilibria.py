@@ -13,7 +13,7 @@ import crnbalance as cb
 from crnbalance.fileformat import parse_crn
 
 from conftest import (DATA, bench_ladder, bench_workloads, random_weakly_reversible_network,
-                      y_array)
+                      term_system, y_array)
 
 CB_POINT = np.array([2.0, 2 ** 0.5 * 1.5 ** -0.25, 2 ** 0.5 * 1.5 ** 0.25])
 
@@ -700,7 +700,7 @@ def _ungated_decomposition_evidence(system, cfg, intersection_certified=None):
             continue
         ia_part, kin_part = part_system
         chart = cb.equilibria._Chart.log(net.num_species)
-        logs, _ = cb.equilibria._multistart([(ia_part, kin_part)], chart, chart.seeds(cfg), cfg)
+        logs, _ = cb.equilibria._multistart(ia_part, kin_part, chart, chart.seeds(cfg), cfg)
         balanced = any(
             float(np.max(np.abs(ia_part @ cb.evaluate(kin_part, np.exp(u))))) <= cfg.tol
             for u in cb.equilibria._dedup_logs(logs))
@@ -942,7 +942,8 @@ def test_stacked_residuals_are_those_of_each_point():
     """Residuals reach the reports, so the stacked check must give each
     point's own bits: at solved equilibria of both kinds and at sampled
     states, on the fixtures and the ladders, for one block and for the
-    joint blocks of poly-PL term systems."""
+    blocks of the stacked poly-PL term kinetics, against each term system
+    evaluated on its own."""
     work = bench_workloads()
     cases = [parse_crn(path.read_text()) for path in sorted(DATA.glob("*.crn"))]
     cases += [bench_ladder(seed, 12) for seed in (3, 5, 7)] + [
@@ -955,22 +956,49 @@ def test_stacked_residuals_are_those_of_each_point():
                   for p in cb.solve_equilibria(system, mode, config=cfg).points]
         states = [p.x for p in points]
         states += cb.sample_positive_states(net.num_species, 6, rng_seed=3)
-        blocks = [[(system.n_float, kin)], [(system.ia_float, kin)]]
+        blocks = [(system.n_float, kin, [(system.n_float, kin)]),
+                  (system.ia_float, kin, [(system.ia_float, kin)])]
         if isinstance(kin, cb.PolyPLKinetics):
             norm = cb.normalize_poly_pl(kin)
-            blocks.append([(system.n_float, norm.term_system(j)) for j in range(norm.length)])
-        for pairs in blocks:
+            for a in (system.n_float, system.ia_float):
+                blocks.append((a, norm.term_kinetics(),
+                               [(a, term_system(norm, j)) for j in range(norm.length)]))
+        for a, stacked, pairs in blocks:
             want = [_residual_of_one_point(pairs, x) for x in states]
-            assert cb.kinetics._residuals(pairs, states) == want
+            assert cb.kinetics._residuals(a, cb.evaluate(stacked, np.array(states))) == want
             checked += len(states)
         # the recorded residuals of each solved point are those of the point
         # alone, so an LP check on a solved reference recomputes them exactly
         for p in points:
-            assert p.sfrf_residual == cb.kinetics._residuals([(system.n_float, kin)], [p.x])[0]
-            assert p.cfrf_residual == cb.kinetics._residuals([(system.ia_float, kin)], [p.x])[0]
+            k = cb.evaluate(kin, [p.x])
+            assert p.sfrf_residual == cb.kinetics._residuals(system.n_float, k)[0]
+            assert p.cfrf_residual == cb.kinetics._residuals(system.ia_float, k)[0]
         solved += len(points)
     assert checked > 200 and solved > 50
-    assert cb.kinetics._residuals([(system.n_float, kin)], []) == []
+    assert cb.kinetics._residuals(system.n_float, []) == []
+
+
+def test_one_evaluation_gives_both_residuals_of_a_solve(monkeypatch, counterexample):
+    """`solve_equilibria` evaluates the kinetics once for the sfrf and the
+    cfrf residuals of its points, and not at all when it has none."""
+    calls = []
+    real = cb.equilibria.evaluate
+
+    def counted(kin, x):
+        calls.append(np.shape(x))
+        return real(kin, x)
+
+    monkeypatch.setattr(cb.equilibria, "evaluate", counted)
+    system = cb.KineticSystem(*counterexample)
+    cfg = cb.SolveConfig(seeds=8)
+    found = cb.solve_equilibria(system, "positive", config=cfg).points
+    assert found and calls == [(len(found), 3)]
+    calls.clear()
+    # A -> B has no positive equilibrium
+    net = cb.build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1)])
+    drain = cb.KineticSystem(net, cb.mass_action_from(net, [1]))
+    assert not cb.solve_equilibria(drain, "positive", config=cfg).points
+    assert calls == []
 
 
 def test_every_reported_point_passed_the_acceptance_test(monkeypatch):

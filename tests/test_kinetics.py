@@ -536,7 +536,7 @@ def test_exact_copies_convert_to_the_float_arrays(mm_polypl, mm_rational):
     for source in (poly, kins[2], kins[8], cb.poly_pl([[(0.5, (1, 0))], [(1, (0, 1)),
                                                        (2, (1, 0))]], ["1/3", 1])):
         norm = cb.normalize_poly_pl(source)
-        kins += [norm, *(norm.term_system(j) for j in range(norm.length))]
+        kins += [norm, norm.term_kinetics()]
     for name in ("counterexample", "hill_single", "mm_polypl", "re1_massaction",
                  "re1_powerlaw", "decimal_powerlaw"):
         kins.append(parse_crn(data_path(f"{name}.crn").read_text())[1])
@@ -554,9 +554,10 @@ def test_exact_rates():
     assert hill.exact_rates == cb.hill_as_rational(hill).exact_rates == (Fraction(1, 3),)
     poly = cb.poly_pl([[(1, (1, 0)), (2, (0, 1))], [(1, (0, 1))]], ["1/3", 3])
     assert cb.normalize_poly_pl(poly).exact_rates == (Fraction(1, 3), 3)
-    # term 2 of reaction 1 is 2 x_B; reaction 2 splits its one term into two halves
-    assert cb.normalize_poly_pl(poly).term_system(1).exact_rates == (Fraction(2, 3),
-                                                                     Fraction(3, 2))
+    # term 2 of reaction 1 is 2 x_B; reaction 2 splits its one term into two
+    # halves; rows r to 2r - 1 (r = 2) of the stacked terms hold the second terms
+    assert cb.normalize_poly_pl(poly).term_kinetics().exact_rates[2:4] == (Fraction(2, 3),
+                                                                           Fraction(3, 2))
 
 
 def test_normalized_coefficients_are_the_exact_quotients():

@@ -18,7 +18,7 @@ from crnbalance.fileformat import parse_crn
 from crnbalance.newton import (_COLLAPSE_LAMBDA, _COLLAPSE_RESIDUAL, _COLLAPSE_STEPS,
                                ACCEPT_BOUND, MAX_HALVINGS, MAX_STEP, _Chart, _Run, _newton)
 
-from conftest import DATA, bench_ladder, bench_workloads
+from conftest import DATA, bench_ladder, bench_workloads, term_system
 
 CFG = cb.SolveConfig()
 REASONS = {"converged", "line search collapsed", "escaped", "left the chart",
@@ -379,8 +379,20 @@ def _single_coset_chart(x0, basis_rows):
             (lambda alpha: np.log(x0 + b @ alpha)), None)
 
 
+def _term_blocks(a, kin):
+    """The (A, kinetics) blocks that `_multistart(a, kin, ...)` solves: one,
+    or one per term system when `kin` stacks them, each rows j c to
+    (j + 1) c - 1 of the stacked kinetics for c the columns of A."""
+    c = a.shape[1]
+    if kin.num_reactions == c:
+        return [(a, kin)]
+    return [(a, cb.PowerLawKinetics(kin.orders[j * c:(j + 1) * c], kin.rates[j * c:(j + 1) * c]))
+            for j in range(kin.num_reactions // c)]
+
+
 def _sequential_multistart(pairs, chart, seeds, cfg):
-    """The per-seed multistart loop over `_sequential_newton`."""
+    """The per-seed multistart loop over `_sequential_newton`, each (A,
+    kinetics) block of `pairs` evaluated and normalized on its own."""
     to_x, param_jac, to_log, escape_bound = chart
     resjac = _single_resjac(pairs, to_x, param_jac)
     logs, stops = [], []
@@ -411,10 +423,10 @@ def _checked_multistart(monkeypatch):
 
     checked = []
 
-    def multistart(pairs, chart, seeds, cfg):
-        logs, stops = real(pairs, chart, seeds, cfg)
+    def multistart(a, kin, chart, seeds, cfg):
+        logs, stops = real(a, kin, chart, seeds, cfg)
         single = single_cosets.get(chart) or _single_log_chart()
-        old_logs, old_stops = _sequential_multistart(pairs, single, seeds, cfg)
+        old_logs, old_stops = _sequential_multistart(_term_blocks(a, kin), single, seeds, cfg)
         assert stops == old_stops
         assert _bits(logs) == _bits(old_logs)
         checked.append(stops)
@@ -452,7 +464,7 @@ def test_seeds_stepped_together_match_the_sequential_iteration(monkeypatch):
         cb.analyze_acb(cb.KineticSystem(net, kin), cfg)  # E, Z, KSE and part solves
     for name, space in (("re1_massaction.crn", "S"), ("counterexample.crn", "Stilde")):
         _coset_outcome(name, space, cfg)
-    # the joint pairs stack one block of rows per term system
+    # the joint solves stack one block of rows per term system
     for net, kin in (parse_crn((DATA / "mm_polypl.crn").read_text()), work.ladder_poly_pl(1, 12)):
         cb.poly_pl_equilibrated_check(net, kin, cfg)
 
@@ -468,27 +480,52 @@ def test_multistart_edge_cases_match_the_sequential_iteration(monkeypatch, count
     multistart = cb.equilibria._multistart
     cfg = cb.SolveConfig(seeds=8)
     net, kin = counterexample
-    pairs = [(net.n_array(), kin)]
+    n = net.n_array()
     log = _Chart.log(3)
-    assert multistart(pairs, log, [], cfg) == ([], [])
+    assert multistart(n, kin, log, [], cfg) == ([], [])
 
     # no coordinates: the anchor alone, an equilibrium at x = 1 and not at x = (1, 2, 3)
     for anchor, stop in ((np.ones(3), "converged"), (np.arange(1.0, 4.0), "step below 1e-15")):
         flat = _Chart.coset(3, anchor, np.zeros((0, 3)))
-        _, stops = multistart(pairs, flat, flat.seeds(cfg), cfg)
+        _, stops = multistart(n, kin, flat, flat.seeds(cfg), cfg)
         assert stops == [stop] * 8
 
     seeds = log.seeds(cfg)
-    _, stops = multistart(pairs, log, seeds[:3] + [np.full(3, 50.0)] + seeds[3:], cfg)
+    _, stops = multistart(n, kin, log, seeds[:3] + [np.full(3, 50.0)] + seeds[3:], cfg)
     assert stops[3] == "left the chart" and stops.count("left the chart") == 1
-    _, stops = multistart(pairs, log, [np.full(3, 50.0), np.array([0.0, 0.0, -45.0])], cfg)
+    _, stops = multistart(n, kin, log, [np.full(3, 50.0), np.array([0.0, 0.0, -45.0])], cfg)
     assert stops == ["left the chart"] * 2
 
     basis = np.array(cb.stoichiometric_basis(net), dtype=float)
     coset = _Chart.coset(3, np.ones(3), basis)
-    _, stops = multistart(pairs, coset, [np.array([5.0]), np.array([-5.0])], cfg)
+    _, stops = multistart(n, kin, coset, [np.array([5.0]), np.array([-5.0])], cfg)
     assert stops == ["left the chart"] * 2
     assert len(checked) == 6
+
+
+@pytest.mark.parametrize("seeds", [16, 64])
+def test_joint_solves_match_the_per_term_oracle(seeds):
+    """A joint poly-PL solve is one solve over the stacked term kinetics;
+    its stops and log points are, bit for bit, those of the sequential
+    oracle that evaluates and normalizes each term system on its own."""
+    work = bench_workloads()
+    cfg = cb.SolveConfig(seeds=seeds)
+    cases = [work.ladder_poly_pl(0, 12), work.ladder_poly_pl(1, 12),
+             parse_crn((DATA / "mm_polypl.crn").read_text())]
+    found = 0
+    for net, kin in cases:
+        norm = cb.normalize_poly_pl(kin)
+        chart = _Chart.log(net.num_species)
+        for a in (net.n_array(), net.ia_array()):
+            logs, stops = cb.equilibria._multistart(a, norm.term_kinetics(), chart,
+                                                    chart.seeds(cfg), cfg)
+            pairs = [(a, term_system(norm, j)) for j in range(norm.length)]
+            old_logs, old_stops = _sequential_multistart(pairs, _single_log_chart(),
+                                                         chart.seeds(cfg), cfg)
+            assert stops == old_stops
+            assert _bits(logs) == _bits(old_logs)
+            found += len(logs)
+    assert found > 0
 
 
 # --- several lengths per line-search round --------------------------------
@@ -677,14 +714,14 @@ def _reference_as_run(resjac, u0, cfg):
 def _reference_multistart(calls):
     """A `_multistart` running `_reference_newton` seed by seed, on the
     solver's own chart; each call is appended to `calls`."""
-    def multistart(pairs, chart, seeds, cfg):
+    def multistart(a, kin, chart, seeds, cfg):
         calls.append(len(seeds))
 
         def to_x(p):
             on, x = chart.to_x(p[None])
             return x[0] if on[0] else None
 
-        resjac = _single_resjac(pairs, to_x, chart.param_jac)
+        resjac = _single_resjac(_term_blocks(a, kin), to_x, chart.param_jac)
         logs, stops = [], []
         for p0 in seeds:
             stop, log_x = _seed_outcome(_reference_as_run(resjac, p0, cfg), chart.to_log, cfg)
@@ -699,9 +736,9 @@ def _reference_multistart(calls):
 def _counted(calls):
     real = cb.equilibria._multistart
 
-    def multistart(pairs, chart, seeds, cfg):
+    def multistart(a, kin, chart, seeds, cfg):
         calls.append(len(seeds))
-        return real(pairs, chart, seeds, cfg)
+        return real(a, kin, chart, seeds, cfg)
 
     return multistart
 

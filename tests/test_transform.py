@@ -7,6 +7,8 @@ import pytest
 
 import crnbalance as cb
 
+from conftest import bench_workloads, term_system
+
 
 def test_star_msc_sizes_and_deficiency(mm_polypl):
     net, kin = mm_polypl
@@ -27,6 +29,32 @@ def test_star_msc_sizes_and_deficiency(mm_polypl):
         assert all(star.network.complexes[rx.reactant].coeffs[i]
                    == net.complexes[orig.reactant].coeffs[i] + shift
                    for i in range(net.num_species))
+
+
+def _fields(kin, rows=slice(None)):
+    """The exact copies and the float bits of the rows `rows` of a power-law kinetics."""
+    return (kin.exact_orders and kin.exact_orders[rows], kin.exact_rates and kin.exact_rates[rows],
+            kin.orders[rows].tobytes(), kin.rates[rows].tobytes())
+
+
+def test_star_msc_and_joint_solves_share_one_term_layout(mm_polypl, toy_polypl):
+    """The replica kinetics is the stacked term kinetics, row for row, and
+    row j r + q is replica j + 1 of reaction q, carrying term j of q."""
+    pair = toy_polypl[0]
+    floats = cb.poly_pl([[(0.3, (1, 0)), (0.7, (0, 1))], [(1.1, (0, 1))]], [0.5, 2])
+    cases = [mm_polypl, toy_polypl, (pair, floats), bench_workloads().ladder_poly_pl(1, 12)]
+    for net, kin in cases:
+        star = cb.star_msc(net, kin)
+        norm = cb.normalize_poly_pl(kin)
+        stacked = norm.term_kinetics()
+        assert _fields(star.kinetics) == _fields(stacked)
+        r = net.num_reactions
+        assert star.replica_map == tuple((q, j + 1) for j in range(norm.length)
+                                         for q in range(r))
+        for j in range(norm.length):
+            assert _fields(stacked, slice(j * r, (j + 1) * r)) == _fields(term_system(norm, j))
+    # decimal coefficients leave the rates without an exact copy
+    assert cb.star_msc(pair, floats).kinetics.exact_rates is None
 
 
 def test_star_msc_dynamic_equivalence(mm_polypl, toy_polypl):
