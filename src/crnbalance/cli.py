@@ -23,7 +23,7 @@ from .equilibria import (KineticSystem, SolveConfig, acb_verdict, analyze_acb,
 from .fileformat import ParseError, parse_crn
 from .kinetic_matrices import build_t_matrices, kinetic_order_subspace
 from .kinetics import (HillKinetics, PolyPLKinetics, PowerLawKinetics,
-                       RationalKinetics, evaluate)
+                       RationalKinetics, species_formation_rate)
 from .network import CrnError, stoichiometric_basis
 from .rational import frac
 from .transform import pff_check, star_msc
@@ -183,9 +183,8 @@ def _cmd_starmsc(args, system, cfg, report):
         raise CrnError("the replica transform needs poly-PL kinetics")
     star = star_msc(net, kin)
     states = np.array(sample_positive_states(net.num_species, 20, cfg.rng_seed))
-    # the SFRF N K(x) of both networks, one matrix-vector product per state
-    f0, f1 = (np.matmul(n.n_array(), evaluate(k, states)[..., None])[..., 0]
-              for n, k in ((net, kin), (star.network, star.kinetics)))
+    f0 = species_formation_rate(net, kin, states)
+    f1 = species_formation_rate(star.network, star.kinetics, states)
     deviation = max([0.0] + [d / max(1.0, s) for d, s in zip(
         np.max(np.abs(f0 - f1), axis=1).tolist(), np.max(np.abs(f0), axis=1).tolist())])
     verdict = star.system.linkage_verdict

@@ -294,20 +294,20 @@ class LpPropertyReport:
 
 
 def check_lp_property(system: KineticSystem, which: str, spec: LPSetSpec,
-                      config: SolveConfig | None = None,
-                      points: list[EquilibriumPoint] | None = None) -> LpPropertyReport:
+                      config: SolveConfig | None = None, *,
+                      points: list[EquilibriumPoint]) -> LpPropertyReport:
     """Two-sided sampled test that the chosen equilibria set is log
     parametrized by the orthogonal complement of the flux subspace.
 
-    (a) every solver-found equilibrium x of the kind must satisfy
+    (a) every equilibrium x of the kind in `points`, which the caller has
+    found (`solve_equilibria` in the mode of `which`), must satisfy
     log x - log x* ⊥ flux space within `LP_TOL`; (b) for `LP_SAMPLES` sampled
     directions in the complement, x* e^mu must have the kind's residual
-    below `LP_TOL`.
+    below `LP_TOL`. No solver runs here.
     """
     cfg = config or SolveConfig()
     if which not in ("E", "Z"):
         raise ValueError("which must be 'E' or 'Z'")
-    mode = "positive" if which == "E" else "complex_balanced"
     a = system.n_float if which == "E" else system.ia_float
     ref = spec.reference
     ref_res = _residuals(a, evaluate(system.kinetics, [ref]))[0]
@@ -315,8 +315,6 @@ def check_lp_property(system: KineticSystem, which: str, spec: LPSetSpec,
         raise ReferenceNotEquilibriumError(
             f"reference state has {which} residual {ref_res:.3e} above {cfg.tol:.1e}")
 
-    if points is None:
-        points = solve_equilibria(system, mode, config=cfg).points
     # the norm of log x - log x* inside the flux space, over orthonormal rows
     max_proj = max([0.0, *(float(np.linalg.norm(spec.span_rows @ (np.log(p.x) - np.log(ref))))
                            for p in points)])

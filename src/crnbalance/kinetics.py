@@ -445,8 +445,12 @@ def log_jacobian(kin: Kinetics, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def species_formation_rate(net: ReactionNetwork, kin: Kinetics, x) -> np.ndarray:
-    """SFRF f(x) = N K(x)."""
-    return net.n_array() @ evaluate(kin, x)
+    """SFRF f(x) = N K(x).
+
+    A stack of states (..., m) gives the stack of rates (..., m), one
+    matrix-vector product per state, so each row is the state's own.
+    """
+    return np.matmul(net.n_array(), evaluate(kin, x)[..., None])[..., 0]
 
 
 def _residuals(a, k) -> list[float]:
@@ -574,7 +578,7 @@ def rates_balancing_all_ones(net: ReactionNetwork) -> tuple[Fraction, ...]:
     is a strictly positive element of ker Ia; one exists iff the network is
     weakly reversible.
     """
-    v = rational.positive_kernel_vector_int(net.ia_int)
+    v = rational.positive_kernel_vector(net.ia)
     if v is None:
         raise CrnError("no positive incidence kernel: network is not weakly reversible")
     return tuple(v)

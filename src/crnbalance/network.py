@@ -159,7 +159,7 @@ def build_network(species, complexes, reactions) -> ReactionNetwork:
         seen[name] = 1
 
     m = len(species)
-    built: list[Complex] = []
+    index: dict[Complex, int] = {}   # each complex to its index, in order
     for ci, coeffs in enumerate(complexes):
         vec = tuple(rational.frac(c) for c in coeffs)
         if len(vec) != m:
@@ -173,10 +173,11 @@ def build_network(species, complexes, reactions) -> ReactionNetwork:
             except ValueError as exc:
                 raise CrnError(f"complex {ci}, coefficient of {name}: {exc}") from None
         cpx = Complex(vec)
-        if cpx in built:
+        if cpx in index:
             raise DuplicateComplexError(
                 f"duplicate complex {cpx.format(species)!r} at index {ci}")
-        built.append(cpx)
+        index[cpx] = ci
+    built = list(index)
     n = len(built)
 
     rxns: list[Reaction] = []

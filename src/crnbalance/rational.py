@@ -15,8 +15,6 @@ form that takes integer rows as they are (`rref_int`), and the Fraction
 form scales its rows once and calls it; `rank_int` and `pivot_rows_int`
 take integer rows only. A caller that keeps its matrix as integer rows
 scales it once: a network its N and Ia, a T-matrix build its order rows.
-`positive_kernel_vector_int` reads its rows as the matrix itself, since
-its witness depends on the scale of each row.
 """
 
 from __future__ import annotations
@@ -261,28 +259,9 @@ def positive_kernel_vector(mat) -> Vector | None:
     m = matrix(mat)
     if not m:
         raise ValueError("positive kernel of an empty matrix is ambiguous")
-    return _positive_kernel([_scaled(row) for row in m])
-
-
-def positive_kernel_vector_int(rows) -> Vector | None:
-    """`positive_kernel_vector` of the integer matrix `rows` itself.
-
-    Phase 1 minimizes the sum of the artificial variables of the rows as
-    given, so scaling a row can change the witness: pass the matrix whose
-    witness is meant (the incidence matrix Ia is one), not rows cleared of
-    denominators.
-    """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("positive kernel of an empty matrix is ambiguous")
-    return _positive_kernel([(1, row) for row in rows])
-
-
-def _positive_kernel(scaled: list[tuple[int, list[int]]]) -> Vector | None:
-    """`positive_kernel_vector` of a matrix given as each row's scale and
-    integer row."""
-    if not scaled[0][1]:
+    if not m[0]:
         return None
+    scaled = [_scaled(row) for row in m]
     if any(any(row) and (min(row) >= 0 or max(row) <= 0) for _, row in scaled):
         return None
     # b = -A 1, so row i of [A | b] times L_i is the integer row and minus its sum

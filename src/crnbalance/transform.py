@@ -122,31 +122,29 @@ def pff_check(kin_a: Kinetics, kin_b: Kinetics, samples=None) -> PffCertificate:
     Power-law pairs get the structural test: all rows of the order
     difference must coincide and the rate ratio must be constant, in which
     case the factor is the monomial (k_a/k_b) x^(common difference row).
-    It is exact when both kinetics carry exact orders and rates, and at a
-    1e-12 tolerance otherwise. Any other pair is compared on sample states:
-    the per-reaction ratios at each state must agree to relative spread
-    1e-9. Each kinetics is evaluated once, on the stack of sample states.
+    It is exact when both kinetics carry exact orders and rates. Otherwise
+    the float copies are compared, rows within 1e-12 and the rate ratios
+    within 1e-12 max(1, |first ratio|). Any other pair is compared on
+    sample states: the per-reaction ratios at each state must agree to
+    relative spread 1e-9. Each kinetics is evaluated once, on the stack of
+    sample states.
     """
     if kin_a.num_reactions != kin_b.num_reactions:
         raise DimensionMismatchError("kinetics have different reaction counts")
     if kin_a.num_species != kin_b.num_species:
         raise DimensionMismatchError("kinetics have different species counts")
     if isinstance(kin_a, PowerLawKinetics) and isinstance(kin_b, PowerLawKinetics):
-        if None not in (kin_a.exact_orders, kin_a.exact_rates,
-                        kin_b.exact_orders, kin_b.exact_rates):
-            diff = [[a - b for a, b in zip(fa, fb)]
-                    for fa, fb in zip(kin_a.exact_orders, kin_b.exact_orders)]
-            ratios = [a / b for a, b in zip(kin_a.exact_rates, kin_b.exact_rates)]
-            rows_match = all(row == diff[0] for row in diff)
-            ratio_const = all(v == ratios[0] for v in ratios)
-            constant = not any(diff[0])
-        else:
-            diff = kin_a.orders - kin_b.orders
-            ratios = kin_a.rates / kin_b.rates
-            rows_match = bool(np.max(np.abs(diff - diff[0]), initial=0.0) <= _RATE_TOL)
-            ratio_const = bool(np.max(np.abs(ratios - ratios[0])) <=
-                               _RATE_TOL * max(1.0, abs(ratios[0])))
-            constant = np.max(np.abs(diff[0])) <= _RATE_TOL
+        copies = (kin_a.exact_orders, kin_a.exact_rates, kin_b.exact_orders, kin_b.exact_rates)
+        tol = 0
+        if None in copies:
+            copies = [v.tolist() for v in (kin_a.orders, kin_a.rates, kin_b.orders, kin_b.rates)]
+            tol = _RATE_TOL
+        orders_a, rates_a, orders_b, rates_b = copies
+        diff = [[a - b for a, b in zip(fa, fb)] for fa, fb in zip(orders_a, orders_b)]
+        ratios = [a / b for a, b in zip(rates_a, rates_b)]
+        rows_match = all(abs(v - v0) <= tol for row in diff for v, v0 in zip(row, diff[0]))
+        ratio_const = all(abs(v - ratios[0]) <= tol * max(1, abs(ratios[0])) for v in ratios)
+        constant = all(abs(v) <= tol for v in diff[0])
         return PffCertificate(
             equivalent=rows_match and ratio_const,
             factor_kind="constant" if constant else "monomial",

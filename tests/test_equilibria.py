@@ -144,11 +144,11 @@ def test_check_lp_property_mass_action(ma_system):
     z = cb.solve_equilibria(ma_system, "complex_balanced", config=cfg)
     basis_rows = cb.stoichiometric_basis(ma_system.network)
     spec = cb.LPSetSpec(np.array(basis_rows, dtype=float), z.points[0].x)
-    clp = cb.check_lp_property(ma_system, "Z", spec, config=cfg)
+    clp = cb.check_lp_property(ma_system, "Z", spec, config=cfg, points=z.points)
     assert clp.holds and clp.n_sampled == 8
     e = cb.solve_equilibria(ma_system, "positive", config=cfg)
     spec_e = cb.LPSetSpec(spec.flux_basis, e.points[0].x)
-    plp = cb.check_lp_property(ma_system, "E", spec_e, config=cfg)
+    plp = cb.check_lp_property(ma_system, "E", spec_e, config=cfg, points=e.points)
     assert plp.holds
 
 
@@ -156,7 +156,7 @@ def test_check_lp_property_wrong_flux_space_fails(ma_system):
     cfg = cb.SolveConfig(seeds=16)
     z = cb.solve_equilibria(ma_system, "complex_balanced", config=cfg)
     wrong = cb.LPSetSpec(np.array([[1.0, 0.0, 0.0]]), z.points[0].x)
-    rep = cb.check_lp_property(ma_system, "Z", wrong, config=cfg)
+    rep = cb.check_lp_property(ma_system, "Z", wrong, config=cfg, points=z.points)
     assert not rep.holds
     assert not rep.membership_direction_ok
 
@@ -187,7 +187,7 @@ def test_check_lp_property_counterexample_kinetic_flux(ce_system, counterexample
     t = cb.build_t_matrices(net, kin)
     z = cb.solve_equilibria(ce_system, "complex_balanced", config=cfg)
     spec = cb.LPSetSpec(np.array(t.exact_s_tilde_basis, dtype=float), z.points[0].x)
-    rep = cb.check_lp_property(ce_system, "Z", spec, config=cfg)
+    rep = cb.check_lp_property(ce_system, "Z", spec, config=cfg, points=z.points)
     assert rep.holds
     # S-tilde fills R^3, so no membership direction is left to sample
     assert rep.n_sampled == 0 and rep.max_residual == 0.0
@@ -196,8 +196,28 @@ def test_check_lp_property_counterexample_kinetic_flux(ce_system, counterexample
 def test_reference_not_equilibrium_raises(ma_system):
     spec = cb.LPSetSpec(np.array(cb.stoichiometric_basis(ma_system.network),
                                  dtype=float), np.array([1.0, 2.0, 3.0]))
+    z = cb.solve_equilibria(ma_system, "complex_balanced")
     with pytest.raises(cb.ReferenceNotEquilibriumError):
+        cb.check_lp_property(ma_system, "Z", spec, points=z.points)
+
+
+def test_check_lp_property_needs_the_found_points(ma_system, monkeypatch):
+    """The check runs no solver of its own: the caller passes the points."""
+    z = cb.solve_equilibria(ma_system, "complex_balanced", config=cb.SolveConfig(seeds=4))
+    spec = cb.LPSetSpec(np.array(cb.stoichiometric_basis(ma_system.network),
+                                 dtype=float), z.points[0].x)
+    with pytest.raises(TypeError, match="points"):
         cb.check_lp_property(ma_system, "Z", spec)
+    with pytest.raises(TypeError):
+        cb.check_lp_property(ma_system, "Z", spec, None, z.points)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("check_lp_property ran a solver")
+
+    monkeypatch.setattr(cb.equilibria, "solve_equilibria", no_solve)
+    monkeypatch.setattr(cb.equilibria, "_newton", no_solve)
+    rep = cb.check_lp_property(ma_system, "Z", spec, points=z.points)
+    assert rep.holds and rep.n_found == len(z.points)
 
 
 def test_toy_pl_tik_bilp(toy_pl_tik):

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import lcm
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import crnbalance as cb
@@ -19,8 +20,9 @@ from crnbalance import decomposition, rational
 from crnbalance.decomposition import SubnetworkSummary
 from crnbalance.network import linkage_classes
 
-from conftest import bench_ladder, bench_workloads, column_basis
-from test_rational import oracle_positive_kernel_vector
+from conftest import (bench_ladder, bench_workloads, column_basis,
+                      random_weakly_reversible_network)
+from test_rational import oracle_positive_kernel_vector, oracle_positive_kernel_vector_int
 
 # `bench/suite.py` SEARCH_ITEMS and SEARCH_PREDICATES
 SEARCH_ITEMS = ((0, 10), (1, 11), (2, 12), (3, 10), (4, 11), (5, 12))
@@ -174,7 +176,8 @@ def test_ladders_match_the_fraction_path(r):
     assert witness == (None if expected is None else tuple(expected))
     assert conservative is (expected is not None)
     assert kin.exact_rates == cb.rates_balancing_all_ones(net) == tuple(
-        oracle_positive_kernel_vector([list(row) for row in net.ia]))
+        oracle_positive_kernel_vector([list(row) for row in net.ia])) == tuple(
+        oracle_positive_kernel_vector_int(net.ia_int))
     parts = cb.linkage_class_parts(net)
     assert cb.check_decomposition(net, parts).summaries == oracle_summaries(net, parts, {})
     t = cb.build_t_matrices(net, kin)
@@ -229,3 +232,12 @@ def test_part_integer_rows_are_positive_multiples_of_its_rows():
                         assert all(map(_positive_multiple, int_rows, rows))
                     strict += sub.n_int != tuple(map(tuple, rational.integer_rows(sub.n)))
     assert strict  # some part's rows carry the parent's larger scale
+
+
+def test_balancing_rates_match_the_integer_entry(re1_net):
+    """`rates_balancing_all_ones` passes Ia to the Fraction entry; its rows
+    have scale 1, so each witness is the one the integer entry gave."""
+    rng = np.random.default_rng(11)
+    for net in [re1_net] + [random_weakly_reversible_network(rng) for _ in range(10)]:
+        assert cb.rates_balancing_all_ones(net) == tuple(
+            oracle_positive_kernel_vector_int(net.ia_int))

@@ -218,7 +218,7 @@ def test_log_jacobian_matches_finite_differences(family, mm_rational):
 def _ladder(family):
     work = bench_workloads()
     return {"powerlaw": work.ladder_power_law(1, 40), "polypl": work.ladder_poly_pl(1, 12),
-            "hill": work.ladder_hill(1, 8)}[family][1]
+            "hill": work.ladder_hill(1, 8)}[family]
 
 
 @pytest.mark.parametrize("family", FAMILIES + ["powerlaw-ladder", "polypl-ladder",
@@ -227,7 +227,7 @@ def test_stacked_states_evaluate_as_single_states(family, mm_rational):
     """Each state of a stack (..., m) gets the bits it gets alone."""
     rng = np.random.default_rng(5)
     if family.endswith("-ladder"):
-        kin = _ladder(family.split("-")[0])
+        kin = _ladder(family.split("-")[0])[1]
         m = kin.num_species
     else:
         kin, m = _family(family, mm_rational, rng)
@@ -243,6 +243,31 @@ def test_stacked_states_evaluate_as_single_states(family, mm_rational):
     empty = cb.kinetics.log_jacobian(kin, np.ones((0, m)))
     assert empty[0].shape == (0, kin.num_reactions)
     assert empty[1].shape == (0, kin.num_reactions, m)
+
+
+@pytest.mark.parametrize("system", ["re1_massaction", "counterexample", "mm_polypl",
+                                    "mm_rational", "replica", "powerlaw-ladder",
+                                    "polypl-ladder", "hill-ladder"])
+def test_stacked_states_form_species_rates_as_single_states(system, request):
+    """The SFRF of a stack (..., m) gives each state the bits it gets alone,
+    and one state the bits of N K(x)."""
+    if system.endswith("-ladder"):
+        net, kin = _ladder(system.split("-")[0])
+    elif system == "replica":
+        star = cb.star_msc(*request.getfixturevalue("mm_polypl"))
+        net, kin = star.network, star.kinetics
+    else:
+        net, kin = request.getfixturevalue(system)
+    m = net.num_species
+    states = np.exp(np.random.default_rng(9).uniform(-2, 2, size=(2, 5, m)))
+    f = cb.species_formation_rate(net, kin, states)
+    assert f.shape == (2, 5, m)
+    for idx in np.ndindex(2, 5):
+        one = cb.species_formation_rate(net, kin, states[idx])
+        assert one.shape == (m,)
+        assert one.tobytes() == f[idx].tobytes()
+        assert one.tobytes() == (net.n_array() @ cb.evaluate(kin, states[idx])).tobytes()
+    assert cb.species_formation_rate(net, kin, np.ones((0, m))).shape == (0, m)
 
 
 def test_stacked_zero_state_names_the_species():

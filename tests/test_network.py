@@ -54,6 +54,27 @@ def test_build_errors():
         cb.build_network(["A"], [[-1], [1]], [(0, 1)])
 
 
+def test_build_network_finds_duplicate_complexes_by_hash(monkeypatch):
+    """A chain of 3000 complexes compares fewer complexes than it has: each
+    is looked up by hash, not against every complex before it. A duplicate
+    is still named with the index it appears at."""
+    n = 3000
+    calls = 0
+    eq = cb.Complex.__eq__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(cb.Complex, "__eq__", counted)
+    net = cb.build_network(["X"], [[i] for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    assert net.num_complexes == n and calls < n
+    complexes = [[i] for i in range(5)] + [["6/2"]]
+    with pytest.raises(cb.DuplicateComplexError, match=r"^duplicate complex '3 X' at index 5$"):
+        cb.build_network(["X"], complexes, [(i, i + 1) for i in range(5)])
+
+
 def test_build_refuses_a_coefficient_a_float_cannot_hold():
     """The float N of such a network would overflow, or read 0 where the
     exact N does not."""

@@ -328,10 +328,34 @@ def test_integer_paths_match_the_fraction_path(pair):
     assert rows == given_rows
 
 
+def oracle_positive_kernel_vector_int(rows) -> Vector | None:
+    """The integer entry `positive_kernel_vector` replaced, kept verbatim:
+    the matrix `rows` itself, each row read at scale 1."""
+    rows = list(rows)
+    if not rows:
+        raise ValueError("positive kernel of an empty matrix is ambiguous")
+    scaled = [(1, row) for row in rows]
+    if not scaled[0][1]:
+        return None
+    if any(any(row) and (min(row) >= 0 or max(row) <= 0) for _, row in scaled):
+        return None
+    # b = -A 1, so row i of [A | b] times L_i is the integer row and minus its sum
+    u = rational._phase1_feasible([(scale, [*row, -sum(row)]) for scale, row in scaled])
+    if u is None:
+        return None
+    z = [v + 1 for v in u]
+    _, zi = rational._scaled(z)
+    if any(sum(r * x for r, x in zip(row, zi)) for _, row in scaled):
+        raise ArithmeticError("phase-1 solution is not a kernel vector")
+    return z
+
+
 @given(small_matrices)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_integer_kernel_path_matches_the_fraction_path(mat):
-    z = rational.positive_kernel_vector_int(tuple(map(tuple, mat)))
+    """Integer rows have scale 1, so the Fraction entry gives the witness the
+    integer entry gave them."""
+    z = oracle_positive_kernel_vector_int(tuple(map(tuple, mat)))
     assert z == rational.positive_kernel_vector(mat) == oracle_positive_kernel_vector(mat)
 
 

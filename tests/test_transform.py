@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crnbalance as cb
+from crnbalance.transform import _RATE_TOL, PffCertificate
 
 from conftest import bench_workloads, term_system
 
@@ -158,6 +161,98 @@ def test_pff_compares_exact_rates_and_orders():
     # exact rows of different lengths are refused, not compared up to the shorter
     with pytest.raises(cb.DimensionMismatchError):
         cb.pff_check(a, cb.power_law([[1, 0, 0], [0, 1, 0], [1, 1, 0]], [1, 1, 1]))
+
+
+def oracle_pff_power_law(kin_a, kin_b) -> PffCertificate:
+    """The power-law branch of `pff_check` before its one comparison loop:
+    a Fraction body and a numpy body, kept verbatim."""
+    if None not in (kin_a.exact_orders, kin_a.exact_rates,
+                    kin_b.exact_orders, kin_b.exact_rates):
+        diff = [[a - b for a, b in zip(fa, fb)]
+                for fa, fb in zip(kin_a.exact_orders, kin_b.exact_orders)]
+        ratios = [a / b for a, b in zip(kin_a.exact_rates, kin_b.exact_rates)]
+        rows_match = all(row == diff[0] for row in diff)
+        ratio_const = all(v == ratios[0] for v in ratios)
+        constant = not any(diff[0])
+    else:
+        diff = kin_a.orders - kin_b.orders
+        ratios = kin_a.rates / kin_b.rates
+        rows_match = bool(np.max(np.abs(diff - diff[0]), initial=0.0) <= _RATE_TOL)
+        ratio_const = bool(np.max(np.abs(ratios - ratios[0])) <=
+                           _RATE_TOL * max(1.0, abs(ratios[0])))
+        constant = np.max(np.abs(diff[0])) <= _RATE_TOL
+    return PffCertificate(
+        equivalent=rows_match and ratio_const,
+        factor_kind="constant" if constant else "monomial",
+        sampled_max_spread=0.0,
+        rate_ratio=float(ratios[0]) if ratio_const else None,
+        order_shift=tuple(float(v) for v in diff[0]) if rows_match else None,
+    )
+
+
+def _cert_fields(cert):
+    """Every certificate field, floats as `float.hex`."""
+    hexed = (lambda v: None if v is None else float(v).hex())
+    return (type(cert.equivalent), cert.equivalent, cert.factor_kind,
+            hexed(cert.sampled_max_spread), hexed(cert.rate_ratio),
+            None if cert.order_shift is None else tuple(map(hexed, cert.order_shift)))
+
+
+# offsets at the tolerance, both sides of it, and far from it
+_NEAR_TOL = (0.0, 1e-13, 5e-13, float(np.nextafter(1e-12, 0)), 1e-12,
+             float(np.nextafter(1e-12, 1)), 1.5e-12, 1e-9, 0.25)
+_SCALES = (1, 2, 0.5, Fraction(1, 3), 1e3, 1e6, 1e9, 3.7e11, 1e15)
+_exact_entry = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-9, 9),
+                                                       st.integers(1, 7)))
+_exact_rate = st.one_of(st.integers(1, 5), st.builds(Fraction, st.integers(1, 9),
+                                                     st.integers(1, 7)))
+_float_entry = st.floats(-3, 3, allow_nan=False).filter(lambda v: not v.is_integer())
+_float_rate = st.floats(0.01, 10).filter(lambda v: not v.is_integer())
+
+
+@st.composite
+def power_law_pairs(draw, kinds):
+    """(a, b) on r reactions and m species; a is b with a common order shift
+    and a rate scale, then one order and one rate moved by an offset near
+    the tolerance. A kind "exact" keeps every value a Fraction, "float"
+    makes some entry a non-integral float, so no exact copy exists."""
+    kind_a, kind_b = kinds
+    r, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entry = {"exact": _exact_entry, "float": _float_entry}
+    rate = {"exact": _exact_rate, "float": _float_rate}
+    orders_b = draw(st.lists(st.lists(entry[kind_b], min_size=m, max_size=m),
+                             min_size=r, max_size=r))
+    rates_b = draw(st.lists(rate[kind_b], min_size=r, max_size=r))
+    shift = draw(st.lists(entry[kind_a], min_size=m, max_size=m))
+    scale = draw(st.sampled_from(_SCALES))
+    q, j, q_rate = draw(st.integers(0, r - 1)), draw(st.integers(0, m - 1)), \
+        draw(st.integers(0, r - 1))
+    bump, rel = draw(st.sampled_from(_NEAR_TOL)), draw(st.sampled_from(_NEAR_TOL))
+    bump, rel = bump * draw(st.sampled_from((1, -1))), rel * draw(st.sampled_from((1, -1)))
+    # a's values: Fractions of the exact binary values, or floats
+    cast = Fraction if kind_a == "exact" else float
+    orders_a = [[cast(Fraction(v)) + cast(Fraction(d)) for v, d in zip(row, shift)]
+                for row in orders_b]
+    orders_a[q][j] += cast(Fraction(bump))
+    rates_a = [cast(Fraction(v)) * cast(Fraction(scale)) for v in rates_b]
+    rates_a[q_rate] *= 1 + cast(Fraction(rel))
+    if kind_a == "float" and all(v.is_integer() for row in orders_a for v in row):
+        orders_a[0][0] += 0.5
+    return cb.power_law(orders_a, rates_a), cb.power_law(orders_b, rates_b)
+
+
+@pytest.mark.parametrize("kinds", [("exact", "exact"), ("float", "float"),
+                                   ("exact", "float"), ("float", "exact")])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pff_power_law_loop_matches_the_two_branch_oracle(kinds, data):
+    """One comparison loop gives every certificate field the two bodies gave,
+    floats to the bit, exact and float and mixed pairs alike."""
+    kin_a, kin_b = data.draw(power_law_pairs(kinds))
+    exact = (kin_a.exact_orders, kin_a.exact_rates, kin_b.exact_orders, kin_b.exact_rates)
+    assert (None in exact) is ("float" in kinds)
+    for pair in ((kin_a, kin_b), (kin_b, kin_a), (kin_a, kin_a)):
+        assert _cert_fields(cb.pff_check(*pair)) == _cert_fields(oracle_pff_power_law(*pair))
 
 
 def test_pff_is_equivalence_relation(counterexample):
