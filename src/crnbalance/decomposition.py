@@ -11,7 +11,7 @@ so `search_decompositions` partitions classes instead of reactions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import rational
 from .network import Complex, CrnError, Reaction, ReactionNetwork, structural_invariants
@@ -32,8 +32,7 @@ class TooLargeError(CrnError):
 _SEARCH_GUARD = 12  # set partitions beyond this reaction count are not desk scale
 
 
-@dataclass(frozen=True)
-class SubnetworkSummary:
+class SubnetworkSummary(NamedTuple):
     reactions: tuple[int, ...]
     n: int
     l: int
@@ -41,8 +40,7 @@ class SubnetworkSummary:
     delta: int
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     parts: tuple[tuple[int, ...], ...]
     summaries: tuple[SubnetworkSummary, ...]
 
@@ -51,8 +49,7 @@ class Decomposition:
         return sum(p.delta for p in self.summaries)
 
 
-@dataclass(frozen=True)
-class IndependenceVerdict:
+class IndependenceVerdict(NamedTuple):
     independent: bool
     incidence_independent: bool
     bi_independent: bool

@@ -213,8 +213,7 @@ def solve_equilibria(system: KineticSystem, mode: str = "positive",
     return SolveResult(points, diagnostics)
 
 
-@dataclass(frozen=True)
-class CosetCounts:
+class CosetCounts(NamedTuple):
     e_found: int
     z_found: int
     e_points: tuple[EquilibriumPoint, ...]
@@ -281,8 +280,7 @@ class LPSetSpec:
         object.__setattr__(self, "complement_rows", vt[k:])
 
 
-@dataclass(frozen=True)
-class LpPropertyReport:
+class LpPropertyReport(NamedTuple):
     which: str                      # "E" or "Z"
     holds: bool
     found_direction_ok: bool        # every found equilibrium is in the LP set
@@ -338,8 +336,7 @@ def check_lp_property(system: KineticSystem, which: str, spec: LPSetSpec,
     )
 
 
-@dataclass(frozen=True)
-class KseReport:
+class KseReport(NamedTuple):
     r_minus_s: int
     sampled_span_dim: int
     kse: bool
@@ -384,8 +381,7 @@ def kse_check(system: KineticSystem, found_equilibria: list[EquilibriumPoint],
     )
 
 
-@dataclass(frozen=True)
-class PolyPlBalanceReport:
+class PolyPlBalanceReport(NamedTuple):
     pl_equilibrated: bool | None
     pl_complex_balanced: bool | None
     absolutely_pl_complex_balanced: bool | None
@@ -443,8 +439,7 @@ def poly_pl_equilibrated_check(net: ReactionNetwork, kin: PolyPLKinetics,
 
 # --- verdict engine -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Citation:
+class Citation(NamedTuple):
     rule: str
     statement: str
 
@@ -499,15 +494,13 @@ RULE_SWEEP = Citation(
     "balancing; numeric evidence only, counts are lower bounds.")
 
 
-@dataclass(frozen=True)
-class AcbVerdict:
+class AcbVerdict(NamedTuple):
     status: str  # ACB_certified | NotACB_certified | ACB_numeric | NotACB_numeric | Inconclusive
     justification: tuple[Citation, ...]
     witness: EquilibriumPoint | None
 
 
-@dataclass(frozen=True)
-class DecompositionEvidence:
+class DecompositionEvidence(NamedTuple):
     parts_acb: tuple[str, ...]           # per-part verdict status strings
     intersection_certified: bool         # E+/Z+ of the whole equal the part intersections
     note: str

@@ -53,7 +53,7 @@ class TMatrices:
             arr.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KineticOrderSubspace:
     basis: np.ndarray         # rows spanning S~
     dim: int

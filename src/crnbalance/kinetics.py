@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -463,8 +464,7 @@ def _residuals(a, k) -> list[float]:
     return np.max(np.abs(np.matmul(a, blocks)), axis=(1, 2, 3)).tolist()
 
 
-@dataclass(frozen=True)
-class KineticsClassification:
+class KineticsClassification(NamedTuple):
     """Structure flags; None marks a flag that does not apply to the family."""
 
     pl_rdk: bool | None = None

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +54,7 @@ class NegativeCoefficientError(CrnError):
     pass
 
 
-@dataclass(frozen=True)
-class Complex:
+class Complex(NamedTuple):
     """A formal nonnegative rational combination of the species."""
 
     coeffs: tuple[Fraction, ...]
@@ -68,8 +68,7 @@ class Complex:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class Reaction:
+class Reaction(NamedTuple):
     reactant: int
     product: int
     label: str
@@ -124,8 +123,7 @@ class ReactionNetwork:
         return out
 
 
-@dataclass(frozen=True)
-class StructuralInvariants:
+class StructuralInvariants(NamedTuple):
     m: int
     n: int
     n_r: int

@@ -11,6 +11,7 @@ trial point, and its Jacobian only at the points a seed steps from.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -48,7 +49,14 @@ class SolveConfig:
     coset_samples: int = 8
 
     def __post_init__(self):
-        # out of range, each is misread (seeds 0 ran one seed) or fails later
+        # out of range or not integral, each is misread (seeds 0 ran one seed)
+        # or fails later
+        for name in ("seeds", "rng_seed", "max_iter", "coset_samples"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise CrnError(f"solver setting {name} must be an integer, "
+                               f"got {getattr(self, name)!r}") from None
         for name, ok, rule in (("seeds", self.seeds >= 1, "at least 1"),
                                ("rng_seed", self.rng_seed >= 0, "at least 0"),
                                ("tol", 0 < self.tol < np.inf, "finite and positive"),
@@ -286,8 +294,7 @@ def _dedup_logs(log_points: list[np.ndarray]) -> list[np.ndarray]:
     return kept
 
 
-@dataclass(frozen=True, eq=False)
-class _Chart:
+class _Chart(NamedTuple):
     """Coordinates p in which the multistart solver searches.
 
     `to_x` maps a stack of points P (n, d) to (on, X): the mask of the rows

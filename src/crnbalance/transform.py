@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +104,7 @@ def star_msc(net: ReactionNetwork, kin: PolyPLKinetics) -> StarMscResult:
                          predicted, system.invariants.delta)
 
 
-@dataclass(frozen=True)
-class PffCertificate:
+class PffCertificate(NamedTuple):
     equivalent: bool
     factor_kind: str           # "constant" | "monomial" | "sampled"
     sampled_max_spread: float

@@ -164,7 +164,8 @@ def test_check_lp_property_wrong_flux_space_fails(ma_system):
 def test_solve_config_rejects_settings_the_solver_cannot_use():
     for bad in ({"seeds": 0}, {"seeds": -3}, {"rng_seed": -1}, {"tol": float("nan")},
                 {"tol": 0.0}, {"tol": -1.0}, {"tol": float("inf")}, {"max_iter": -1},
-                {"coset_samples": -1}):
+                {"coset_samples": -1}, {"seeds": 2.5}, {"seeds": "3"},
+                {"rng_seed": 1.5}, {"max_iter": 3.5}, {"coset_samples": 1.5}):
         (field, value), = bad.items()
         with pytest.raises(cb.CrnError, match=f"solver setting {field} must be "):
             cb.SolveConfig(**bad)
@@ -604,21 +605,48 @@ def test_contradictory_verdict_raises_under_optimize():
     assert proc.stdout.startswith("1 contradictory certified verdicts")
 
 
-def test_result_types_compare_without_raising():
+def _value_records(p):
+    """One of each result record that compares by value, built afresh."""
+    net, kin = parse_crn((DATA / "re1_powerlaw.crn").read_text())
+    inv = cb.structural_invariants(net)
+    deco = cb.decompose(net, inv.linkage_partition)
+    return [net.complexes[0], net.reactions[0], inv, deco, deco.summaries[0],
+            cb.check_decomposition(net, inv.linkage_partition),
+            cb.classify(kin, net), cb.pff_check(kin, kin),
+            cb.CosetCounts(1, 0, (p,), ()),
+            cb.LpPropertyReport("Z", True, True, True, 0.0, 1e-12, 1, 8),
+            cb.KseReport(2, 2, True, True, 1, True),
+            cb.PolyPlBalanceReport(True, None, None, 1, 1, 1, 0),
+            cb.Citation("mass-action", "Horn-Jackson"),
+            cb.AcbVerdict("ACB_certified", (cb.Citation("deficiency-zero", "Feinberg"),), None),
+            cb.DecompositionEvidence(("ACB_certified",), True, "")]
+
+
+def test_result_types_compare_without_raising(re1_powerlaw):
     p = cb.EquilibriumPoint(np.ones(2), 0.0, 1.0, "positive")
     q = cb.EquilibriumPoint(np.ones(2), 0.0, 1.0, "positive")
+    net, kin = re1_powerlaw
     values = [p, q,
               cb.CosetConstraint(np.ones(2), np.eye(2)),
               cb.CosetConstraint(np.ones(2), np.eye(2)),
               cb.LPSetSpec(np.eye(2), np.ones(2)),
               cb.LPSetSpec(np.eye(2), np.ones(2)),
               cb.AcbVerdict("NotACB_numeric", (), p),
-              cb.AcbVerdict("NotACB_numeric", (), q)]
+              cb.AcbVerdict("NotACB_numeric", (), q),
+              *(cb.kinetic_order_subspace(cb.KineticSystem(net, kin).t_matrices, net)
+                for _ in range(2))]
     for a in values:
         hash(a)
         for b in values:  # array holders compare by identity, like KineticSystem
             assert (a == b) == (a is b)
     assert values[6] == cb.AcbVerdict("NotACB_numeric", (), p)
+    # records without arrays compare by value, hash and refuse assignment
+    first, second = _value_records(p), _value_records(p)
+    assert len({type(a) for a in first}) == 15
+    for a, b in zip(first, second):
+        assert a == b and a is not b and hash(a) == hash(b), type(a).__name__
+        with pytest.raises(AttributeError):
+            setattr(a, a._fields[0], None)
 
 
 # --- linkage-decomposition evidence: exact flags before any solve ----------
@@ -754,8 +782,8 @@ def test_gated_decomposition_evidence_matches_ungated_verdicts():
         gated = analysis.decomposition
         assert (gated is None) == (oracle is None), name
         if gated is not None:
-            assert dataclasses.replace(gated, parts_acb=(), note="") == \
-                dataclasses.replace(oracle, parts_acb=(), note=""), name
+            assert gated._replace(parts_acb=(), note="") == \
+                oracle._replace(parts_acb=(), note=""), name
             assert gated.parts_acb in ((), oracle.parts_acb), name
         if not (analysis.complex_balanced or analysis.z_points):
             continue

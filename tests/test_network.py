@@ -1,6 +1,5 @@
 """Network construction, structural invariants, conservativity."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -256,7 +255,7 @@ def test_conservation_matches_the_old_invariant_fields(monkeypatch):
         real = rational.positive_kernel_vector
         monkeypatch.setattr(rational, "positive_kernel_vector",
                             lambda mat: calls.append(mat) or real(mat))
-        assert dataclasses.asdict(cb.structural_invariants(net)) == old
+        assert cb.structural_invariants(net)._asdict() == old
         assert not calls
         system = cb.KineticSystem(net, kin)
         assert system.conservation == system.conservation == expected
