@@ -64,8 +64,8 @@ def subnetwork(net: ReactionNetwork, reactions) -> ReactionNetwork:
 
     Keeps exactly the complexes and species the chosen reactions touch,
     in their original index order; reaction labels are preserved. Species,
-    complexes, Y, Ia and N are slices of the parent's and are not validated
-    again: a part of a valid network is valid, and the result equals what
+    complexes and N are slices of the parent's and are not validated again:
+    a part of a valid network is valid, and the result equals what
     `build_network` makes of the same lists. The part's integer rows of N
     are sliced from the parent's: each is a positive multiple of the part's
     row, which changes no rank.
@@ -78,15 +78,13 @@ def subnetwork(net: ReactionNetwork, reactions) -> ReactionNetwork:
     rxns = [net.reactions[q] for q in idxs]
     touched_cpx = sorted({rx.reactant for rx in rxns} | {rx.product for rx in rxns})
     cpx_map = {c: i for i, c in enumerate(touched_cpx)}
-    touched_sp = [si for si, row in enumerate(net.y) if any(map(row.__getitem__, touched_cpx))]
-    y = _block(net.y, touched_sp, touched_cpx)
+    coeffs = [net.complexes[c].coeffs for c in touched_cpx]
+    touched_sp = [si for si, col in enumerate(zip(*coeffs)) if any(col)]
     part = ReactionNetwork(
         species=tuple(net.species[si] for si in touched_sp),
-        complexes=tuple(map(Complex, zip(*y))),
+        complexes=tuple(Complex(tuple(map(c.__getitem__, touched_sp))) for c in coeffs),
         reactions=tuple(Reaction(cpx_map[rx.reactant], cpx_map[rx.product], rx.label)
                         for rx in rxns),
-        y=y,
-        ia=_block(net.ia, touched_cpx, idxs),
         n=_block(net.n, touched_sp, idxs),
     )
     vars(part)["n_int"] = _block(net.n_int, touched_sp, idxs)

@@ -578,7 +578,7 @@ def rates_balancing_all_ones(net: ReactionNetwork) -> tuple[Fraction, ...]:
     is a strictly positive element of ker Ia; one exists iff the network is
     weakly reversible.
     """
-    v = rational.positive_kernel_vector(net.ia)
+    v = rational.positive_kernel_vector(net.ia_int)
     if v is None:
         raise CrnError("no positive incidence kernel: network is not weakly reversible")
     return tuple(v)

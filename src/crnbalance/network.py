@@ -1,17 +1,18 @@
 """Reaction network construction and its structural invariants.
 
-Networks are stored with exact rational stoichiometry: the complex matrix Y,
-the incidence matrix Ia and the stoichiometric matrix N = Y @ Ia are nested
-tuples of Fractions, so every rank-derived quantity (dim S, deficiency,
-independence of decompositions) is an exact integer. The exact eliminations
-read N and Ia as integer rows, each row times the lcm of its denominators,
-which a network scales once, on first use (`n_int`, `ia_int`); a positive
-multiple of a row changes no rank, pivot or reduced form. Float copies are
-only produced on demand for the numeric solvers.
+A network stores its species, complexes and reactions, and the stoichiometric
+matrix N = Y Ia as nested tuples of Fractions, so every rank-derived quantity
+(dim S, deficiency, independence of decompositions) is an exact integer. The
+complex matrix Y and the incidence matrix Ia are views made on first read.
+The exact eliminations read N as integer rows, each row times the lcm of its
+denominators (`n_int`), and Ia as its rows of -1, 0 and 1 (`ia_int`); a
+positive multiple of a row changes no rank, pivot or reduced form. Float
+copies are only produced on demand for the numeric solvers.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -79,8 +80,6 @@ class ReactionNetwork:
     species: tuple[str, ...]
     complexes: tuple[Complex, ...]
     reactions: tuple[Reaction, ...]
-    y: tuple[tuple[Fraction, ...], ...]   # m x n
-    ia: tuple[tuple[Fraction, ...], ...]  # n x r
     n: tuple[tuple[Fraction, ...], ...]   # m x r
 
     @property
@@ -101,7 +100,7 @@ class ReactionNetwork:
         return tuple(sorted({r.reactant for r in self.reactions}))
 
     def ia_array(self) -> np.ndarray:
-        return np.array(self.ia, dtype=float)
+        return np.array(self.ia_int, dtype=float)
 
     def n_array(self) -> np.ndarray:
         return np.array(self.n, dtype=float)
@@ -112,9 +111,20 @@ class ReactionNetwork:
         return tuple(map(tuple, rational.integer_rows(self.n)))
 
     @cached_property
+    def y(self) -> tuple[tuple[Fraction, ...], ...]:    # m x n, the complexes as columns
+        return tuple(zip(*(c.coeffs for c in self.complexes)))
+
+    @cached_property
     def ia_int(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of Ia as integers (its entries are -1, 0 and 1)."""
-        return tuple(map(tuple, rational.integer_rows(self.ia)))
+        """The rows of Ia as integers: -1 at a reaction's reactant, 1 at its product."""
+        rows = [[0] * len(self.reactions) for _ in self.complexes]
+        for q, (a, p, _) in enumerate(self.reactions):
+            rows[a][q], rows[p][q] = -1, 1
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def ia(self) -> tuple[tuple[Fraction, ...], ...]:   # n x r
+        return tuple(tuple(map(Fraction, row)) for row in self.ia_int)
 
     def reactions_by_reactant(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
@@ -181,11 +191,15 @@ def build_network(species, complexes, reactions) -> ReactionNetwork:
     rxns: list[Reaction] = []
     seen_pairs: set[tuple[int, int]] = set()
     for qi, item in enumerate(reactions):
-        if len(item) == 3:
-            reactant, product, label = item
-        else:
-            reactant, product = item
-            label = f"R{qi + 1}"
+        if len(item) not in (2, 3):
+            raise CrnError(f"reaction {qi + 1} has {len(item)} entries, expected "
+                           f"(reactant, product[, label])")
+        label = item[2] if len(item) == 3 else f"R{qi + 1}"
+        try:
+            reactant, product = map(operator.index, item[:2])
+        except TypeError:
+            raise CrnError(f"reaction {label}: complex indices must be integers, "
+                           f"got {item[0]!r} and {item[1]!r}") from None
         if not (0 <= reactant < n and 0 <= product < n):
             raise CrnError(f"reaction {label}: complex index out of range")
         if reactant == product:
@@ -197,7 +211,6 @@ def build_network(species, complexes, reactions) -> ReactionNetwork:
                 f"reaction {label} duplicates an earlier reactant/product pair")
         seen_pairs.add((reactant, product))
         rxns.append(Reaction(reactant, product, str(label)))
-    r = len(rxns)
 
     used = {rx.reactant for rx in rxns} | {rx.product for rx in rxns}
     for ci in range(n):
@@ -208,16 +221,9 @@ def build_network(species, complexes, reactions) -> ReactionNetwork:
         if all(cpx.coeffs[si] == 0 for cpx in built):
             raise UnusedSpeciesError(f"species {name!r} appears in no complex")
 
-    zero = Fraction(0)
-    y = tuple(tuple(built[ci].coeffs[si] for ci in range(n)) for si in range(m))
-    ia_rows = [[zero] * r for _ in range(n)]
-    for qi, rx in enumerate(rxns):
-        ia_rows[rx.reactant][qi] = Fraction(-1)
-        ia_rows[rx.product][qi] = Fraction(1)
-    ia = tuple(tuple(row) for row in ia_rows)
-    # N = Y Ia: column q is Y[:, product] - Y[:, reactant].
-    n_mat = tuple(tuple(row[rx.product] - row[rx.reactant] for rx in rxns) for row in y)
-    return ReactionNetwork(species, tuple(built), tuple(rxns), y, ia, n_mat)
+    # N = Y Ia: column q is the product complex minus the reactant complex
+    n_mat = zip(*(map(operator.sub, built[p].coeffs, built[a].coeffs) for a, p, _ in rxns))
+    return ReactionNetwork(species, tuple(built), tuple(rxns), tuple(n_mat))
 
 
 def _undirected_components(n_nodes: int, edges: list[tuple[int, int]]) -> list[list[int]]:
@@ -307,10 +313,10 @@ def linkage_class_parts(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
     per class, in the order of `linkage_classes`."""
     comps = linkage_classes(net)
     comp_of = {c: idx for idx, comp in enumerate(comps) for c in comp}
-    return tuple(
-        tuple(qi for qi, rx in enumerate(net.reactions) if comp_of[rx.reactant] == idx)
-        for idx in range(len(comps))
-    )
+    parts: list[list[int]] = [[] for _ in comps]
+    for qi, rx in enumerate(net.reactions):
+        parts[comp_of[rx.reactant]].append(qi)
+    return tuple(map(tuple, parts))
 
 
 def is_conservative(net: ReactionNetwork) -> tuple[bool, tuple[Fraction, ...] | None]:

@@ -11,6 +11,7 @@ trial point, and its Jacobian only at the points a seed steps from.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -59,7 +60,8 @@ class SolveConfig:
                                f"got {getattr(self, name)!r}") from None
         for name, ok, rule in (("seeds", self.seeds >= 1, "at least 1"),
                                ("rng_seed", self.rng_seed >= 0, "at least 0"),
-                               ("tol", 0 < self.tol < np.inf, "finite and positive"),
+                               ("tol", isinstance(self.tol, numbers.Real)
+                                and 0 < self.tol < np.inf, "finite and positive"),
                                ("max_iter", self.max_iter >= 0, "at least 0"),
                                ("coset_samples", self.coset_samples >= 0, "at least 0")):
             if not ok:

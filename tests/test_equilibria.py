@@ -165,7 +165,8 @@ def test_solve_config_rejects_settings_the_solver_cannot_use():
     for bad in ({"seeds": 0}, {"seeds": -3}, {"rng_seed": -1}, {"tol": float("nan")},
                 {"tol": 0.0}, {"tol": -1.0}, {"tol": float("inf")}, {"max_iter": -1},
                 {"coset_samples": -1}, {"seeds": 2.5}, {"seeds": "3"},
-                {"rng_seed": 1.5}, {"max_iter": 3.5}, {"coset_samples": 1.5}):
+                {"rng_seed": 1.5}, {"max_iter": 3.5}, {"coset_samples": 1.5},
+                {"tol": "1e-9"}, {"tol": None}, {"tol": 1j}):
         (field, value), = bad.items()
         with pytest.raises(cb.CrnError, match=f"solver setting {field} must be "):
             cb.SolveConfig(**bad)

@@ -1,5 +1,6 @@
 """Network construction, structural invariants, conservativity."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +24,35 @@ IA_PRINTED = [[-1, 1, 0, 0, 0, 0, 0, 0],
 
 
 def test_re1_matrices_exact(re1_net):
+    """Y and Ia, views of the complexes and reactions, give Y Ia == N
+    exactly, on re1, the random networks and their subnetworks; the float
+    Ia is the exact one converted."""
     assert [[int(v) for v in row] for row in re1_net.y] == Y_PRINTED
     assert [[int(v) for v in row] for row in re1_net.ia] == IA_PRINTED
-    n_mat = matmul([list(r) for r in re1_net.y], [list(r) for r in re1_net.ia])
-    assert n_mat == [list(r) for r in re1_net.n]
+    rng = np.random.default_rng(32)
+    nets = [re1_net]
+    for seed in range(20):
+        for gen in (random_network, random_weakly_reversible_network):
+            net = gen(np.random.default_rng(seed))
+            r = net.num_reactions
+            nets += [net, cb.subnetwork(net, rng.choice(r, int(rng.integers(1, r + 1)), False))]
+    for net in nets:
+        n_mat = matmul([list(r) for r in net.y], [list(r) for r in net.ia])
+        assert n_mat == [list(r) for r in net.n]
+        assert all(type(v) is Fraction for row in net.y + net.ia for v in row)
+        assert np.array_equal(net.ia_array(), np.array(net.ia, dtype=float))
+        assert net.ia_int == tuple(tuple(map(int, row)) for row in net.ia)
+
+
+def test_network_stores_no_matrix_it_can_derive():
+    """Y and Ia are made on first read, not by `build_network` or
+    `structural_invariants`; N is the one matrix a network keeps."""
+    n = 3000
+    net = cb.build_network(["X"], [[i] for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    assert cb.structural_invariants(net).delta == n - 2
+    assert [f.name for f in dataclasses.fields(net)] == ["species", "complexes", "reactions", "n"]
+    assert not {"y", "ia", "ia_int"} & set(vars(net))
+    assert net.ia_int[0][:2] == (-1, 0) and net.y[0][:3] == (0, 1, 2)
 
 
 def test_minimal_network():
@@ -51,6 +77,15 @@ def test_build_errors():
         cb.build_network(["A", "B"], [[1, 0], [2, 0]], [(0, 1)])
     with pytest.raises(cb.NegativeCoefficientError):
         cb.build_network(["A"], [[-1], [1]], [(0, 1)])
+    # reaction ends are read as indices, and a reaction has 2 or 3 entries
+    wrong_length = r"^reaction 1 has \d entries, expected \(reactant, product"
+    for bad, message in (((0.0, 1, "r1"), r"^reaction r1: complex indices must be integers"),
+                         ((0, "1"), r"^reaction R1: complex indices must be integers"),
+                         ((0, 1, "r1", "x"), wrong_length), ((0,), wrong_length)):
+        with pytest.raises(cb.CrnError, match=message):
+            cb.build_network(["A"], [[1], [2]], [bad])
+    net = cb.build_network(["A"], [[1], [2]], [(np.int64(0), np.int64(1))])
+    assert [type(v) for v in net.reactions[0]] == [int, int, str]
 
 
 def test_build_network_finds_duplicate_complexes_by_hash(monkeypatch):
@@ -93,6 +128,11 @@ def test_re1_invariants(re1_net):
     assert (inv.l, inv.sl, inv.t, inv.s, inv.delta) == (2, 2, 2, 2, 2)
     assert inv.weakly_reversible and inv.t_minimal and inv.cycle_terminal
     assert inv.linkage_partition == ((0, 1, 2, 3), (4, 5, 6, 7))
+    # reactions listed across the classes keep their index order in each class,
+    # and the classes keep the order of their smallest complex
+    net = cb.build_network(["A"], [[1], [2], [3], [4], [5], [6]],
+                           [(2, 3), (1, 0), (4, 5), (3, 2), (0, 1), (5, 4)])
+    assert cb.structural_invariants(net).linkage_partition == ((1, 4), (0, 3), (2, 5))
 
 
 def test_counterexample_invariants(counterexample):
