@@ -1,13 +1,12 @@
 """Reaction network construction and its structural invariants.
 
-A network stores its species, complexes and reactions, and the stoichiometric
-matrix N = Y Ia as nested tuples of Fractions, so every rank-derived quantity
-(dim S, deficiency, independence of decompositions) is an exact integer. The
-complex matrix Y and the incidence matrix Ia are views made on first read.
-The exact eliminations read N as integer rows, each row times the lcm of its
-denominators (`n_int`), and Ia as its rows of -1, 0 and 1 (`ia_int`); a
-positive multiple of a row changes no rank, pivot or reduced form. Float
-copies are only produced on demand for the numeric solvers.
+A network stores its species, complexes, reactions and the stoichiometric
+matrix N = Y Ia, in exact Fractions, so every rank-derived quantity (dim S,
+deficiency, independence of decompositions) is an exact integer; Y and Ia are
+views made on first read. The exact eliminations read N as integer rows, each
+row times the lcm of its denominators (`n_int`), and Ia as its rows of -1, 0
+and 1 (`ia_int`); a positive multiple of a row changes no rank, pivot or
+reduced form. Float copies are only produced on demand for the numeric solvers.
 """
 
 from __future__ import annotations
@@ -124,7 +123,8 @@ class ReactionNetwork:
 
     @cached_property
     def ia(self) -> tuple[tuple[Fraction, ...], ...]:   # n x r
-        return tuple(tuple(map(Fraction, row)) for row in self.ia_int)
+        units = (Fraction(0), Fraction(1), Fraction(-1))   # indexed by the entry, so shared
+        return tuple(tuple(map(units.__getitem__, row)) for row in self.ia_int)
 
     def reactions_by_reactant(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}

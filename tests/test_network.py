@@ -41,7 +41,6 @@ def test_re1_matrices_exact(re1_net):
         assert n_mat == [list(r) for r in net.n]
         assert all(type(v) is Fraction for row in net.y + net.ia for v in row)
         assert np.array_equal(net.ia_array(), np.array(net.ia, dtype=float))
-        assert net.ia_int == tuple(tuple(map(int, row)) for row in net.ia)
 
 
 def test_network_stores_no_matrix_it_can_derive():
