@@ -123,7 +123,7 @@ class ReactionNetwork:
 
     @cached_property
     def ia(self) -> tuple[tuple[Fraction, ...], ...]:   # n x r
-        units = (Fraction(0), Fraction(1), Fraction(-1))   # indexed by the entry, so shared
+        units = (Fraction(0), Fraction(1), Fraction(-1))   # entry v is units[v], one object each
         return tuple(tuple(map(units.__getitem__, row)) for row in self.ia_int)
 
     def reactions_by_reactant(self) -> dict[int, list[int]]:
