@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -129,6 +129,9 @@ class _RateTable:
     Terms are grouped by reaction and factor terms by factor, each group
     marked by its first row for `np.ufunc.reduceat`; `factor_rows` lists the
     reactions that have factors and `row_firsts` the first factor of each.
+    `rates` makes one pass over a stack of states for K and keeps that
+    pass's monomials, factor values and denominators for the row function it
+    returns, which forms dK/du only at the states asked for.
     """
 
     def __init__(self, weights: np.ndarray, orders: np.ndarray, sizes,
@@ -143,35 +146,47 @@ class _RateTable:
         self.factor_rows = np.flatnonzero([len(fs) for fs in denominators])
         self.row_firsts = _starts([len(fs) for fs in denominators if fs])
 
-    def rates(self, x: np.ndarray, jacobian: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """K(x), and dK/du (u = log x) when `jacobian` is set.
+    def rates(self, x: np.ndarray, strict: bool) -> tuple[np.ndarray, Callable]:
+        """K(x), and a function that forms dK/du (u = log x) at `x[js]`.
 
-        `x` is one state (m,) or a stack (..., m); each state of a stack gets
-        the same arithmetic, in the same order, as when evaluated alone.
+        `x` is one state (m,) or a stack (..., m); `js` indexes the leading
+        axes of the stack as it would index `x`, and `...` gives every
+        state. Each state gets the same arithmetic, in the same order, as
+        when evaluated alone, whichever states are asked for. A state at
+        which a denominator factor vanishes raises NonPositiveStateError
+        when `strict` is set; otherwise the rates over that factor, and
+        their dK/du, read NaN there.
         """
         monos = _monomials(self.weights, self.orders, x)
         several = self.starts.size < self.weights.size  # some reaction has several terms
         k = np.add.reduceat(monos, self.starts, axis=-1) if several else monos
-        jac = None
-        if jacobian:
-            jac = monos[..., None] * self.orders
-            if several:
-                jac = np.add.reduceat(jac, self.starts, axis=-2)
-        if self.factor_rows.size:
+        rows = self.factor_rows
+        if rows.size:
             fmonos = _monomials(self.factor_coeffs, self.factor_orders, x)
             values = np.add.reduceat(fmonos, self.factor_starts, axis=-1)
             if np.any(values <= 0):
-                raise NonPositiveStateError("denominator factor vanished")
-            rows = self.factor_rows
+                if strict:
+                    raise NonPositiveStateError("denominator factor vanished")
+                # a NaN divides without a warning and fails every comparison
+                values = np.where(values > 0, values, np.nan)
             den = np.multiply.reduceat(values, self.row_firsts, axis=-1)
+            if not several:
+                k = k.copy()  # k is `monos`, which dK/du still reads undivided
             k[..., rows] /= den
-            if jacobian:
-                grads = np.add.reduceat(fmonos[..., None] * self.factor_orders,
-                                        self.factor_starts, axis=-2) / values[..., None]
-                jac[..., rows, :] = (jac[..., rows, :] / den[..., None]
-                                     - k[..., rows, None]
+
+        def jacobian(js) -> np.ndarray:
+            jac = monos[js][..., None] * self.orders
+            if several:
+                jac = np.add.reduceat(jac, self.starts, axis=-2)
+            if rows.size:
+                grads = np.add.reduceat(fmonos[js][..., None] * self.factor_orders,
+                                        self.factor_starts, axis=-2) / values[js][..., None]
+                jac[..., rows, :] = (jac[..., rows, :] / den[js][..., None]
+                                     - k[js][..., rows, None]
                                      * np.add.reduceat(grads, self.row_firsts, axis=-2))
-        return k, jac
+            return jac
+
+        return k, jacobian
 
 
 class _Kinetics:
@@ -420,7 +435,8 @@ Kinetics = PowerLawKinetics | PolyPLKinetics | HillKinetics | RationalKinetics
 def evaluate(kin: Kinetics, x) -> np.ndarray:
     """Reaction rate vector K(x); strictly positive states always accepted.
 
-    A stack of states (..., m) gives the stack of rate vectors (..., r).
+    A stack of states (..., m) gives the stack of rate vectors (..., r). A
+    state at which a denominator factor vanishes is refused.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
@@ -430,19 +446,25 @@ def evaluate(kin: Kinetics, x) -> np.ndarray:
     if bad.size:
         raise NonPositiveStateError(
             f"state entry {bad[0]} is zero but a kinetic order on it is negative")
-    return kin._table.rates(x, jacobian=False)[0]
+    return kin._table.rates(x, strict=True)[0]
 
 
-def log_jacobian(kin: Kinetics, x) -> tuple[np.ndarray, np.ndarray]:
-    """K(x) and the Jacobian dK/du in log coordinates u = log x (x > 0).
+def log_jacobian(kin: Kinetics, x) -> tuple[np.ndarray, Callable]:
+    """K(x), and a function of rows js that forms the Jacobian dK/du in log
+    coordinates u = log x (x > 0) at the states `x[js]`.
 
-    A stack of states (..., m) gives K of shape (..., r) and dK/du of shape
-    (..., r, m).
+    A stack of states (..., m) gives K of shape (..., r); `js` indexes the
+    stack's leading axes as it would index `x`, so a list of n rows of a
+    stack (k, m) gives dK/du of shape (n, r, m), and `...` gives it at
+    every state. K comes from one pass over the stack, and dK/du is formed
+    afterwards from that pass's monomials, only at the rows asked for, with
+    the bits each state gets alone. The rates over a denominator factor
+    that underflows to 0 read NaN at that state, so a solver refuses it.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise NonPositiveStateError("log-coordinate Jacobian needs x > 0")
-    return kin._table.rates(x, jacobian=True)
+    return kin._table.rates(x, strict=False)
 
 
 def species_formation_rate(net: ReactionNetwork, kin: Kinetics, x) -> np.ndarray:

@@ -1027,6 +1027,27 @@ def test_stacked_residuals_are_those_of_each_point():
     assert cb.kinetics._residuals(system.n_float, []) == []
 
 
+def test_vanished_denominator_refuses_the_trial_row_not_the_multistart():
+    """K_1 = x_A^61 / x_A^60 and K_2 = e^-30 x_B: the equilibria lie at
+    log x_A = log x_B - 30, and x_A^60 underflows to 0 below log x_A = -12.4,
+    where trial rows land. Such a row reads NaN and the line search refuses
+    it; no seed raises, and no RuntimeWarning is issued. `evaluate` at a
+    caller's state with a vanished denominator still raises."""
+    net = cb.build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1), (1, 0)])
+    kin = cb.RationalKinetics([[61, 0], [0, 1]], [1, np.exp(-30)],
+                              ((cb.RationalFactor([1.0], [[60.0, 0.0]]),), ()))
+    result = cb.solve_equilibria(cb.KineticSystem(net, kin), "positive",
+                                 config=cb.SolveConfig(seeds=16))
+    assert result.diagnostics["attempts"] == len(result.diagnostics["stops"]) == 16
+    for p in result.points:
+        assert np.isclose(np.log(p.x[0]), np.log(p.x[1]) - 30)
+    k, rows = cb.kinetics.log_jacobian(kin, np.array([[1e-13, 1.0], [1.0, 1.0]]))
+    assert np.isnan(k[0, 0]) and np.all(np.isfinite(k[0, 1:])) and np.all(np.isfinite(k[1]))
+    assert np.all(np.isnan(rows([0])[0, 0])) and np.all(np.isfinite(rows([1])))
+    with pytest.raises(cb.NonPositiveStateError, match="denominator factor vanished"):
+        cb.evaluate(kin, [1e-13, 1.0])
+
+
 def test_one_evaluation_gives_both_residuals_of_a_solve(monkeypatch, counterexample):
     """`solve_equilibria` evaluates the kinetics once for the sfrf and the
     cfrf residuals of its points, and not at all when it has none."""

@@ -203,7 +203,8 @@ def test_log_jacobian_matches_finite_differences(family, mm_rational):
     kin, m = _family(family, mm_rational, rng)
     u = rng.uniform(-0.5, 0.5, m)
     x = np.exp(u)
-    k, jac = cb.kinetics.log_jacobian(kin, x)
+    k, rows = cb.kinetics.log_jacobian(kin, x)
+    jac = rows(...)
     assert np.array_equal(k, cb.evaluate(kin, x))
     eps = 1e-6
     for i in range(m):
@@ -215,6 +216,32 @@ def test_log_jacobian_matches_finite_differences(family, mm_rational):
         assert np.allclose(jac[:, i], fd, rtol=1e-5, atol=1e-8)
 
 
+@pytest.mark.parametrize("family", ["hill", "rational"])
+def test_rational_jacobian_reads_the_undivided_monomials(family, mm_rational):
+    """A single-term reaction forms K in its monomial array, and K is divided
+    by its denominators after that; dK/du, formed later by the row function,
+    must still read the monomials undivided. It is the quotient rule
+    K (f - sum over factors of dD/du / D), at states whose denominators are
+    far from 1, and forming it leaves K as it was."""
+    rng = np.random.default_rng(23)
+    kin, m = _family(family, mm_rational, rng)
+    form = cb.kinetics.hill_as_rational(kin) if family == "hill" else kin
+    x = np.exp(rng.uniform(1, 3, size=(3, m)))
+    k, rows = cb.kinetics.log_jacobian(kin, x)
+    before = k.tobytes()
+    jac = rows(...)
+    assert rows([2, 0]).tobytes() == jac[[2, 0]].tobytes()
+    assert k.tobytes() == before == cb.evaluate(kin, x).tobytes()
+    for s, state in enumerate(x):
+        for q, factors in enumerate(form.denominators):
+            dlog = form.numer_orders[q].copy()
+            for f in factors:
+                terms = f.coeffs * np.prod(state ** f.orders, axis=1)
+                assert terms.sum() > 2  # the denominator is far from 1
+                dlog -= terms @ f.orders / terms.sum()
+            assert np.allclose(jac[s, q], k[s, q] * dlog, rtol=1e-12, atol=1e-14 * k[s, q])
+
+
 def _ladder(family):
     work = bench_workloads()
     return {"powerlaw": work.ladder_power_law(1, 40), "polypl": work.ladder_poly_pl(1, 12),
@@ -224,25 +251,41 @@ def _ladder(family):
 @pytest.mark.parametrize("family", FAMILIES + ["powerlaw-ladder", "polypl-ladder",
                                                "hill-ladder"])
 def test_stacked_states_evaluate_as_single_states(family, mm_rational):
-    """Each state of a stack (..., m) gets the bits it gets alone."""
+    """Each state of a stack (..., m) gets the bits it gets alone, and the
+    row function of `log_jacobian` gives each row asked for, in any subset
+    (empty, repeated or unsorted), the bits of the full stack."""
     rng = np.random.default_rng(5)
     if family.endswith("-ladder"):
         kin = _ladder(family.split("-")[0])[1]
         m = kin.num_species
     else:
         kin, m = _family(family, mm_rational, rng)
+    r = kin.num_reactions
     states = np.exp(rng.uniform(-3, 3, size=(2, 4, m)))
-    k, jac = cb.kinetics.log_jacobian(kin, states)
+    k, rows = cb.kinetics.log_jacobian(kin, states)
+    jac = rows(...)
     rates = cb.evaluate(kin, states)
-    assert k.shape == rates.shape == (2, 4, kin.num_reactions)
-    assert jac.shape == (2, 4, kin.num_reactions, m)
+    assert k.shape == rates.shape == (2, 4, r)
+    assert jac.shape == (2, 4, r, m)
+    singles = {}
     for idx in np.ndindex(2, 4):
-        k1, jac1 = cb.kinetics.log_jacobian(kin, states[idx])
+        k1, rows1 = cb.kinetics.log_jacobian(kin, states[idx])
+        singles[idx] = rows1(...)
         assert k1.tobytes() == k[idx].tobytes() == rates[idx].tobytes()
-        assert jac1.tobytes() == jac[idx].tobytes()
-    empty = cb.kinetics.log_jacobian(kin, np.ones((0, m)))
-    assert empty[0].shape == (0, kin.num_reactions)
-    assert empty[1].shape == (0, kin.num_reactions, m)
+        assert singles[idx].tobytes() == jac[idx].tobytes() == rows(idx).tobytes()
+    flat = states.reshape(8, m)
+    k8, rows8 = cb.kinetics.log_jacobian(kin, flat)
+    assert k8.tobytes() == k.tobytes()
+    for js in ([], [5], [6, 1, 6, 0], [7, 6, 5, 4, 3, 2, 1, 0], [3, 3, 3]):
+        sub = rows8(js)
+        assert sub.shape == (len(js), r, m)
+        for got, j in zip(sub, js):
+            assert got.tobytes() == jac.reshape(8, r, m)[j].tobytes()
+            assert got.tobytes() == singles[np.unravel_index(j, (2, 4))].tobytes()
+    assert rows([1]).tobytes() == jac[[1]].tobytes()
+    empty_k, empty_rows = cb.kinetics.log_jacobian(kin, np.ones((0, m)))
+    assert empty_k.shape == (0, r)
+    assert empty_rows(...).shape == (0, r, m)
 
 
 @pytest.mark.parametrize("system", ["re1_massaction", "counterexample", "mm_polypl",
@@ -291,12 +334,13 @@ def test_power_law_rates_and_jacobian_are_the_plain_formula(counterexample):
             x = np.exp(u)
             with np.errstate(over="ignore", invalid="ignore"):
                 want = kin.rates * np.prod(x ** kin.orders, axis=1)
-                k, jac = cb.kinetics.log_jacobian(kin, x)
+                k, rows = cb.kinetics.log_jacobian(kin, x)
+                jac = rows(...)
                 assert np.array_equal(k, want, equal_nan=True)
                 assert np.array_equal(jac, want[:, None] * kin.orders, equal_nan=True)
                 assert np.array_equal(cb.evaluate(kin, x), want, equal_nan=True)
-    k, jac = cb.kinetics.log_jacobian(ladder, np.exp(np.full(15, -44.0)))
-    assert np.any(k == 0) and np.all(np.isfinite(jac))
+    k, rows = cb.kinetics.log_jacobian(ladder, np.exp(np.full(15, -44.0)))
+    assert np.any(k == 0) and np.all(np.isfinite(rows(...)))
 
 
 def test_kinetics_arrays_are_read_only(mm_rational):

@@ -350,8 +350,8 @@ def _single_resjac(pairs, to_x, param_jac):
             return None
         gs, js, raw = [], [], 0.0
         for a, abs_a, kin in mats:
-            k, jk = cb.kinetics.log_jacobian(kin, x)
-            g, jg, raw_inf = _single_normalized_rows(a, abs_a, k, param_jac(jk, x))
+            k, rows = cb.kinetics.log_jacobian(kin, x)
+            g, jg, raw_inf = _single_normalized_rows(a, abs_a, k, param_jac(rows(...), x))
             gs.append(g)
             js.append(jg)
             raw = max(raw, raw_inf)
@@ -661,6 +661,52 @@ def test_rounds_form_at_most_n_jacobians_and_try_at_most_2n_rows(monkeypatch):
     assert any(max(rows) > n for n, rows, _ in multistarts)
     assert sum(sum(formed) for *_, formed in multistarts) < sum(
         sum(rows) for _, rows, _ in multistarts)
+
+
+@pytest.mark.parametrize("ladder, seed, r", [("ladder_power_law", 3, 12),
+                                             ("ladder_poly_pl", 0, 12),
+                                             ("ladder_hill", 0, 8)])
+def test_multistart_forms_dk_du_only_at_the_rows_a_seed_steps_from(monkeypatch, ladder,
+                                                                     seed, r):
+    """Each line-search round calls `equilibria.log_jacobian` once and forms
+    K at every trial row on the chart; its row function forms dK/du at as
+    many rows as there are least-squares steps, fewer than the trial rows."""
+    counts = collections.Counter()
+    real_log_jacobian, real_newton = cb.equilibria.log_jacobian, cb.equilibria._newton
+    real_lstsq = np.linalg.lstsq
+
+    def log_jacobian(kin, x):
+        counts["log_jacobian"] += 1
+        counts["k_rows"] += len(x)
+        k, rows = real_log_jacobian(kin, x)
+
+        def counted_rows(js):
+            counts["jac_rows"] += len(js)
+            return rows(js)
+        return k, counted_rows
+
+    def newton(resjac, p0, cfg, escape_bound=None):
+        def counted(p):
+            out = resjac(p)
+            counts["rounds"] += 1
+            counts["trial_rows"] += int(np.count_nonzero(out[0]))
+            return out
+        return real_newton(counted, p0, cfg, escape_bound)
+
+    def lstsq(*args, **kwargs):
+        counts["lstsq"] += 1
+        return real_lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(cb.equilibria, "log_jacobian", log_jacobian)
+    monkeypatch.setattr(cb.equilibria, "_newton", newton)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    system = cb.KineticSystem(*getattr(bench_workloads(), ladder)(seed, r))
+    for mode in ("positive", "complex_balanced"):
+        cb.solve_equilibria(system, mode, config=cb.SolveConfig(seeds=16))
+    assert counts["log_jacobian"] == counts["rounds"] > 0
+    assert counts["k_rows"] == counts["trial_rows"]
+    assert counts["jac_rows"] == counts["lstsq"] > 0
+    assert counts["jac_rows"] < counts["k_rows"]
 
 
 # --- differential check against the iteration without the early stops ---
