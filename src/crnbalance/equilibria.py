@@ -148,8 +148,7 @@ def _multistart(a, kin: Kinetics, chart: _Chart, seeds, cfg: SolveConfig):
     A acts on each block of its column count in K, one block except for
     stacked poly-PL term kinetics; each block of rows is flux-normalized on
     its own. The seeds are stepped together (`_newton`): each line-search
-    round evaluates K once, on the stack of trial points, and dK/du only at
-    the points a seed steps from, from that same pass. Returns
+    round evaluates the kinetics once, on the stack of trial points. Returns
     the accepted log points in seed order and the stop reason of every seed.
     """
     if not len(seeds):
@@ -159,11 +158,11 @@ def _multistart(a, kin: Kinetics, chart: _Chart, seeds, cfg: SolveConfig):
 
     def resjac(p):
         on, x = chart.to_x(p)
-        k, jk = log_jacobian(kin, x)
+        k, dk_du = log_jacobian(kin, x)
         g, div, raw = _normalized_rows(a, abs_a, k.reshape(len(x), h, c))
 
         def jacobian(js):
-            jp = chart.param_jac(jk(js), x[js])
+            jp = chart.param_jac(dk_du(js), x[js])
             d = jp.shape[-1]
             return _normalized_jacobian(a, abs_a, g[js], div[js],
                                         jp.reshape(len(js), h, c, d)).reshape(len(js), h * q, d)

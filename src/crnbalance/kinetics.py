@@ -129,9 +129,8 @@ class _RateTable:
     Terms are grouped by reaction and factor terms by factor, each group
     marked by its first row for `np.ufunc.reduceat`; `factor_rows` lists the
     reactions that have factors and `row_firsts` the first factor of each.
-    `rates` makes one pass over a stack of states for K and keeps that
-    pass's monomials, factor values and denominators for the row function it
-    returns, which forms dK/du only at the states asked for.
+    `rates` keeps the monomials, factor values and denominators of its pass
+    for the function that forms dK/du.
     """
 
     def __init__(self, weights: np.ndarray, orders: np.ndarray, sizes,
@@ -147,15 +146,13 @@ class _RateTable:
         self.row_firsts = _starts([len(fs) for fs in denominators if fs])
 
     def rates(self, x: np.ndarray, strict: bool) -> tuple[np.ndarray, Callable]:
-        """K(x), and a function that forms dK/du (u = log x) at `x[js]`.
+        """K(x), and a function that forms dK/du (u = log x) at the states
+        `x[js]` from this pass's monomials.
 
-        `x` is one state (m,) or a stack (..., m); `js` indexes the leading
-        axes of the stack as it would index `x`, and `...` gives every
-        state. Each state gets the same arithmetic, in the same order, as
-        when evaluated alone, whichever states are asked for. A state at
-        which a denominator factor vanishes raises NonPositiveStateError
-        when `strict` is set; otherwise the rates over that factor, and
-        their dK/du, read NaN there.
+        `x` is one state (m,) or a stack (..., m); each state gets the same
+        arithmetic, in the same order, as when evaluated alone, whichever
+        states dK/du is formed at. A vanished denominator factor raises
+        NonPositiveStateError if `strict`, else the rates over it read NaN.
         """
         monos = _monomials(self.weights, self.orders, x)
         several = self.starts.size < self.weights.size  # some reaction has several terms
@@ -453,13 +450,11 @@ def log_jacobian(kin: Kinetics, x) -> tuple[np.ndarray, Callable]:
     """K(x), and a function of rows js that forms the Jacobian dK/du in log
     coordinates u = log x (x > 0) at the states `x[js]`.
 
-    A stack of states (..., m) gives K of shape (..., r); `js` indexes the
-    stack's leading axes as it would index `x`, so a list of n rows of a
-    stack (k, m) gives dK/du of shape (n, r, m), and `...` gives it at
-    every state. K comes from one pass over the stack, and dK/du is formed
-    afterwards from that pass's monomials, only at the rows asked for, with
-    the bits each state gets alone. The rates over a denominator factor
-    that underflows to 0 read NaN at that state, so a solver refuses it.
+    A stack of states (..., m) gives K of shape (..., r); `js` indexes its
+    leading axes as it would index `x` (`...` gives all). dK/du is formed
+    from the monomials of K's one pass, only at the rows asked for. The
+    rates over a denominator factor that underflows to 0 read NaN, so a
+    solver refuses that state.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):

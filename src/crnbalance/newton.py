@@ -4,9 +4,8 @@ Jacobian, the test that accepts a run's point and the deduplication of
 accepted points.
 
 `_newton` steps every seed of a multistart together over a `_Chart`;
-`equilibria._multistart` assembles K and the residual, block by block, at
-every trial point, and dK/du and the residual's Jacobian only at the points
-a seed steps from.
+`equilibria._multistart` forms K and the residual at every trial point,
+and dK/du and the residual's Jacobian only where a seed steps from.
 """
 
 from __future__ import annotations
