@@ -19,7 +19,7 @@ records a citation chain for every rule it fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -66,10 +66,10 @@ class KineticSystem:
     conservative, with the witness), the kinetics `classification`, read
     from the order rows alone, the `t_matrices` (built only when the
     classification says PL-RDK, else None), the `linkage_verdict` of the
-    linkage-class decomposition, and the read-only float matrices
-    `n_float` (N) and `ia_float` (Ia). The pair is frozen, so the facts
-    cannot go stale. A kinetics whose reaction or species count differs
-    from the network's is refused.
+    linkage-class decomposition, `z_at_most_one_point`, and the read-only
+    float matrices `n_float` (N) and `ia_float` (Ia). The pair is frozen,
+    so the facts cannot go stale. A kinetics whose reaction or species
+    count differs from the network's is refused.
     """
 
     network: ReactionNetwork
@@ -103,6 +103,15 @@ class KineticSystem:
     @cached_property
     def linkage_verdict(self) -> IndependenceVerdict:
         return check_decomposition(self.network, self.invariants.linkage_partition)
+
+    @cached_property
+    def z_at_most_one_point(self) -> bool:
+        """Z+ is empty or one point: PL-RDK kinetics whose exactly ranked
+        order subspace S̃ is all of R^m, as Z+ = x*·exp(S̃^⊥) (Müller &
+        Regensburger, SIAM J. Appl. Math. 72, 2012)."""
+        t = self.t_matrices
+        return (t is not None and t.ranks_exact
+                and t.s_tilde_basis.shape[0] == self.network.num_species)
 
     @cached_property
     def n_float(self) -> np.ndarray:
@@ -694,10 +703,18 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
     `default_flux_basis`), so bi-LP holds exactly when both do; then the
     kinetic-image span report and linkage decomposition evidence. The
     result feeds `acb_verdict`.
+
+    Where `system.z_at_most_one_point` holds, the Z solve runs the chart
+    origin alone, the first seed of the full solve, and a point accepted
+    from it is all of Z+; if that run is refused, or elsewhere, every seed.
     """
     cfg = config or SolveConfig()
     e_res = solve_equilibria(system, "positive", config=cfg)
-    z_res = solve_equilibria(system, "complex_balanced", config=cfg)
+    z_res = None
+    if system.z_at_most_one_point:
+        z_res = solve_equilibria(system, "complex_balanced", config=replace(cfg, seeds=1))
+    if z_res is None or not z_res.points:
+        z_res = solve_equilibria(system, "complex_balanced", config=cfg)
     cb, cb_cites = certify_complex_balancing(system, z_res.points)
 
     clp = plp = None

@@ -1,6 +1,7 @@
 """Equilibria search, LP/coset checks, kinetic-image spans, ACB verdicts."""
 
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -1116,3 +1117,96 @@ def test_every_reported_point_passed_the_acceptance_test(monkeypatch):
             assert all(p.cfrf_residual <= cfg.tol for p in counts.z_points)
             on_cosets += counts.e_found + counts.z_found
     assert checked > 50 and on_cosets > 16
+
+
+# --- Z+ from the chart origin where the order subspace is all of R^m -------
+
+def _z_seed_counts(calls, system):
+    """The seed count of each Z multistart among the recorded calls."""
+    return [len(args[3]) for args in calls if args[0] is system.ia_float]
+
+
+def _full_z_solve_analysis(monkeypatch, net, kin, cfg):
+    """`analyze_acb` as it runs without `z_at_most_one_point`: every seed."""
+    with monkeypatch.context() as m:
+        m.setattr(cb.KineticSystem, "z_at_most_one_point", property(lambda self: False))
+        return cb.analyze_acb(cb.KineticSystem(net, kin), cfg)
+
+
+def _fixture_file(name):
+    return parse_crn((DATA / f"{name}.crn").read_text())
+
+
+def _one_point_z_cases():
+    """The systems on which Z+ is at most one point: the ladders, the big
+    ladder r = 80 and the PL-RDK fixtures with exact orders of full rank,
+    each as a loader and its solver settings."""
+    cases = [pytest.param(functools.partial(bench_ladder, seed, r), cb.SolveConfig(seeds=16),
+                          id=f"ladder-r{r}-s{seed}")
+             for r, seed in ((12, 3), (12, 5), (12, 7), (24, 2), (40, 0), (80, 0))]
+    return cases + [pytest.param(functools.partial(_fixture_file, name), cb.SolveConfig(),
+                                 id=name)
+                    for name in ("re1_powerlaw", "counterexample")]
+
+
+@pytest.mark.parametrize("load, cfg", _one_point_z_cases())
+def test_one_seed_z_solve_finds_what_the_full_solve_finds(monkeypatch, load, cfg):
+    """Where the exact order subspace S̃ is all of R^m, Z+ = x*·exp(S̃^⊥)
+    is at most one point: the full Z multistart finds exactly one, and
+    `analyze_acb`, which runs the chart origin alone, reports that point,
+    with the verdict of the full solve."""
+    net, kin = load()
+    system = cb.KineticSystem(net, kin)
+    assert system.z_at_most_one_point
+    full = cb.solve_equilibria(system, "complex_balanced", config=cfg)
+    assert full.diagnostics["attempts"] == cfg.seeds and len(full.points) == 1
+    calls = _counting_multistart(monkeypatch)
+    analysis = cb.analyze_acb(system, cfg)
+    assert _z_seed_counts(calls, system) == [1]
+    (point,) = analysis.z_points
+    assert np.max(np.abs(np.log(point.x) - np.log(full.points[0].x))) <= cb.newton.DEDUP_TOL
+    reference = _full_z_solve_analysis(monkeypatch, net, kin, cfg)
+    verdict, expected = cb.acb_verdict(analysis), cb.acb_verdict(reference)
+    assert verdict.status == expected.status
+    assert verdict.justification == expected.justification
+
+
+@pytest.mark.parametrize("name", ["re1_massaction", "mm_polypl", "decimal_powerlaw"])
+def test_z_solve_runs_every_seed_where_z_may_hold_more_points(monkeypatch, name):
+    """Mass action with dim S̃ = 2 < m = 3, poly-PL kinetics (no order
+    matrices) and inexact ranks leave Z+ open: all `cfg.seeds` Z seeds run."""
+    system = cb.KineticSystem(*_fixture_file(name))
+    assert not system.z_at_most_one_point
+    calls = _counting_multistart(monkeypatch)
+    cfg = cb.SolveConfig()
+    cb.analyze_acb(system, cfg)
+    assert _z_seed_counts(calls, system) == [cfg.seeds]
+
+
+def _refused_origin_cases():
+    """PL-RDK systems with exact orders and dim S̃ = m whose run from the
+    chart origin is refused: X ⇌ 2X with orders 0 and 1 and rates 400 and 1
+    (Z+ = {400}), which the origin does not reach within 4 iterations while
+    other seeds do; and 0 ⇌ X ⇌ 2X with orders 0, 1, 1, 3 and rates 1, 1, 1,
+    4, whose complex balance needs x = 1 and x^2 = 1/4 at once (Z+ empty)."""
+    pair = cb.build_network(["X"], [[1], [2]], [(0, 1), (1, 0)])
+    chain = cb.build_network(["X"], [[0], [1], [2]], [(0, 1), (1, 0), (1, 2), (2, 1)])
+    return [
+        pytest.param(pair, cb.power_law([[0], [1]], [400, 1]),
+                     cb.SolveConfig(seeds=16, max_iter=4), 1, id="origin-short-of-z"),
+        pytest.param(chain, cb.power_law([[0], [1], [1], [3]], [1, 1, 1, 4]),
+                     cb.SolveConfig(seeds=16), 0, id="no-z"),
+    ]
+
+
+@pytest.mark.parametrize("net, kin, cfg, found", _refused_origin_cases())
+def test_refused_origin_run_falls_back_to_the_full_z_solve(monkeypatch, net, kin, cfg,
+                                                           found):
+    system = cb.KineticSystem(net, kin)
+    assert system.z_at_most_one_point
+    full = cb.solve_equilibria(system, "complex_balanced", config=cfg)
+    assert full.diagnostics["stops"][0] != "converged" and len(full.points) == found
+    calls = _counting_multistart(monkeypatch)
+    analysis = cb.analyze_acb(system, cfg)
+    assert _z_seed_counts(calls, system) == [1, cfg.seeds]
+    assert [p.x.tolist() for p in analysis.z_points] == [p.x.tolist() for p in full.points]
