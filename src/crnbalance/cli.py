@@ -223,7 +223,7 @@ def _cmd_starmsc(args, system, cfg, report):
 def _report_diagnostics(diagnostics: dict) -> dict:
     """The solver counts the report prints; per-seed stop reasons stay out."""
     return {key: diagnostics[key]
-            for key in ("attempts", "converged", "distinct", "mode", "accepted")}
+            for key in ("attempts", "converged", "distinct", "mode")}
 
 
 def _cmd_equilibria(args, system, cfg, report):
@@ -248,12 +248,8 @@ def _cmd_equilibria(args, system, cfg, report):
         basis = _resolve_flux_basis(args.flux_space, system)
         ref = (z.points[0].x if z.points else e.points[0].x)
         samples = sample_coset_counts(system, basis, ref, cfg)
-        e_exact = bool(args.assume_concordant and system.conservation[0]
-                       and system.invariants.weakly_reversible
-                       and system.classification.pl_nik)
-        report["coset_counts"] = rpt.coset_counts_json(samples, e_exact)
-        lines.append(f"coset intersection counts over {len(samples)} sampled classes "
-                     f"(E side exact: {e_exact}):")
+        report["coset_counts"] = rpt.coset_counts_json(samples)
+        lines.append(f"coset intersection counts over {len(samples)} sampled classes:")
         for anchor, counts in samples:
             lines.append(f"  anchor (" + ", ".join(rpt.sig12(v) for v in anchor)
                          + f"): |E| >= {counts.e_found}, |Z| >= {counts.z_found}")
@@ -267,9 +263,6 @@ def _cmd_acb(args, system, cfg, report):
     analysis = analyze_acb(system, cfg, flux_spec_basis=flux)
     verdict = acb_verdict(analysis, cfg)
     inv = system.invariants
-    # CLP and PLP are checked on one flux space, so the two spaces coincide
-    # whenever PLP was checked; the report keeps the key
-    bilp = True if analysis.plp is not None else None
     report["structural"] = rpt.structural_json(inv, system.conservation[0])
     report["kinetics"] = rpt.classification_json(system.classification, _family(kin))
     if system.t_matrices is not None:
@@ -282,13 +275,11 @@ def _cmd_acb(args, system, cfg, report):
         "acb": rpt.verdict_json(verdict),
         "clp": rpt.lp_json(analysis.clp),
         "plp": rpt.lp_json(analysis.plp),
-        "bilp": bilp,
         "kse": rpt.kse_json(analysis.kse),
     }
     if isinstance(kin, PolyPLKinetics):
         report["verdicts"]["poly_pl_balance"] = rpt.poly_pl_balance_json(
             poly_pl_equilibrated_check(net, kin, cfg))
-    report["assumptions"] = {"concordant": bool(args.assume_concordant)}
     lines = [
         f"deficiency {inv.delta}, weakly reversible: {inv.weakly_reversible}",
         f"complex balanced: {analysis.complex_balanced or bool(analysis.z_points)} "
@@ -297,8 +288,7 @@ def _cmd_acb(args, system, cfg, report):
     ]
     if analysis.clp is not None:
         lines.append(f"CLP: {analysis.clp.holds}"
-                     + (f", PLP: {analysis.plp.holds}" if analysis.plp else "")
-                     + (f", bi-LP: {bilp}" if bilp is not None else ""))
+                     + (f", PLP: {analysis.plp.holds}" if analysis.plp else ""))
     if analysis.kse is not None:
         lines.append(f"kinetic image span: {analysis.kse.sampled_span_dim} of "
                      f"r - s = {analysis.kse.r_minus_s} (KSE: {analysis.kse.kse})")
@@ -349,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-parts", type=int, default=None, dest="max_parts",
                            help="search decompositions up to this many parts")
         if flux_space:
-            p.add_argument("--assume-concordant", action="store_true",
-                           dest="assume_concordant",
-                           help="treat the network as concordant (user assertion)")
             p.add_argument("--flux-space", default=None, dest="flux_space",
                            help="S, Stilde, or a file with one basis row per line")
         p.set_defaults(handler=fn)

@@ -218,7 +218,7 @@ def solve_equilibria(system: KineticSystem, mode: str = "positive",
                                "complex_balanced" if cfrf <= cfg.tol else "positive")
               for x, sfrf, cfrf in zip(states, sfrfs, cfrfs)]
     diagnostics = {"attempts": len(stops), "converged": len(logs), "distinct": len(points),
-                   "stops": stops, "mode": mode, "accepted": len(points)}
+                   "stops": stops, "mode": mode}
     return SolveResult(points, diagnostics)
 
 
@@ -454,7 +454,8 @@ class Citation(NamedTuple):
 
 
 # "re-verified" in these statements means accepted by `newton._seed_outcome`;
-# the recorded reports hold their bytes, so the wording stays.
+# the benchmark's `starmsc-mm_polypl` stdout digest covers the CB_BY_SOLVER
+# line, so both statements keep the word until the benchmark is revised.
 CB_BY_SOLVER = Citation(
     "complex-balanced-point",
     "A complex balanced equilibrium was found numerically and re-verified.")

@@ -161,9 +161,9 @@ def poly_pl_balance_json(rep: PolyPlBalanceReport) -> dict:
     }
 
 
-def coset_counts_json(samples: list, e_side_exact: bool) -> dict:
+def coset_counts_json(samples: list) -> dict:
     return {
-        "e_side_exact": e_side_exact,
+        "e_side_exact": False,
         "z_side_exact": False,
         "classes": [
             {"anchor": [sig12(v) for v in anchor],

@@ -1,8 +1,10 @@
 """CLI subcommands, exit codes, JSON report schema and stability."""
 
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,8 +77,11 @@ def test_acb_json_counterexample():
 
 def test_acb_json_mass_action():
     report, _ = run_json(["acb", data_path("re1_massaction.crn")])
-    assert report["verdicts"]["acb"]["status"] == "ACB_certified"
-    assert report["verdicts"]["bilp"] is True
+    verdicts = report["verdicts"]
+    assert verdicts["acb"]["status"] == "ACB_certified"
+    assert verdicts["clp"]["holds"] is True and verdicts["plp"]["holds"] is True
+    assert "bi-lp" in [c["rule"] for c in verdicts["acb"]["justification"]]
+    assert "bilp" not in verdicts
 
 
 def test_module_entry_point_prints_the_report():
@@ -189,11 +194,17 @@ def test_equilibria_json_with_flux_space():
         assert cls["z_found"] >= 1
 
 
-def test_assume_concordant_marks_e_side_exact():
+def test_assume_concordant_is_refused_and_no_coset_count_is_exact(capsys):
+    # no coset count is computed exactly, so neither side may be marked exact
+    for command in ("acb", "equilibria"):
+        code, out, _ = run([command, data_path("re1_massaction.crn"), "--seeds", "16",
+                            "--flux-space", "S", "--assume-concordant"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --assume-concordant" in capsys.readouterr().err
     report, _ = run_json(["equilibria", data_path("re1_massaction.crn"),
-                          "--seeds", "16", "--flux-space", "S",
-                          "--assume-concordant"])
-    assert report["coset_counts"]["e_side_exact"] is True
+                          "--seeds", "16", "--flux-space", "S"])
+    assert report["coset_counts"]["e_side_exact"] is False
+    assert report["coset_counts"]["z_side_exact"] is False
 
 
 def test_decompose_with_search():
@@ -326,9 +337,23 @@ def test_subcommands_take_only_the_options_they_read():
                        if not parser.parse_known_args([name, *files, option, *value])[1]}
     common = {"--json", "--tol", "--seeds", "--rng"}
     assert taken["decompose"] == common | {"--max-parts"}
-    assert taken["acb"] == taken["equilibria"] == common | {"--flux-space",
-                                                            "--assume-concordant"}
-    assert sum(map(len, taken.values())) == 37
+    assert taken["acb"] == taken["equilibria"] == common | {"--flux-space"}
+    assert sum(map(len, taken.values())) == 35
+
+
+def test_readme_synopsis_lists_each_subcommands_own_options():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    listed = {}
+    for line in block.splitlines():
+        name, *rest = line.split("#")[0].split()[1:]
+        listed[name] = set(re.findall(r"--[\w-]+", " ".join(rest)))
+    action, = (a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {opt for a in sub._actions for opt in a.option_strings}
+               for name, sub in action.choices.items()}
+    common = set.intersection(*options.values())
+    assert listed == {name: opts - common for name, opts in options.items()}
 
 
 def _count_simplexes(monkeypatch):
@@ -357,14 +382,15 @@ def test_analyze_reads_the_conservation_witness_from_the_invariants(monkeypatch)
     # hill_single.crn has no acb verdict
     *[(["acb", name], 1) for name in ("counterexample.crn", "mm_polypl.crn",
                                       "re1_massaction.crn", "re1_powerlaw.crn")],
-    # equilibria reads conservativity only under --assume-concordant
+    # equilibria prints no conservative flag and never runs the simplex
     (["equilibria", "re1_massaction.crn", "--seeds", "8", "--flux-space", "S"], 0),
-    (["equilibria", "re1_massaction.crn", "--seeds", "8", "--flux-space", "S",
-      "--assume-concordant"], 1),
+    (["equilibria", "counterexample.crn", "--seeds", "8", "--flux-space", "Stilde"], 0),
 ])
 def test_reports_run_the_conservativity_simplex_only_for_the_flag(monkeypatch, argv,
                                                                     simplexes):
-    # neither structural_invariants nor the decomposition part summaries run it
+    # the simplex runs only for the acb report's structural "conservative"
+    # flag; neither structural_invariants nor the decomposition part
+    # summaries run it
     calls = _count_simplexes(monkeypatch)
     command, name, *options = argv
     report, _ = run_json([command, data_path(name), *options])

@@ -133,6 +133,38 @@ def test_recorded_cli_text():
         assert found is None, f"{name}: {found}"
 
 
+def _keys(value):
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_keys, value))
+    return set()
+
+
+def test_recorded_acb_reports_cite_bi_lp_exactly_when_clp_and_plp_hold():
+    """The `bi-lp` rule fires on `clp.holds and plp.holds`; no recorded
+    report, JSON or text, may say more than that rule did."""
+    reports = [json.loads(r["stdout"]) for r in json.loads(RECORDED.read_text())
+               if r["exit"] == 0]
+    assert not any(_keys(report) & {"bilp", "assumptions"} for report in reports)
+    acb = [report["verdicts"] for report in reports if report["command"] == "acb"]
+    assert len(acb) == 4
+    for verdicts in acb:
+        both = all(verdicts[lp] is not None and verdicts[lp]["holds"] for lp in ("clp", "plp"))
+        rules = [c["rule"] for c in verdicts["acb"]["justification"]]
+        assert ("bi-lp" in rules) == both, rules
+    texts = [r["stdout"] for r in json.loads(TEXT_RECORDED.read_text())
+             if r["argv"][0] == "acb" and r["exit"] == 0]
+    assert len(texts) == 4
+    for text in texts:
+        # the bi-lp citation itself says "bi-LP", so only the summary line is read
+        summary, = re.findall(r"^CLP: .*$", text, re.M)
+        fields = dict(part.split(": ") for part in summary.split(", "))
+        assert list(fields) == ["CLP", "PLP"], summary
+        rules = re.findall(r"^  \[([\w-]+)\]", text, re.M)
+        assert ("bi-lp" in rules) == (fields == {"CLP": "True", "PLP": "True"}), text
+
+
 def test_tolerance_applies_to_numbers_only():
     assert _mismatch({"x": ["1.000000000001"]}, {"x": ["1"]}) is None
     assert _mismatch({"x": "1.1e-20"}, {"x": "1.0e-20"}) is None  # below atol
