@@ -211,14 +211,20 @@ def solve_equilibria(system: KineticSystem, mode: str = "positive",
     chart = (_Chart.log(net.num_species) if constraint is None
              else _Chart.coset(net.num_species, constraint.x0, constraint.basis))
     logs, stops = _multistart(a, system.kinetics, chart, chart.seeds(cfg), cfg)
+    return _solve_result(system, mode, logs, stops, cfg)
+
+
+def _solve_result(system: KineticSystem, mode: str, logs, stops, cfg) -> SolveResult:
+    """The accepted log points `logs`, deduplicated, as points with both
+    residuals, and the diagnostics of the runs that stopped for `stops`."""
     states = [np.exp(u) for u in _dedup_logs(logs)]
     k = evaluate(system.kinetics, np.array(states)) if states else []  # for both residuals
     sfrfs, cfrfs = _residuals(system.n_float, k), _residuals(system.ia_float, k)
     points = [EquilibriumPoint(x, sfrf, cfrf,
                                "complex_balanced" if cfrf <= cfg.tol else "positive")
               for x, sfrf, cfrf in zip(states, sfrfs, cfrfs)]
-    diagnostics = {"attempts": len(stops), "converged": len(logs), "distinct": len(points),
-                   "stops": stops, "mode": mode}
+    diagnostics = {"attempts": len(stops), "converged": stops.count("converged"),
+                   "distinct": len(points), "stops": stops, "mode": mode}
     return SolveResult(points, diagnostics)
 
 
@@ -354,37 +360,29 @@ class KseReport(NamedTuple):
     span_exceeds_incidence_kernel: bool
 
 
-def kse_check(system: KineticSystem, found_equilibria: list[EquilibriumPoint],
-              config: SolveConfig | None = None) -> KseReport:
+def kse_check(system: KineticSystem, points: list[EquilibriumPoint]) -> KseReport:
     """Sampled dimension of the span of kinetic images over positive equilibria.
 
-    Columns are K(x) at the found equilibria plus re-solves from log-space
-    perturbations of them, each scaled to unit norm; their numeric rank
-    (relative threshold 1e-9) is a certified lower bound for dim span K(E+).
-    The kinetics is kernel spanning when that dimension reaches
-    r - s = dim ker N; exceeding dim ker Ia = r - n + l already rules
+    Columns are K(x) at `points`, the positive equilibria the caller found
+    (`analyze_acb`'s E solve), each scaled to unit norm; no solver runs here.
+    Their numeric rank (relative threshold 1e-9) is a certified lower bound
+    for dim span K(E+). The kinetics is kernel spanning when that dimension
+    reaches r - s = dim ker N; exceeding dim ker Ia = r - n + l already rules
     absolute complex balancing out on positive-deficiency networks.
     """
-    cfg = config or SolveConfig()
-    if not found_equilibria:
+    if not points:
         raise NoEquilibriaError("no equilibria to sample the kinetic image on")
-    net, kin, inv = system.network, system.kinetics, system.invariants
-    rng = np.random.default_rng(cfg.rng_seed + 3)
-    logs = [np.log(p.x) for p in found_equilibria]
-    seeds = [base + rng.uniform(-0.8, 0.8, base.size) for base in logs[:8] for _ in range(3)]
-    solved, _ = _multistart(system.n_float, kin, _Chart.log(net.num_species), seeds, cfg)
-    logs = _dedup_logs(logs + solved)
-    columns = evaluate(kin, np.array([np.exp(u) for u in logs])).T
+    inv = system.invariants
+    columns = evaluate(system.kinetics, np.array([p.x for p in points])).T
     # unit-norm columns: the rank must not depend on the scale of each state
     norms = np.linalg.norm(columns, axis=0)
     dim = linalg.numeric_rank(columns / np.where(norms > 0, norms, 1.0))
-    por = bool(system.classification.por)
     kernel_dim = inv.r - inv.n + inv.l
     return KseReport(
         r_minus_s=inv.r - inv.s,
         sampled_span_dim=dim,
         kse=(dim == inv.r - inv.s),
-        por=por,
+        por=bool(system.classification.por),
         incidence_kernel_dim=kernel_dim,
         span_exceeds_incidence_kernel=(dim > kernel_dim),
     )
@@ -518,7 +516,8 @@ class DecompositionEvidence(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class AcbAnalysis:
-    """Evidence on `system` for `acb_verdict`; exact facts stay on `system`."""
+    """Evidence on `system` for `acb_verdict`; exact facts stay on `system`.
+    `e_points` and `e_diagnostics` cover both rounds of `analyze_acb`'s E solve."""
 
     system: KineticSystem
     complex_balanced: bool | None
@@ -698,12 +697,14 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
     """Run the whole evidence pipeline for one system.
 
     Reads the system's exact facts (structural invariants, classification,
-    order matrices where defined) and collects equilibria of both kinds,
-    the CLP report on Z+ and, when E+ points were found, the PLP report on
-    E+, both against one flux space (`flux_spec_basis`, by default
-    `default_flux_basis`), so bi-LP holds exactly when both do; then the
-    kinetic-image span report and linkage decomposition evidence. The
-    result feeds `acb_verdict`.
+    order matrices where defined) and collects equilibria of both kinds.
+    The E solve is `solve_equilibria`'s and a round of 3 seeds within ±0.8
+    in log x of each of its first 8 points; the witness search, the PLP
+    report and the kinetic-image span report read the points of both rounds.
+    The CLP report on Z+ and, when E+ points were found, the PLP report on
+    E+ use one flux space (`flux_spec_basis`, by default
+    `default_flux_basis`), so bi-LP holds exactly when both do; then linkage
+    decomposition evidence. The result feeds `acb_verdict`.
 
     Where `system.z_at_most_one_point` holds, the Z solve runs the chart
     origin alone, the first seed of the full solve, and a point accepted
@@ -711,6 +712,12 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
     """
     cfg = config or SolveConfig()
     e_res = solve_equilibria(system, "positive", config=cfg)
+    logs = [np.log(p.x) for p in e_res.points]
+    rng = np.random.default_rng(cfg.rng_seed + 3)
+    seeds = [base + rng.uniform(-0.8, 0.8, base.size) for base in logs[:8] for _ in range(3)]
+    more, stops = _multistart(system.n_float, system.kinetics,
+                              _Chart.log(system.network.num_species), seeds, cfg)
+    e_res = _solve_result(system, "positive", logs + more, e_res.diagnostics["stops"] + stops, cfg)
     z_res = None
     if system.z_at_most_one_point:
         z_res = solve_equilibria(system, "complex_balanced", config=replace(cfg, seeds=1))
@@ -729,9 +736,7 @@ def analyze_acb(system: KineticSystem, config: SolveConfig | None = None,
             plp = check_lp_property(system, "E", LPSetSpec(basis, e_res.points[0].x),
                                     config=cfg, points=e_res.points)
 
-    kse = None
-    if e_res.points:
-        kse = kse_check(system, e_res.points, cfg)
+    kse = kse_check(system, e_res.points) if e_res.points else None
 
     deco = linkage_decomposition_evidence(system, cfg)
 

@@ -15,7 +15,10 @@ and exit code.
 
 Regenerate both recordings (after a change that is meant to move a report)
 with ``PYTHONPATH=src python tests/test_cli_reports.py``, and name every
-changed entry in CHANGES.md.
+changed entry in CHANGES.md. The regeneration merges each fresh report into
+the recorded one and keeps every recorded number or line that the tests
+accept, so only what moved beyond the tolerance changes: another BLAS build
+regenerates the recordings to themselves.
 """
 
 import io
@@ -24,10 +27,15 @@ import math
 import re
 from pathlib import Path
 
+import jsonschema
+import pytest
+
 from crnbalance.cli import run_cli
+from crnbalance.report import dumps_report
 
 DATA = Path(__file__).parent / "data"
 RECORDED = DATA / "cli_reports.json"
+SCHEMA = json.loads((DATA / "report_schema.json").read_text())
 TEXT_RECORDED = DATA / "cli_text.json"
 FIXTURES = ("counterexample", "hill_single", "mm_polypl", "re1_massaction", "re1_powerlaw")
 RTOL, ATOL = 1e-8, 1e-12
@@ -108,6 +116,49 @@ def _text_mismatch(new: str, old: str):
     return None
 
 
+def _merge(new, old):
+    """`new` with each leaf of `old` that `_mismatch` accepts kept in its
+    place; dicts with the same keys and lists of the same length are merged
+    member by member."""
+    if isinstance(old, dict) and isinstance(new, dict) and list(new) == list(old):
+        return {key: _merge(new[key], old[key]) for key in old}
+    if isinstance(old, list) and isinstance(new, list) and len(new) == len(old):
+        return [_merge(a, b) for a, b in zip(new, old)]
+    return old if _mismatch(new, old) is None else new
+
+
+def _merge_text(new: str, old: str) -> str:
+    """`new` with each line of `old` that `_text_mismatch` accepts kept in
+    its place, when both have as many lines."""
+    new_lines, old_lines = new.splitlines(keepends=True), old.splitlines(keepends=True)
+    if len(new_lines) != len(old_lines):
+        return new
+    return "".join(b if _text_mismatch(a, b) is None else a for a, b in zip(new_lines, old_lines))
+
+
+def _merge_entry(new: dict, old: dict, as_json: bool) -> dict:
+    """The fresh recording entry `new`, keeping what of the recorded `old`
+    the tests accept; a JSON report is written back as `dumps_report` does."""
+    if (new["argv"], new["exit"], new["stderr"]) != (old["argv"], old["exit"], old["stderr"]):
+        return new
+    if not as_json:
+        return {**new, "stdout": _merge_text(new["stdout"], old["stdout"])}
+    if new["exit"] != 0:
+        return new
+    merged = _merge(json.loads(new["stdout"]), json.loads(old["stdout"]))
+    return {**new, "stdout": dumps_report(merged)}
+
+
+def _regenerate(path: Path, commands, as_json: bool) -> None:
+    recorded = {tuple(r["argv"]): r for r in json.loads(path.read_text())}
+    entries = []
+    for argv in commands:
+        new = _run(argv, as_json)
+        old = recorded.get(tuple(argv))
+        entries.append(new if old is None else _merge_entry(new, old, as_json))
+    path.write_text(json.dumps(entries, indent=1) + "\n")
+
+
 def test_recorded_cli_reports():
     recorded = json.loads(RECORDED.read_text())
     assert [r["argv"] for r in recorded] == COMMANDS + TMATRIX_JSON
@@ -157,6 +208,41 @@ def test_recorded_acb_reports_cite_bi_lp_exactly_when_clp_and_plp_hold():
         assert ("bi-lp" in rules) == (fields == {"CLP": "True", "PLP": "True"}), text
 
 
+def _recorded_reports() -> list[dict]:
+    return [json.loads(r["stdout"]) for r in json.loads(RECORDED.read_text()) if r["exit"] == 0]
+
+
+def test_recorded_reports_meet_the_report_schema():
+    reports = _recorded_reports()
+    assert len(reports) == 26  # every recorded --json command but `acb hill_single.crn`
+    for report in reports:
+        jsonschema.validate(report, SCHEMA)
+
+
+@pytest.mark.parametrize("command, path, key, value", [
+    ("acb", ["verdicts"], "bilp", True),
+    ("starmsc", ["verdicts"], "bilp", True),
+    ("equilibria", ["coset_counts"], "e_side_exact", "false"),
+    ("equilibria", ["coset_counts"], "assumptions", {"concordant": True}),
+    ("acb", ["verdicts", "acb"], "status", "ACB"),
+    ("acb", ["verdicts", "clp"], "holds", "true"),
+    ("acb", ["verdicts", "plp"], "n_found", -1),
+    ("acb", ["verdicts", "kse"], "sampled_span_dim", 2.5),
+    ("acb", ["verdicts", "poly_pl_balance"], "pl_equilibrated", 1),
+])
+def test_report_schema_refuses_what_no_report_writes(command, path, key, value):
+    def block(report):
+        for name in path:
+            report = report.get(name) or {}
+        return report
+
+    report = next(r for r in _recorded_reports() if r["command"] == command and block(r))
+    jsonschema.validate(report, SCHEMA)
+    block(report)[key] = value
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, SCHEMA)
+
+
 def test_tolerance_applies_to_numbers_only():
     assert _mismatch({"x": ["1.000000000001"]}, {"x": ["1"]}) is None
     assert _mismatch({"x": "1.1e-20"}, {"x": "1.0e-20"}) is None  # below atol
@@ -173,8 +259,41 @@ def test_tolerance_applies_to_numbers_only():
     assert _text_mismatch("a\n", "a\nb\n") is not None
 
 
+def _moved(value):
+    """`value` with every number in it, and every string that parses as
+    one, moved by a relative 1e-10, inside the tolerance."""
+    if isinstance(value, dict):
+        return {key: _moved(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_moved(v) for v in value]
+    number = _number(value)
+    if number is None or isinstance(value, int):
+        return value
+    moved = number * (1 + 1e-10)
+    return repr(moved) if isinstance(value, str) else moved
+
+
+def test_regeneration_keeps_the_recorded_numbers_inside_the_tolerance():
+    json_entries = [r for r in json.loads(RECORDED.read_text()) if r["exit"] == 0]
+    for old in json_entries:
+        new = {**old, "stdout": json.dumps(_moved(json.loads(old["stdout"])))}
+        assert _merge_entry(new, old, as_json=True) == old, old["argv"]
+    for old in json.loads(TEXT_RECORDED.read_text()):
+        new = {**old, "stdout": _NUMBER.sub(lambda m: repr(_moved(float(m.group()))),
+                                            old["stdout"])}
+        assert _text_mismatch(new["stdout"], old["stdout"]) is None, old["argv"]
+        assert _merge_entry(new, old, as_json=False) == old, old["argv"]
+    # a leaf or line beyond the tolerance, or a changed shape, takes the fresh one
+    assert _merge({"a": "1.0001", "b": "2"}, {"a": "1", "b": "2.0000000001"}) == {
+        "a": "1.0001", "b": "2.0000000001"}
+    assert _merge({"a": [1, 2]}, {"a": [1]}) == {"a": [1, 2]}
+    assert _merge({"b": 1, "a": 2}, {"a": 2, "b": 1}) == {"b": 1, "a": 2}
+    assert _merge_text("x 1.0001\ny 2\n", "x 1\ny 2.0000000001\n") == "x 1.0001\ny 2.0000000001\n"
+    assert _merge_text("a\nb\n", "a\n") == "a\nb\n"
+    changed = {**json_entries[0], "exit": 1}
+    assert _merge_entry(changed, json_entries[0], as_json=True) == changed
+
+
 if __name__ == "__main__":
-    RECORDED.write_text(json.dumps(
-        [_run(argv) for argv in COMMANDS + TMATRIX_JSON], indent=1) + "\n")
-    TEXT_RECORDED.write_text(json.dumps(
-        [_run(argv, as_json=False) for argv in TEXT_COMMANDS], indent=1) + "\n")
+    _regenerate(RECORDED, COMMANDS + TMATRIX_JSON, as_json=True)
+    _regenerate(TEXT_RECORDED, TEXT_COMMANDS, as_json=False)

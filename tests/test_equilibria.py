@@ -256,7 +256,7 @@ def test_cb_impossible_without_weak_reversibility(fast_cfg):
 def test_kse_counterexample(ce_solutions, counterexample):
     net, kin = counterexample
     cfg, e, _ = ce_solutions
-    rep = cb.kse_check(cb.KineticSystem(net, kin), e.points, cfg)
+    rep = cb.kse_check(cb.KineticSystem(net, kin), e.points)
     assert rep.r_minus_s == 4
     assert rep.por is True
     assert rep.incidence_kernel_dim == 2
@@ -272,7 +272,7 @@ def test_kse_reversible_pair(fast_cfg):
     kin = cb.mass_action_from(net, [1, 2])
     system = cb.KineticSystem(net, kin)
     e = cb.solve_equilibria(system, "positive", config=fast_cfg)
-    rep = cb.kse_check(system, e.points, fast_cfg)
+    rep = cb.kse_check(system, e.points)
     assert rep.r_minus_s == 1
     assert rep.sampled_span_dim == 1
     assert rep.kse is True
@@ -282,20 +282,117 @@ def test_kse_span_rank_is_scale_invariant_on_ladder_r24():
     # the kinetic images of ladder r = 24 (seed 2) differ in scale by orders
     # of magnitude; ranked as raw columns the span read 7, with unit-norm
     # columns it reads 9. The status is NotACB_certified either way
-    # (7 and 9 both exceed dim ker Ia).
+    # (7 and 9 both exceed dim ker Ia). The 9 points are those of the
+    # analysis's E solve, both rounds; the first round's 6 alone span 6.
     cfg = cb.SolveConfig(seeds=16)
     system = cb.KineticSystem(*bench_ladder(2, 24))
-    e = cb.solve_equilibria(system, "positive", config=cfg)
-    rep = cb.kse_check(system, e.points, cfg)
+    analysis = cb.analyze_acb(system, cfg)
+    rep = cb.kse_check(system, analysis.e_points)
+    assert rep == analysis.kse
     assert rep.sampled_span_dim == 9
+    first = cb.solve_equilibria(system, "positive", config=cfg).points
+    assert (len(first), cb.kse_check(system, first).sampled_span_dim) == (6, 6)
     assert rep.span_exceeds_incidence_kernel
 
 
-def test_kse_no_equilibria_raises(fast_cfg):
+def test_kse_no_equilibria_raises():
     net = cb.build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1)])
     kin = cb.mass_action_from(net, [1])
     with pytest.raises(cb.NoEquilibriaError):
-        cb.kse_check(cb.KineticSystem(net, kin), [], fast_cfg)
+        cb.kse_check(cb.KineticSystem(net, kin), [])
+
+
+def test_kse_check_ranks_the_points_it_is_handed_and_runs_no_solver(monkeypatch, fast_cfg):
+    net = cb.build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1), (1, 0)])
+    system = cb.KineticSystem(net, cb.mass_action_from(net, [1, 2]))
+    e = cb.solve_equilibria(system, "positive", config=fast_cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kse_check ran the solver")
+
+    for name in ("_multistart", "_newton", "solve_equilibria"):
+        monkeypatch.setattr(cb.equilibria, name, refuse)
+    assert cb.kse_check(system, e.points).sampled_span_dim == 1
+    assert cb.kse_check(system, e.points * 3).sampled_span_dim == 1
+
+
+def _one_e_set_case(name):
+    if name.startswith("ladder-"):
+        r, seed = (int(part[1:]) for part in name.split("-")[1:])
+        return cb.KineticSystem(*bench_ladder(seed, r)), cb.SolveConfig(seeds=16)
+    return cb.KineticSystem(*parse_crn((DATA / f"{name}.crn").read_text())), cb.SolveConfig()
+
+
+# Per case, the sampled span, status and rule list that `analyze_acb` gave
+# while `kse_check` ran the perturbation round itself and only the span read
+# its points: the five ladder-acb ladders and big ladder r = 80 at 16 seeds,
+# the fixtures at the CLI's 64.
+_TWO_SOLVE_OUTCOMES = {
+    "ladder-r12-s3": (1, "ACB_certified", ("bi-lp", "numeric-sweep")),
+    "ladder-r12-s5": (4, "NotACB_certified", ("kse-partial-converse", "numeric-witness")),
+    "ladder-r12-s7": (3, "NotACB_numeric", ("numeric-witness",)),
+    "ladder-r24-s2": (9, "NotACB_certified", ("kse-partial-converse", "numeric-witness")),
+    "ladder-r40-s0": (4, "NotACB_numeric", ("numeric-witness",)),
+    "ladder-r80-s0": (2, "ACB_certified", ("bi-lp", "numeric-sweep")),
+    "counterexample": (3, "NotACB_certified", ("kse-partial-converse", "numeric-witness")),
+    "decimal_powerlaw": (3, None, ()),
+    "hill_single": (None, None, ()),
+    "mm_polypl": (2, "ACB_certified", ("deficiency-zero", "numeric-sweep")),
+    "re1_massaction": (2, "ACB_certified",
+                       ("mass-action", "bi-lp", "acb-decomposition", "numeric-sweep")),
+    "re1_powerlaw": (3, "NotACB_numeric", ("numeric-witness",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TWO_SOLVE_OUTCOMES))
+def test_one_e_set_holds_every_point_of_the_two_solves(name):
+    """The E points of `analyze_acb` cover the first round's, which
+    `solve_equilibria` finds alone, and those the perturbation round accepts
+    when run apart, as `kse_check` once ran it; the span, and every status
+    and rule list but big ladder r = 80's, are those of the two-solve
+    analysis."""
+    system, cfg = _one_e_set_case(name)
+    analysis = cb.analyze_acb(system, cfg)
+    first = cb.solve_equilibria(system, "positive", config=cfg)
+    logs = [np.log(p.x) for p in first.points]
+    rng = np.random.default_rng(cfg.rng_seed + 3)
+    seeds = [u + rng.uniform(-0.8, 0.8, u.size) for u in logs[:8] for _ in range(3)]
+    resolved, _ = cb.equilibria._multistart(
+        system.n_float, system.kinetics, cb.equilibria._Chart.log(system.network.num_species),
+        seeds, cfg)
+    new = np.array([np.log(p.x) for p in analysis.e_points]).reshape(-1, system.network.num_species)
+    for u in logs + resolved:
+        assert np.min(np.max(np.abs(new - u), axis=1)) <= cb.equilibria.DEDUP_TOL
+    diagnostics = analysis.e_diagnostics
+    assert diagnostics["attempts"] == len(diagnostics["stops"]) == cfg.seeds + len(seeds)
+    assert diagnostics["distinct"] == len(analysis.e_points)
+    assert diagnostics["converged"] == first.diagnostics["converged"] + len(resolved)
+
+    span, status, rules = _TWO_SOLVE_OUTCOMES[name]
+    assert (None if analysis.kse is None else analysis.kse.sampled_span_dim) == span
+    if status is None:
+        with pytest.raises(cb.equilibria.NotComplexBalancedError):
+            cb.acb_verdict(analysis, cfg)
+        return
+    verdict = cb.acb_verdict(analysis, cfg)
+    outcome = (verdict.status, tuple(c.rule for c in verdict.justification[1:]))
+    assert verdict.justification[0].rule == "complex-balanced-point"
+    assert (outcome == (status, rules)) == (name != "ladder-r80-s0"), outcome
+
+
+@pytest.mark.parametrize("seeds", [16, 64])
+def test_big_ladder_r80_reads_its_64_seed_status_at_16_seeds(seeds):
+    # At 16 seeds the perturbation round finds a second E+ point; it
+    # refutes PLP, so the `bi-lp` certificate that the first point alone
+    # gave goes, and the witness search reads the second point.
+    system = cb.KineticSystem(*bench_ladder(0, 80))
+    cfg = cb.SolveConfig(seeds=seeds)
+    analysis = cb.analyze_acb(system, cfg)
+    verdict = cb.acb_verdict(analysis, cfg)
+    assert verdict.status == "NotACB_numeric"
+    assert [c.rule for c in verdict.justification] == ["complex-balanced-point",
+                                                      "numeric-witness"]
+    assert analysis.plp is not None and not analysis.plp.holds
 
 
 def test_poly_pl_balance_single_term(fast_cfg):
